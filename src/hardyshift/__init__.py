@@ -26,6 +26,7 @@ from .decomposition import (
     build_intertwiner,
     channel,
     channel_basis,
+    channel_order,
     channels,
     decomposed_shift,
     partition_check,
@@ -44,9 +45,11 @@ from .lattice import (
     LatticeCounts,
     LatticeReport,
     MaskEntry,
+    channel_edges,
     check_minimal,
     enumerate_lattice,
     lattice_closure_check,
+    mask_is_reducing,
     mask_projection,
 )
 from .matrices import (
@@ -110,6 +113,8 @@ __all__ = [
     "build_intertwiner",
     "channel",
     "channel_basis",
+    "channel_edges",
+    "channel_order",
     "channels",
     "check_minimal",
     "commutant_basis",
@@ -124,6 +129,7 @@ __all__ = [
     "is_permutation",
     "is_projection",
     "lattice_closure_check",
+    "mask_is_reducing",
     "mask_projection",
     "matrices_close",
     "monomial_symbol",

@@ -14,13 +14,19 @@ import io
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from .commutant import commutant_basis, is_block_lower_toeplitz, selfadjoint_commutant_dim
-from .decomposition import build_intertwiner, verify_equivalence
+from .decomposition import channel_order, channels, verify_equivalence
 from .errors import CapError, RankAmbiguityError
-from .lattice import DEFAULT_CAP_BITS, enumerate_lattice, lattice_closure_check
+from .lattice import (
+    DEFAULT_CAP_BITS,
+    check_minimal,
+    enumerate_lattice,
+    lattice_closure_check,
+)
 from .operators import power_symbol, symbol_from_json, toeplitz_matrix
 from .scalars import scalar_to_json
 from .space import TruncationParams
@@ -58,7 +64,6 @@ class RunConfig:
     symbol_path: Path | None = None
     out_path: Path | None = None
     format: str = "json"
-    jobs: int = 1
     cap_bits: int = DEFAULT_CAP_BITS
     sample: int | None = None
     seed: int = 0
@@ -95,9 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None,
                        help="report path (stdout when omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker threads for mask checks "
-                            "(default: available execution units)")
         if name in ("build", "commutant"):
             p.add_argument("--symbol", type=Path, default=None,
                            help="JSON file with a matrix polynomial symbol")
@@ -119,11 +121,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("float mode requires --tol > 0")
     elif tol is not None:
         raise ConfigError("--tol only applies to float mode")
-    jobs = args.jobs
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
     if args.format == "csv" and args.command != "lattice":
         raise ConfigError("csv output is only available for the lattice command")
     cfg = RunConfig(
@@ -136,7 +133,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         symbol_path=getattr(args, "symbol", None),
         out_path=args.out,
         format=args.format,
-        jobs=jobs,
         cap_bits=getattr(args, "cap_bits", DEFAULT_CAP_BITS),
         sample=getattr(args, "sample", None),
         seed=getattr(args, "seed", 0),
@@ -218,10 +214,11 @@ def _commutant_section(cfg: RunConfig, params: TruncationParams):
     section = {"dim": cb.dim, "selfadjoint_dim": sdim}
     checks: dict[str, bool] = {}
     if is_power:
-        X = build_intertwiner(params, cfg.mode)
-        Xh = X.adjoint()
+        # Lemma 3: X* P X is block lower Toeplitz, read through the
+        # intertwiner's channel order
+        order = channel_order(params)
         structure = all(
-            is_block_lower_toeplitz(Xh @ P @ X, params.K, cfg.tol)
+            is_block_lower_toeplitz(P, params.K, cfg.tol, order)
             for P in cb.basis
         )
         expected_dim = params.r * params.r * params.K
@@ -235,7 +232,24 @@ def _commutant_section(cfg: RunConfig, params: TruncationParams):
     return section, checks
 
 
-def _lattice_section(cfg: RunConfig, params: TruncationParams):
+def _minimality_json(results) -> list:
+    return [
+        {
+            "i": mc.channel.i,
+            "j": mc.channel.j,
+            "ordinal": mc.channel.ordinal,
+            "is_minimal": mc.is_minimal,
+            "restricted_selfadjoint_commutant_dim": (
+                mc.restricted_selfadjoint_commutant_dim
+            ),
+        }
+        for mc in results
+    ]
+
+
+def _lattice_section(
+    cfg: RunConfig, params: TruncationParams, full_selfadjoint_dim: int | None = None
+):
     rep = enumerate_lattice(
         params,
         mode=cfg.mode,
@@ -243,7 +257,7 @@ def _lattice_section(cfg: RunConfig, params: TruncationParams):
         cap_bits=cfg.cap_bits,
         sample=cfg.sample,
         seed=cfg.seed,
-        jobs=cfg.jobs,
+        full_selfadjoint_dim=full_selfadjoint_dim,
     )
     closure = lattice_closure_check(rep) if rep.exhaustive else None
     section = {
@@ -265,18 +279,7 @@ def _lattice_section(cfg: RunConfig, params: TruncationParams):
             }
             for e in rep.entries
         ],
-        "minimal_channels": [
-            {
-                "i": mc.channel.i,
-                "j": mc.channel.j,
-                "ordinal": mc.channel.ordinal,
-                "is_minimal": mc.is_minimal,
-                "restricted_selfadjoint_commutant_dim": (
-                    mc.restricted_selfadjoint_commutant_dim
-                ),
-            }
-            for mc in rep.minimal_channels
-        ],
+        "minimal_channels": _minimality_json(rep.minimal_channels),
     }
     checks = {
         "all_checked_masks_reducing": all(e.is_reducing for e in rep.entries),
@@ -287,27 +290,14 @@ def _lattice_section(cfg: RunConfig, params: TruncationParams):
     return section, checks, rep
 
 
-def _minimality_section(cfg: RunConfig, params: TruncationParams):
-    from .decomposition import channels
-    from .lattice import check_minimal
-
-    results = [
-        check_minimal(ch, params, cfg.mode, cfg.tol) for ch in channels(params)
-    ]
-    section = {
-        "channels": [
-            {
-                "i": mc.channel.i,
-                "j": mc.channel.j,
-                "ordinal": mc.channel.ordinal,
-                "is_minimal": mc.is_minimal,
-                "restricted_selfadjoint_commutant_dim": (
-                    mc.restricted_selfadjoint_commutant_dim
-                ),
-            }
-            for mc in results
+def _minimality_section(cfg: RunConfig, params: TruncationParams, results=None):
+    """Per-channel minimality certificates; ``results`` reuses the ones a
+    lattice run has already computed."""
+    if results is None:
+        results = [
+            check_minimal(ch, params, cfg.mode, cfg.tol) for ch in channels(params)
         ]
-    }
+    section = {"channels": _minimality_json(results)}
     checks = {"all_channels_minimal": all(mc.is_minimal for mc in results)}
     return section, checks
 
@@ -362,10 +352,15 @@ def execute(cfg: RunConfig) -> tuple[dict, dict]:
         section, c_checks = _commutant_section(cfg, params)
         report["commutant"] = section
         checks.update(c_checks)
-        section, l_checks, _ = _lattice_section(cfg, params)
+        # without a symbol the commutant section has already solved the
+        # self-adjoint system of the power operator the lattice is about
+        shared_sdim = section["selfadjoint_dim"] if cfg.symbol_path is None else None
+        section, l_checks, lattice = _lattice_section(cfg, params, shared_sdim)
         report["lattice"] = section
         checks.update(l_checks)
-        m_section, m_checks = _minimality_section(cfg, params)
+        m_section, m_checks = _minimality_section(
+            cfg, params, lattice.minimal_channels
+        )
         report["minimality"] = m_section
         checks.update(m_checks)
     else:
@@ -408,18 +403,24 @@ def emit_report(report: dict, fmt: str) -> bytes:
 
 
 def write_output(data: bytes, out_path: Path | None) -> None:
-    """Write atomically: temp file next to the target, then rename, so a
-    failed run leaves no partial report."""
+    """Write atomically: a uniquely named temp file in the target's
+    directory, synced, then renamed over the target.  A failed run leaves
+    no partial report, and concurrent runs never share a temp file."""
     if out_path is None:
         sys.stdout.write(data.decode())
         return
-    tmp = out_path.with_name(out_path.name + ".tmp")
+    fd, tmp = tempfile.mkstemp(
+        dir=out_path.parent, prefix=f".{out_path.name}.", suffix=".tmp"
+    )
     try:
-        tmp.write_bytes(data)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, out_path)
-    except OSError:
+    except BaseException:
         try:
-            tmp.unlink()
+            os.unlink(tmp)
         except OSError:
             pass
         raise

@@ -98,7 +98,7 @@ def commutant_basis(A: DenseMatrix, tol: float | None = None) -> CommutantBasis:
             grid = [[z] * d for _ in range(d)]
             for key, s in vec.items():
                 grid[key // d][key % d] = s
-            mats.append(DenseMatrix(grid, "exact"))
+            mats.append(DenseMatrix._raw(tuple(map(tuple, grid)), "exact"))
     else:
         if tol is None or tol <= 0:
             raise ValueError("float-mode commutant requires a positive tol")
@@ -108,10 +108,10 @@ def commutant_basis(A: DenseMatrix, tol: float | None = None) -> CommutantBasis:
                 dense[ridx, key] = complex(s)
         vecs = linalg.kernel_basis_float(dense, tol)
         for vec in vecs:
-            grid = [
-                [complex(vec[u * d + v]) for v in range(d)] for u in range(d)
-            ]
-            mats.append(DenseMatrix(grid, "float"))
+            grid = tuple(
+                tuple(complex(vec[u * d + v]) for v in range(d)) for u in range(d)
+            )
+            mats.append(DenseMatrix._raw(grid, "float"))
     return CommutantBasis(operator_dim=d, basis=tuple(mats))
 
 
@@ -233,39 +233,51 @@ def selfadjoint_commutant_dim(A: DenseMatrix, tol: float | None = None) -> int:
 def is_lower_toeplitz(P: DenseMatrix, tol: float | None = None) -> bool:
     """True when P is lower triangular and constant along each diagonal,
     the shape every matrix commuting with a single shift block must have."""
-    if P.rows != P.cols:
-        return False
-    for u in range(P.rows):
-        for v in range(P.cols):
-            if u < v:
-                if not scalar_is_zero(P.entries[u][v], tol):
-                    return False
-            elif u > 0 and v > 0:
-                if not scalars_close(P.entries[u][v], P.entries[u - 1][v - 1], tol):
-                    return False
-    return True
+    return P.rows == P.cols and is_block_lower_toeplitz(P, P.rows, tol)
 
 
 def is_block_lower_toeplitz(
-    P: DenseMatrix, block_size: int, tol: float | None = None
+    P: DenseMatrix,
+    block_size: int,
+    tol: float | None = None,
+    order: Sequence[int] | None = None,
 ) -> bool:
     """True when every block_size x block_size block of P is lower
     Toeplitz.  This is the shape of the commutant of a direct sum of equal
-    shift blocks, read through the block partition."""
-    if P.rows != P.cols or block_size < 1 or P.rows % block_size:
+    shift blocks, read through the block partition.
+
+    With ``order`` (a permutation of the indices) the check applies to the
+    relabeled matrix Q[a][b] = P[order[a]][order[b]], which is X* P X for
+    the permutation X with its 1 of column a in row order[a]; no product
+    is formed.  Entries are scanned in place: an entry that is the mode's
+    zero object needs no comparison, every other one goes through
+    scalar_is_zero or scalars_close.
+    """
+    n = P.rows
+    if P.cols != n or block_size < 1 or n % block_size:
         return False
-    nblocks = P.rows // block_size
-    for bu in range(nblocks):
-        for bv in range(nblocks):
-            block = [
-                [
-                    P.entries[bu * block_size + u][bv * block_size + v]
-                    for v in range(block_size)
-                ]
-                for u in range(block_size)
-            ]
-            if not is_lower_toeplitz(DenseMatrix(block, P.mode), tol):
-                return False
+    if order is None:
+        order = range(n)
+    elif sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of the row indices")
+    entries = P.entries
+    z = zero(P.mode)
+    # per column: its source index, its offset in the block, and the source
+    # index of the column before it
+    cols = [(order[b], b % block_size, order[b - 1]) for b in range(n)]
+    for a in range(n):
+        u = a % block_size
+        row = entries[order[a]]
+        above = entries[order[a - 1]] if u else None
+        for f, v, g in cols:
+            s = row[f]
+            if u < v:
+                if s is not z and not scalar_is_zero(s, tol):
+                    return False
+            elif u and v:
+                t = above[g]
+                if (s is not z or t is not z) and not scalars_close(s, t, tol):
+                    return False
     return True
 
 

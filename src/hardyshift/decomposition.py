@@ -8,15 +8,21 @@ of a scalar model space turns the operator into a plain shift block.  The
 permutation matrix realizing that relabeling is the intertwiner built here;
 conjugating by it exhibits the operator as a direct sum of m*n scalar shift
 blocks of size K.
+
+Because the intertwiner is a permutation, conjugating by it is only a
+relabeling of indices: ``channel_order`` lists, for each column of the
+intertwiner, the flat row holding its 1, and (X* P X)[a][b] is
+P[order[a]][order[b]].  The checks here and downstream read matrices
+through that order instead of forming the products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import DenseMatrix, direct_sum, matrices_close
+from .matrices import DenseMatrix, direct_sum
 from .operators import power_symbol, scalar_shift
-from .scalars import Mode, one, zero
+from .scalars import Mode, one, scalars_close, zero
 from .space import TruncationParams, flat_index
 
 
@@ -86,21 +92,26 @@ def partition_check(params: TruncationParams) -> bool:
     return total == params.d and seen == set(range(params.d))
 
 
+def channel_order(params: TruncationParams) -> tuple[int, ...]:
+    """Flat index of the basis vector e_i z^{n k + j} at position c*K + k,
+    for the channel of ordinal c: the row of the intertwiner's single 1 in
+    column c*K + k."""
+    return tuple(f for cb in all_channel_bases(params) for f in cb.flat_indices)
+
+
 def build_intertwiner(params: TruncationParams, mode: Mode = "exact") -> DenseMatrix:
     """Unitary (permutation) matrix sending the k-th coordinate of channel c
     to the channel's k-th basis vector.
 
-    Column c*K + k has its single 1 in the flat row of e_i z^{n k + j} for
-    the channel of ordinal c, so the adjoint conjugation of the power
-    operator lands on the direct sum of scalar shift blocks.
+    Column a has its single 1 in row ``channel_order(params)[a]``, so the
+    adjoint conjugation of the power operator lands on the direct sum of
+    scalar shift blocks.
     """
     d = params.d
     z, o = zero(mode), one(mode)
     grid = [[z] * d for _ in range(d)]
-    for cb in all_channel_bases(params):
-        base = cb.channel.ordinal * params.K
-        for k, f in enumerate(cb.flat_indices):
-            grid[f][base + k] = o
+    for a, f in enumerate(channel_order(params)):
+        grid[f][a] = o
     return DenseMatrix(grid, mode)
 
 
@@ -128,17 +139,20 @@ def verify_equivalence(
     """Check that the intertwiner is unitary and conjugates the truncated
     power operator onto the direct sum of shift blocks.
 
-    In exact mode both checks are zero-tolerance equalities; in float mode
-    they compare entrywise within tol.
+    The intertwiner is unitary exactly when its channel order is a
+    permutation of the flat indices, and its conjugation of the operator is
+    read entry by entry through that order.  In exact mode the comparison
+    is a zero-tolerance equality; in float mode it is entrywise within tol.
     """
-    X = build_intertwiner(params, mode)
-    ident = DenseMatrix.identity(params.d, mode)
-    Xh = X.adjoint()
-    unitary = matrices_close(Xh @ X, ident, tol) and matrices_close(
-        X @ Xh, ident, tol
+    order = channel_order(params)
+    unitary = sorted(order) == list(range(params.d))
+    T = power_symbol(params, mode).entries
+    target = decomposed_shift(params, mode).entries
+    intertwines = all(
+        scalars_close(T[order[a]][order[b]], want, tol)
+        for a, row in enumerate(target)
+        for b, want in enumerate(row)
     )
-    conjugated = Xh @ power_symbol(params, mode) @ X
-    intertwines = matrices_close(conjugated, decomposed_shift(params, mode), tol)
     return EquivalenceReport(
         unitary=unitary,
         intertwines=intertwines,

@@ -1,11 +1,15 @@
 """Enumeration and certification of channel-union reducing subspaces.
 
-Each of the 2^r channel masks selects a union of channels; its coordinate
-projection is checked to commute with the truncated power operator, which
-certifies the span as reducing.  Single channels are certified minimal by
-computing the self-adjoint commutant of the operator restricted to them: a
-restricted dimension of 1 means the only projections commuting there are 0
-and 1, so the channel admits no proper reducing subspace of its own.
+Each of the 2^r channel masks selects a union of channels, and its 0/1
+diagonal projection P commutes with the truncated power operator T exactly
+when no nonzero entry of T joins a selected channel to an unselected one:
+(PT - TP)[u][v] = (p_u - p_v) T[u][v].  The channel pairs joined by T are
+collected once, and each mask is certified reducing by checking that none
+of those pairs crosses its boundary.  Single channels are certified minimal
+by computing the self-adjoint commutant of the operator restricted to
+them: a restricted dimension of 1 means the only projections commuting
+there are 0 and 1, so the channel admits no proper reducing subspace of
+its own.
 
 The report also carries the self-adjoint commutant dimension of the full
 operator.  At truncation this can exceed the count explained by the r
@@ -16,15 +20,20 @@ asserting the diagonal family is everything.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .commutant import restrict, selfadjoint_commutant_dim
-from .decomposition import Channel, all_channel_bases, channel_basis, channels
+from .decomposition import (
+    Channel,
+    all_channel_bases,
+    channel_basis,
+    channel_order,
+    channels,
+)
 from .errors import CapError, ShapeError
-from .matrices import DenseMatrix, matrices_close
+from .matrices import DenseMatrix
 from .operators import power_symbol
-from .scalars import Mode
+from .scalars import Mode, scalar_is_zero
 from .space import TruncationParams
 
 DEFAULT_CAP_BITS = 20
@@ -125,6 +134,31 @@ def check_minimal(
     )
 
 
+def channel_edges(
+    T: DenseMatrix, params: TruncationParams, tol: float | None = None
+) -> frozenset[tuple[int, int]]:
+    """Pairs (a, b) of distinct channel ordinals such that T[u][v] is
+    nonzero (beyond tol in float mode) for some u in channel a and v in
+    channel b."""
+    if T.shape != (params.d, params.d):
+        raise ShapeError(f"operator is {T.shape} but the model has d={params.d}")
+    owner = [0] * params.d
+    for a, f in enumerate(channel_order(params)):
+        owner[f] = a // params.K
+    return frozenset(
+        (owner[u], owner[v])
+        for u, v, s in T.nonzero_items()
+        if owner[u] != owner[v] and not scalar_is_zero(s, tol)
+    )
+
+
+def mask_is_reducing(value: int, edges) -> bool:
+    """True when the mask of this integer value splits no channel pair in
+    ``edges``: its projection then commutes with the operator the edges
+    came from."""
+    return all((value >> a) & 1 == (value >> b) & 1 for a, b in edges)
+
+
 def enumerate_lattice(
     params: TruncationParams,
     mode: Mode = "exact",
@@ -132,14 +166,16 @@ def enumerate_lattice(
     cap_bits: int = DEFAULT_CAP_BITS,
     sample: int | None = None,
     seed: int = 0,
-    jobs: int = 1,
+    full_selfadjoint_dim: int | None = None,
 ) -> LatticeReport:
     """Verify the channel-union lattice of the truncated power operator.
 
     Checks every mask when 2^r fits under the cap; with ``sample`` set, a
     deterministic uniform sample of masks instead (the report then says
-    exhaustive=False).  Each mask is verified by an honest commutation of
-    its projection with the operator matrix.
+    exhaustive=False).  Each mask is checked against the channel pairs
+    that the operator matrix joins.  A caller that has already solved the
+    self-adjoint commutant of the full operator passes its dimension as
+    ``full_selfadjoint_dim`` instead of having it solved again.
     """
     r = params.r
     total = 1 << r
@@ -158,27 +194,23 @@ def enumerate_lattice(
         values = sorted(rng.sample(range(total), sample))
 
     T = power_symbol(params, mode)
+    edges = channel_edges(T, params, tol)
 
     def verify(value: int) -> MaskEntry:
         mask = ChannelMask.from_int(value, r)
-        P = mask_projection(mask, params, mode)
-        reducing = matrices_close(P @ T, T @ P, tol)
         return MaskEntry(
             mask=mask,
             subspace_dim=mask.popcount * params.K,
-            is_reducing=reducing,
+            is_reducing=mask_is_reducing(value, edges),
         )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = tuple(pool.map(verify, values))
-    else:
-        entries = tuple(verify(v) for v in values)
+    entries = tuple(verify(v) for v in values)
 
     minimal = tuple(
         check_minimal(ch, params, mode, tol) for ch in channels(params)
     )
-    full_dim = selfadjoint_commutant_dim(T, tol)
+    if full_selfadjoint_dim is None:
+        full_selfadjoint_dim = selfadjoint_commutant_dim(T, tol)
     counts = LatticeCounts(
         total_masks=total,
         checked_masks=len(entries),
@@ -188,7 +220,7 @@ def enumerate_lattice(
         params=params,
         entries=entries,
         minimal_channels=minimal,
-        full_selfadjoint_commutant_dim=full_dim,
+        full_selfadjoint_commutant_dim=full_selfadjoint_dim,
         counts=counts,
         exhaustive=exhaustive,
     )
@@ -200,10 +232,12 @@ def lattice_closure_check(report: LatticeReport) -> bool:
     Projections of channel unions are 0/1 diagonals, so each mask's
     subspace is faithfully encoded as the integer bitset of its flat
     support; complements, meets and joins of projections then correspond
-    exactly to bitwise complement, AND and OR of supports.  Returns False
-    when some complement, meet or join leaves the family or lands on the
-    wrong support.  Meaningful for exhaustive reports; a sampled family
-    will normally fail closure simply by missing members.
+    exactly to bitwise complement, AND and OR of supports.  The family is
+    the set of masks the report certifies reducing.  Returns False when it
+    lacks the zero or the full mask, or when some complement, meet or join
+    leaves the family or lands on the wrong support.  Meaningful for
+    exhaustive reports; a sampled family will normally fail closure simply
+    by missing members.
     """
     params = report.params
     chan_support = [
@@ -219,7 +253,9 @@ def lattice_closure_check(report: LatticeReport) -> bool:
                 s |= chan_support[c]
         return s
 
-    family = {e.mask.value for e in report.entries}
+    family = {e.mask.value for e in report.entries if e.is_reducing}
+    if 0 not in family or universe not in family:
+        return False
     sup = {v: support(v) for v in family}
     for v in family:
         comp = universe ^ v

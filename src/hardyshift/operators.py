@@ -134,8 +134,8 @@ def apply(operator: DenseMatrix, vec: CoeffVector) -> CoeffVector:
 def symbol_from_json(obj, mode: Mode = "exact") -> MatrixSymbol:
     """Parse ``{"m": int, "coeffs": [{"t": int, "matrix": [[scalar, ...], ...]}]}``.
 
-    Scalar entries are ``{"re": ..., "im": ...}`` with rational strings or
-    ints; float parts are only accepted in float mode.
+    Scalar entries are ints, rational strings or ``{"re": ..., "im": ...}``
+    objects whose parts are either; floats are only accepted in float mode.
     """
     if not isinstance(obj, dict):
         raise ValueError("symbol file must contain a JSON object")

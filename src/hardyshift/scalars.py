@@ -201,14 +201,19 @@ def scalar_abs2(s: Scalar):
 
 
 def scalar_from_json(obj, mode: Mode) -> Scalar:
-    """Parse ``{"re": ..., "im": ...}`` into a scalar.
+    """Parse ``{"re": ..., "im": ...}``, or a bare real part, into a scalar.
 
     Parts may be ints or rational strings ("2/3", "-1").  Float parts are
     accepted only in float mode; in exact mode they are rejected so that a
-    config cannot quietly downgrade exactness.
+    config cannot quietly downgrade exactness.  Booleans are refused.
     """
+    if isinstance(obj, (int, float, str)) and not isinstance(obj, bool):
+        obj = {"re": obj}
     if not isinstance(obj, dict) or not set(obj) <= {"re", "im"}:
-        raise ValueError(f"scalar must be an object with 're'/'im' fields, got {obj!r}")
+        raise ValueError(
+            "scalar must be a number, a rational string or an object with "
+            f"'re'/'im' fields, got {obj!r}"
+        )
 
     def part(x):
         if isinstance(x, bool):

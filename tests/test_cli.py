@@ -66,6 +66,31 @@ def test_build_with_symbol_file(tmp_path):
     assert rep["build"]["matrix"] == rep2["build"]["matrix"]
 
 
+def test_build_with_readme_symbol_example(tmp_path):
+    # the symbol file shown in the README: bare rational strings and a
+    # {"re", "im"} pair
+    symbol = {
+        "m": 2,
+        "coeffs": [
+            {"t": 0, "matrix": [["1", "0"], ["0", "1"]]},
+            {"t": 2, "matrix": [["1/2", "0"], [{"re": "0", "im": "1"}, "1"]]},
+        ],
+    }
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps(symbol))
+    code, rep = run_cli_json(
+        tmp_path,
+        "build", "--m", "2", "--n", "2", "--blocks", "2",
+        "--symbol", str(path),
+    )
+    assert code == 0
+    assert rep["build"]["operator"] == "symbol"
+    assert rep["build"]["matrix"][0][0] == {"re": "1", "im": "0"}
+    # z^2 coefficient at block row 2, column 0: [[1/2, 0], [i, 1]]
+    assert rep["build"]["matrix"][4][0] == {"re": "1/2", "im": "0"}
+    assert rep["build"]["matrix"][5][0] == {"re": "0", "im": "1"}
+
+
 def test_symbol_float_coefficient_needs_float_mode(tmp_path):
     symbol = {"m": 1, "coeffs": [{"t": 0, "matrix": [[{"re": 0.5, "im": 0.0}]]}]}
     path = tmp_path / "symbol.json"
@@ -291,7 +316,6 @@ def test_invalid_arguments_exit_two():
     assert run_cli("verify-equivalence", "--m", "0", "--n", "1", "--blocks", "2") == 2
     assert run_cli("verify-equivalence", "--m", "1", "--n", "1") == 2
     assert run_cli("unknown-command") == 2
-    assert run_cli("lattice", "--m", "1", "--n", "1", "--blocks", "2", "--jobs", "0") == 2
     assert run_cli("lattice", "--m", "1", "--n", "1", "--blocks", "2", "--sample", "-1") == 2
 
 
@@ -315,13 +339,20 @@ def test_stdout_output(capsys):
     assert rep["passed"] is True
 
 
-def test_jobs_flag_accepted(tmp_path):
-    code, rep = run_cli_json(
-        tmp_path,
-        "lattice", "--m", "2", "--n", "2", "--blocks", "2", "--jobs", "2",
-    )
+def test_existing_tmp_file_is_left_alone(tmp_path):
+    out = tmp_path / "report.json"
+    stale = tmp_path / "report.json.tmp"
+    stale.write_bytes(b"another run's temp file")
+    code = main([
+        "verify-equivalence", "--m", "1", "--n", "1", "--blocks", "2",
+        "--out", str(out),
+    ])
     assert code == 0
-    assert rep["lattice"]["counts"]["reducing_count"] == 16
+    assert stale.read_bytes() == b"another run's temp file"
+    assert json.loads(out.read_text())["passed"] is True
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "report.json", "report.json.tmp"
+    ]
 
 
 def test_report_json_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from hardyshift import (
     scalar_shift,
     selfadjoint_commutant_dim,
 )
+from hardyshift.decomposition import channel_order
 from hardyshift.errors import InvarianceError, ShapeError
 
 from helpers import in_span, rand_gaussian_rational
@@ -79,6 +82,49 @@ def test_power_operator_commutant_via_intertwiner():
         assert is_block_lower_toeplitz(Xh @ b @ X, p.K)
 
 
+def test_relabeled_block_check_matches_dense_conjugation():
+    # reading through the channel order is X* P X without the products;
+    # one changed entry must break it either way
+    p = TruncationParams(2, 2, 2)
+    order = channel_order(p)
+    X = build_intertwiner(p)
+    Xh = X.adjoint()
+    P = commutant_basis(power_symbol(p)).basis[0]
+    assert is_block_lower_toeplitz(P, p.K, order=order)
+    one = GaussianRational(1)
+    for a, b in ((0, 1), (1, 1), (p.K + 1, 1)):
+        rows = [list(r) for r in P.entries]
+        rows[order[a]][order[b]] = rows[order[a]][order[b]] + one
+        Q = DenseMatrix(rows)
+        assert not is_block_lower_toeplitz(Q, p.K, order=order)
+        assert not is_block_lower_toeplitz(Xh @ Q @ X, p.K)
+
+
+def test_cli_lemma3_audit_fails_on_a_changed_basis_element(tmp_path, monkeypatch):
+    import hardyshift.cli as cli
+
+    real = cli.commutant_basis
+
+    def doctored(A, tol=None):
+        cb = real(A, tol)
+        order = channel_order(TruncationParams(2, 2, 2))
+        rows = [list(r) for r in cb.basis[3].entries]
+        rows[order[0]][order[1]] = GaussianRational(5)
+        basis = list(cb.basis)
+        basis[3] = DenseMatrix(rows)
+        return dataclasses.replace(cb, basis=tuple(basis))
+
+    monkeypatch.setattr(cli, "commutant_basis", doctored)
+    out = tmp_path / "report.json"
+    code = cli.main([
+        "commutant", "--m", "2", "--n", "2", "--blocks", "2", "--out", str(out),
+    ])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["commutant"]["lemma3_structure_ok"] is False
+    assert report["checks"]["lemma3_structure_ok"] is False
+
+
 def test_lower_toeplitz_predicate():
     assert is_lower_toeplitz(DenseMatrix.identity(3))
     assert is_lower_toeplitz(scalar_shift(4))
@@ -110,6 +156,11 @@ def test_block_lower_toeplitz_predicate():
     assert is_block_lower_toeplitz(p, 2)
     assert not is_block_lower_toeplitz(p, 4)
     assert not is_block_lower_toeplitz(p, 3)  # size does not divide
+    # swapping the two blocks' indices keeps every block lower Toeplitz
+    assert is_block_lower_toeplitz(p, 2, order=[2, 3, 0, 1])
+    assert not is_block_lower_toeplitz(p, 2, order=[1, 0, 2, 3])
+    with pytest.raises(ValueError):
+        is_block_lower_toeplitz(p, 2, order=[0, 0, 1, 2])
 
 
 def test_selfadjoint_dims_reference_values():

@@ -9,12 +9,13 @@ from hardyshift import (
     channels,
     partition_check,
     power_symbol,
+    vector_shift,
     verify_equivalence,
 )
-from hardyshift.decomposition import decomposed_shift
+from hardyshift.decomposition import channel_order, decomposed_shift
 from hardyshift.matrices import DenseMatrix, is_permutation
 
-from helpers import SWEEP
+from helpers import SMALL_SWEEP, SWEEP
 
 
 def test_channel_labels_and_ordinals():
@@ -128,3 +129,27 @@ def test_verify_equivalence_is_exact_not_close():
     rows = [list(r) for r in conj.entries]
     rows[0][0] = rows[1][0]
     assert DenseMatrix(rows) != decomposed_shift(p)
+
+
+def test_verify_equivalence_can_fail(monkeypatch):
+    import hardyshift.decomposition as decomposition
+
+    p = TruncationParams(1, 2, 2)
+    # an operator that is not z^n: the relabeled entries miss the target
+    monkeypatch.setattr(decomposition, "power_symbol", vector_shift)
+    rep = verify_equivalence(p)
+    assert rep.unitary and not rep.intertwines
+    monkeypatch.undo()
+    # an order that repeats a flat index is no permutation
+    monkeypatch.setattr(decomposition, "channel_order", lambda params: (0, 0, 2, 3))
+    rep = verify_equivalence(p)
+    assert not rep.unitary and not rep.ok
+
+
+def test_channel_order_is_the_intertwiner_columns():
+    for p in SMALL_SWEEP:
+        order = channel_order(p)
+        X = build_intertwiner(p)
+        assert [(u, v) for u, v, _ in X.nonzero_items()] == sorted(
+            (f, a) for a, f in enumerate(order)
+        )

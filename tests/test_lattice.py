@@ -4,6 +4,7 @@ import pytest
 
 from hardyshift import (
     ChannelMask,
+    GaussianRational,
     TruncationParams,
     build_intertwiner,
     channels,
@@ -14,8 +15,9 @@ from hardyshift import (
     power_symbol,
 )
 from hardyshift.errors import CapError, ShapeError
-from hardyshift.lattice import MaskEntry
-from hardyshift.matrices import DenseMatrix, direct_sum
+from hardyshift.decomposition import channel_order
+from hardyshift.lattice import MaskEntry, channel_edges, mask_is_reducing
+from hardyshift.matrices import DenseMatrix, direct_sum, matrices_close
 
 from helpers import SMALL_SWEEP
 
@@ -89,6 +91,41 @@ def test_reducing_verdicts_match_direct_commutation():
         assert e.is_reducing == ((P @ T - T @ P).is_zero())
 
 
+def test_cross_channel_entry_breaks_masks_like_direct_commutation():
+    # one entry of T joining channel 0 to channel 1: the edge scan must
+    # agree with the dense commutation P T == T P on every mask
+    p = TruncationParams(2, 2, 2)
+    order = channel_order(p)
+    rows = [list(r) for r in power_symbol(p).entries]
+    rows[order[0]][order[p.K]] = GaussianRational(1, 1)
+    T = DenseMatrix(rows)
+    edges = channel_edges(T, p)
+    assert edges == {(0, 1)}
+    verdicts = []
+    for v in range(1 << p.r):
+        P = mask_projection(ChannelMask.from_int(v, p.r), p)
+        verdict = mask_is_reducing(v, edges)
+        assert verdict == (P @ T == T @ P)
+        verdicts.append(verdict)
+    assert not all(verdicts) and any(verdicts)
+
+
+def test_channel_edges_respect_float_tolerance():
+    p = TruncationParams(1, 2, 2)
+    order = channel_order(p)
+    for value, joined in ((1e-12, False), (1e-3, True)):
+        rows = [list(r) for r in power_symbol(p, "float").entries]
+        rows[order[0]][order[p.K]] = complex(value)
+        T = DenseMatrix(rows, "float")
+        edges = channel_edges(T, p, tol=1e-9)
+        assert bool(edges) == joined
+        for v in range(1 << p.r):
+            P = mask_projection(ChannelMask.from_int(v, p.r), p, "float")
+            assert mask_is_reducing(v, edges) == matrices_close(
+                P @ T, T @ P, 1e-9
+            )
+
+
 def test_mask_projection_transport_through_intertwiner():
     # the diagonal 0/1 block projections of the decomposed model transport
     # to exactly the channel mask projections
@@ -141,11 +178,17 @@ def test_sample_zero_gives_empty_entries():
     assert not rep.exhaustive
 
 
-def test_jobs_parallel_matches_serial():
-    p = TruncationParams(2, 2, 2)
-    serial = enumerate_lattice(p, jobs=1)
-    parallel = enumerate_lattice(p, jobs=4)
-    assert serial == parallel
+def test_closure_check_fails_when_no_mask_is_reducing():
+    p = TruncationParams(2, 1, 2)
+    rep = enumerate_lattice(p)
+    assert rep.exhaustive and lattice_closure_check(rep)
+    flipped = dataclasses.replace(
+        rep,
+        entries=tuple(
+            dataclasses.replace(e, is_reducing=False) for e in rep.entries
+        ),
+    )
+    assert not lattice_closure_check(flipped)
 
 
 def test_closure_check_fails_on_doctored_family():

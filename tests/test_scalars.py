@@ -109,6 +109,19 @@ def test_json_accepts_ints_and_defaults():
     assert scalar_from_json({}, "exact") == gr(0)
 
 
+def test_json_accepts_bare_real_scalars():
+    assert scalar_from_json(3, "exact") == gr(3)
+    assert scalar_from_json("-1/2", "exact") == gr(Fraction(-1, 2))
+    assert scalar_from_json("1/2", "float") == 0.5 + 0j
+    assert scalar_from_json(0.25, "float") == 0.25 + 0j
+    with pytest.raises(ValueError):
+        scalar_from_json(0.25, "exact")
+    with pytest.raises(ValueError):
+        scalar_from_json(True, "exact")
+    with pytest.raises(ValueError):
+        scalar_from_json("half", "exact")
+
+
 def test_json_float_parts_gated_by_mode():
     with pytest.raises(ValueError):
         scalar_from_json({"re": 0.5, "im": 0}, "exact")
