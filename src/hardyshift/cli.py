@@ -22,7 +22,7 @@ from .commutant import commutant_basis, is_block_lower_toeplitz, selfadjoint_com
 from .decomposition import channel_order, channels, verify_equivalence
 from .errors import CapError, RankAmbiguityError
 from .lattice import (
-    DEFAULT_CAP_BITS,
+    check_enumeration_cap,
     check_minimal,
     enumerate_lattice,
     lattice_closure_check,
@@ -64,7 +64,6 @@ class RunConfig:
     symbol_path: Path | None = None
     out_path: Path | None = None
     format: str = "json"
-    cap_bits: int = DEFAULT_CAP_BITS
     sample: int | None = None
     seed: int = 0
 
@@ -104,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--symbol", type=Path, default=None,
                            help="JSON file with a matrix polynomial symbol")
         if name in ("lattice", "full-report"):
-            p.add_argument("--cap-bits", type=int, default=DEFAULT_CAP_BITS,
-                           help="refuse full enumeration beyond 2^cap masks")
             p.add_argument("--sample", type=int, default=None,
                            help="verify a uniform sample of masks instead of all")
             p.add_argument("--seed", type=int, default=0,
@@ -133,21 +130,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         symbol_path=getattr(args, "symbol", None),
         out_path=args.out,
         format=args.format,
-        cap_bits=getattr(args, "cap_bits", DEFAULT_CAP_BITS),
         sample=getattr(args, "sample", None),
         seed=getattr(args, "seed", 0),
     )
-    if cfg.cap_bits < 1:
-        raise ConfigError("--cap-bits must be at least 1")
     if cfg.sample is not None and cfg.sample < 0:
         raise ConfigError("--sample must be nonnegative")
-    if cfg.command in ("lattice", "full-report"):
-        r = cfg.m * cfg.n
-        if cfg.sample is None and r > cfg.cap_bits:
-            raise ConfigError(
-                f"full enumeration of 2^{r} masks exceeds the cap of "
-                f"2^{cfg.cap_bits}; pass --sample or raise --cap-bits"
-            )
     return cfg
 
 
@@ -254,7 +241,6 @@ def _lattice_section(
         params,
         mode=cfg.mode,
         tol=cfg.tol,
-        cap_bits=cfg.cap_bits,
         sample=cfg.sample,
         seed=cfg.seed,
         full_selfadjoint_dim=full_selfadjoint_dim,
@@ -305,6 +291,8 @@ def _minimality_section(cfg: RunConfig, params: TruncationParams, results=None):
 def execute(cfg: RunConfig) -> tuple[dict, dict]:
     """Run the configured command; returns (report, checks)."""
     params = _params(cfg)
+    if cfg.command in ("lattice", "full-report"):
+        check_enumeration_cap(params.r, cfg.sample)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": cfg.command,

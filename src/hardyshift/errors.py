@@ -20,4 +20,4 @@ class InvarianceError(HardyShiftError):
 
 
 class CapError(HardyShiftError):
-    """An enumeration would exceed the configured size cap."""
+    """An exhaustive enumeration would exceed the fixed size limit."""

@@ -9,7 +9,8 @@ of those pairs crosses its boundary.  Single channels are certified minimal
 by computing the self-adjoint commutant of the operator restricted to
 them: a restricted dimension of 1 means the only projections commuting
 there are 0 and 1, so the channel admits no proper reducing subspace of
-its own.
+its own.  The reducing masks form a Boolean lattice exactly when their count is
+2^a for the a classes of channels that they cannot tell apart.
 
 The report also carries the self-adjoint commutant dimension of the full
 operator.  At truncation this can exceed the count explained by the r
@@ -29,6 +30,7 @@ from .decomposition import (
     channel_basis,
     channel_order,
     channels,
+    partition_check,
 )
 from .errors import CapError, ShapeError
 from .matrices import DenseMatrix
@@ -36,7 +38,7 @@ from .operators import power_symbol
 from .scalars import Mode, scalar_is_zero
 from .space import TruncationParams
 
-DEFAULT_CAP_BITS = 20
+MAX_EXHAUSTIVE_CHANNELS = 20
 
 
 @dataclass(frozen=True)
@@ -159,21 +161,35 @@ def mask_is_reducing(value: int, edges) -> bool:
     return all((value >> a) & 1 == (value >> b) & 1 for a, b in edges)
 
 
+def check_enumeration_cap(r: int, sample: int | None) -> bool:
+    """Return whether a lattice run over r channels checks every mask: it
+    does without a sample or with a sample of at least 2^r masks.  Such a
+    run is refused with CapError beyond MAX_EXHAUSTIVE_CHANNELS channels; a
+    sample of fewer than 2^r masks is the way past the limit."""
+    exhaustive = sample is None or sample >= (1 << r)
+    if exhaustive and r > MAX_EXHAUSTIVE_CHANNELS:
+        raise CapError(
+            f"enumerating all 2^{r} masks exceeds the limit of "
+            f"2^{MAX_EXHAUSTIVE_CHANNELS}; pass a sample of fewer than "
+            f"2^{r} masks"
+        )
+    return exhaustive
+
+
 def enumerate_lattice(
     params: TruncationParams,
     mode: Mode = "exact",
     tol: float | None = None,
-    cap_bits: int = DEFAULT_CAP_BITS,
     sample: int | None = None,
     seed: int = 0,
     full_selfadjoint_dim: int | None = None,
 ) -> LatticeReport:
     """Verify the channel-union lattice of the truncated power operator.
 
-    Checks every mask when 2^r fits under the cap; with ``sample`` set, a
-    deterministic uniform sample of masks instead (the report then says
-    exhaustive=False).  Each mask is checked against the channel pairs
-    that the operator matrix joins.  A caller that has already solved the
+    Checks every mask within the limit of ``check_enumeration_cap``; with
+    ``sample`` below 2^r, a deterministic uniform sample of masks instead
+    (the report then says exhaustive=False).  Each mask is checked against
+    the channel pairs that the operator matrix joins.  A caller that has already solved the
     self-adjoint commutant of the full operator passes its dimension as
     ``full_selfadjoint_dim`` instead of having it solved again.
     """
@@ -181,12 +197,7 @@ def enumerate_lattice(
     total = 1 << r
     if sample is not None and sample < 0:
         raise ValueError("sample must be nonnegative")
-    exhaustive = sample is None or sample >= total
-    if exhaustive and r > cap_bits:
-        raise CapError(
-            f"enumerating 2^{r} masks exceeds the cap of 2^{cap_bits}; "
-            "raise cap_bits or pass a sample size"
-        )
+    exhaustive = check_enumeration_cap(r, sample)
     if exhaustive:
         values = range(total)
     else:
@@ -229,48 +240,18 @@ def enumerate_lattice(
 def lattice_closure_check(report: LatticeReport) -> bool:
     """Check the reported family is a complemented sublattice.
 
-    Projections of channel unions are 0/1 diagonals, so each mask's
-    subspace is faithfully encoded as the integer bitset of its flat
-    support; complements, meets and joins of projections then correspond
-    exactly to bitwise complement, AND and OR of supports.  The family is
-    the set of masks the report certifies reducing.  Returns False when it
-    lacks the zero or the full mask, or when some complement, meet or join
-    leaves the family or lands on the wrong support.  Meaningful for
-    exhaustive reports; a sampled family will normally fail closure simply
-    by missing members.
+    The family is the set of masks the report certifies reducing.  Channels
+    that lie in exactly the same members form a class, and every member is
+    a union of classes, so a family with a classes has at most 2^a members.
+    It contains the zero and full masks and is closed under complement,
+    meet and join exactly when it has all 2^a of them; the classes are
+    then its atoms.  Mask operations are the operations on the 0/1
+    diagonal projections because the channels partition the flat basis,
+    which ``partition_check`` confirms.  Meaningful for exhaustive reports;
+    a sampled family will normally fail closure simply by missing members.
     """
-    params = report.params
-    chan_support = [
-        sum(1 << f for f in cb.flat_indices) for cb in all_channel_bases(params)
-    ]
-    full = (1 << params.d) - 1
-    universe = (1 << params.r) - 1
-
-    def support(value: int) -> int:
-        s = 0
-        for c in range(params.r):
-            if (value >> c) & 1:
-                s |= chan_support[c]
-        return s
-
-    family = {e.mask.value for e in report.entries if e.is_reducing}
-    if 0 not in family or universe not in family:
-        return False
-    sup = {v: support(v) for v in family}
-    for v in family:
-        comp = universe ^ v
-        if comp not in family:
-            return False
-        if sup[comp] != full ^ sup[v]:
-            return False
-    for v1 in family:
-        for v2 in family:
-            meet = v1 & v2
-            join = v1 | v2
-            if meet not in family or join not in family:
-                return False
-            if sup[meet] != sup[v1] & sup[v2]:
-                return False
-            if sup[join] != sup[v1] | sup[v2]:
-                return False
-    return True
+    family = sorted({e.mask.value for e in report.entries if e.is_reducing})
+    classes = {
+        bytes((v >> c) & 1 for v in family) for c in range(report.params.r)
+    }
+    return partition_check(report.params) and len(family) == 1 << len(classes)

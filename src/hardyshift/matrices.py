@@ -222,9 +222,6 @@ class DenseMatrix:
             scalar_is_zero(s, tol) for row in self.entries for s in row
         )
 
-    def max_abs(self) -> float:
-        return max(abs(s) for row in self.entries for s in row)
-
     def rank(self, tol: float | None = None) -> int:
         """Rank, exact by elimination in exact mode, by SVD (with the
         ambiguity gate) in float mode where tol is required."""
@@ -239,9 +236,6 @@ class DenseMatrix:
         return np.array(
             [[complex(s) for s in row] for row in self.entries], dtype=complex
         )
-
-    def to_row_dicts(self) -> list[dict]:
-        return [{v: s for v, s in enumerate(row) if s} for row in self.entries]
 
 
 def direct_sum(blocks: Sequence[DenseMatrix]) -> DenseMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ShapeError
 from .matrices import DenseMatrix
-from .scalars import Mode, one, scalar_from_json, scalar_to_json, zero
+from .scalars import Mode, scalar_from_json, scalar_to_json, zero
 from .space import CoeffVector, TruncationParams, flat_index
 
 
@@ -62,18 +62,6 @@ def monomial_symbol(m: int, t: int, mode: Mode = "exact") -> MatrixSymbol:
     return MatrixSymbol(m, ((t, DenseMatrix.identity(m, mode)),))
 
 
-def scalar_shift(L: int, mode: Mode = "exact") -> DenseMatrix:
-    """Nilpotent L x L subdiagonal shift block, the truncated model of
-    multiplication by z on scalar-valued functions."""
-    if not isinstance(L, int) or L < 1:
-        raise ShapeError(f"block size must be a positive integer, got {L!r}")
-    z, o = zero(mode), one(mode)
-    grid = [[z] * L for _ in range(L)]
-    for p in range(L - 1):
-        grid[p + 1][p] = o
-    return DenseMatrix(grid, mode)
-
-
 def toeplitz_matrix(symbol: MatrixSymbol, params: TruncationParams) -> DenseMatrix:
     """Matrix of truncated multiplication by the symbol, in the flat basis.
 
@@ -101,28 +89,24 @@ def toeplitz_matrix(symbol: MatrixSymbol, params: TruncationParams) -> DenseMatr
     return DenseMatrix(grid, mode)
 
 
+def scalar_shift(L: int, mode: Mode = "exact") -> DenseMatrix:
+    """Nilpotent L x L subdiagonal shift block, the truncated model of
+    multiplication by z on scalar-valued functions."""
+    if not isinstance(L, int) or L < 1:
+        raise ShapeError(f"block size must be a positive integer, got {L!r}")
+    return toeplitz_matrix(monomial_symbol(1, 1, mode), TruncationParams(1, 1, L))
+
+
 def vector_shift(params: TruncationParams, mode: Mode = "exact") -> DenseMatrix:
     """Truncated multiplication by z on the C^m-valued space: the block
-    subdiagonal shift.  Coincides with toeplitz_matrix(z * I, params)."""
-    d = params.d
-    z, o = zero(mode), one(mode)
-    grid = [[z] * d for _ in range(d)]
-    for p in range(params.N - 1):
-        for i in range(1, params.m + 1):
-            grid[flat_index(i, p + 1, params)][flat_index(i, p, params)] = o
-    return DenseMatrix(grid, mode)
+    subdiagonal shift."""
+    return toeplitz_matrix(monomial_symbol(params.m, 1, mode), params)
 
 
 def power_symbol(params: TruncationParams, mode: Mode = "exact") -> DenseMatrix:
     """Truncated multiplication by z^n, the operator whose reducing structure
     this package certifies.  Coincides with vector_shift ** n."""
-    d = params.d
-    z, o = zero(mode), one(mode)
-    grid = [[z] * d for _ in range(d)]
-    for p in range(params.N - params.n):
-        for i in range(1, params.m + 1):
-            grid[flat_index(i, p + params.n, params)][flat_index(i, p, params)] = o
-    return DenseMatrix(grid, mode)
+    return toeplitz_matrix(monomial_symbol(params.m, params.n, mode), params)
 
 
 def apply(operator: DenseMatrix, vec: CoeffVector) -> CoeffVector:

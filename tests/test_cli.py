@@ -199,6 +199,24 @@ def test_lattice_cap_exceeded():
     assert run_cli("lattice", "--m", "5", "--n", "5", "--blocks", "2") == 2
 
 
+def test_oversized_sample_refused_before_any_section(monkeypatch, capsys):
+    # r = 22 with a sample of at least 2^22 masks is an exhaustive run past
+    # the limit; it must be refused before the pipeline starts
+    import hardyshift.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a section ran before the cap was checked")
+
+    monkeypatch.setattr(cli, "verify_equivalence", must_not_run)
+    monkeypatch.setattr(cli, "commutant_basis", must_not_run)
+    code = run_cli(
+        "full-report", "--m", "11", "--n", "2", "--blocks", "1",
+        "--sample", "5000000",
+    )
+    assert code == 2
+    assert "2^20" in capsys.readouterr().err
+
+
 def test_lattice_sample_mode(tmp_path):
     code, rep = run_cli_json(
         tmp_path,

@@ -16,7 +16,13 @@ from hardyshift import (
 )
 from hardyshift.errors import CapError, ShapeError
 from hardyshift.decomposition import channel_order
-from hardyshift.lattice import MaskEntry, channel_edges, mask_is_reducing
+from hardyshift.decomposition import all_channel_bases
+from hardyshift.lattice import (
+    MaskEntry,
+    channel_edges,
+    check_enumeration_cap,
+    mask_is_reducing,
+)
 from hardyshift.matrices import DenseMatrix, direct_sum, matrices_close
 
 from helpers import SMALL_SWEEP
@@ -145,9 +151,19 @@ def test_cap_raises():
     p = TruncationParams(5, 5, 2)
     with pytest.raises(CapError):
         enumerate_lattice(p)
-    # explicit smaller cap triggers on small models too
+    # one channel past the fixed limit of 20
     with pytest.raises(CapError):
-        enumerate_lattice(TruncationParams(2, 2, 2), cap_bits=3)
+        enumerate_lattice(TruncationParams(21, 1, 1))
+
+
+def test_cap_counts_an_oversized_sample_as_exhaustive():
+    assert check_enumeration_cap(20, None)
+    assert not check_enumeration_cap(22, 5)
+    # a sample of at least 2^r masks checks every mask, so the limit holds
+    with pytest.raises(CapError):
+        check_enumeration_cap(22, 1 << 22)
+    with pytest.raises(CapError):
+        enumerate_lattice(TruncationParams(11, 2, 1), sample=5_000_000)
 
 
 def test_sampling_is_deterministic_and_marked():
@@ -199,6 +215,100 @@ def test_closure_check_fails_on_doctored_family():
         rep, entries=tuple(e for e in rep.entries if e.mask.value == 1)
     )
     assert not lattice_closure_check(doctored)
+
+
+def pairwise_closure_reference(report):
+    """Closure by brute force: complement, meet and join of every pair of
+    reducing masks, each compared against the bitset of its flat support."""
+    params = report.params
+    chan_support = [
+        sum(1 << f for f in cb.flat_indices) for cb in all_channel_bases(params)
+    ]
+    full = (1 << params.d) - 1
+    universe = (1 << params.r) - 1
+
+    def support(value):
+        s = 0
+        for c in range(params.r):
+            if (value >> c) & 1:
+                s |= chan_support[c]
+        return s
+
+    family = {e.mask.value for e in report.entries if e.is_reducing}
+    if 0 not in family or universe not in family:
+        return False
+    sup = {v: support(v) for v in family}
+    for v in family:
+        comp = universe ^ v
+        if comp not in family or sup[comp] != full ^ sup[v]:
+            return False
+    for v1 in family:
+        for v2 in family:
+            meet, join = v1 & v2, v1 | v2
+            if meet not in family or join not in family:
+                return False
+            if sup[meet] != sup[v1] & sup[v2]:
+                return False
+            if sup[join] != sup[v1] | sup[v2]:
+                return False
+    return True
+
+
+def with_family(report, family):
+    """The report with exactly the masks in ``family`` marked reducing."""
+    return dataclasses.replace(
+        report,
+        entries=tuple(
+            dataclasses.replace(e, is_reducing=e.mask.value in family)
+            for e in report.entries
+        ),
+    )
+
+
+def test_closure_check_agrees_with_pairwise_reference_on_every_family():
+    # every family of masks for r = 1, 2, 3: 4 + 16 + 256 families
+    for p in (TruncationParams(1, 1, 2), TruncationParams(2, 1, 2), TruncationParams(3, 1, 1)):
+        rep = enumerate_lattice(p)
+        masks = 1 << p.r
+        verdicts = []
+        for subset in range(1 << masks):
+            family = {v for v in range(masks) if (subset >> v) & 1}
+            doctored = with_family(rep, family)
+            expected = pairwise_closure_reference(doctored)
+            assert lattice_closure_check(doctored) == expected, (p, family)
+            verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
+
+
+def test_closure_check_fails_on_complement_closed_family_without_joins():
+    # {000, 111, 100, 011, 010, 101}: closed under complement, but the join
+    # of 100 and 010 is 110, which is missing
+    p = TruncationParams(3, 1, 1)
+    rep = enumerate_lattice(p)
+    family = {
+        ChannelMask(tuple(int(b) for b in bits)).value
+        for bits in ("000", "111", "100", "011", "010", "101")
+    }
+    doctored = with_family(rep, family)
+    assert not pairwise_closure_reference(doctored)
+    assert not lattice_closure_check(doctored)
+    # adding the two missing joins restores a Boolean lattice of 2^3 members
+    assert lattice_closure_check(with_family(rep, family | {3, 4}))
+
+
+def test_closure_check_fails_when_channels_do_not_partition(monkeypatch):
+    import hardyshift.lattice as lattice
+
+    rep = enumerate_lattice(TruncationParams(2, 1, 2))
+    assert lattice_closure_check(rep)
+    monkeypatch.setattr(lattice, "partition_check", lambda params: False)
+    assert not lattice_closure_check(rep)
+
+
+def test_closure_check_exhaustive_eleven_channels():
+    rep = enumerate_lattice(TruncationParams(11, 1, 1))
+    assert rep.exhaustive and rep.counts.reducing_count == 1 << 11
+    assert lattice_closure_check(rep)
 
 
 def test_closure_check_matches_projection_algebra():
