@@ -280,8 +280,9 @@ def _minimality_section(cfg: RunConfig, params: TruncationParams, results=None):
     """Per-channel minimality certificates; ``results`` reuses the ones a
     lattice run has already computed."""
     if results is None:
+        T = power_symbol(params, cfg.mode)
         results = [
-            check_minimal(ch, params, cfg.mode, cfg.tol) for ch in channels(params)
+            check_minimal(ch, params, cfg.mode, cfg.tol, T) for ch in channels(params)
         ]
     section = {"channels": _minimality_json(results)}
     checks = {"all_channels_minimal": all(mc.is_minimal for mc in results)}

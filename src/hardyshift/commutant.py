@@ -2,10 +2,15 @@
 
 The commutant of A is the kernel of P -> AP - PA.  Vectorizing P row-major
 turns that into a sparse homogeneous system with one equation per matrix
-position; the exact eliminator solves it over Gaussian rationals, so in
-exact mode the commutant dimension is a theorem about the matrix, not a
-numerical estimate.  In float mode the same system goes through SVD with
-the rank-ambiguity gate.
+position.  An unknown P[u][v] shares equations only with the unknowns
+P[u'][v'] that A's nonzeros reach from it; for T = M_{z^n} these lie in
+the same channel pair, on the same diagonal, so the system falls apart
+into many small blocks (208 blocks of at most 7 unknowns for the 784
+unknowns at (m,n,K)=(2,2,7)).  ``linalg`` solves each block alone.  The
+exact eliminator works over Gaussian rationals, so in exact mode the
+commutant dimension is a theorem about the matrix, not a numerical
+estimate.  In float mode the same sparse rows go through one small SVD
+per block, each behind the rank-ambiguity gate.
 
 The self-adjoint variant parametrizes Hermitian P = X + iY by a real
 symmetric X and a real antisymmetric Y and solves the realified system.
@@ -19,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
-
-import numpy as np
 
 from . import linalg
 from .decomposition import ChannelBasis
@@ -90,28 +93,17 @@ def commutant_basis(A: DenseMatrix, tol: float | None = None) -> CommutantBasis:
         raise ShapeError("commutant needs a square matrix")
     d = A.rows
     sys_rows = _commutation_rows(A)
-    mats = []
     if A.mode == "exact":
         vecs = linalg.kernel_basis_exact(sys_rows, d * d, GR_ONE)
-        z = zero("exact")
-        for vec in vecs:
-            grid = [[z] * d for _ in range(d)]
-            for key, s in vec.items():
-                grid[key // d][key % d] = s
-            mats.append(DenseMatrix._raw(tuple(map(tuple, grid)), "exact"))
     else:
-        if tol is None or tol <= 0:
-            raise ValueError("float-mode commutant requires a positive tol")
-        dense = np.zeros((max(len(sys_rows), 0), d * d), dtype=complex)
-        for ridx, row in enumerate(sys_rows):
-            for key, s in row.items():
-                dense[ridx, key] = complex(s)
-        vecs = linalg.kernel_basis_float(dense, tol)
-        for vec in vecs:
-            grid = tuple(
-                tuple(complex(vec[u * d + v]) for v in range(d)) for u in range(d)
-            )
-            mats.append(DenseMatrix._raw(grid, "float"))
+        vecs = linalg.kernel_basis_float(sys_rows, d * d, tol)
+    z = zero(A.mode)
+    mats = []
+    for vec in vecs:
+        grid = [[z] * d for _ in range(d)]
+        for key, s in vec.items():
+            grid[key // d][key % d] = s
+        mats.append(DenseMatrix._raw(tuple(map(tuple, grid)), A.mode))
     return CommutantBasis(operator_dim=d, basis=tuple(mats))
 
 
@@ -221,13 +213,7 @@ def selfadjoint_commutant_dim(A: DenseMatrix, tol: float | None = None) -> int:
             for row in rows
         ]
         return nvars - linalg.rank_exact(frac_rows, nvars)
-    if tol is None or tol <= 0:
-        raise ValueError("float-mode commutant requires a positive tol")
-    dense = np.zeros((max(len(rows), 0), nvars), dtype=float)
-    for ridx, row in enumerate(rows):
-        for key, s in row.items():
-            dense[ridx, key] = float(s)
-    return nvars - linalg.rank_float(dense, tol)
+    return nvars - linalg.rank_float(rows, nvars, tol)
 
 
 def is_lower_toeplitz(P: DenseMatrix, tol: float | None = None) -> bool:
@@ -318,5 +304,6 @@ def restrict(
                 raise InvarianceError(
                     f"column {v} has a component at row {u} outside the subspace"
                 )
-    grid = [[A.entries[u][v] for v in indices] for u in indices]
-    return DenseMatrix(grid, A.mode)
+    return DenseMatrix._raw(
+        tuple(tuple(A.entries[u][v] for v in indices) for u in indices), A.mode
+    )

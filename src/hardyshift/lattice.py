@@ -123,11 +123,16 @@ def check_minimal(
     params: TruncationParams,
     mode: Mode = "exact",
     tol: float | None = None,
+    operator: DenseMatrix | None = None,
 ) -> ChannelMinimality:
     """Certify one channel minimal: restrict the power operator to it and
-    show the restricted self-adjoint commutant is one-dimensional."""
+    show the restricted self-adjoint commutant is one-dimensional.  A
+    caller that has already built ``power_symbol(params, mode)`` passes it
+    as ``operator`` instead of having it built again."""
+    if operator is None:
+        operator = power_symbol(params, mode)
     basis = channel_basis(ch.i, ch.j, params)
-    restricted = restrict(power_symbol(params, mode), basis, tol)
+    restricted = restrict(operator, basis, tol)
     dim = selfadjoint_commutant_dim(restricted, tol)
     return ChannelMinimality(
         channel=ch,
@@ -218,7 +223,7 @@ def enumerate_lattice(
     entries = tuple(verify(v) for v in values)
 
     minimal = tuple(
-        check_minimal(ch, params, mode, tol) for ch in channels(params)
+        check_minimal(ch, params, mode, tol, T) for ch in channels(params)
     )
     if full_selfadjoint_dim is None:
         full_selfadjoint_dim = selfadjoint_commutant_dim(T, tol)

@@ -1,15 +1,22 @@
-"""Exact sparse Gauss-Jordan elimination and tolerance-gated floating kernels.
+"""Sparse homogeneous systems, solved one connected component at a time.
 
-The exact routines work on linear systems given as sparse rows, each row a
-``{column: coefficient}`` dict over any exact field (Fraction and
-GaussianRational both qualify).  The commutation systems built elsewhere in
-this package have a handful of nonzeros per row, and sparse elimination with
-a column index keeps them effectively linear; a dense eliminator over exact
-scalars would not finish at the largest sweep sizes.
+A system is a list of sparse rows, each row a ``{column: coefficient}``
+dict over ``ncols`` unknowns.  Two unknowns are connected when some row
+holds both, and the rows split by the components this relation makes: the
+system is block diagonal after a permutation, so its rank is the sum of
+the blocks' ranks and its kernel is the direct sum of theirs.  The
+commutation systems of this package fall apart this way (an unknown
+P[u][v] shares equations only with unknowns in the same channel pair, on
+the same diagonal), so every routine here finds the components first and
+solves each block alone.  A system that does not split is one block.
 
-The floating routines use numpy SVD and refuse to decide a rank when any
+The exact routines run sparse Gauss-Jordan elimination over any exact
+field (Fraction and GaussianRational both qualify).  The floating routines
+run a dense numpy SVD per block and refuse to decide a rank when any
 singular value falls within one order of magnitude of the tolerance, since
-such a system cannot be trusted either way.
+such a system cannot be trusted either way.  The singular values of the
+whole system are those of its blocks, so that refusal is the same as for
+one SVD of the whole system.
 """
 
 from __future__ import annotations
@@ -77,8 +84,53 @@ def rref(rows: list[dict], ncols: int):
     return work, pivots
 
 
+def components(rows: list[dict], ncols: int) -> list[tuple[list[int], list[dict]]]:
+    """Split a sparse system into its connected components.
+
+    Returns one ``(columns, block_rows)`` pair per component, ordered by
+    its smallest column.  ``columns`` lists the component's unknowns in
+    ascending order, and ``block_rows`` holds its nonempty rows with each
+    column renumbered to its position in ``columns``.  An unknown that
+    appears in no row is a component of its own with no rows.
+    """
+    parent = list(range(ncols))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in rows:
+        cols = iter(row)
+        first = next(cols, None)
+        if first is None:
+            continue
+        root = find(first)
+        for c in cols:
+            other = find(c)
+            if other != root:
+                parent[other] = root
+    members: dict[int, list[int]] = {}
+    for c in range(ncols):
+        members.setdefault(find(c), []).append(c)
+    block_rows: dict[int, list[dict]] = {root: [] for root in members}
+    for row in rows:
+        if row:
+            block_rows[find(next(iter(row)))].append(row)
+    out = []
+    for root, cols in members.items():
+        local = {c: i for i, c in enumerate(cols)}
+        out.append(
+            (cols, [{local[c]: v for c, v in row.items()} for row in block_rows[root]])
+        )
+    return out
+
+
 def rank_exact(rows: list[dict], ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+    return sum(
+        len(rref(block, len(cols))[1]) for cols, block in components(rows, ncols)
+    )
 
 
 def kernel_basis_exact(rows: list[dict], ncols: int, one) -> list[dict]:
@@ -86,20 +138,24 @@ def kernel_basis_exact(rows: list[dict], ncols: int, one) -> list[dict]:
     vector per free column, in ascending free-column order.
 
     ``one`` is the multiplicative identity of the coefficient field, used to
-    seed the free coordinate.
+    seed the free coordinate.  Each block's reduced echelon form is the
+    one a single elimination of the whole system reaches, so the vectors
+    do not depend on the split.
     """
-    reduced, pivots = rref(rows, ncols)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = {f: one}
-        for pc, ridx in pivots.items():
-            coeff = reduced[ridx].get(f)
-            if coeff is not None and coeff:
-                vec[pc] = -coeff
-        basis.append(vec)
-    return basis
+    found = []
+    for cols, block in components(rows, ncols):
+        reduced, pivots = rref(block, len(cols))
+        for f in range(len(cols)):
+            if f in pivots:
+                continue
+            vec = {cols[f]: one}
+            for pc, ridx in pivots.items():
+                coeff = reduced[ridx].get(f)
+                if coeff is not None and coeff:
+                    vec[cols[pc]] = -coeff
+            found.append((cols[f], vec))
+    found.sort(key=lambda item: item[0])
+    return [vec for _, vec in found]
 
 
 def _check_gap(svals, tol: float) -> None:
@@ -112,40 +168,73 @@ def _check_gap(svals, tol: float) -> None:
             )
 
 
-def rank_float(mat: np.ndarray, tol: float) -> int:
+def _require_tol(tol: float | None) -> None:
     if tol is None or tol <= 0:
-        raise ValueError("float-mode rank requires a positive tol")
-    if mat.size == 0:
-        return 0
-    svals = np.linalg.svd(mat, compute_uv=False)
-    _check_gap(svals, tol)
-    return int(np.sum(svals > tol))
+        raise ValueError("float-mode solves require a positive tol")
 
 
-def kernel_basis_float(mat: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Kernel basis of a dense floating system, echelonized so the output is
-    deterministic up to the SVD backend."""
-    if tol is None or tol <= 0:
-        raise ValueError("float-mode kernel requires a positive tol")
-    nrows, ncols = mat.shape
-    if nrows == 0:
-        vecs = [np.zeros(ncols, dtype=complex) for _ in range(ncols)]
-        for i, v in enumerate(vecs):
-            v[i] = 1.0
-        return vecs
-    _, svals, vh = np.linalg.svd(mat)
-    _check_gap(svals, tol)
-    rank = int(np.sum(svals > tol))
-    vecs = [np.conj(vh[i]) for i in range(rank, ncols)]
-    return echelonize_float(vecs, tol)
+def _dense_block(block: list[dict], width: int) -> np.ndarray:
+    mat = np.zeros((len(block), width), dtype=complex)
+    for i, row in enumerate(block):
+        for c, v in row.items():
+            mat[i, c] = complex(v)
+    return mat
 
 
-def echelonize_float(vecs, tol: float) -> list[np.ndarray]:
+def rank_float(rows: list[dict], ncols: int, tol: float) -> int:
+    """Numerical rank of a sparse floating system, one SVD per block, each
+    block's singular values passed through the ambiguity gate."""
+    _require_tol(tol)
+    rank = 0
+    for cols, block in components(rows, ncols):
+        if block:
+            svals = np.linalg.svd(_dense_block(block, len(cols)), compute_uv=False)
+            _check_gap(svals, tol)
+            rank += int(np.sum(svals > tol))
+    return rank
+
+
+def kernel_basis_float(rows: list[dict], ncols: int, tol: float) -> list[dict]:
+    """Kernel basis of a sparse floating system as sparse ``{column:
+    complex}`` vectors.
+
+    Each block's kernel comes from its SVD, behind the ambiguity gate, and
+    is echelonized in the block's own columns; the vectors are then listed
+    in order of their pivot columns.  That is the echelon basis of the
+    whole kernel, so the output is deterministic up to the SVD backend.
+    """
+    _require_tol(tol)
+    found = []
+    for cols, block in components(rows, ncols):
+        if not block:
+            found.append((cols[0], {cols[0]: 1 + 0j}))
+            continue
+        width = len(cols)
+        _, svals, vh = np.linalg.svd(_dense_block(block, width))
+        _check_gap(svals, tol)
+        rank = int(np.sum(svals > tol))
+        vecs, pivots = echelonize_float(
+            [np.conj(vh[i]) for i in range(rank, width)], tol
+        )
+        for i, vec in enumerate(vecs):
+            key = cols[pivots[i]] if i < len(pivots) else ncols
+            found.append((key, {cols[c]: complex(x) for c, x in enumerate(vec) if x}))
+    found.sort(key=lambda item: item[0])
+    return [vec for _, vec in found]
+
+
+def echelonize_float(vecs, tol: float) -> tuple[list[np.ndarray], list[int]]:
     """Gauss-Jordan a small set of floating vectors into a canonical echelon
-    basis of their span (pivot by largest magnitude, pivots scaled to 1)."""
+    basis of their span (pivot by largest magnitude, pivots scaled to 1).
+
+    Returns the vectors and the pivot column of each, in ascending order;
+    vectors left without a pivot (numerically zero) come last and have no
+    entry in the pivot list.
+    """
     vecs = [np.array(v, dtype=complex) for v in vecs]
+    pivots: list[int] = []
     if not vecs:
-        return []
+        return vecs, pivots
     n = vecs[0].shape[0]
     rowi = 0
     for col in range(n):
@@ -159,5 +248,6 @@ def echelonize_float(vecs, tol: float) -> list[np.ndarray]:
         for i in range(len(vecs)):
             if i != rowi and abs(vecs[i][col]) > 0.0:
                 vecs[i] = vecs[i] - vecs[i][col] * vecs[rowi]
+        pivots.append(col)
         rowi += 1
-    return vecs
+    return vecs, pivots

@@ -225,12 +225,10 @@ class DenseMatrix:
     def rank(self, tol: float | None = None) -> int:
         """Rank, exact by elimination in exact mode, by SVD (with the
         ambiguity gate) in float mode where tol is required."""
+        rows = [{v: s for v, s in enumerate(row) if s} for row in self.entries]
         if self.mode == "exact":
-            rows = [
-                {v: s for v, s in enumerate(row) if s} for row in self.entries
-            ]
             return linalg.rank_exact(rows, self.cols)
-        return linalg.rank_float(self.to_numpy(), tol)
+        return linalg.rank_float(rows, self.cols, tol)
 
     def to_numpy(self) -> np.ndarray:
         return np.array(

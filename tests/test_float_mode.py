@@ -100,3 +100,17 @@ def test_float_commutant_basis_echelon_deterministic():
     b = commutant_basis(J, tol=TOL)
     for x, y in zip(a.basis, b.basis):
         assert np.array_equal(x.to_numpy(), y.to_numpy())
+
+
+def test_float_commutant_spans_the_exact_commutant():
+    # the two canonical forms differ, so compare spans: stacking both bases
+    # adds no dimension
+    p = TruncationParams(2, 2, 3)
+    exact = commutant_basis(power_symbol(p))
+    float_ = commutant_basis(power_symbol(p, mode="float"), tol=TOL)
+    dim = p.r * p.r * p.K
+    assert exact.dim == float_.dim == dim
+    stacked = np.array(
+        [b.to_numpy().ravel() for b in exact.basis + float_.basis]
+    )
+    assert np.linalg.matrix_rank(stacked, tol=1e-8) == dim
