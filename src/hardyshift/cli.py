@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -114,8 +115,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     mode = args.mode
     tol = args.tol
     if mode == "float":
-        if tol is None or tol <= 0:
-            raise ConfigError("float mode requires --tol > 0")
+        if tol is None or not math.isfinite(tol) or tol <= 0:
+            raise ConfigError("float mode requires a finite --tol > 0")
     elif tol is not None:
         raise ConfigError("--tol only applies to float mode")
     if args.format == "csv" and args.command != "lattice":
@@ -168,15 +169,15 @@ def _operator(cfg: RunConfig, params: TruncationParams):
     symbol = _load_symbol(cfg)
     if symbol is None:
         return power_symbol(params, cfg.mode), True
-    return toeplitz_matrix(symbol, params), False
+    return toeplitz_matrix(symbol, params, cfg.mode), False
 
 
 def _matrix_json(mat) -> list:
     return [[scalar_to_json(e) for e in row] for row in mat.entries]
 
 
-def _equivalence_section(cfg: RunConfig, params: TruncationParams):
-    rep = verify_equivalence(params, cfg.mode, cfg.tol)
+def _equivalence_section(cfg: RunConfig, params: TruncationParams, T=None):
+    rep = verify_equivalence(params, cfg.mode, cfg.tol, T)
     section = {
         "unitary": rep.unitary,
         "intertwines": rep.intertwines,
@@ -194,8 +195,9 @@ def _equivalence_section(cfg: RunConfig, params: TruncationParams):
     return section, checks
 
 
-def _commutant_section(cfg: RunConfig, params: TruncationParams):
-    operator, is_power = _operator(cfg, params)
+def _commutant_section(
+    cfg: RunConfig, params: TruncationParams, operator, is_power: bool
+):
     cb = commutant_basis(operator, cfg.tol)
     sdim = selfadjoint_commutant_dim(operator, cfg.tol)
     section = {"dim": cb.dim, "selfadjoint_dim": sdim}
@@ -235,7 +237,10 @@ def _minimality_json(results) -> list:
 
 
 def _lattice_section(
-    cfg: RunConfig, params: TruncationParams, full_selfadjoint_dim: int | None = None
+    cfg: RunConfig,
+    params: TruncationParams,
+    full_selfadjoint_dim: int | None = None,
+    T=None,
 ):
     rep = enumerate_lattice(
         params,
@@ -244,6 +249,7 @@ def _lattice_section(
         sample=cfg.sample,
         seed=cfg.seed,
         full_selfadjoint_dim=full_selfadjoint_dim,
+        operator=T,
     )
     closure = lattice_closure_check(rep) if rep.exhaustive else None
     section = {
@@ -323,7 +329,7 @@ def execute(cfg: RunConfig) -> tuple[dict, dict]:
         report["equivalence"] = section
         checks.update(eq_checks)
     elif cfg.command == "commutant":
-        section, c_checks = _commutant_section(cfg, params)
+        section, c_checks = _commutant_section(cfg, params, *_operator(cfg, params))
         report["commutant"] = section
         checks.update(c_checks)
     elif cfg.command == "lattice":
@@ -335,16 +341,19 @@ def execute(cfg: RunConfig) -> tuple[dict, dict]:
         report["minimality"] = section
         checks.update(m_checks)
     elif cfg.command == "full-report":
-        section, eq_checks = _equivalence_section(cfg, params)
+        # every section reads the one power operator built here
+        T = power_symbol(params, cfg.mode)
+        section, eq_checks = _equivalence_section(cfg, params, T)
         report["equivalence"] = section
         checks.update(eq_checks)
-        section, c_checks = _commutant_section(cfg, params)
+        section, c_checks = _commutant_section(cfg, params, T, True)
         report["commutant"] = section
         checks.update(c_checks)
-        # without a symbol the commutant section has already solved the
-        # self-adjoint system of the power operator the lattice is about
-        shared_sdim = section["selfadjoint_dim"] if cfg.symbol_path is None else None
-        section, l_checks, lattice = _lattice_section(cfg, params, shared_sdim)
+        # the commutant section has already solved the self-adjoint system
+        # of the power operator the lattice is about
+        section, l_checks, lattice = _lattice_section(
+            cfg, params, section["selfadjoint_dim"], T
+        )
         report["lattice"] = section
         checks.update(l_checks)
         m_section, m_checks = _minimality_section(

@@ -13,23 +13,26 @@ estimate.  In float mode the same sparse rows go through one small SVD
 per block, each behind the rank-ambiguity gate.
 
 The self-adjoint variant parametrizes Hermitian P = X + iY by a real
-symmetric X and a real antisymmetric Y and solves the realified system.
-Its dimension over the reals counts the orthogonal projections' degrees of
+symmetric X and a real antisymmetric Y.  Its rows are the real and
+imaginary parts of the same commutation rows, rewritten over the entries
+of X and Y, so one builder knows what a commutation equation is.  Its
+dimension over the reals counts the orthogonal projections' degrees of
 freedom, which is what decides how many reducing subspaces the truncated
-operator actually has.
+operator actually has.  This realified system is solved in place of the
+complex system for the commutant of {A, A*}, which has the same solutions
+but measured slower in exact mode (see ``selfadjoint_commutant_dim``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 from . import linalg
 from .decomposition import ChannelBasis
 from .errors import InvarianceError, ShapeError
 from .matrices import DenseMatrix, matrices_close
-from .scalars import GR_ONE, GaussianRational, scalar_is_zero, scalars_close, zero
+from .scalars import GR_ONE, scalar_is_zero, scalars_close, zero
 
 
 @dataclass(frozen=True)
@@ -44,40 +47,33 @@ class CommutantBasis:
         return len(self.basis)
 
 
-def _row_col_supports(A: DenseMatrix):
-    rows_nz = [[] for _ in range(A.rows)]
-    cols_nz = [[] for _ in range(A.cols)]
-    for u, v, s in A.nonzero_items():
-        rows_nz[u].append((v, s))
-        cols_nz[v].append((u, s))
-    return rows_nz, cols_nz
+def _add(row: dict, key: int, coeff) -> None:
+    # row[key] += coeff, dropping the entry when the sum cancels
+    cur = row.get(key)
+    nv = coeff if cur is None else cur + coeff
+    if nv:
+        row[key] = nv
+    elif cur is not None:
+        del row[key]
 
 
 def _commutation_rows(A: DenseMatrix) -> list[dict]:
     # Equation for position (a, b): sum_w A[a][w] P[w][b] - P[a][w] A[w][b] = 0,
     # unknowns P vectorized as (u, v) -> u*d + v.
     d = A.rows
-    rows_nz, cols_nz = _row_col_supports(A)
+    rows_nz = [[] for _ in range(d)]
+    cols_nz = [[] for _ in range(d)]
+    for u, v, s in A.nonzero_items():
+        rows_nz[u].append((v, s))
+        cols_nz[v].append((u, s))
     rows: list[dict] = []
     for a in range(d):
         for b in range(d):
             row: dict[int, object] = {}
             for w, s in rows_nz[a]:
-                key = w * d + b
-                cur = row.get(key)
-                nv = s if cur is None else cur + s
-                if nv:
-                    row[key] = nv
-                elif cur is not None:
-                    del row[key]
+                _add(row, w * d + b, s)
             for w, s in cols_nz[b]:
-                key = a * d + w
-                cur = row.get(key)
-                nv = -s if cur is None else cur - s
-                if nv:
-                    row[key] = nv
-                elif cur is not None:
-                    del row[key]
+                _add(row, a * d + w, -s)
             if row:
                 rows.append(row)
     return rows
@@ -110,91 +106,48 @@ def commutant_basis(A: DenseMatrix, tol: float | None = None) -> CommutantBasis:
 def _sym_var_ids(d: int):
     # Hermitian P = X + iY: X real symmetric, Y real antisymmetric.
     # Variables: x_(a,b) for a <= b, then y_(a,b) for a < b; d*d total.
-    xid = {}
-    for a in range(d):
-        for b in range(a, d):
-            xid[(a, b)] = len(xid)
-    yid = {}
-    off = len(xid)
-    for a in range(d):
-        for b in range(a + 1, d):
-            yid[(a, b)] = off + len(yid)
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    strict = [pair for pair in pairs if pair[0] < pair[1]]
+    xid = {pair: i for i, pair in enumerate(pairs)}
+    yid = {pair: len(pairs) + i for i, pair in enumerate(strict)}
     return xid, yid
 
 
-def _selfadjoint_rows(A: DenseMatrix):
-    """Realified system for AP = PA with P Hermitian.
+def _selfadjoint_rows(A: DenseMatrix) -> list[dict]:
+    """Realified system for AP = PA with P Hermitian: the real and
+    imaginary parts of the commutation rows.
 
-    Writing A = B + iC and P = X + iY, the real and imaginary parts of each
-    equation (AP - PA)[a][b] = 0 become two real rows over the variables of
-    X (symmetric) and Y (antisymmetric).
+    P = X + iY with X real symmetric and Y real antisymmetric, so a term
+    c P[u][v] of a commutation row is (Re c + i Im c)(x_uv + i s y_uv),
+    where s = +1 above the diagonal and -1 below it (Y vanishes on the
+    diagonal).  Its real part puts Re c on x_uv and -s Im c on y_uv; its
+    imaginary part puts Im c on x_uv and s Re c on y_uv.  In exact mode the
+    parts are Fractions, so the system is solved over the rationals.
     """
     d = A.rows
     exact = A.mode == "exact"
-
-    def parts(s):
-        if isinstance(s, GaussianRational):
-            return s.re, s.im
-        s = complex(s)
-        return s.real, s.imag
-
-    rows_nz = [[] for _ in range(d)]
-    cols_nz = [[] for _ in range(d)]
-    for u, v, s in A.nonzero_items():
-        re, im = parts(s)
-        rows_nz[u].append((v, re, im))
-        cols_nz[v].append((u, re, im))
-
     xid, yid = _sym_var_ids(d)
-
-    def xvar(u, v):
-        return xid[(u, v)] if u <= v else xid[(v, u)]
-
-    def yvar(u, v):
-        # returns (var, sign) or None on the diagonal where Y vanishes
-        if u == v:
-            return None
-        if u < v:
-            return yid[(u, v)], 1
-        return yid[(v, u)], -1
-
-    def add(row, var, coeff):
-        if var is None or not coeff:
-            return
-        cur = row.get(var)
-        nv = coeff if cur is None else cur + coeff
-        if nv:
-            row[var] = nv
-        elif cur is not None:
-            del row[var]
-
     rows = []
-    for a in range(d):
-        for b in range(d):
-            real_row: dict[int, object] = {}
-            imag_row: dict[int, object] = {}
-            for w, bre, bim in rows_nz[a]:
-                # A[a][w] * P[w][b]
-                add(real_row, xvar(w, b), bre)
-                yv = yvar(w, b)
-                if yv is not None:
-                    add(real_row, yv[0], -bim * yv[1])
-                    add(imag_row, yv[0], bre * yv[1])
-                add(imag_row, xvar(w, b), bim)
-            for w, bre, bim in cols_nz[b]:
-                # -P[a][w] * A[w][b]
-                add(real_row, xvar(a, w), -bre)
-                yv = yvar(a, w)
-                if yv is not None:
-                    add(real_row, yv[0], bim * yv[1])
-                    add(imag_row, yv[0], -bre * yv[1])
-                add(imag_row, xvar(a, w), -bim)
-            if real_row:
-                rows.append(real_row)
-            if imag_row:
-                rows.append(imag_row)
-    nvars = len(xid) + len(yid)
-    return rows, nvars, exact
+    for crow in _commutation_rows(A):
+        real_row: dict[int, object] = {}
+        imag_row: dict[int, object] = {}
+        for key, c in crow.items():
+            u, v = divmod(key, d)
+            re, im = (c.re, c.im) if exact else (c.real, c.imag)
+            pair = (u, v) if u <= v else (v, u)
+            _add(real_row, xid[pair], re)
+            _add(imag_row, xid[pair], im)
+            if u != v:
+                y = yid[pair]
+                if u > v:
+                    re, im = -re, -im
+                _add(real_row, y, -im)
+                _add(imag_row, y, re)
+        if real_row:
+            rows.append(real_row)
+        if imag_row:
+            rows.append(imag_row)
+    return rows
 
 
 def selfadjoint_commutant_dim(A: DenseMatrix, tol: float | None = None) -> int:
@@ -202,17 +155,20 @@ def selfadjoint_commutant_dim(A: DenseMatrix, tol: float | None = None) -> int:
 
     This equals the complex commutant dimension when A is diagonalizable
     with real spectrum, but at truncation the operators here are nilpotent,
-    so it is computed directly from the realified system.
+    so it is computed directly from the realified system of
+    ``_selfadjoint_rows``.  The complex system AP = PA, A*P = PA* has the
+    same solutions, but in exact mode its rows are Gaussian rationals where
+    these are Fractions: its solve took about 2.2 times as long for z^n at
+    (m,n,K)=(2,2,12) and for the benchmark's 2x2 symbol at d=16 (best of
+    seven, one Xeon core).  In float mode it was slightly faster (0.85 to
+    0.9 times at (2,2,7)), not enough to keep a second path for.
     """
     if A.rows != A.cols:
         raise ShapeError("commutant needs a square matrix")
-    rows, nvars, exact = _selfadjoint_rows(A)
-    if exact:
-        frac_rows = [
-            {k: (v if isinstance(v, Fraction) else Fraction(v)) for k, v in row.items()}
-            for row in rows
-        ]
-        return nvars - linalg.rank_exact(frac_rows, nvars)
+    rows = _selfadjoint_rows(A)
+    nvars = A.rows * A.rows
+    if A.mode == "exact":
+        return nvars - linalg.rank_exact(rows, nvars)
     return nvars - linalg.rank_float(rows, nvars, tol)
 
 

@@ -134,24 +134,33 @@ class EquivalenceReport:
 
 
 def verify_equivalence(
-    params: TruncationParams, mode: Mode = "exact", tol: float | None = None
+    params: TruncationParams,
+    mode: Mode = "exact",
+    tol: float | None = None,
+    operator: DenseMatrix | None = None,
 ) -> EquivalenceReport:
     """Check that the intertwiner is unitary and conjugates the truncated
     power operator onto the direct sum of shift blocks.
 
     The intertwiner is unitary exactly when its channel order is a
     permutation of the flat indices, and its conjugation of the operator is
-    read entry by entry through that order.  In exact mode the comparison
-    is a zero-tolerance equality; in float mode it is entrywise within tol.
+    read entry by entry through that order: entry (a, b) must be one where
+    b = a - 1 within a channel's block of K coordinates and zero elsewhere,
+    the entries of ``decomposed_shift``.  In exact mode the comparison is a
+    zero-tolerance equality; in float mode it is entrywise within tol.  A
+    caller that has already built ``power_symbol(params, mode)`` passes it
+    as ``operator`` instead of having it built again.
     """
+    if operator is None:
+        operator = power_symbol(params, mode)
     order = channel_order(params)
     unitary = sorted(order) == list(range(params.d))
-    T = power_symbol(params, mode).entries
-    target = decomposed_shift(params, mode).entries
+    T = operator.entries
+    o, z = one(mode), zero(mode)
     intertwines = all(
-        scalars_close(T[order[a]][order[b]], want, tol)
-        for a, row in enumerate(target)
-        for b, want in enumerate(row)
+        scalars_close(T[f][order[b]], o if b == a - 1 and a % params.K else z, tol)
+        for a, f in enumerate(order)
+        for b in range(params.d)
     )
     return EquivalenceReport(
         unitary=unitary,

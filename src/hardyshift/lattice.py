@@ -188,15 +188,18 @@ def enumerate_lattice(
     sample: int | None = None,
     seed: int = 0,
     full_selfadjoint_dim: int | None = None,
+    operator: DenseMatrix | None = None,
 ) -> LatticeReport:
     """Verify the channel-union lattice of the truncated power operator.
 
     Checks every mask within the limit of ``check_enumeration_cap``; with
     ``sample`` below 2^r, a deterministic uniform sample of masks instead
     (the report then says exhaustive=False).  Each mask is checked against
-    the channel pairs that the operator matrix joins.  A caller that has already solved the
-    self-adjoint commutant of the full operator passes its dimension as
-    ``full_selfadjoint_dim`` instead of having it solved again.
+    the channel pairs that the operator matrix joins.  A caller that has
+    already solved the self-adjoint commutant of the full operator passes
+    its dimension as ``full_selfadjoint_dim`` instead of having it solved
+    again, and one that has already built ``power_symbol(params, mode)``
+    passes it as ``operator``.
     """
     r = params.r
     total = 1 << r
@@ -209,7 +212,7 @@ def enumerate_lattice(
         rng = random.Random(seed)
         values = sorted(rng.sample(range(total), sample))
 
-    T = power_symbol(params, mode)
+    T = power_symbol(params, mode) if operator is None else operator
     edges = channel_edges(T, params, tol)
 
     def verify(value: int) -> MaskEntry:

@@ -1,10 +1,13 @@
 """Dense matrices over exact or floating scalars.
 
-Everything in this package is at most a few dozen rows, so matrices are
-stored densely as tuples of tuples and treated as immutable.  Products skip
-zero entries of the left factor, which makes multiplication by shifts,
-projections and permutations (the common case here) effectively linear in
-the number of nonzeros.
+Matrices are stored densely as tuples of tuples and treated as immutable.
+The operators reach a few hundred rows (d = 240 for a full report at
+(m,n,K)=(2,2,60)), and each commutant basis element is such a d x d grid,
+which dominates memory at that size; the solvers themselves work on sparse
+rows (see ``commutant`` and ``linalg``).  Products skip zero entries of the
+left factor, which makes multiplication by shifts, projections and
+permutations (the common case here) effectively linear in the number of
+nonzeros.
 """
 
 from __future__ import annotations

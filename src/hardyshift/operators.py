@@ -62,17 +62,24 @@ def monomial_symbol(m: int, t: int, mode: Mode = "exact") -> MatrixSymbol:
     return MatrixSymbol(m, ((t, DenseMatrix.identity(m, mode)),))
 
 
-def toeplitz_matrix(symbol: MatrixSymbol, params: TruncationParams) -> DenseMatrix:
+def toeplitz_matrix(
+    symbol: MatrixSymbol, params: TruncationParams, mode: Mode | None = None
+) -> DenseMatrix:
     """Matrix of truncated multiplication by the symbol, in the flat basis.
 
     Column flat(i_in, p) receives, in block row p + t, the i_in-th column of
     the coefficient of z^t; contributions past degree N - 1 are dropped.
+    ``mode`` defaults to the coefficients' mode and must match it; it is
+    what decides the mode of a symbol without coefficients.
     """
     if symbol.m != params.m:
         raise ShapeError(
             f"symbol is {symbol.m} x {symbol.m} but the space has {params.m} components"
         )
-    mode = symbol.mode
+    if mode is None:
+        mode = symbol.mode
+    elif symbol.coeffs and mode != symbol.mode:
+        raise TypeError(f"symbol is in {symbol.mode!r} mode, not {mode!r}")
     d = params.d
     z = zero(mode)
     grid = [[z] * d for _ in range(d)]

@@ -17,6 +17,7 @@ from a float raises TypeError rather than laundering binary roundoff into a
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from typing import Literal, Union
@@ -205,7 +206,9 @@ def scalar_from_json(obj, mode: Mode) -> Scalar:
 
     Parts may be ints or rational strings ("2/3", "-1").  Float parts are
     accepted only in float mode; in exact mode they are rejected so that a
-    config cannot quietly downgrade exactness.  Booleans are refused.
+    config cannot quietly downgrade exactness.  Booleans are refused, and
+    so is a float-mode scalar that is not finite (NaN, an infinity, or a
+    rational too large for a float).
     """
     if isinstance(obj, (int, float, str)) and not isinstance(obj, bool):
         obj = {"re": obj}
@@ -236,7 +239,13 @@ def scalar_from_json(obj, mode: Mode) -> Scalar:
     im = part(obj.get("im", 0))
     if mode == "exact":
         return GaussianRational(re, im)
-    return complex(float(re), float(im))
+    try:
+        value = complex(float(re), float(im))
+    except OverflowError as exc:
+        raise ValueError(f"scalar {obj!r} is too large for a float") from exc
+    if not cmath.isfinite(value):
+        raise ValueError(f"scalar {obj!r} is not finite")
+    return value
 
 
 def scalar_to_json(s: Scalar):

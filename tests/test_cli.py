@@ -319,6 +319,48 @@ def test_float_mode_flags():
     assert run_cli("verify-equivalence", "--m", "1", "--n", "1", "--blocks", "2", "--mode", "float", "--tol", "0") == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_refused(tmp_path, tol, capsys):
+    out = tmp_path / "report.json"
+    code = main([
+        "commutant", "--m", "1", "--n", "1", "--blocks", "3",
+        "--mode", "float", "--tol", tol, "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+    assert "finite --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "commutant"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"1e400"'])
+def test_non_finite_symbol_entry_refused(tmp_path, command, value):
+    # Python's json reads NaN and Infinity; 1e400 is an exact rational
+    # that no float can hold
+    path = tmp_path / "symbol.json"
+    path.write_text(
+        '{"m": 1, "coeffs": [{"t": 1, "matrix": [[{"re": %s, "im": 0.0}]]}]}' % value
+    )
+    out = tmp_path / "report.json"
+    code = main([
+        command, "--m", "1", "--n", "1", "--blocks", "2", "--symbol", str(path),
+        "--mode", "float", "--tol", "1e-9", "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_symbol_without_coefficients_builds_in_the_run_mode(tmp_path):
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps({"m": 1, "coeffs": []}))
+    argv = ("build", "--m", "1", "--n", "1", "--blocks", "2", "--symbol", str(path))
+    code, rep = run_cli_json(tmp_path, *argv, "--mode", "float", "--tol", "1e-9")
+    assert code == 0
+    assert rep["build"]["matrix"] == [[{"re": 0.0, "im": 0.0}] * 2] * 2
+    code, rep = run_cli_json(tmp_path, *argv)
+    assert code == 0
+    assert rep["build"]["matrix"] == [[{"re": "0", "im": "0"}] * 2] * 2
+
+
 def test_float_mode_runs(tmp_path):
     code, rep = run_cli_json(
         tmp_path,

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,10 @@ from hardyshift import (
     scalar_shift,
     selfadjoint_commutant_dim,
 )
+from hardyshift.commutant import _selfadjoint_rows, _sym_var_ids
 from hardyshift.decomposition import channel_order
 from hardyshift.errors import InvarianceError, ShapeError
+from hardyshift.operators import symbol_from_json, toeplitz_matrix
 
 from helpers import in_span, rand_gaussian_rational
 
@@ -187,6 +191,12 @@ def test_selfadjoint_dim_with_complex_entries():
     A = J.scaled(GaussianRational(0, 1))
     assert selfadjoint_commutant_dim(A) == 1
     assert commutant_basis(A).dim == 3
+    # B^2 = iI, so the commutant is span{I, B}; bB is Hermitian on one real
+    # line of b, and the sign of the antisymmetric part decides it
+    B = DenseMatrix([[0, 1], [GaussianRational(0, 1), 0]])
+    assert selfadjoint_commutant_dim(B) == 2
+    C = DenseMatrix([[0, 0], [GaussianRational(1, 1), 0]])
+    assert selfadjoint_commutant_dim(C) == 1
 
 
 def test_selfadjoint_single_block_edge():
@@ -259,3 +269,112 @@ def test_commutant_kernel_property(rows):
     cb = commutant_basis(A)
     for b in cb.basis:
         assert (A @ b - b @ A).is_zero()
+
+
+def realified_rows_reference(A):
+    """The realified Hermitian system built straight from A = B + iC and
+    P = X + iY: the real and imaginary parts of each equation
+    (AP - PA)[a][b] = 0, written out term by term without going through
+    the complex commutation rows."""
+    d = A.rows
+
+    def parts(s):
+        if isinstance(s, GaussianRational):
+            return s.re, s.im
+        s = complex(s)
+        return s.real, s.imag
+
+    rows_nz = [[] for _ in range(d)]
+    cols_nz = [[] for _ in range(d)]
+    for u, v, s in A.nonzero_items():
+        re, im = parts(s)
+        rows_nz[u].append((v, re, im))
+        cols_nz[v].append((u, re, im))
+
+    xid, yid = _sym_var_ids(d)
+
+    def xvar(u, v):
+        return xid[(u, v)] if u <= v else xid[(v, u)]
+
+    def yvar(u, v):
+        # (var, sign), or None on the diagonal where Y vanishes
+        if u == v:
+            return None
+        if u < v:
+            return yid[(u, v)], 1
+        return yid[(v, u)], -1
+
+    def add(row, var, coeff):
+        if var is None or not coeff:
+            return
+        cur = row.get(var)
+        nv = coeff if cur is None else cur + coeff
+        if nv:
+            row[var] = nv
+        elif cur is not None:
+            del row[var]
+
+    rows = []
+    for a in range(d):
+        for b in range(d):
+            real_row, imag_row = {}, {}
+            for w, bre, bim in rows_nz[a]:
+                # A[a][w] * P[w][b]
+                add(real_row, xvar(w, b), bre)
+                yv = yvar(w, b)
+                if yv is not None:
+                    add(real_row, yv[0], -bim * yv[1])
+                    add(imag_row, yv[0], bre * yv[1])
+                add(imag_row, xvar(w, b), bim)
+            for w, bre, bim in cols_nz[b]:
+                # -P[a][w] * A[w][b]
+                add(real_row, xvar(a, w), -bre)
+                yv = yvar(a, w)
+                if yv is not None:
+                    add(real_row, yv[0], bim * yv[1])
+                    add(imag_row, yv[0], -bre * yv[1])
+                add(imag_row, xvar(a, w), -bim)
+            if real_row:
+                rows.append(real_row)
+            if imag_row:
+                rows.append(imag_row)
+    return rows
+
+
+def linear_forms(rows):
+    return Counter(frozenset(row.items()) for row in rows)
+
+
+def assert_rows_match_reference(A):
+    rows = _selfadjoint_rows(A)
+    if A.mode == "exact":
+        assert all(type(c) is Fraction for row in rows for c in row.values())
+    assert linear_forms(rows) == linear_forms(realified_rows_reference(A))
+
+
+# denominators 1 and 2 keep every float sum exact, so both modes compare
+# with ==; zero entries come up often enough to exercise cancellation
+dyadic = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+entries = st.one_of(st.just(GaussianRational(0)), st.builds(GaussianRational, dyadic, dyadic))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda k: st.lists(
+            st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k
+        )
+    ),
+    st.sampled_from(["exact", "float"]),
+)
+def test_selfadjoint_rows_split_the_commutation_rows(rows, mode):
+    assert_rows_match_reference(DenseMatrix(rows, mode))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_selfadjoint_rows_of_the_benchmark_symbol(mode):
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "symbol_F.json"
+    symbol = symbol_from_json(json.loads(path.read_text()), mode)
+    A = toeplitz_matrix(symbol, TruncationParams(2, 1, 8))
+    assert_rows_match_reference(A)
+    assert selfadjoint_commutant_dim(A, 1e-9 if mode == "float" else None) == 1

@@ -136,10 +136,14 @@ def test_verify_equivalence_can_fail(monkeypatch):
 
     p = TruncationParams(1, 2, 2)
     # an operator that is not z^n: the relabeled entries miss the target
-    monkeypatch.setattr(decomposition, "power_symbol", vector_shift)
-    rep = verify_equivalence(p)
+    rep = verify_equivalence(p, operator=vector_shift(p))
     assert rep.unitary and not rep.intertwines
-    monkeypatch.undo()
+    # one entry of z^n changed, on and off the shift pattern
+    for u, v in ((2, 0), (0, 1)):
+        rows = [list(r) for r in power_symbol(p).entries]
+        rows[u][v] = 1 - rows[u][v]
+        rep = verify_equivalence(p, operator=DenseMatrix(rows))
+        assert rep.unitary and not rep.intertwines
     # an order that repeats a flat index is no permutation
     monkeypatch.setattr(decomposition, "channel_order", lambda params: (0, 0, 2, 3))
     rep = verify_equivalence(p)

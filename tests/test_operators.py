@@ -150,6 +150,16 @@ def test_symbol_validation():
         toeplitz_matrix(monomial_symbol(2, 0), TruncationParams(3, 1, 1))
 
 
+def test_toeplitz_mode_of_a_symbol_without_coefficients():
+    params = TruncationParams(1, 1, 2)
+    empty = MatrixSymbol(1, ())
+    assert toeplitz_matrix(empty, params).mode == "exact"
+    assert toeplitz_matrix(empty, params, "float") == DenseMatrix.zeros(2, 2, "float")
+    assert toeplitz_matrix(monomial_symbol(1, 1), params, "exact") == scalar_shift(2)
+    with pytest.raises(TypeError):
+        toeplitz_matrix(monomial_symbol(1, 1), params, "float")
+
+
 def test_symbol_coeffs_sorted():
     sym = MatrixSymbol(
         1, ((2, DenseMatrix([[1]])), (0, DenseMatrix([[3]])))

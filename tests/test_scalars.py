@@ -129,6 +129,15 @@ def test_json_float_parts_gated_by_mode():
     assert scalar_from_json({"re": "1/2", "im": 1}, "float") == 0.5 + 1j
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [float("nan"), {"im": float("inf")}, {"re": -float("inf")}, "1e400", {"im": 10**400}],
+)
+def test_json_float_mode_rejects_non_finite(obj):
+    with pytest.raises(ValueError):
+        scalar_from_json(obj, "float")
+
+
 def test_json_rejects_junk():
     with pytest.raises(ValueError):
         scalar_from_json({"re": "one"}, "exact")
