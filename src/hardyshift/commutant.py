@@ -6,8 +6,11 @@ position.  An unknown P[u][v] shares equations only with the unknowns
 P[u'][v'] that A's nonzeros reach from it; for T = M_{z^n} these lie in
 the same channel pair, on the same diagonal, so the system falls apart
 into many small blocks (208 blocks of at most 7 unknowns for the 784
-unknowns at (m,n,K)=(2,2,7)).  ``linalg`` solves each block alone.  The
-exact eliminator works over Gaussian rationals, so in exact mode the
+unknowns at (m,n,K)=(2,2,7)).  ``linalg`` solves each block alone.  For
+z^n every row says P[.][.] = P[.][.] or P[.][.] = 0, so each block is a
+signed graph that ``linalg`` decides by union-find without arithmetic;
+blocks of other rows (most of a custom symbol's) go through the exact
+eliminator over Gaussian rationals.  Either way, in exact mode the
 commutant dimension is a theorem about the matrix, not a numerical
 estimate.  In float mode the same sparse rows go through one small SVD
 per block, each behind the rank-ambiguity gate.
@@ -60,20 +63,24 @@ def _add(row: dict, key: int, coeff) -> None:
 def _commutation_rows(A: DenseMatrix) -> list[dict]:
     # Equation for position (a, b): sum_w A[a][w] P[w][b] - P[a][w] A[w][b] = 0,
     # unknowns P vectorized as (u, v) -> u*d + v.
+    # Each nonzero of A is negated once, here, not once per equation: the
+    # rows then share one object per nonzero and one per negation, and
+    # linalg's +-1 test, which memoizes negations by object, builds a
+    # scalar per shared object rather than per row.
     d = A.rows
     rows_nz = [[] for _ in range(d)]
     cols_nz = [[] for _ in range(d)]
     for u, v, s in A.nonzero_items():
         rows_nz[u].append((v, s))
-        cols_nz[v].append((u, s))
+        cols_nz[v].append((u, -s))
     rows: list[dict] = []
     for a in range(d):
         for b in range(d):
             row: dict[int, object] = {}
             for w, s in rows_nz[a]:
                 _add(row, w * d + b, s)
-            for w, s in cols_nz[b]:
-                _add(row, a * d + w, -s)
+            for w, neg_s in cols_nz[b]:
+                _add(row, a * d + w, neg_s)
             if row:
                 rows.append(row)
     return rows

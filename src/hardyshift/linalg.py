@@ -10,13 +10,28 @@ P[u][v] shares equations only with unknowns in the same channel pair, on
 the same diagonal), so every routine here finds the components first and
 solves each block alone.  A system that does not split is one block.
 
-The exact routines run sparse Gauss-Jordan elimination over any exact
-field (Fraction and GaussianRational both qualify).  The floating routines
-run a dense numpy SVD per block and refuse to decide a rank when any
-singular value falls within one order of magnitude of the tolerance, since
-such a system cannot be trusted either way.  The singular values of the
-whole system are those of its blocks, so that refusal is the same as for
-one SVD of the whole system.
+The exact routines pick a solver per block from its rows.  A block whose
+rows each hold one entry, or two entries a and b with b = a or b = -a, is
+a signed graph: a two-entry row says x_i = x_j or x_i = -x_j, a one-entry
+row says x_i = 0.  Every commutation row of z^n, and every row of its
+realified self-adjoint system, has this shape, because T_{z^n} is a sum of
+shifts.  Union-find with parity decides such a block without arithmetic:
+a one-entry row or a cycle whose signs disagree forces every unknown of
+the connected block to zero, and otherwise the kernel is the one signed
+indicator vector of the block.  Sparse Gauss-Jordan elimination (``rref``)
+over any exact field (Fraction and GaussianRational both qualify) reaches
+the same vector: a kernel spanned by a vector with no zero entry makes
+every proper subset of the columns independent, so the pivots are all
+columns but the last, and the free last column is normalized to one.
+Every other block (ratios other than +-1, rows of three or more entries,
+most blocks of a custom symbol) is eliminated by ``rref``.
+
+The floating routines run a dense numpy SVD per block.  A singular value
+counts when it exceeds tol times the block's largest singular value (or
+tol itself when that is below one), so a symbol scaled by 1e10 gets the
+same ranks as the unscaled one.  They refuse to decide a rank when any
+singular value falls within one order of magnitude of that cut-off, since
+such a system cannot be trusted either way.
 """
 
 from __future__ import annotations
@@ -127,10 +142,84 @@ def components(rows: list[dict], ncols: int) -> list[tuple[list[int], list[dict]
     return out
 
 
+def _signed_kernel(block: list[dict], width: int, negs: dict):
+    """Kernel of a connected block whose rows are signed equalities.
+
+    Returns None when the block is not one: some row holds three or more
+    entries, or two whose ratio is not +-1, or the two-entry rows do not
+    connect all ``width`` unknowns.  Otherwise returns an empty list when
+    the kernel is zero, and else the sign of each column in the kernel
+    vector relative to the last column (True where it is negated).
+
+    ``negs`` memoizes -a by ``id(a)`` across the blocks of one system, so
+    the +-1 test builds one scalar per distinct coefficient object rather
+    than one per row; its keys stay valid while the system's rows, which
+    hold every coefficient, are alive.
+    """
+    parent = list(range(width))
+    flip = [False] * width  # parity of each column relative to its parent
+
+    def find(c: int):
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        parity = False
+        for x in reversed(path):
+            parity ^= flip[x]
+            flip[x] = parity
+            parent[x] = c
+        return c
+
+    forced_zero = False
+    joined = 0
+    for row in block:
+        if len(row) == 1:
+            forced_zero = True
+            continue
+        if len(row) != 2:
+            return None
+        (i, a), (j, b) = row.items()
+        if b == a:
+            odd = True  # a x_i + a x_j = 0
+        else:
+            neg = negs.get(id(a))
+            if neg is None:
+                neg = negs[id(a)] = -a
+            if b != neg:
+                return None
+            odd = False
+        ri, rj = find(i), find(j)
+        odd ^= flip[i] ^ flip[j]
+        if ri != rj:
+            parent[ri] = rj
+            flip[ri] = odd
+            joined += 1
+        elif odd:
+            forced_zero = True
+    if joined != width - 1:
+        return None
+    if forced_zero:
+        return []
+    find(width - 1)
+    last = flip[width - 1]
+    signs = []
+    for c in range(width):
+        find(c)
+        signs.append(flip[c] ^ last)
+    return signs
+
+
 def rank_exact(rows: list[dict], ncols: int) -> int:
-    return sum(
-        len(rref(block, len(cols))[1]) for cols, block in components(rows, ncols)
-    )
+    negs: dict = {}
+    rank = 0
+    for cols, block in components(rows, ncols):
+        signs = _signed_kernel(block, len(cols), negs)
+        if signs is None:
+            rank += len(rref(block, len(cols))[1])
+        else:
+            rank += len(cols) - (1 if signs else 0)
+    return rank
 
 
 def kernel_basis_exact(rows: list[dict], ncols: int, one) -> list[dict]:
@@ -140,10 +229,21 @@ def kernel_basis_exact(rows: list[dict], ncols: int, one) -> list[dict]:
     ``one`` is the multiplicative identity of the coefficient field, used to
     seed the free coordinate.  Each block's reduced echelon form is the
     one a single elimination of the whole system reaches, so the vectors
-    do not depend on the split.
+    do not depend on the split, nor on which solver a block took.
     """
+    negs: dict = {}
+    minus_one = -one
     found = []
     for cols, block in components(rows, ncols):
+        last = len(cols) - 1
+        signs = _signed_kernel(block, len(cols), negs)
+        if signs is not None:
+            if signs:
+                vec = {cols[last]: one}
+                for c in range(last):
+                    vec[cols[c]] = minus_one if signs[c] else one
+                found.append((cols[last], vec))
+            continue
         reduced, pivots = rref(block, len(cols))
         for f in range(len(cols)):
             if f in pivots:
@@ -158,14 +258,18 @@ def kernel_basis_exact(rows: list[dict], ncols: int, one) -> list[dict]:
     return [vec for _, vec in found]
 
 
-def _check_gap(svals, tol: float) -> None:
+def _block_rank(svals, tol: float) -> int:
+    """Rank of one block from its singular values (largest first), against
+    the cut-off tol * max(1, largest), behind the ambiguity gate."""
+    cut = tol * max(1.0, float(svals[0]))
     for s in svals:
-        if tol / _GAP <= s <= tol * _GAP:
+        if cut / _GAP <= s <= cut * _GAP:
             raise RankAmbiguityError(
                 f"singular value {s:.6e} is within an order of magnitude of "
-                f"tol={tol:.6e}; the rank decision is not trustworthy "
-                "(adjust tol or use exact mode)"
+                f"the cut-off {cut:.6e} (tol={tol:.6e}); the rank decision "
+                "is not trustworthy (adjust tol or use exact mode)"
             )
+    return int(np.sum(svals > cut))
 
 
 def _require_tol(tol: float | None) -> None:
@@ -183,14 +287,14 @@ def _dense_block(block: list[dict], width: int) -> np.ndarray:
 
 def rank_float(rows: list[dict], ncols: int, tol: float) -> int:
     """Numerical rank of a sparse floating system, one SVD per block, each
-    block's singular values passed through the ambiguity gate."""
+    block's singular values cut at tol relative to the block's scale and
+    passed through the ambiguity gate."""
     _require_tol(tol)
     rank = 0
     for cols, block in components(rows, ncols):
         if block:
             svals = np.linalg.svd(_dense_block(block, len(cols)), compute_uv=False)
-            _check_gap(svals, tol)
-            rank += int(np.sum(svals > tol))
+            rank += _block_rank(svals, tol)
     return rank
 
 
@@ -211,8 +315,7 @@ def kernel_basis_float(rows: list[dict], ncols: int, tol: float) -> list[dict]:
             continue
         width = len(cols)
         _, svals, vh = np.linalg.svd(_dense_block(block, width))
-        _check_gap(svals, tol)
-        rank = int(np.sum(svals > tol))
+        rank = _block_rank(svals, tol)
         vecs, pivots = echelonize_float(
             [np.conj(vh[i]) for i in range(rank, width)], tol
         )

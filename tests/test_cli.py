@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from hardyshift import linalg
 from hardyshift.cli import main
+
+SYMBOL_F = Path(__file__).resolve().parents[1] / "benchmarks" / "symbol_F.json"
 
 
 def run_cli(*argv):
@@ -144,6 +148,25 @@ def test_commutant_command_power_multichannel(tmp_path):
     assert code == 0
     assert rep["commutant"]["dim"] == 32
     assert rep["commutant"]["selfadjoint_dim"] == 16
+
+
+@pytest.mark.parametrize("scale", ["1e0", "1e10"])
+def test_float_commutant_of_a_scaled_symbol(tmp_path, scale):
+    # c*z - c*z^2 commutes exactly with the polynomials in z: dimension K,
+    # and the identity alone among the self-adjoint ones, at any scale c
+    path = tmp_path / "symbol.json"
+    path.write_text(
+        '{"m": 1, "coeffs": [{"t": 1, "matrix": [[%s]]}, {"t": 2, "matrix": [[-%s]]}]}'
+        % (scale, scale)
+    )
+    code, rep = run_cli_json(
+        tmp_path,
+        "commutant", "--m", "1", "--n", "1", "--blocks", "3", "--symbol", str(path),
+        "--mode", "float", "--tol", "1e-9",
+    )
+    assert code == 0
+    assert rep["commutant"]["dim"] == 3
+    assert rep["commutant"]["selfadjoint_dim"] == 1
 
 
 def test_commutant_command_with_symbol_has_no_structure_claim(tmp_path):
@@ -308,6 +331,39 @@ def test_full_report_deterministic_bytes(tmp_path):
             == 0
         )
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("m,n,K", [(2, 2, 3), (3, 2, 2)])
+def test_power_full_report_needs_no_elimination(tmp_path, monkeypatch, m, n, K):
+    # every block of a z^n system is a signed graph, so rref never runs
+    def refuse(rows, ncols):
+        raise AssertionError("rref called on the z^n path")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    code, rep = run_cli_json(
+        tmp_path, "full-report", "--m", str(m), "--n", str(n), "--blocks", str(K)
+    )
+    assert code == 0
+    assert rep["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("full-report", "--m", "2", "--n", "2", "--blocks", "3"),
+        ("full-report", "--m", "3", "--n", "3", "--blocks", "2"),
+        ("full-report", "--m", "5", "--n", "2", "--blocks", "2"),
+        ("commutant", "--m", "2", "--n", "1", "--blocks", "8", "--symbol", str(SYMBOL_F)),
+    ],
+    ids=["full-223", "full-332", "full-522", "symbol-F"],
+)
+def test_signed_solver_reports_match_elimination(tmp_path, monkeypatch, argv):
+    shipped = tmp_path / "shipped.json"
+    eliminated = tmp_path / "eliminated.json"
+    assert main([*argv, "--out", str(shipped)]) == 0
+    monkeypatch.setattr(linalg, "_signed_kernel", lambda block, width, negs: None)
+    assert main([*argv, "--out", str(eliminated)]) == 0
+    assert shipped.read_bytes() == eliminated.read_bytes()
 
 
 def test_float_mode_flags():

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyshift import TruncationParams, power_symbol
+from hardyshift import GaussianRational, TruncationParams, linalg, power_symbol
 from hardyshift.commutant import _commutation_rows
 from hardyshift.errors import RankAmbiguityError
 from hardyshift.linalg import (
+    _signed_kernel,
     components,
     echelonize_float,
     kernel_basis_exact,
@@ -88,6 +89,115 @@ def test_blockwise_exact_matches_whole_system_rref(system):
     for cols, block in found:
         assert len({group_of[c] for c in cols}) == 1
         assert all(0 <= c < len(cols) for row in block for c in row)
+
+
+FIELDS = {
+    "fraction": (Fraction, Fraction(1)),
+    "gaussian": (GaussianRational, GaussianRational(1)),
+}
+
+
+@st.composite
+def signed_systems(draw, field):
+    """A system whose rows hold one entry, or two entries of ratio +-1.
+
+    Columns form shuffled groups.  Each group of two or more is joined by a
+    random spanning tree of signed equalities, then may gain a closing edge
+    of random sign (an odd-sign cycle about half the time) and a zero row;
+    groups of one may get a zero row or stay isolated unknowns.  Every
+    coefficient is a random nonzero scalar, so a ratio of +-1 is not the
+    same as an entry of +-1.
+    """
+    make, _ = FIELDS[field]
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if field == "fraction":
+        scalar = part.filter(bool).map(make)
+    else:
+        scalar = st.tuples(part, part).filter(any).map(lambda p: make(*p))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    ncols = sum(sizes)
+    perm = draw(st.permutations(range(ncols)))
+    rows, start = [], 0
+
+    def equality(i, j):
+        a = draw(scalar)
+        return {i: a, j: a if draw(st.booleans()) else -a}
+
+    for size in sizes:
+        group = perm[start:start + size]
+        start += size
+        for k in range(1, size):
+            rows.append(equality(group[draw(st.integers(0, k - 1))], group[k]))
+        if size > 2 and draw(st.booleans()):
+            i, j = draw(st.lists(st.sampled_from(group), min_size=2, max_size=2,
+                                 unique=True))
+            rows.append(equality(i, j))
+        if draw(st.integers(0, 3)) == 0:
+            rows.append({draw(st.sampled_from(group)): draw(scalar)})
+    rows = draw(st.permutations(rows)) if rows else rows
+    return rows, ncols
+
+
+def _check_against_rref(rows, ncols, one):
+    reference = whole_system_kernel_exact(rows, ncols, one)
+    kernel = kernel_basis_exact(rows, ncols, one)
+    assert kernel == reference
+    # same scalar types and entry order, so reports built from it match
+    assert repr(kernel) == repr(reference)
+    assert rank_exact(rows, ncols) == len(rref(rows, ncols)[1])
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_signed_blocks_match_rref(field, data):
+    rows, ncols = data.draw(signed_systems(field))
+    for cols, block in components(rows, ncols):
+        assert _signed_kernel(block, len(cols), {}) is not None
+    _check_against_rref(rows, ncols, FIELDS[field][1])
+
+
+def test_single_entry_row_zeroes_its_block():
+    # x0 = x1 and x1 = 0: nothing but zero is left
+    f = Fraction
+    rows = [{0: f(1), 1: f(-1)}, {1: f(2)}]
+    assert _signed_kernel(rows, 2, {}) == []
+    assert kernel_basis_exact(rows, 2, f(1)) == []
+    assert rank_exact(rows, 2) == 2
+
+
+def test_closing_edge_parity_decides_the_cycle():
+    # x0 = -x1 and x1 = x2 give x0 = -x2: a closing row x0 = -x2 (an odd
+    # row) keeps the kernel, a closing row x0 = x2 (an even one) kills it
+    f = Fraction
+    path = [{0: f(1), 1: f(1)}, {1: f(1), 2: f(-1)}]
+    consistent = path + [{0: f(1), 2: f(1)}]
+    assert kernel_basis_exact(consistent, 3, f(1)) == [{2: 1, 0: -1, 1: 1}]
+    assert rank_exact(consistent, 3) == 2
+    contradicting = path + [{0: f(1), 2: f(-1)}]
+    assert kernel_basis_exact(contradicting, 3, f(1)) == []
+    assert rank_exact(contradicting, 3) == 3
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{0: Fraction(1), 1: Fraction(-1)}, {1: Fraction(1), 2: Fraction(2)}],
+        [{0: Fraction(1), 1: Fraction(-1)}, {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}],
+    ],
+    ids=["ratio-2", "three-entries"],
+)
+def test_other_blocks_fall_back_to_rref(rows, monkeypatch):
+    assert _signed_kernel(rows, 3, {}) is None
+    calls = []
+
+    def counted(block, width):
+        calls.append(width)
+        return rref(block, width)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    _check_against_rref(rows, 3, Fraction(1))
+    assert 3 in calls
 
 
 def test_ambiguous_one_by_one_block_in_well_conditioned_system():
