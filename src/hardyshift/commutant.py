@@ -2,18 +2,18 @@
 
 The commutant of A is the kernel of P -> AP - PA.  Vectorizing P row-major
 turns that into a sparse homogeneous system with one equation per matrix
-position.  An unknown P[u][v] shares equations only with the unknowns
-P[u'][v'] that A's nonzeros reach from it; for T = M_{z^n} these lie in
-the same channel pair, on the same diagonal, so the system falls apart
-into many small blocks (208 blocks of at most 7 unknowns for the 784
-unknowns at (m,n,K)=(2,2,7)).  ``linalg`` solves each block alone.  For
-z^n every row says P[.][.] = P[.][.] or P[.][.] = 0, so each block is a
-signed graph that ``linalg`` decides by union-find without arithmetic;
-blocks of other rows (most of a custom symbol's) go through the exact
-eliminator over Gaussian rationals.  Either way, in exact mode the
+position, and ``linalg.kernel_basis`` solves it in either mode.  An
+unknown P[u][v] shares equations only with the unknowns P[u'][v'] that
+A's nonzeros reach from it; for T = M_{z^n} these lie in the same channel
+pair, on the same diagonal, so the system falls apart into many small
+blocks (208 blocks of at most 7 unknowns for the 784 unknowns at
+(m,n,K)=(2,2,7)).  For z^n every row says P[.][.] = P[.][.] or
+P[.][.] = 0, so in exact mode each block is a signed graph that
+``linalg`` decides without arithmetic; a custom symbol's blocks are
+mostly eliminated over Gaussian rationals.  Either way the exact
 commutant dimension is a theorem about the matrix, not a numerical
-estimate.  In float mode the same sparse rows go through one small SVD
-per block, each behind the rank-ambiguity gate.
+estimate.  In float mode each block gets one small SVD behind the
+rank-ambiguity gate.
 
 The self-adjoint variant parametrizes Hermitian P = X + iY by a real
 symmetric X and a real antisymmetric Y.  Its rows are the real and
@@ -21,9 +21,10 @@ imaginary parts of the same commutation rows, rewritten over the entries
 of X and Y, so one builder knows what a commutation equation is.  Its
 dimension over the reals counts the orthogonal projections' degrees of
 freedom, which is what decides how many reducing subspaces the truncated
-operator actually has.  This realified system is solved in place of the
-complex system for the commutant of {A, A*}, which has the same solutions
-but measured slower in exact mode (see ``selfadjoint_commutant_dim``).
+operator actually has.  ``linalg.nullity`` solves this realified system
+in place of the complex system for the commutant of {A, A*}, which has the
+same solutions but measured slower in exact mode (see
+``selfadjoint_commutant_dim``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import linalg
 from .decomposition import ChannelBasis
 from .errors import InvarianceError, ShapeError
 from .matrices import DenseMatrix, matrices_close
-from .scalars import GR_ONE, scalar_is_zero, scalars_close, zero
+from .scalars import scalar_is_zero, scalars_close, zero
 
 
 @dataclass(frozen=True)
@@ -95,11 +96,7 @@ def commutant_basis(A: DenseMatrix, tol: float | None = None) -> CommutantBasis:
     if A.rows != A.cols:
         raise ShapeError("commutant needs a square matrix")
     d = A.rows
-    sys_rows = _commutation_rows(A)
-    if A.mode == "exact":
-        vecs = linalg.kernel_basis_exact(sys_rows, d * d, GR_ONE)
-    else:
-        vecs = linalg.kernel_basis_float(sys_rows, d * d, tol)
+    vecs = linalg.kernel_basis(_commutation_rows(A), d * d, A.mode, tol)
     z = zero(A.mode)
     mats = []
     for vec in vecs:
@@ -142,14 +139,14 @@ def _selfadjoint_rows(A: DenseMatrix) -> list[dict]:
             u, v = divmod(key, d)
             re, im = (c.re, c.im) if exact else (c.real, c.imag)
             pair = (u, v) if u <= v else (v, u)
-            _add(real_row, xid[pair], re)
-            _add(imag_row, xid[pair], im)
-            if u != v:
-                y = yid[pair]
-                if u > v:
-                    re, im = -re, -im
-                _add(real_row, y, -im)
-                _add(imag_row, y, re)
+            if re:
+                _add(real_row, xid[pair], re)
+                if u != v:
+                    _add(imag_row, yid[pair], -re if u > v else re)
+            if im:
+                _add(imag_row, xid[pair], im)
+                if u != v:
+                    _add(real_row, yid[pair], im if u > v else -im)
         if real_row:
             rows.append(real_row)
         if imag_row:
@@ -172,11 +169,7 @@ def selfadjoint_commutant_dim(A: DenseMatrix, tol: float | None = None) -> int:
     """
     if A.rows != A.cols:
         raise ShapeError("commutant needs a square matrix")
-    rows = _selfadjoint_rows(A)
-    nvars = A.rows * A.rows
-    if A.mode == "exact":
-        return nvars - linalg.rank_exact(rows, nvars)
-    return nvars - linalg.rank_float(rows, nvars, tol)
+    return linalg.nullity(_selfadjoint_rows(A), A.rows * A.rows, A.mode, tol)
 
 
 def is_lower_toeplitz(P: DenseMatrix, tol: float | None = None) -> bool:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ShapeError
 from .matrices import DenseMatrix, direct_sum
 from .operators import power_symbol, scalar_shift
 from .scalars import Mode, one, scalars_close, zero
@@ -153,6 +154,8 @@ def verify_equivalence(
     """
     if operator is None:
         operator = power_symbol(params, mode)
+    elif operator.shape != (params.d, params.d):
+        raise ShapeError(f"operator is {operator.shape} but the model has d={params.d}")
     order = channel_order(params)
     unitary = sorted(order) == list(range(params.d))
     T = operator.entries

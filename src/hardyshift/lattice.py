@@ -131,6 +131,8 @@ def check_minimal(
     as ``operator`` instead of having it built again."""
     if operator is None:
         operator = power_symbol(params, mode)
+    elif operator.shape != (params.d, params.d):
+        raise ShapeError(f"operator is {operator.shape} but the model has d={params.d}")
     basis = channel_basis(ch.i, ch.j, params)
     restricted = restrict(operator, basis, tol)
     dim = selfadjoint_commutant_dim(restricted, tol)

@@ -1,37 +1,35 @@
-"""Sparse homogeneous systems, solved one connected component at a time.
+"""Sparse homogeneous systems: ``kernel_basis`` and ``nullity``.
 
 A system is a list of sparse rows, each row a ``{column: coefficient}``
-dict over ``ncols`` unknowns.  Two unknowns are connected when some row
-holds both, and the rows split by the components this relation makes: the
-system is block diagonal after a permutation, so its rank is the sum of
-the blocks' ranks and its kernel is the direct sum of theirs.  The
-commutation systems of this package fall apart this way (an unknown
-P[u][v] shares equations only with unknowns in the same channel pair, on
-the same diagonal), so every routine here finds the components first and
-solves each block alone.  A system that does not split is one block.
+dict over ``ncols`` unknowns.  The two entry points serve both modes and
+share one loop.  It first splits the system with ``components``: two
+unknowns are connected when some row holds both, so the system is block
+diagonal after a permutation, and its kernel is the direct sum of the
+blocks' kernels.  The commutation systems of this package fall apart this
+way (an unknown P[u][v] shares equations only with unknowns in the same
+channel pair, on the same diagonal).  The loop then picks one solver per
+block, in one place:
 
-The exact routines pick a solver per block from its rows.  A block whose
-rows each hold one entry, or two entries a and b with b = a or b = -a, is
-a signed graph: a two-entry row says x_i = x_j or x_i = -x_j, a one-entry
-row says x_i = 0.  Every commutation row of z^n, and every row of its
-realified self-adjoint system, has this shape, because T_{z^n} is a sum of
-shifts.  Union-find with parity decides such a block without arithmetic:
-a one-entry row or a cycle whose signs disagree forces every unknown of
-the connected block to zero, and otherwise the kernel is the one signed
-indicator vector of the block.  Sparse Gauss-Jordan elimination (``rref``)
-over any exact field (Fraction and GaussianRational both qualify) reaches
-the same vector: a kernel spanned by a vector with no zero entry makes
-every proper subset of the columns independent, so the pivots are all
-columns but the last, and the free last column is normalized to one.
-Every other block (ratios other than +-1, rows of three or more entries,
-most blocks of a custom symbol) is eliminated by ``rref``.
+- float mode: a dense numpy SVD.  A singular value counts when it exceeds
+  tol times the block's largest singular value (or tol itself when that
+  is below one), so a symbol scaled by 1e10 gets the same ranks as the
+  unscaled one.  No rank is decided when a singular value falls within
+  one order of magnitude of that cut-off (``RankAmbiguityError``).
+  ``nullity`` skips the singular vectors.
+- exact mode, a signed block: every row holds one entry, or two entries
+  a and b with b = a or b = -a, so it says x_i = 0, x_i = -x_j or
+  x_i = x_j.  Every commutation row of z^n and every row of its realified
+  self-adjoint system has this shape, because T_{z^n} is a sum of shifts.
+  Union-find with parity (``_signed_kernel``) decides the block without
+  arithmetic: a one-entry row or a cycle whose signs disagree leaves only
+  zero, and otherwise the kernel is one signed indicator vector.
+- exact mode, any other block: sparse Gauss-Jordan elimination (``rref``)
+  over any exact field (Fraction and GaussianRational both qualify).
 
-The floating routines run a dense numpy SVD per block.  A singular value
-counts when it exceeds tol times the block's largest singular value (or
-tol itself when that is below one), so a symbol scaled by 1e10 gets the
-same ranks as the unscaled one.  They refuse to decide a rank when any
-singular value falls within one order of magnitude of that cut-off, since
-such a system cannot be trusted either way.
+On a signed block ``rref`` would reach the same vector: a kernel spanned
+by a vector with no zero entry makes every proper subset of the columns
+independent, so the pivots are all columns but the last, and the free
+last column is normalized to one.
 """
 
 from __future__ import annotations
@@ -40,7 +38,9 @@ import math
 
 import numpy as np
 
+from . import scalars
 from .errors import RankAmbiguityError
+from .scalars import Mode
 
 _GAP = math.sqrt(10.0)
 
@@ -210,54 +210,6 @@ def _signed_kernel(block: list[dict], width: int, negs: dict):
     return signs
 
 
-def rank_exact(rows: list[dict], ncols: int) -> int:
-    negs: dict = {}
-    rank = 0
-    for cols, block in components(rows, ncols):
-        signs = _signed_kernel(block, len(cols), negs)
-        if signs is None:
-            rank += len(rref(block, len(cols))[1])
-        else:
-            rank += len(cols) - (1 if signs else 0)
-    return rank
-
-
-def kernel_basis_exact(rows: list[dict], ncols: int, one) -> list[dict]:
-    """Basis of the solution space of the homogeneous system, one sparse
-    vector per free column, in ascending free-column order.
-
-    ``one`` is the multiplicative identity of the coefficient field, used to
-    seed the free coordinate.  Each block's reduced echelon form is the
-    one a single elimination of the whole system reaches, so the vectors
-    do not depend on the split, nor on which solver a block took.
-    """
-    negs: dict = {}
-    minus_one = -one
-    found = []
-    for cols, block in components(rows, ncols):
-        last = len(cols) - 1
-        signs = _signed_kernel(block, len(cols), negs)
-        if signs is not None:
-            if signs:
-                vec = {cols[last]: one}
-                for c in range(last):
-                    vec[cols[c]] = minus_one if signs[c] else one
-                found.append((cols[last], vec))
-            continue
-        reduced, pivots = rref(block, len(cols))
-        for f in range(len(cols)):
-            if f in pivots:
-                continue
-            vec = {cols[f]: one}
-            for pc, ridx in pivots.items():
-                coeff = reduced[ridx].get(f)
-                if coeff is not None and coeff:
-                    vec[cols[pc]] = -coeff
-            found.append((cols[f], vec))
-    found.sort(key=lambda item: item[0])
-    return [vec for _, vec in found]
-
-
 def _block_rank(svals, tol: float) -> int:
     """Rank of one block from its singular values (largest first), against
     the cut-off tol * max(1, largest), behind the ambiguity gate."""
@@ -272,58 +224,79 @@ def _block_rank(svals, tol: float) -> int:
     return int(np.sum(svals > cut))
 
 
-def _require_tol(tol: float | None) -> None:
-    if tol is None or tol <= 0:
+def _solve(rows: list[dict], ncols: int, mode: Mode, tol, vectors: bool):
+    """The per-block loop of ``kernel_basis`` and ``nullity``: the kernel's
+    dimension and its vectors as ``(sort column, {column: scalar})`` pairs.
+    Float blocks give vectors only when ``vectors`` is set, so that the SVDs
+    of ``nullity`` skip the singular vectors; exact blocks always do."""
+    if mode == "float" and (tol is None or tol <= 0):
         raise ValueError("float-mode solves require a positive tol")
-
-
-def _dense_block(block: list[dict], width: int) -> np.ndarray:
-    mat = np.zeros((len(block), width), dtype=complex)
-    for i, row in enumerate(block):
-        for c, v in row.items():
-            mat[i, c] = complex(v)
-    return mat
-
-
-def rank_float(rows: list[dict], ncols: int, tol: float) -> int:
-    """Numerical rank of a sparse floating system, one SVD per block, each
-    block's singular values cut at tol relative to the block's scale and
-    passed through the ambiguity gate."""
-    _require_tol(tol)
-    rank = 0
-    for cols, block in components(rows, ncols):
-        if block:
-            svals = np.linalg.svd(_dense_block(block, len(cols)), compute_uv=False)
-            rank += _block_rank(svals, tol)
-    return rank
-
-
-def kernel_basis_float(rows: list[dict], ncols: int, tol: float) -> list[dict]:
-    """Kernel basis of a sparse floating system as sparse ``{column:
-    complex}`` vectors.
-
-    Each block's kernel comes from its SVD, behind the ambiguity gate, and
-    is echelonized in the block's own columns; the vectors are then listed
-    in order of their pivot columns.  That is the echelon basis of the
-    whole kernel, so the output is deterministic up to the SVD backend.
-    """
-    _require_tol(tol)
+    one = scalars.one(mode)
+    minus_one = -one
+    negs: dict = {}
+    uncounted = 0  # kernel dimensions of float blocks solved without vectors
     found = []
     for cols, block in components(rows, ncols):
-        if not block:
-            found.append((cols[0], {cols[0]: 1 + 0j}))
-            continue
         width = len(cols)
-        _, svals, vh = np.linalg.svd(_dense_block(block, width))
-        rank = _block_rank(svals, tol)
-        vecs, pivots = echelonize_float(
-            [np.conj(vh[i]) for i in range(rank, width)], tol
-        )
-        for i, vec in enumerate(vecs):
-            key = cols[pivots[i]] if i < len(pivots) else ncols
-            found.append((key, {cols[c]: complex(x) for c, x in enumerate(vec) if x}))
-    found.sort(key=lambda item: item[0])
-    return [vec for _, vec in found]
+        if not block:
+            found.append((cols[0], {cols[0]: one}))
+        elif mode == "float":
+            dense = np.zeros((len(block), width), dtype=complex)
+            for i, row in enumerate(block):
+                for c, v in row.items():
+                    dense[i, c] = complex(v)
+            if not vectors:
+                svals = np.linalg.svd(dense, compute_uv=False)
+                uncounted += width - _block_rank(svals, tol)
+                continue
+            _, svals, vh = np.linalg.svd(dense)
+            rank = _block_rank(svals, tol)
+            vecs, pivots = echelonize_float(
+                [np.conj(vh[i]) for i in range(rank, width)], tol
+            )
+            for i, vec in enumerate(vecs):
+                key = cols[pivots[i]] if i < len(pivots) else ncols
+                vec = {cols[c]: complex(x) for c, x in enumerate(vec) if x}
+                found.append((key, vec))
+        elif (signs := _signed_kernel(block, width, negs)) is not None:
+            if signs:
+                vec = {cols[-1]: one}
+                for c in range(width - 1):
+                    vec[cols[c]] = minus_one if signs[c] else one
+                found.append((cols[-1], vec))
+        else:
+            reduced, pivots = rref(block, width)
+            for f in range(width):
+                if f not in pivots:
+                    vec = {cols[f]: one}
+                    for pc, ridx in pivots.items():
+                        coeff = reduced[ridx].get(f)
+                        if coeff:
+                            vec[cols[pc]] = -coeff
+                    found.append((cols[f], vec))
+    return uncounted + len(found), found
+
+
+def nullity(rows: list[dict], ncols: int, mode: Mode, tol: float | None = None) -> int:
+    """Dimension of the kernel of a sparse homogeneous system."""
+    return _solve(rows, ncols, mode, tol, False)[0]
+
+
+def kernel_basis(
+    rows: list[dict], ncols: int, mode: Mode, tol: float | None = None
+) -> list[dict]:
+    """Basis of the kernel of a sparse homogeneous system as sparse
+    ``{column: scalar}`` vectors.
+
+    Exact vectors have ``scalars.one(mode)`` at their free column and come
+    in ascending free-column order: each block's reduced echelon form is
+    the one a single elimination of the whole system reaches, whichever
+    solver the block took.  Float vectors are each block's SVD kernel,
+    echelonized in the block's columns, in pivot-column order: the echelon
+    basis of the whole kernel, deterministic up to the SVD backend.
+    """
+    found = _solve(rows, ncols, mode, tol, True)[1]
+    return [vec for _, vec in sorted(found, key=lambda item: item[0])]
 
 
 def echelonize_float(vecs, tol: float) -> tuple[list[np.ndarray], list[int]]:

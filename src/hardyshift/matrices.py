@@ -229,9 +229,7 @@ class DenseMatrix:
         """Rank, exact by elimination in exact mode, by SVD (with the
         ambiguity gate) in float mode where tol is required."""
         rows = [{v: s for v, s in enumerate(row) if s} for row in self.entries]
-        if self.mode == "exact":
-            return linalg.rank_exact(rows, self.cols)
-        return linalg.rank_float(rows, self.cols, tol)
+        return self.cols - linalg.nullity(rows, self.cols, self.mode, tol)
 
     def to_numpy(self) -> np.ndarray:
         return np.array(

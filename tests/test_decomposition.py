@@ -13,6 +13,7 @@ from hardyshift import (
     verify_equivalence,
 )
 from hardyshift.decomposition import channel_order, decomposed_shift
+from hardyshift.errors import ShapeError
 from hardyshift.matrices import DenseMatrix, is_permutation
 
 from helpers import SMALL_SWEEP, SWEEP
@@ -148,6 +149,16 @@ def test_verify_equivalence_can_fail(monkeypatch):
     monkeypatch.setattr(decomposition, "channel_order", lambda params: (0, 0, 2, 3))
     rep = verify_equivalence(p)
     assert not rep.unitary and not rep.ok
+
+
+@pytest.mark.parametrize("K", [4, 2], ids=["16x16", "8x8"])
+def test_verify_equivalence_refuses_an_operator_of_the_wrong_size(K):
+    # d = 12 here: a larger operator must not pass on its top-left corner,
+    # and a smaller one must not fail with a bare IndexError
+    with pytest.raises(ShapeError):
+        verify_equivalence(
+            TruncationParams(2, 2, 3), operator=power_symbol(TruncationParams(2, 2, K))
+        )
 
 
 def test_channel_order_is_the_intertwiner_columns():

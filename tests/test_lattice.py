@@ -337,6 +337,15 @@ def test_check_minimal_certificates():
             assert cert.restricted_selfadjoint_commutant_dim == 1
 
 
+@pytest.mark.parametrize("K", [4, 2], ids=["16x16", "8x8"])
+def test_check_minimal_refuses_an_operator_of_the_wrong_size(K):
+    p = TruncationParams(2, 2, 3)
+    with pytest.raises(ShapeError):
+        check_minimal(
+            channels(p)[0], p, operator=power_symbol(TruncationParams(2, 2, K))
+        )
+
+
 def test_minimality_fails_for_doubled_block():
     # a union of two channels is reducing but not minimal; its restricted
     # self-adjoint commutant has dimension 4, and the lattice keeps both

@@ -12,14 +12,23 @@ from hardyshift.linalg import (
     _signed_kernel,
     components,
     echelonize_float,
-    kernel_basis_exact,
-    kernel_basis_float,
-    rank_exact,
-    rank_float,
+    kernel_basis,
+    nullity,
     rref,
 )
 
 TOL = 1e-9
+ONE = GaussianRational(1)
+
+
+def lifted(rows):
+    """The same system over GaussianRational, the field ``kernel_basis``
+    serves in exact mode."""
+    return [
+        {c: v if isinstance(v, GaussianRational) else GaussianRational(v)
+         for c, v in row.items()}
+        for row in rows
+    ]
 
 
 def whole_system_kernel_exact(rows, ncols, one):
@@ -51,11 +60,14 @@ def whole_system_kernel_float(rows, ncols, tol):
     return vecs
 
 
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
 @st.composite
-def planted_systems(draw):
-    """A sparse Fraction system whose unknowns fall into planted groups
-    (every row stays inside one group), with the groups' columns shuffled
-    together and the rows shuffled."""
+def planted_systems(draw, coeff=FRACTIONS):
+    """A sparse system, Fraction by default, whose unknowns fall into
+    planted groups (every row stays inside one group), with the groups'
+    columns shuffled together and the rows shuffled."""
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
     ncols = sum(sizes)
     perm = draw(st.permutations(range(ncols)))
@@ -63,7 +75,6 @@ def planted_systems(draw):
     for size in sizes:
         groups.append([perm[start + i] for i in range(size)])
         start += size
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
     rows = []
     for group in groups:
         for _ in range(draw(st.integers(0, len(group) + 1))):
@@ -79,10 +90,11 @@ def planted_systems(draw):
 @given(planted_systems())
 def test_blockwise_exact_matches_whole_system_rref(system):
     rows, ncols, groups = system
-    reference = whole_system_kernel_exact(rows, ncols, Fraction(1))
-    assert kernel_basis_exact(rows, ncols, Fraction(1)) == reference
-    assert rank_exact(rows, ncols) == len(rref(rows, ncols)[1])
-    assert rank_exact(rows, ncols) + len(reference) == ncols
+    reference = whole_system_kernel_exact(lifted(rows), ncols, ONE)
+    assert kernel_basis(lifted(rows), ncols, "exact") == reference
+    rank = ncols - nullity(rows, ncols, "exact")
+    assert rank == len(rref(rows, ncols)[1])
+    assert rank + len(reference) == ncols
     group_of = {c: g for g, group in enumerate(groups) for c in group}
     found = components(rows, ncols)
     assert sorted(c for cols, _ in found for c in cols) == list(range(ncols))
@@ -91,10 +103,7 @@ def test_blockwise_exact_matches_whole_system_rref(system):
         assert all(0 <= c < len(cols) for row in block for c in row)
 
 
-FIELDS = {
-    "fraction": (Fraction, Fraction(1)),
-    "gaussian": (GaussianRational, GaussianRational(1)),
-}
+FIELDS = {"fraction": Fraction, "gaussian": GaussianRational}
 
 
 @st.composite
@@ -108,7 +117,7 @@ def signed_systems(draw, field):
     coefficient is a random nonzero scalar, so a ratio of +-1 is not the
     same as an entry of +-1.
     """
-    make, _ = FIELDS[field]
+    make = FIELDS[field]
     part = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     if field == "fraction":
         scalar = part.filter(bool).map(make)
@@ -138,13 +147,16 @@ def signed_systems(draw, field):
     return rows, ncols
 
 
-def _check_against_rref(rows, ncols, one):
-    reference = whole_system_kernel_exact(rows, ncols, one)
-    kernel = kernel_basis_exact(rows, ncols, one)
+def _check_against_rref(rows, ncols):
+    """Kernel vectors over GaussianRational, and the nullity of the system
+    as given (Fraction or GaussianRational), against one whole-system
+    ``rref``."""
+    reference = whole_system_kernel_exact(lifted(rows), ncols, ONE)
+    kernel = kernel_basis(lifted(rows), ncols, "exact")
     assert kernel == reference
     # same scalar types and entry order, so reports built from it match
     assert repr(kernel) == repr(reference)
-    assert rank_exact(rows, ncols) == len(rref(rows, ncols)[1])
+    assert ncols - nullity(rows, ncols, "exact") == len(rref(rows, ncols)[1])
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
@@ -154,7 +166,7 @@ def test_signed_blocks_match_rref(field, data):
     rows, ncols = data.draw(signed_systems(field))
     for cols, block in components(rows, ncols):
         assert _signed_kernel(block, len(cols), {}) is not None
-    _check_against_rref(rows, ncols, FIELDS[field][1])
+    _check_against_rref(rows, ncols)
 
 
 def test_single_entry_row_zeroes_its_block():
@@ -162,8 +174,8 @@ def test_single_entry_row_zeroes_its_block():
     f = Fraction
     rows = [{0: f(1), 1: f(-1)}, {1: f(2)}]
     assert _signed_kernel(rows, 2, {}) == []
-    assert kernel_basis_exact(rows, 2, f(1)) == []
-    assert rank_exact(rows, 2) == 2
+    assert kernel_basis(lifted(rows), 2, "exact") == []
+    assert nullity(rows, 2, "exact") == 0
 
 
 def test_closing_edge_parity_decides_the_cycle():
@@ -172,11 +184,11 @@ def test_closing_edge_parity_decides_the_cycle():
     f = Fraction
     path = [{0: f(1), 1: f(1)}, {1: f(1), 2: f(-1)}]
     consistent = path + [{0: f(1), 2: f(1)}]
-    assert kernel_basis_exact(consistent, 3, f(1)) == [{2: 1, 0: -1, 1: 1}]
-    assert rank_exact(consistent, 3) == 2
+    assert kernel_basis(lifted(consistent), 3, "exact") == [{2: 1, 0: -1, 1: 1}]
+    assert nullity(consistent, 3, "exact") == 1
     contradicting = path + [{0: f(1), 2: f(-1)}]
-    assert kernel_basis_exact(contradicting, 3, f(1)) == []
-    assert rank_exact(contradicting, 3) == 3
+    assert kernel_basis(lifted(contradicting), 3, "exact") == []
+    assert nullity(contradicting, 3, "exact") == 0
 
 
 @pytest.mark.parametrize(
@@ -196,8 +208,54 @@ def test_other_blocks_fall_back_to_rref(rows, monkeypatch):
         return rref(block, width)
 
     monkeypatch.setattr(linalg, "rref", counted)
-    _check_against_rref(rows, 3, Fraction(1))
+    _check_against_rref(rows, 3)
     assert 3 in calls
+
+
+# what each block solver is called with and decides, for comparing the
+# solver choices of two calls
+SPIES = {
+    "_signed_kernel": lambda args, out: (len(args[0]), args[1], out is None),
+    "rref": lambda args, out: (len(args[0]), args[1]),
+    "_block_rank": lambda args, out: (len(args[0]), out),
+}
+
+
+def solver_log(call, *args):
+    """Run ``call(*args)`` and list, in order, the block solvers it used."""
+    log = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, summary in SPIES.items():
+            def spy(*a, _real=getattr(linalg, name), _name=name, _summary=summary):
+                out = _real(*a)
+                log.append((_name, _summary(a, out)))
+                return out
+
+            mp.setattr(linalg, name, spy)
+        result = call(*args)
+    return result, log
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_nullity_counts_the_kernel_basis_with_the_same_solvers(mode, data):
+    if mode == "exact":
+        rows, ncols = data.draw(
+            st.one_of(planted_systems().map(lambda s: s[:2]), signed_systems("fraction"))
+        )
+        tol = None
+    else:
+        # small integers keep every nonzero singular value far above the
+        # cut-off, so the ambiguity gate never fires
+        rows, ncols, _ = data.draw(
+            planted_systems(st.integers(-3, 3).filter(bool).map(float))
+        )
+        tol = TOL
+    count, counted_by = solver_log(nullity, rows, ncols, mode, tol)
+    basis, built_by = solver_log(kernel_basis, rows, ncols, mode, tol)
+    assert count == len(basis)
+    assert counted_by == built_by
 
 
 def test_ambiguous_one_by_one_block_in_well_conditioned_system():
@@ -205,33 +263,33 @@ def test_ambiguous_one_by_one_block_in_well_conditioned_system():
     n = 40
     well = np.eye(n) + 0.1 * rng.standard_normal((n, n))
     rows = [{c: complex(v) for c, v in enumerate(r)} for r in well]
-    assert rank_float(rows, n + 1, TOL) == n
+    assert nullity(rows, n + 1, "float", TOL) == 1
     rows.append({n: 1e-9})
     with pytest.raises(RankAmbiguityError):
-        rank_float(rows, n + 1, TOL)
+        nullity(rows, n + 1, "float", TOL)
     with pytest.raises(RankAmbiguityError):
-        kernel_basis_float(rows, n + 1, TOL)
+        kernel_basis(rows, n + 1, "float", TOL)
 
 
 def test_unknowns_in_no_equation_give_unit_vectors():
     rows = [{0: Fraction(1), 2: Fraction(-1)}]
-    assert kernel_basis_exact(rows, 5, Fraction(1)) == [
+    assert kernel_basis(lifted(rows), 5, "exact") == [
         {1: 1}, {2: 1, 0: 1}, {3: 1}, {4: 1}
     ]
     # float vectors come in pivot-column order: the solution of the
     # equation pivots on column 0
-    basis = kernel_basis_float([{0: 1.0, 2: -1.0}], 5, TOL)
+    basis = kernel_basis([{0: 1.0, 2: -1.0}], 5, "float", TOL)
     assert sorted(basis[0]) == [0, 2]
     assert basis[0][0] == 1 and basis[0][2] == pytest.approx(1)
     assert basis[1:] == [{1: 1 + 0j}, {3: 1 + 0j}, {4: 1 + 0j}]
-    assert kernel_basis_float([], 3, TOL) == [{0: 1 + 0j}, {1: 1 + 0j}, {2: 1 + 0j}]
+    assert kernel_basis([], 3, "float", TOL) == [{0: 1 + 0j}, {1: 1 + 0j}, {2: 1 + 0j}]
 
 
 def test_float_kernel_lists_vectors_by_pivot_column_across_blocks():
     # the block of columns {0, 2, 3} starts first, but its kernel vector
     # (0, 1, -1) pivots on column 2, after the unit vector of column 1
     rows = [{0: 1.0}, {0: 1.0, 2: 1.0, 3: 1.0}]
-    basis = kernel_basis_float(rows, 4, TOL)
+    basis = kernel_basis(rows, 4, "float", TOL)
     assert basis[0] == {1: 1 + 0j}
     assert sorted(basis[1]) == [2, 3]
     assert basis[1][2] == 1 and basis[1][3] == pytest.approx(-1)
@@ -241,8 +299,8 @@ def test_float_solves_repeat_and_match_the_whole_system_echelon_basis():
     p = TruncationParams(2, 2, 3)
     rows = _commutation_rows(power_symbol(p, mode="float"))
     ncols = p.d * p.d
-    first = kernel_basis_float(rows, ncols, TOL)
-    assert kernel_basis_float(rows, ncols, TOL) == first
+    first = kernel_basis(rows, ncols, "float", TOL)
+    assert kernel_basis(rows, ncols, "float", TOL) == first
     reference = whole_system_kernel_float(rows, ncols, TOL)
     assert len(first) == len(reference) == p.r * p.r * p.K
     for vec, ref in zip(first, reference):
@@ -254,6 +312,6 @@ def test_float_solves_repeat_and_match_the_whole_system_echelon_basis():
 
 def test_float_rank_requires_tol():
     with pytest.raises(ValueError):
-        rank_float([{0: 1.0}], 1, None)
+        nullity([{0: 1.0}], 1, "float", None)
     with pytest.raises(ValueError):
-        kernel_basis_float([{0: 1.0}], 1, 0.0)
+        kernel_basis([{0: 1.0}], 1, "float", 0.0)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyshift import DenseMatrix, GaussianRational, commutator, direct_sum
 from hardyshift.errors import ShapeError
@@ -123,7 +125,7 @@ def test_commutator():
     assert commutator(a, a).is_zero()
 
 
-def test_rank_exact():
+def test_exact_rank():
     assert DenseMatrix.identity(4).rank() == 4
     assert DenseMatrix.zeros(3, 3).rank() == 0
     assert DenseMatrix([[1, 2], [2, 4]]).rank() == 1
@@ -132,11 +134,43 @@ def test_rank_exact():
     ).rank() == 2
 
 
-def test_rank_float_requires_tol():
+def test_float_rank_requires_tol():
     m = DenseMatrix([[1.0, 0.0], [0.0, 1.0]], mode="float")
     assert m.rank(tol=1e-9) == 2
     with pytest.raises(ValueError):
         m.rank()
+
+
+small_integer_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-3, 3), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_integer_matrices)
+def test_exact_rank_matches_numpy(rows):
+    assert DenseMatrix(rows).rank() == np.linalg.matrix_rank(np.array(rows, dtype=float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_float_rank_matches_numpy_on_well_separated_spectra(n, m, data):
+    # singular values are 0 or in [0.5, 2], far from the cut-off on both sides
+    k = min(n, m)
+    svals = data.draw(
+        st.lists(st.sampled_from([0.0]) | st.floats(0.5, 2.0), min_size=k, max_size=k)
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    left = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k]
+    right = np.linalg.qr(rng.standard_normal((m, m)))[0][:k, :]
+    mat = left @ np.diag(svals) @ right
+    expected = np.linalg.matrix_rank(mat)
+    assert expected == sum(1 for s in svals if s)
+    assert DenseMatrix(mat.tolist(), mode="float").rank(tol=1e-9) == expected
 
 
 def test_is_permutation():
