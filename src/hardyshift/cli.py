@@ -19,7 +19,9 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .commutant import commutant_basis, is_block_lower_toeplitz, selfadjoint_commutant_dim
+from .commutant import (
+    commutant_basis, is_block_lower_toeplitz, selfadjoint_commutant_dim, toeplitz_break
+)
 from .decomposition import channel_order, channels, verify_equivalence
 from .errors import CapError, RankAmbiguityError
 from .lattice import (
@@ -27,6 +29,7 @@ from .lattice import (
     check_minimal,
     enumerate_lattice,
     lattice_closure_check,
+    lattice_component_check,
 )
 from .operators import power_symbol, symbol_from_json, toeplitz_matrix
 from .scalars import scalar_to_json
@@ -206,10 +209,13 @@ def _commutant_section(
         # Lemma 3: X* P X is block lower Toeplitz, read through the
         # intertwiner's channel order
         order = channel_order(params)
-        structure = all(
-            is_block_lower_toeplitz(P, params.K, cfg.tol, order)
-            for P in cb.basis
-        )
+        ok = [is_block_lower_toeplitz(P, params.K, cfg.tol, order) for P in cb.elements]
+        structure = all(ok)
+        if not structure:
+            i = ok.index(False)
+            u, v = toeplitz_break(cb.elements[i], params.K, cfg.tol, order)
+            print(f"lemma3_structure_ok: commutant basis element {i} is not block "
+                  f"lower Toeplitz at entry ({u}, {v})", file=sys.stderr)
         expected_dim = params.r * params.r * params.K
         expected_sdim = params.r * params.r
         section["lemma3_structure_ok"] = structure
@@ -251,7 +257,9 @@ def _lattice_section(
         full_selfadjoint_dim=full_selfadjoint_dim,
         operator=T,
     )
-    closure = lattice_closure_check(rep) if rep.exhaustive else None
+    closure = (
+        lattice_closure_check(rep) and lattice_component_check(rep) if rep.exhaustive else None
+    )
     section = {
         "counts": {
             "total_masks": rep.counts.total_masks,

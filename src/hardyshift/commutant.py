@@ -30,25 +30,31 @@ same solutions but measured slower in exact mode (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 from . import linalg
 from .decomposition import ChannelBasis
 from .errors import InvarianceError, ShapeError
-from .matrices import DenseMatrix, matrices_close
+from .matrices import DenseMatrix, SparseMatrix, matrices_close
 from .scalars import scalar_is_zero, scalars_close, zero
 
 
 @dataclass(frozen=True)
 class CommutantBasis:
-    """Echelon-normalized basis of {P : AP = PA} for a d x d matrix A."""
+    """Echelon-normalized basis of {P : AP = PA} for a d x d matrix A, kept
+    sparse in ``elements``; ``basis`` builds them dense on first access."""
 
     operator_dim: int
-    basis: tuple[DenseMatrix, ...]
+    elements: tuple[SparseMatrix, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.elements)
+
+    @cached_property
+    def basis(self) -> tuple[DenseMatrix, ...]:
+        return tuple(P.to_dense() for P in self.elements)
 
 
 def _add(row: dict, key: int, coeff) -> None:
@@ -64,16 +70,18 @@ def _add(row: dict, key: int, coeff) -> None:
 def _commutation_rows(A: DenseMatrix) -> list[dict]:
     # Equation for position (a, b): sum_w A[a][w] P[w][b] - P[a][w] A[w][b] = 0,
     # unknowns P vectorized as (u, v) -> u*d + v.
-    # Each nonzero of A is negated once, here, not once per equation: the
-    # rows then share one object per nonzero and one per negation, and
-    # linalg's +-1 test, which memoizes negations by object, builds a
-    # scalar per shared object rather than per row.
+    # Each nonzero of A is negated here, not once per equation, and in
+    # exact mode equal nonzeros share one object and one negation: linalg's
+    # +-1 test, which compares by identity first, then needs no arithmetic.
     d = A.rows
+    exact = A.mode == "exact"
+    shared: dict = {}
     rows_nz = [[] for _ in range(d)]
     cols_nz = [[] for _ in range(d)]
     for u, v, s in A.nonzero_items():
+        s, neg = shared.setdefault(s, (s, -s)) if exact else (s, -s)
         rows_nz[u].append((v, s))
-        cols_nz[v].append((u, -s))
+        cols_nz[v].append((u, neg))
     rows: list[dict] = []
     for a in range(d):
         for b in range(d):
@@ -97,14 +105,9 @@ def commutant_basis(A: DenseMatrix, tol: float | None = None) -> CommutantBasis:
         raise ShapeError("commutant needs a square matrix")
     d = A.rows
     vecs = linalg.kernel_basis(_commutation_rows(A), d * d, A.mode, tol)
-    z = zero(A.mode)
-    mats = []
-    for vec in vecs:
-        grid = [[z] * d for _ in range(d)]
-        for key, s in vec.items():
-            grid[key // d][key % d] = s
-        mats.append(DenseMatrix._raw(tuple(map(tuple, grid)), A.mode))
-    return CommutantBasis(operator_dim=d, basis=tuple(mats))
+    return CommutantBasis(d, tuple(
+        SparseMatrix({divmod(k, d): s for k, s in vec.items()}, d, d, A.mode) for vec in vecs
+    ))
 
 
 def _sym_var_ids(d: int):
@@ -131,22 +134,32 @@ def _selfadjoint_rows(A: DenseMatrix) -> list[dict]:
     d = A.rows
     exact = A.mode == "exact"
     xid, yid = _sym_var_ids(d)
+    # (Re c, Im c, -Re c, -Im c) once per coefficient object c, equal parts
+    # sharing one object for linalg's +-1 test; the keys stay valid while
+    # the commutation rows, which hold every c, are alive.
+    parts: dict[int, tuple] = {}
+    canon: dict = {}
     rows = []
     for crow in _commutation_rows(A):
         real_row: dict[int, object] = {}
         imag_row: dict[int, object] = {}
         for key, c in crow.items():
             u, v = divmod(key, d)
-            re, im = (c.re, c.im) if exact else (c.real, c.imag)
+            split = parts.get(id(c))
+            if split is None:
+                re, im = (c.re, c.im) if exact else (c.real, c.imag)
+                split = tuple(canon.setdefault(x, x) for x in (re, im, -re, -im))
+                parts[id(c)] = split
+            re, im, neg_re, neg_im = split
             pair = (u, v) if u <= v else (v, u)
             if re:
                 _add(real_row, xid[pair], re)
                 if u != v:
-                    _add(imag_row, yid[pair], -re if u > v else re)
+                    _add(imag_row, yid[pair], neg_re if u > v else re)
             if im:
                 _add(imag_row, xid[pair], im)
                 if u != v:
-                    _add(real_row, yid[pair], im if u > v else -im)
+                    _add(real_row, yid[pair], im if u > v else neg_im)
         if real_row:
             rows.append(real_row)
         if imag_row:
@@ -179,7 +192,7 @@ def is_lower_toeplitz(P: DenseMatrix, tol: float | None = None) -> bool:
 
 
 def is_block_lower_toeplitz(
-    P: DenseMatrix,
+    P: DenseMatrix | SparseMatrix,
     block_size: int,
     tol: float | None = None,
     order: Sequence[int] | None = None,
@@ -191,36 +204,58 @@ def is_block_lower_toeplitz(
     With ``order`` (a permutation of the indices) the check applies to the
     relabeled matrix Q[a][b] = P[order[a]][order[b]], which is X* P X for
     the permutation X with its 1 of column a in row order[a]; no product
-    is formed.  Entries are scanned in place: an entry that is the mode's
-    zero object needs no comparison, every other one goes through
-    scalar_is_zero or scalars_close.
+    is formed.  The scan is ``toeplitz_break``'s, O(nnz).
     """
     n = P.rows
     if P.cols != n or block_size < 1 or n % block_size:
         return False
-    if order is None:
-        order = range(n)
-    elif sorted(order) != list(range(n)):
+    return toeplitz_break(P, block_size, tol, order) is None
+
+
+@lru_cache(maxsize=8)
+def _inverse(order: tuple[int, ...], n: int) -> tuple[int, ...]:
+    if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the row indices")
-    entries = P.entries
-    z = zero(P.mode)
-    # per column: its source index, its offset in the block, and the source
-    # index of the column before it
-    cols = [(order[b], b % block_size, order[b - 1]) for b in range(n)]
-    for a in range(n):
-        u = a % block_size
-        row = entries[order[a]]
-        above = entries[order[a - 1]] if u else None
-        for f, v, g in cols:
-            s = row[f]
-            if u < v:
-                if s is not z and not scalar_is_zero(s, tol):
-                    return False
-            elif u and v:
-                t = above[g]
-                if (s is not z or t is not z) and not scalars_close(s, t, tol):
-                    return False
-    return True
+    inv = [0] * n
+    for a, f in enumerate(order):
+        inv[f] = a
+    return tuple(inv)
+
+
+def toeplitz_break(
+    P: DenseMatrix | SparseMatrix, block_size: int, tol: float | None = None,
+    order: Sequence[int] | None = None,
+) -> tuple[int, int] | None:
+    """The first nonzero (u, v) of P, in P's own indices, that breaks the
+    pattern of ``is_block_lower_toeplitz`` (whose shape rules P must pass),
+    or None.  At relabeled (a, b) with block offsets u < v an entry must
+    vanish; any other must equal Q[a-1][b-1] if u, v > 0 and Q[a+1][b+1]
+    if u, v < block_size - 1, an absent entry reading as zero.  That
+    compares each pair of diagonal neighbours with a nonzero side."""
+    order = range(P.rows) if order is None else order
+    inv = _inverse(tuple(order), P.rows)
+    if isinstance(P, SparseMatrix):
+        stored = P.entries
+    else:
+        stored = {(u, v): s for u, v, s in P.nonzero_items()}
+    z, exact = zero(P.mode), P.mode == "exact"
+
+    def differs(s, key) -> bool:
+        # an exact scalar equals itself, and the basis shares its +-1 objects
+        t = stored.get(key, z)
+        return not (exact and t is s) and not scalars_close(s, t, tol)
+
+    for (f, g), s in stored.items():
+        a, b = inv[f], inv[g]
+        u, v = a % block_size, b % block_size
+        if u < v:
+            if not scalar_is_zero(s, tol):
+                return (f, g)
+        elif (u and v and differs(s, (order[a - 1], order[b - 1]))) or (
+            u < block_size - 1 and differs(s, (order[a + 1], order[b + 1]))
+        ):
+            return (f, g)
+    return None
 
 
 def is_projection(P: DenseMatrix, tol: float | None = None) -> bool:

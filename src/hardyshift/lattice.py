@@ -33,6 +33,7 @@ from .decomposition import (
     partition_check,
 )
 from .errors import CapError, ShapeError
+from .linalg import components
 from .matrices import DenseMatrix
 from .operators import power_symbol
 from .scalars import Mode, scalar_is_zero
@@ -100,6 +101,7 @@ class LatticeReport:
     full_selfadjoint_commutant_dim: int
     counts: LatticeCounts
     exhaustive: bool
+    channel_components: int  # of the graph of ``channel_edges``
 
 
 def mask_projection(
@@ -244,6 +246,7 @@ def enumerate_lattice(
         full_selfadjoint_commutant_dim=full_selfadjoint_dim,
         counts=counts,
         exhaustive=exhaustive,
+        channel_components=len(components([dict.fromkeys(e) for e in edges], r)),
     )
 
 
@@ -265,3 +268,12 @@ def lattice_closure_check(report: LatticeReport) -> bool:
         bytes((v >> c) & 1 for v in family) for c in range(report.params.r)
     }
     return partition_check(report.params) and len(family) == 1 << len(classes)
+
+
+def lattice_component_check(report: LatticeReport) -> bool:
+    """Cross-check the verdicts against the graph of ``channel_edges``: a
+    mask reduces T exactly when it is a union of the graph's c connected
+    components, so an exhaustive report has 2^c reducing masks.  c comes
+    from the edges alone, not from the per-mask verdicts."""
+    family = {e.mask.value for e in report.entries if e.is_reducing}
+    return len(family) == 1 << report.channel_components

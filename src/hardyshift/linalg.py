@@ -151,10 +151,11 @@ def _signed_kernel(block: list[dict], width: int, negs: dict):
     the kernel is zero, and else the sign of each column in the kernel
     vector relative to the last column (True where it is negated).
 
-    ``negs`` memoizes -a by ``id(a)`` across the blocks of one system, so
-    the +-1 test builds one scalar per distinct coefficient object rather
-    than one per row; its keys stay valid while the system's rows, which
-    hold every coefficient, are alive.
+    The +-1 test compares by identity first: where the rows share one
+    object per coefficient value, as ``commutant`` builds them, most rows
+    need no arithmetic.  ``negs`` maps ``id(a)``, across the blocks of one
+    system, to the last row object found equal to -a; its keys stay valid
+    while the system's rows, which hold every coefficient, are alive.
     """
     parent = list(range(width))
     flip = [False] * width  # parity of each column relative to its parent
@@ -180,15 +181,14 @@ def _signed_kernel(block: list[dict], width: int, negs: dict):
         if len(row) != 2:
             return None
         (i, a), (j, b) = row.items()
-        if b == a:
+        neg = negs.get(id(a))
+        if b is a or (b is not neg and b == a):
             odd = True  # a x_i + a x_j = 0
-        else:
-            neg = negs.get(id(a))
-            if neg is None:
-                neg = negs[id(a)] = -a
-            if b != neg:
-                return None
+        elif b is neg or b == -a:
+            negs[id(a)] = b
             odd = False
+        else:
+            return None
         ri, rj = find(i), find(j)
         odd ^= flip[i] ^ flip[j]
         if ri != rj:

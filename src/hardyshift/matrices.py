@@ -1,17 +1,18 @@
-"""Dense matrices over exact or floating scalars.
+"""Dense and sparse matrices over exact or floating scalars.
 
-Matrices are stored densely as tuples of tuples and treated as immutable.
-The operators reach a few hundred rows (d = 240 for a full report at
-(m,n,K)=(2,2,60)), and each commutant basis element is such a d x d grid,
-which dominates memory at that size; the solvers themselves work on sparse
-rows (see ``commutant`` and ``linalg``).  Products skip zero entries of the
-left factor, which makes multiplication by shifts, projections and
-permutations (the common case here) effectively linear in the number of
-nonzeros.
+``DenseMatrix`` stores tuples of tuples, treated as immutable.  The
+operators reach a few hundred rows (d = 240 for a full report at
+(m,n,K)=(2,2,60)), where a commutant basis element has at most K nonzeros:
+it is a ``SparseMatrix`` of those, made dense only on request, and the
+solvers work on sparse rows too (see ``commutant`` and ``linalg``).
+Products skip zero entries of the left factor, which makes multiplication
+by shifts, projections and permutations (the common case here)
+effectively linear in the number of nonzeros.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -235,6 +236,24 @@ class DenseMatrix:
         return np.array(
             [[complex(s) for s in row] for row in self.entries], dtype=complex
         )
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """A matrix kept as its nonzero entries ``{(u, v): scalar}``; an
+    absent entry is the mode's zero.  Treated as immutable."""
+
+    entries: dict
+    rows: int
+    cols: int
+    mode: Mode
+
+    def to_dense(self) -> DenseMatrix:
+        z = zero(self.mode)
+        grid = [[z] * self.cols for _ in range(self.rows)]
+        for (u, v), s in self.entries.items():
+            grid[u][v] = s
+        return DenseMatrix._raw(tuple(map(tuple, grid)), self.mode)
 
 
 def direct_sum(blocks: Sequence[DenseMatrix]) -> DenseMatrix:

@@ -7,6 +7,7 @@ import pytest
 
 from hardyshift import linalg
 from hardyshift.cli import main
+from hardyshift.matrices import SparseMatrix
 
 SYMBOL_F = Path(__file__).resolve().parents[1] / "benchmarks" / "symbol_F.json"
 
@@ -345,6 +346,19 @@ def test_power_full_report_needs_no_elimination(tmp_path, monkeypatch, m, n, K):
     )
     assert code == 0
     assert rep["passed"] is True
+
+
+@pytest.mark.parametrize("command", ["full-report", "commutant"])
+def test_power_report_builds_no_dense_commutant_grid(tmp_path, monkeypatch, command):
+    # the commutant basis stays sparse, and the Lemma-3 audit reads it so
+    def refuse(self):
+        raise AssertionError("dense commutant grid built on the pipeline path")
+
+    monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
+    code, rep = run_cli_json(tmp_path, command, "--m", "2", "--n", "2", "--blocks", "3")
+    assert code == 0
+    assert rep["passed"] is True
+    assert rep["commutant"]["lemma3_structure_ok"] is True
 
 
 @pytest.mark.parametrize(

@@ -25,10 +25,12 @@ from hardyshift import (
     scalar_shift,
     selfadjoint_commutant_dim,
 )
-from hardyshift.commutant import _selfadjoint_rows, _sym_var_ids
+from hardyshift.commutant import _selfadjoint_rows, _sym_var_ids, toeplitz_break
 from hardyshift.decomposition import channel_order
 from hardyshift.errors import InvarianceError, ShapeError
+from hardyshift.matrices import SparseMatrix
 from hardyshift.operators import symbol_from_json, toeplitz_matrix
+from hardyshift.scalars import scalar_is_zero, scalars_close, zero
 
 from helpers import in_span, rand_gaussian_rational
 
@@ -104,19 +106,21 @@ def test_relabeled_block_check_matches_dense_conjugation():
         assert not is_block_lower_toeplitz(Xh @ Q @ X, p.K)
 
 
-def test_cli_lemma3_audit_fails_on_a_changed_basis_element(tmp_path, monkeypatch):
+def test_cli_lemma3_audit_fails_on_a_changed_basis_element(
+    tmp_path, monkeypatch, capsys
+):
     import hardyshift.cli as cli
 
     real = cli.commutant_basis
+    order = channel_order(TruncationParams(2, 2, 2))
 
     def doctored(A, tol=None):
         cb = real(A, tol)
-        order = channel_order(TruncationParams(2, 2, 2))
-        rows = [list(r) for r in cb.basis[3].entries]
-        rows[order[0]][order[1]] = GaussianRational(5)
-        basis = list(cb.basis)
-        basis[3] = DenseMatrix(rows)
-        return dataclasses.replace(cb, basis=tuple(basis))
+        entries = dict(cb.elements[3].entries)
+        entries[(order[0], order[1])] = GaussianRational(5)
+        elements = list(cb.elements)
+        elements[3] = dataclasses.replace(cb.elements[3], entries=entries)
+        return dataclasses.replace(cb, elements=tuple(elements))
 
     monkeypatch.setattr(cli, "commutant_basis", doctored)
     out = tmp_path / "report.json"
@@ -127,6 +131,10 @@ def test_cli_lemma3_audit_fails_on_a_changed_basis_element(tmp_path, monkeypatch
     report = json.loads(out.read_text())
     assert report["commutant"]["lemma3_structure_ok"] is False
     assert report["checks"]["lemma3_structure_ok"] is False
+    assert (
+        "commutant basis element 3 is not block lower Toeplitz at entry "
+        f"({order[0]}, {order[1]})"
+    ) in capsys.readouterr().err
 
 
 def test_lower_toeplitz_predicate():
@@ -165,6 +173,107 @@ def test_block_lower_toeplitz_predicate():
     assert not is_block_lower_toeplitz(p, 2, order=[1, 0, 2, 3])
     with pytest.raises(ValueError):
         is_block_lower_toeplitz(p, 2, order=[0, 0, 1, 2])
+
+
+def dense_block_toeplitz_reference(P, block_size, tol=None, order=None):
+    """The dense scan that ``is_block_lower_toeplitz`` used before it read
+    only the nonzeros: every entry of the relabeled matrix, the upper part
+    of each block against zero and every other entry against its diagonal
+    predecessor, skipping pairs of two zero objects."""
+    n = P.rows
+    if P.cols != n or block_size < 1 or n % block_size:
+        return False
+    if order is None:
+        order = range(n)
+    elif sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of the row indices")
+    entries = P.entries
+    z = zero(P.mode)
+    cols = [(order[b], b % block_size, order[b - 1]) for b in range(n)]
+    for a in range(n):
+        u = a % block_size
+        row = entries[order[a]]
+        above = entries[order[a - 1]] if u else None
+        for f, v, g in cols:
+            s = row[f]
+            if u < v:
+                if s is not z and not scalar_is_zero(s, tol):
+                    return False
+            elif u and v:
+                t = above[g]
+                if (s is not z or t is not z) and not scalars_close(s, t, tol):
+                    return False
+    return True
+
+
+AUDIT_TOL = 1e-6
+AUDIT_CHANGES = ("none", "above", "mid", "first", "last", "below_tol", "above_tol")
+
+
+@st.composite
+def changed_block_toeplitz(draw):
+    """A relabeled block lower Toeplitz matrix with at most one entry
+    changed: (mode, P, K, order, change)."""
+    mode = draw(st.sampled_from(["exact", "float"]))
+    r, K = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    n = r * K
+    order = draw(st.permutations(range(n)))
+    values = st.one_of(st.just(0), st.integers(-3, 3))
+    diags = {
+        (i, j): draw(st.lists(values, min_size=K, max_size=K))
+        for i in range(r)
+        for j in range(r)
+    }
+    Q = [
+        [
+            Fraction(diags[a // K, b // K][a % K - b % K]) if a % K >= b % K else Fraction(0)
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+    change = draw(st.sampled_from(AUDIT_CHANGES))
+    i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+    k = draw(st.integers(0, K - 1))  # diagonal u - v = k of block (i, j)
+    t = draw(st.integers(0, K - 1 - k))  # position along it
+    if change == "above" and K > 1:
+        u = draw(st.integers(0, K - 2))
+        v = draw(st.integers(u + 1, K - 1))
+        Q[i * K + u][j * K + v] = Fraction(draw(st.sampled_from([-2, -1, 1, 3])))
+    elif change == "mid":
+        if K - k >= 3:
+            t = draw(st.integers(1, K - 2 - k))
+        Q[i * K + k + t][j * K + t] += 1
+    elif change == "first":
+        Q[i * K + k][j * K] = Fraction(0)
+    elif change == "last":
+        Q[i * K + K - 1][j * K + K - 1 - k] = Fraction(0)
+    elif change in ("below_tol", "above_tol"):
+        step = Fraction(9 if change == "below_tol" else 11, 10) * Fraction(AUDIT_TOL)
+        Q[i * K + k + t][j * K + t] += step
+    grid = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            q = Q[a][b]
+            grid[order[a]][order[b]] = GaussianRational(q) if mode == "exact" else complex(q)
+    return mode, DenseMatrix(grid, mode), K, order, change
+
+
+@settings(max_examples=300, deadline=None)
+@given(changed_block_toeplitz())
+def test_sparse_audit_matches_the_dense_scan(case):
+    mode, P, K, order, change = case
+    tol = AUDIT_TOL if mode == "float" else None
+    expected = dense_block_toeplitz_reference(P, K, tol, order)
+    sparse = SparseMatrix(
+        {(u, v): s for u, v, s in P.nonzero_items()}, P.rows, P.cols, mode
+    )
+    assert is_block_lower_toeplitz(P, K, tol, order) == expected
+    assert is_block_lower_toeplitz(sparse, K, tol, order) == expected
+    assert (toeplitz_break(sparse, K, tol, order) is None) == expected
+    if change == "none" or (change == "below_tol" and mode == "float"):
+        assert expected
+    if change == "above" and K > 1:
+        assert not expected
 
 
 def test_selfadjoint_dims_reference_values():

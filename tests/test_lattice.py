@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -21,6 +22,7 @@ from hardyshift.lattice import (
     MaskEntry,
     channel_edges,
     check_enumeration_cap,
+    lattice_component_check,
     mask_is_reducing,
 )
 from hardyshift.matrices import DenseMatrix, direct_sum, matrices_close
@@ -294,6 +296,54 @@ def test_closure_check_fails_on_complement_closed_family_without_joins():
     assert not lattice_closure_check(doctored)
     # adding the two missing joins restores a Boolean lattice of 2^3 members
     assert lattice_closure_check(with_family(rep, family | {3, 4}))
+
+
+def test_component_check_counts_the_unions_of_edge_components():
+    for p in SMALL_SWEEP:
+        rep = enumerate_lattice(p)
+        # the channels of z^n are invariant, so no edge joins two of them
+        assert rep.channel_components == p.r
+        assert lattice_component_check(rep)
+
+
+def test_component_count_follows_the_edges(monkeypatch):
+    import hardyshift.lattice as lattice
+
+    # an edge joining channels 0 and 1 of three leaves two components
+    monkeypatch.setattr(lattice, "channel_edges", lambda T, params, tol=None: {(0, 1)})
+    rep = enumerate_lattice(TruncationParams(3, 1, 2))
+    assert rep.channel_components == 2
+    assert rep.counts.reducing_count == 4
+    assert lattice_closure_check(rep) and lattice_component_check(rep)
+
+
+def test_component_check_fails_on_a_closed_family_with_too_few_atoms():
+    # two channels and no edges: every mask reduces.  Verdicts flipped to
+    # {00, 11} still form a Boolean lattice, with one atom, so the closure
+    # check accepts them; the edge graph has two components and says 2^2.
+    rep = enumerate_lattice(TruncationParams(2, 1, 2))
+    flipped = with_family(rep, {0, 3})
+    assert lattice_closure_check(flipped)
+    assert not lattice_component_check(flipped)
+    # three channels, verdicts {000, 111, 100, 011}: two atoms, 2^2 members
+    rep = enumerate_lattice(TruncationParams(3, 1, 1))
+    flipped = with_family(rep, {0, 7, 1, 6})
+    assert lattice_closure_check(flipped)
+    assert not lattice_component_check(flipped)
+
+
+def test_cli_closure_fails_on_flipped_verdicts_of_a_closed_family(tmp_path, monkeypatch):
+    import hardyshift.cli as cli
+    import hardyshift.lattice as lattice
+
+    full = (1 << 2) - 1
+    monkeypatch.setattr(lattice, "mask_is_reducing", lambda value, edges: value in (0, full))
+    out = tmp_path / "report.json"
+    code = cli.main(["lattice", "--m", "2", "--n", "1", "--blocks", "2", "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["lattice"]["counts"]["reducing_count"] == 2
+    assert report["lattice"]["closure_ok"] is False
 
 
 def test_closure_check_fails_when_channels_do_not_partition(monkeypatch):
