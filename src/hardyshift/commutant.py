@@ -1,19 +1,23 @@
 """Commutants of truncated operators, computed as honest kernels.
 
-The commutant of A is the kernel of P -> AP - PA.  Vectorizing P row-major
-turns that into a sparse homogeneous system with one equation per matrix
-position, and ``linalg.kernel_basis`` solves it in either mode.  An
-unknown P[u][v] shares equations only with the unknowns P[u'][v'] that
-A's nonzeros reach from it; for T = M_{z^n} these lie in the same channel
-pair, on the same diagonal, so the system falls apart into many small
-blocks (208 blocks of at most 7 unknowns for the 784 unknowns at
-(m,n,K)=(2,2,7)).  For z^n every row says P[.][.] = P[.][.] or
-P[.][.] = 0, so in exact mode each block is a signed graph that
-``linalg`` decides without arithmetic; a custom symbol's blocks are
-mostly eliminated over Gaussian rationals.  Either way the exact
-commutant dimension is a theorem about the matrix, not a numerical
-estimate.  In float mode each block gets one small SVD behind the
-rank-ambiguity gate.
+The commutant of A is the kernel of P -> AP - PA.  When A is an exact 0/1
+partial permutation, A e_v = e_succ(v) or 0, as T = M_{z^n} and each of
+its channel restrictions are, no system is built: equation (a, b) reads
+P[pred a][b] = P[a][succ b], so the unknowns fall into chains
+(u, v) -> (succ u, succ v), and ``_chains`` reads the kernel off their
+ends in one walk with integer arrays.  Its vectors are exactly the ones
+``linalg.kernel_basis`` returns for the same system.  These are the
+paper's counts in coordinates: for z^n the surviving chains are the
+diagonals of the channel pairs, r^2 K of them, and the self-adjoint
+commutant has dimension r^2.
+
+Every other operator, and every operator in float mode, goes through a
+sparse homogeneous system with one equation per matrix position
+(``_commutation_rows``, unknowns P vectorized row-major), which
+``linalg.kernel_basis`` solves block by block.  A custom symbol's blocks
+are mostly eliminated over Gaussian rationals, so the exact commutant
+dimension is a theorem about the matrix, not a numerical estimate.  In
+float mode each block gets one small SVD behind the rank-ambiguity gate.
 
 The self-adjoint variant parametrizes Hermitian P = X + iY by a real
 symmetric X and a real antisymmetric Y.  Its rows are the real and
@@ -24,16 +28,17 @@ freedom, which is what decides how many reducing subspaces the truncated
 operator actually has.  ``linalg.nullity`` solves this realified system
 in place of the complex system for the commutant of {A, A*}, which has the
 same solutions but measured slower in exact mode (see
-``selfadjoint_commutant_dim``).
+``selfadjoint_commutant_dim``); a partial permutation needs neither.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
-from . import linalg
+from . import linalg, scalars
 from .decomposition import ChannelBasis
 from .errors import InvarianceError, ShapeError
 from .matrices import DenseMatrix, SparseMatrix, matrices_close
@@ -95,6 +100,80 @@ def _commutation_rows(A: DenseMatrix) -> list[dict]:
     return rows
 
 
+def _partial_permutation(A: DenseMatrix):
+    """``(succ, pred, height)`` when A is an exact square 0/1 partial
+    permutation, A e_v = e_succ[v] or 0, and None for any other A.
+
+    ``succ[v]`` and ``pred[u]`` are -1 where A has no entry in column v or
+    row u.  ``height[v]`` counts the steps v -> succ[v] -> ... before the
+    walk stops, and is d on a cycle of succ, where it never stops.  One
+    scan of A's nonzeros decides: any entry other than 1, or a second
+    entry in a row or a column, declines.
+    """
+    d = A.rows
+    if A.mode != "exact" or A.cols != d:
+        return None
+    one = scalars.one("exact")
+    succ, pred = [-1] * d, [-1] * d
+    for u, v, s in A.nonzero_items():
+        if (s is not one and s != one) or succ[v] >= 0 or pred[u] >= 0:
+            return None
+        succ[v], pred[u] = u, v
+    height = [d] * d
+    for v in range(d):
+        if succ[v] < 0:
+            h, u = 0, v
+            while u >= 0:
+                height[u] = h
+                h, u = h + 1, pred[u]
+    return succ, pred, height
+
+
+def _chains(succ: list[int], pred: list[int], height: list[int]):
+    """The chains of a 0/1 partial permutation's commutation system that
+    carry a kernel vector, each as its ascending list of (u, v) keys.
+
+    Equation (a, b) of AP = PA reads P[pred a][b] = P[a][succ b], a term
+    with index -1 dropped, so the unknowns fall into chains
+    (u, v) -> (succ u, succ v), and each chain's kernel is spanned by its
+    indicator unless a one-term equation zeroes it.  A chain that starts
+    at (u0, v0) escapes the one-term equation at its start exactly when
+    pred[v0] is -1, and the one at its end exactly when its last row index
+    has no successor, that is when height[u0] <= height[v0].
+    """
+    d = len(succ)
+    for v0 in range(d):
+        if pred[v0] < 0:
+            for u0 in range(d):
+                if height[u0] <= height[v0]:
+                    keys, u, v = [], u0, v0
+                    while u >= 0:
+                        keys.append((u, v))
+                        u, v = succ[u], succ[v]
+                    keys.sort()
+                    yield keys
+    yield from _closed_orbits(succ, height)
+
+
+def _closed_orbits(succ: list[int], height: list[int]):
+    """The orbits of (u, v) -> (succ u, succ v) with u and v on cycles of
+    succ, each as its ascending list of keys.  No equation of such an
+    orbit has a dropped term, so every one carries a kernel vector."""
+    d = len(succ)
+    cyclic = [v for v in range(d) if height[v] == d]
+    seen: set[tuple[int, int]] = set()
+    for u0 in cyclic:
+        for v0 in cyclic:
+            if (u0, v0) not in seen:
+                keys, u, v = [], u0, v0
+                while (u, v) not in seen:
+                    seen.add((u, v))
+                    keys.append((u, v))
+                    u, v = succ[u], succ[v]
+                keys.sort()
+                yield keys
+
+
 def commutant_basis(A: DenseMatrix, tol: float | None = None) -> CommutantBasis:
     """Basis of the commutant of A, canonical up to the elimination order.
 
@@ -104,6 +183,16 @@ def commutant_basis(A: DenseMatrix, tol: float | None = None) -> CommutantBasis:
     if A.rows != A.cols:
         raise ShapeError("commutant needs a square matrix")
     d = A.rows
+    shape = _partial_permutation(A)
+    if shape is not None:
+        # the vectors kernel_basis would return: one on the chain, its
+        # largest key (the free column) first, in ascending free-column order
+        one = scalars.one("exact")
+        chains = sorted(_chains(*shape), key=lambda keys: keys[-1])
+        return CommutantBasis(d, tuple(
+            SparseMatrix(dict.fromkeys([keys[-1], *keys[:-1]], one), d, d, "exact")
+            for keys in chains
+        ))
     vecs = linalg.kernel_basis(_commutation_rows(A), d * d, A.mode, tol)
     return CommutantBasis(d, tuple(
         SparseMatrix({divmod(k, d): s for k, s in vec.items()}, d, d, A.mode) for vec in vecs
@@ -179,9 +268,26 @@ def selfadjoint_commutant_dim(A: DenseMatrix, tol: float | None = None) -> int:
     (m,n,K)=(2,2,12) and for the benchmark's 2x2 symbol at d=16 (best of
     seven, one Xeon core).  In float mode it was slightly faster (0.85 to
     0.9 times at (2,2,7)), not enough to keep a second path for.
+
+    An exact 0/1 partial permutation needs no system: by ``_chains``, P is
+    a combination of the indicators 1_C of the surviving chains, and P* of
+    the indicators of their transposes, so the self-adjoint commutant is
+    spanned by 1_C where C = C^T and by 1_C + 1_C^T and i(1_C - 1_C^T) for
+    each pair with C != C^T that both survive.  Its real dimension counts
+    the surviving C whose transpose survives too.  The transpose of the
+    open chain from (u0, v0) starts at (v0, u0), so both survive exactly
+    when u0 and v0 have no predecessor and equal heights; a closed orbit's
+    transpose is closed.  That is sum over h of (heads of height h)^2,
+    plus the number of closed orbits.
     """
     if A.rows != A.cols:
         raise ShapeError("commutant needs a square matrix")
+    shape = _partial_permutation(A)
+    if shape is not None:
+        succ, pred, height = shape
+        heads = Counter(height[v] for v in range(A.rows) if pred[v] < 0)
+        closed = sum(1 for _ in _closed_orbits(succ, height))
+        return sum(count * count for count in heads.values()) + closed
     return linalg.nullity(_selfadjoint_rows(A), A.rows * A.rows, A.mode, tol)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .matrices import DenseMatrix, direct_sum
 from .operators import power_symbol, scalar_shift
-from .scalars import Mode, one, scalars_close, zero
+from .scalars import Mode, one, scalar_is_zero, scalars_close, zero
 from .space import TruncationParams, flat_index
 
 
@@ -145,10 +145,11 @@ def verify_equivalence(
 
     The intertwiner is unitary exactly when its channel order is a
     permutation of the flat indices, and its conjugation of the operator is
-    read entry by entry through that order: entry (a, b) must be one where
-    b = a - 1 within a channel's block of K coordinates and zero elsewhere,
-    the entries of ``decomposed_shift``.  In exact mode the comparison is a
-    zero-tolerance equality; in float mode it is entrywise within tol.  A
+    read through that order: entry (a, b) must be one where b = a - 1
+    within a channel's block of K coordinates and zero elsewhere, the
+    entries of ``decomposed_shift``.  In exact mode the comparison is a
+    zero-tolerance equality; in float mode it is entrywise within tol.  An
+    order that is no permutation does not intertwine either.  A
     caller that has already built ``power_symbol(params, mode)`` passes it
     as ``operator`` instead of having it built again.
     """
@@ -158,15 +159,36 @@ def verify_equivalence(
         raise ShapeError(f"operator is {operator.shape} but the model has d={params.d}")
     order = channel_order(params)
     unitary = sorted(order) == list(range(params.d))
-    T = operator.entries
-    o, z = one(mode), zero(mode)
-    intertwines = all(
-        scalars_close(T[f][order[b]], o if b == a - 1 and a % params.K else z, tol)
-        for a, f in enumerate(order)
-        for b in range(params.d)
-    )
+    intertwines = unitary and _relabels_to_shift_blocks(operator, order, params, mode, tol)
     return EquivalenceReport(
         unitary=unitary,
         intertwines=intertwines,
         channel_bases=all_channel_bases(params),
     )
+
+
+def _relabels_to_shift_blocks(
+    T: DenseMatrix, order: tuple[int, ...], params: TruncationParams, mode: Mode,
+    tol: float | None,
+) -> bool:
+    """True when T[order[a]][order[b]] is one at the d - r positions with
+    b = a - 1 and a % K != 0 and zero elsewhere, for a permutation ``order``.
+
+    One scan of T's nonzeros: each must sit at such a position and be one,
+    or else be zero within tol, and every position must have been seen,
+    unless a missing entry, zero, is itself within tol of one.
+    """
+    inv = [0] * params.d
+    for a, f in enumerate(order):
+        inv[f] = a
+    o, K = one(mode), params.K
+    seen = 0
+    for f, g, s in T.nonzero_items():
+        a, b = inv[f], inv[g]
+        if b == a - 1 and a % K:
+            if not scalars_close(s, o, tol):
+                return False
+            seen += 1
+        elif not scalar_is_zero(s, tol):
+            return False
+    return seen == params.d - params.r or scalars_close(zero(mode), o, tol)

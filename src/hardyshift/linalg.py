@@ -18,11 +18,13 @@ block, in one place:
   ``nullity`` skips the singular vectors.
 - exact mode, a signed block: every row holds one entry, or two entries
   a and b with b = a or b = -a, so it says x_i = 0, x_i = -x_j or
-  x_i = x_j.  Every commutation row of z^n and every row of its realified
-  self-adjoint system has this shape, because T_{z^n} is a sum of shifts.
-  Union-find with parity (``_signed_kernel``) decides the block without
-  arithmetic: a one-entry row or a cycle whose signs disagree leaves only
-  zero, and otherwise the kernel is one signed indicator vector.
+  x_i = x_j.  The commutation rows of an operator with at most one
+  nonzero per row and column have this shape where those nonzeros are
+  equal up to sign.  Union-find with parity (``_signed_kernel``) decides
+  the block without arithmetic: a one-entry row or a cycle whose signs
+  disagree leaves only zero, and otherwise the kernel is one signed
+  indicator vector.  T_{z^n} never gets here: ``commutant`` solves 0/1
+  partial permutations by walking their chains, without building rows.
 - exact mode, any other block: sparse Gauss-Jordan elimination (``rref``)
   over any exact field (Fraction and GaussianRational both qualify).
 
@@ -232,6 +234,11 @@ def _solve(rows: list[dict], ncols: int, mode: Mode, tol, vectors: bool):
     if mode == "float" and (tol is None or tol <= 0):
         raise ValueError("float-mode solves require a positive tol")
     one = scalars.one(mode)
+    if mode == "exact":
+        # the kernel of an exact system lives in the field of its rows
+        field = next((type(c) for row in rows for c in row.values()), type(one))
+        if field is not type(one):
+            one = field(1)
     minus_one = -one
     negs: dict = {}
     uncounted = 0  # kernel dimensions of float blocks solved without vectors
@@ -288,10 +295,11 @@ def kernel_basis(
     """Basis of the kernel of a sparse homogeneous system as sparse
     ``{column: scalar}`` vectors.
 
-    Exact vectors have ``scalars.one(mode)`` at their free column and come
-    in ascending free-column order: each block's reduced echelon form is
-    the one a single elimination of the whole system reaches, whichever
-    solver the block took.  Float vectors are each block's SVD kernel,
+    Exact vectors have the one of the rows' field at their free column
+    (the shared ``scalars.one(mode)`` for Gaussian rationals, ``Fraction(1)``
+    for a Fraction system) and come in ascending free-column order: each
+    block's reduced echelon form is the one a single elimination of the
+    whole system reaches, whichever solver the block took.  Float vectors are each block's SVD kernel,
     echelonized in the block's columns, in pivot-column order: the echelon
     basis of the whole kernel, deterministic up to the SVD backend.
     """

@@ -8,6 +8,7 @@ instead of exact elimination) so agreement is evidence, not tautology.
 from fractions import Fraction
 
 from hardyshift import GaussianRational, TruncationParams, vector_of
+from hardyshift.scalars import one, scalars_close, zero
 from hardyshift.space import flat_index, unflat_index
 
 SWEEP = [
@@ -109,3 +110,15 @@ def span_rank(mats):
 def in_span(mats, candidate):
     """True when candidate lies in the linear span of mats (exact)."""
     return span_rank(list(mats)) == span_rank(list(mats) + [candidate])
+
+
+def intertwines_reference(T, order, params, mode, tol=None):
+    """``verify_equivalence``'s intertwining test as a dense scan: every one
+    of the d^2 relabelled entries T[order[a]][order[b]] against the entry
+    of ``decomposed_shift``, one where b = a - 1 inside a block, else zero."""
+    o, z = one(mode), zero(mode)
+    return all(
+        scalars_close(T.entries[f][order[b]], o if b == a - 1 and a % params.K else z, tol)
+        for a, f in enumerate(order)
+        for b in range(params.d)
+    )

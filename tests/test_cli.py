@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hardyshift import linalg
+from hardyshift import commutant, linalg
 from hardyshift.cli import main
 from hardyshift.matrices import SparseMatrix
 
@@ -336,11 +336,26 @@ def test_full_report_deterministic_bytes(tmp_path):
 
 @pytest.mark.parametrize("m,n,K", [(2, 2, 3), (3, 2, 2)])
 def test_power_full_report_needs_no_elimination(tmp_path, monkeypatch, m, n, K):
-    # every block of a z^n system is a signed graph, so rref never runs
+    # no solve on the z^n path reaches rref
     def refuse(rows, ncols):
         raise AssertionError("rref called on the z^n path")
 
     monkeypatch.setattr(linalg, "rref", refuse)
+    code, rep = run_cli_json(
+        tmp_path, "full-report", "--m", str(m), "--n", str(n), "--blocks", str(K)
+    )
+    assert code == 0
+    assert rep["passed"] is True
+
+
+@pytest.mark.parametrize("m,n,K", [(2, 2, 3), (3, 2, 2)])
+def test_power_full_report_builds_no_commutation_rows(tmp_path, monkeypatch, m, n, K):
+    # z^n and its channel restrictions are 0/1 partial permutations, whose
+    # commutants are read off their chains without a linear system
+    def refuse(A):
+        raise AssertionError("commutation rows built on the z^n path")
+
+    monkeypatch.setattr(commutant, "_commutation_rows", refuse)
     code, rep = run_cli_json(
         tmp_path, "full-report", "--m", str(m), "--n", str(n), "--blocks", str(K)
     )
@@ -375,6 +390,8 @@ def test_signed_solver_reports_match_elimination(tmp_path, monkeypatch, argv):
     shipped = tmp_path / "shipped.json"
     eliminated = tmp_path / "eliminated.json"
     assert main([*argv, "--out", str(shipped)]) == 0
+    # the eliminated run solves the commutation rows by rref alone
+    monkeypatch.setattr(commutant, "_partial_permutation", lambda A: None)
     monkeypatch.setattr(linalg, "_signed_kernel", lambda block, width, negs: None)
     assert main([*argv, "--out", str(eliminated)]) == 0
     assert shipped.read_bytes() == eliminated.read_bytes()

@@ -20,12 +20,20 @@ from hardyshift import (
     is_block_lower_toeplitz,
     is_lower_toeplitz,
     is_projection,
+    linalg,
     power_symbol,
     restrict,
     scalar_shift,
+    scalars,
     selfadjoint_commutant_dim,
 )
-from hardyshift.commutant import _selfadjoint_rows, _sym_var_ids, toeplitz_break
+from hardyshift.commutant import (
+    _commutation_rows,
+    _partial_permutation,
+    _selfadjoint_rows,
+    _sym_var_ids,
+    toeplitz_break,
+)
 from hardyshift.decomposition import channel_order
 from hardyshift.errors import InvarianceError, ShapeError
 from hardyshift.matrices import SparseMatrix
@@ -487,3 +495,80 @@ def test_selfadjoint_rows_of_the_benchmark_symbol(mode):
     A = toeplitz_matrix(symbol, TruncationParams(2, 1, 8))
     assert_rows_match_reference(A)
     assert selfadjoint_commutant_dim(A, 1e-9 if mode == "float" else None) == 1
+
+
+@st.composite
+def partial_permutations(draw):
+    """An exact 0/1 matrix with A e_v = e_succ(v) or 0: its indices split
+    into open chains of mixed lengths (a chain of one index leaves its row
+    and its column empty) and cycles (a cycle of one is a fixed point),
+    labelled by a random permutation."""
+    pieces = draw(st.lists(
+        st.tuples(st.sampled_from(["chain", "cycle"]), st.integers(1, 4)),
+        min_size=1, max_size=4,
+    ))
+    d = sum(length for _, length in pieces)
+    label = draw(st.permutations(range(d)))
+    grid = [[0] * d for _ in range(d)]
+    start = 0
+    for kind, length in pieces:
+        path = [label[start + i] for i in range(length)]
+        start += length
+        for v, u in zip(path, path[1:] + path[:1] if kind == "cycle" else path[1:]):
+            grid[u][v] = 1
+    return DenseMatrix(grid, "exact")
+
+
+def assert_matches_the_commutation_system(A, tol=None):
+    """The commutant basis and the self-adjoint dimension against the
+    kernel and the nullity of the commutation systems, in value, repr and
+    order."""
+    d = A.rows
+    reference = [
+        {divmod(k, d): s for k, s in vec.items()}
+        for vec in linalg.kernel_basis(_commutation_rows(A), d * d, A.mode, tol)
+    ]
+    found = [P.entries for P in commutant_basis(A, tol).elements]
+    assert [list(P.items()) for P in found] == [list(P.items()) for P in reference]
+    assert repr(found) == repr(reference)
+    assert selfadjoint_commutant_dim(A, tol) == linalg.nullity(
+        _selfadjoint_rows(A), d * d, A.mode, tol
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(partial_permutations())
+def test_chain_path_matches_the_commutation_system(A):
+    assert _partial_permutation(A) is not None
+    assert_matches_the_commutation_system(A)
+    # the Lemma-3 audit's identity shortcut relies on the shared one
+    assert all(
+        s is scalars.one("exact") for P in commutant_basis(A).elements for s in P.entries.values()
+    )
+
+
+@pytest.mark.parametrize("m,n,K", [(1, 1, 1), (2, 2, 3), (3, 2, 2), (2, 3, 4)])
+def test_chain_path_matches_the_commutation_system_for_powers(m, n, K):
+    T = power_symbol(TruncationParams(m, n, K))
+    assert _partial_permutation(T) is not None
+    assert_matches_the_commutation_system(T)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [(4, 0, 2), (4, 0, -1), (4, 8, 1), (0, 0, 1), "float"],
+    ids=["two", "minus-one", "second-in-row", "second-in-column", "float"],
+)
+def test_other_operators_decline_the_chain_path(change):
+    # z^2 on C^2 at K = 3: T[u][v] = 1 where u = v + 4, so rows 0-3 and
+    # columns 8-11 are empty
+    params = TruncationParams(2, 2, 3)
+    if change == "float":
+        A, tol = power_symbol(params, "float"), 1e-9
+    else:
+        u, v, value = change
+        rows = [list(r) for r in power_symbol(params).entries]
+        rows[u][v] = GaussianRational(value)
+        A, tol = DenseMatrix(rows), None
+    assert _partial_permutation(A) is None
+    assert_matches_the_commutation_system(A, tol)

@@ -1,6 +1,7 @@
 import pytest
 
 from hardyshift import (
+    GaussianRational,
     TruncationParams,
     all_channel_bases,
     build_intertwiner,
@@ -16,7 +17,7 @@ from hardyshift.decomposition import channel_order, decomposed_shift
 from hardyshift.errors import ShapeError
 from hardyshift.matrices import DenseMatrix, is_permutation
 
-from helpers import SMALL_SWEEP, SWEEP
+from helpers import SMALL_SWEEP, SWEEP, intertwines_reference
 
 
 def test_channel_labels_and_ordinals():
@@ -149,6 +150,44 @@ def test_verify_equivalence_can_fail(monkeypatch):
     monkeypatch.setattr(decomposition, "channel_order", lambda params: (0, 0, 2, 3))
     rep = verify_equivalence(p)
     assert not rep.unitary and not rep.ok
+
+
+TOL = 1e-6
+
+
+@pytest.mark.parametrize("params", [TruncationParams(1, 2, 2), TruncationParams(2, 2, 3)])
+@pytest.mark.parametrize(
+    "mode,u,v,value,tol,expected",
+    [
+        ("exact", None, None, None, None, True),
+        ("exact", 0, 0, 1, None, False),  # an extra entry off the shift
+        ("exact", "s", 0, 0, None, False),  # a shift entry missing
+        ("exact", "s", 0, 2, None, False),  # a shift entry set to 2
+        ("float", None, None, None, TOL, True),
+        ("float", "s", 0, 1 + 0.9 * TOL, TOL, True),
+        ("float", "s", 0, 1 + 1.1 * TOL, TOL, False),
+        ("float", 0, 0, 0.9 * TOL, TOL, True),
+        ("float", 0, 0, 1.1 * TOL, TOL, False),
+        ("float", "s", 0, 0, TOL, False),
+        ("float", "s", 0, 0, 2.0, True),  # a missing one is within this tol
+    ],
+    ids=[
+        "exact-unchanged", "exact-extra", "exact-missing", "exact-two",
+        "float-unchanged", "float-shift-inside", "float-shift-outside",
+        "float-extra-inside", "float-extra-outside", "float-missing",
+        "float-missing-wide-tol",
+    ],
+)
+def test_nonzero_scan_matches_the_dense_scan(params, mode, u, v, value, tol, expected):
+    T = power_symbol(params, mode)
+    if u is not None:
+        u = params.r if u == "s" else u  # T e_0 = e_r, the first shift entry
+        rows = [list(r) for r in T.entries]
+        rows[u][v] = value if mode == "float" else GaussianRational(value)
+        T = DenseMatrix(rows, mode)
+    rep = verify_equivalence(params, mode, tol, operator=T)
+    assert rep.intertwines is expected
+    assert intertwines_reference(T, channel_order(params), params, mode, tol) is expected
 
 
 @pytest.mark.parametrize("K", [4, 2], ids=["16x16", "8x8"])

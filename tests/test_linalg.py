@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hardyshift import GaussianRational, TruncationParams, linalg, power_symbol
@@ -157,6 +157,17 @@ def _check_against_rref(rows, ncols):
     # same scalar types and entry order, so reports built from it match
     assert repr(kernel) == repr(reference)
     assert ncols - nullity(rows, ncols, "exact") == len(rref(rows, ncols)[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(planted_systems().map(lambda s: s[:2]), signed_systems("fraction")))
+def test_fraction_kernel_stays_in_the_fractions(system):
+    # a system with no rows names no field
+    rows, ncols = system
+    assume(rows)
+    kernel = kernel_basis(rows, ncols, "exact")
+    assert all(type(s) is Fraction for vec in kernel for s in vec.values())
+    assert repr(kernel) == repr(whole_system_kernel_exact(rows, ncols, Fraction(1)))
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
