@@ -14,7 +14,6 @@ from .commutant import (
     commutant_basis,
     is_block_lower_toeplitz,
     is_lower_toeplitz,
-    is_projection,
     restrict,
     selfadjoint_commutant_dim,
 )
@@ -23,12 +22,10 @@ from .decomposition import (
     ChannelBasis,
     EquivalenceReport,
     all_channel_bases,
-    build_intertwiner,
     channel,
     channel_basis,
     channel_order,
     channels,
-    decomposed_shift,
     partition_check,
     verify_equivalence,
 )
@@ -50,18 +47,14 @@ from .lattice import (
     enumerate_lattice,
     lattice_closure_check,
     mask_is_reducing,
-    mask_projection,
 )
 from .matrices import (
     DenseMatrix,
-    commutator,
-    direct_sum,
-    is_permutation,
+    SparseMatrix,
     matrices_close,
 )
 from .operators import (
     MatrixSymbol,
-    apply,
     monomial_symbol,
     power_symbol,
     scalar_shift,
@@ -106,11 +99,10 @@ __all__ = [
     "Mode",
     "RankAmbiguityError",
     "ShapeError",
+    "SparseMatrix",
     "TruncationParams",
     "all_channel_bases",
-    "apply",
     "basis_vector",
-    "build_intertwiner",
     "channel",
     "channel_basis",
     "channel_edges",
@@ -118,19 +110,13 @@ __all__ = [
     "channels",
     "check_minimal",
     "commutant_basis",
-    "commutator",
-    "decomposed_shift",
-    "direct_sum",
     "enumerate_lattice",
     "flat_index",
     "inner_product",
     "is_block_lower_toeplitz",
     "is_lower_toeplitz",
-    "is_permutation",
-    "is_projection",
     "lattice_closure_check",
     "mask_is_reducing",
-    "mask_projection",
     "matrices_close",
     "monomial_symbol",
     "norm",

@@ -324,13 +324,14 @@ def execute(cfg: RunConfig) -> tuple[dict, dict]:
 
     if cfg.command == "build":
         operator, is_power = _operator(cfg, params)
+        dense = operator.to_dense()
         report["build"] = {
             "operator": "power" if is_power else "symbol",
-            "rows": operator.rows,
-            "cols": operator.cols,
-            "nnz": operator.nnz(),
-            "rank": operator.rank(cfg.tol),
-            "matrix": _matrix_json(operator),
+            "rows": dense.rows,
+            "cols": dense.cols,
+            "nnz": dense.nnz(),
+            "rank": dense.rank(cfg.tol),
+            "matrix": _matrix_json(dense),
         }
     elif cfg.command == "verify-equivalence":
         section, eq_checks = _equivalence_section(cfg, params)

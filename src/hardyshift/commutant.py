@@ -41,7 +41,7 @@ from typing import Sequence, Union
 from . import linalg, scalars
 from .decomposition import ChannelBasis
 from .errors import InvarianceError, ShapeError
-from .matrices import DenseMatrix, SparseMatrix, matrices_close
+from .matrices import DenseMatrix, SparseMatrix
 from .scalars import scalar_is_zero, scalars_close, zero
 
 
@@ -72,7 +72,7 @@ def _add(row: dict, key: int, coeff) -> None:
         del row[key]
 
 
-def _commutation_rows(A: DenseMatrix) -> list[dict]:
+def _commutation_rows(A: DenseMatrix | SparseMatrix) -> list[dict]:
     # Equation for position (a, b): sum_w A[a][w] P[w][b] - P[a][w] A[w][b] = 0,
     # unknowns P vectorized as (u, v) -> u*d + v.
     # Each nonzero of A is negated here, not once per equation, and in
@@ -100,7 +100,7 @@ def _commutation_rows(A: DenseMatrix) -> list[dict]:
     return rows
 
 
-def _partial_permutation(A: DenseMatrix):
+def _partial_permutation(A: DenseMatrix | SparseMatrix):
     """``(succ, pred, height)`` when A is an exact square 0/1 partial
     permutation, A e_v = e_succ[v] or 0, and None for any other A.
 
@@ -174,7 +174,7 @@ def _closed_orbits(succ: list[int], height: list[int]):
                 yield keys
 
 
-def commutant_basis(A: DenseMatrix, tol: float | None = None) -> CommutantBasis:
+def commutant_basis(A: DenseMatrix | SparseMatrix, tol: float | None = None) -> CommutantBasis:
     """Basis of the commutant of A, canonical up to the elimination order.
 
     Exact mode needs no tol; float mode requires one and may raise
@@ -209,7 +209,7 @@ def _sym_var_ids(d: int):
     return xid, yid
 
 
-def _selfadjoint_rows(A: DenseMatrix) -> list[dict]:
+def _selfadjoint_rows(A: DenseMatrix | SparseMatrix) -> list[dict]:
     """Realified system for AP = PA with P Hermitian: the real and
     imaginary parts of the commutation rows.
 
@@ -256,7 +256,7 @@ def _selfadjoint_rows(A: DenseMatrix) -> list[dict]:
     return rows
 
 
-def selfadjoint_commutant_dim(A: DenseMatrix, tol: float | None = None) -> int:
+def selfadjoint_commutant_dim(A: DenseMatrix | SparseMatrix, tol: float | None = None) -> int:
     """Real dimension of {P = P* : AP = PA}.
 
     This equals the complex commutant dimension when A is diagonalizable
@@ -364,24 +364,19 @@ def toeplitz_break(
     return None
 
 
-def is_projection(P: DenseMatrix, tol: float | None = None) -> bool:
-    """True when P is self-adjoint and idempotent (within tol in float mode)."""
-    if P.rows != P.cols:
-        return False
-    return matrices_close(P, P.adjoint(), tol) and matrices_close(P @ P, P, tol)
-
-
 def restrict(
-    A: DenseMatrix,
+    A: DenseMatrix | SparseMatrix,
     basis: Union[ChannelBasis, Sequence[int]],
     tol: float | None = None,
-) -> DenseMatrix:
+) -> SparseMatrix:
     """Compression of A to the span of the given flat coordinates, after
     verifying that A maps that span into itself.
 
     Raises InvarianceError when a column of A leaks outside the span, since
     a restriction to a non-invariant coordinate subspace would silently
-    change the operator.
+    change the operator.  The leak named is the first in ``indices`` order
+    of columns, then the lowest row.  One scan of A's nonzeros decides
+    both; entry (a, b) of the result is A[indices[a]][indices[b]].
     """
     if isinstance(basis, ChannelBasis):
         indices = basis.flat_indices
@@ -394,13 +389,21 @@ def restrict(
     for f in indices:
         if not 0 <= f < A.cols:
             raise IndexError(f"flat index {f} out of range 0..{A.cols - 1}")
-    index_set = set(indices)
-    for v in indices:
-        for u in range(A.rows):
-            if u not in index_set and not scalar_is_zero(A.entries[u][v], tol):
-                raise InvarianceError(
-                    f"column {v} has a component at row {u} outside the subspace"
-                )
-    return DenseMatrix._raw(
-        tuple(tuple(A.entries[u][v] for v in indices) for u in indices), A.mode
-    )
+    position = {f: a for a, f in enumerate(indices)}
+    entries = {}
+    leak = None
+    for u, v, s in A.nonzero_items():
+        b = position.get(v)
+        if b is None:
+            continue
+        a = position.get(u)
+        if a is not None:
+            entries[(a, b)] = s
+        elif not scalar_is_zero(s, tol) and (leak is None or (b, u) < leak):
+            leak = (b, u)
+    if leak is not None:
+        b, u = leak
+        raise InvarianceError(
+            f"column {indices[b]} has a component at row {u} outside the subspace"
+        )
+    return SparseMatrix(entries, len(indices), len(indices), A.mode)

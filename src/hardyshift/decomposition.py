@@ -5,15 +5,15 @@ component i and residue j collects the basis vectors e_i z^{n k + j}.  The
 channels partition the basis, each is invariant under the operator and under
 its adjoint, and relabeling the k-th channel vector as the k-th coordinate
 of a scalar model space turns the operator into a plain shift block.  The
-permutation matrix realizing that relabeling is the intertwiner built here;
+permutation matrix X realizing that relabeling is the intertwiner;
 conjugating by it exhibits the operator as a direct sum of m*n scalar shift
 blocks of size K.
 
 Because the intertwiner is a permutation, conjugating by it is only a
-relabeling of indices: ``channel_order`` lists, for each column of the
-intertwiner, the flat row holding its 1, and (X* P X)[a][b] is
-P[order[a]][order[b]].  The checks here and downstream read matrices
-through that order instead of forming the products.
+relabeling of indices: ``channel_order`` lists, for each column of X, the
+flat row holding its 1, and (X* P X)[a][b] is P[order[a]][order[b]].  The
+checks here and downstream read matrices through that order, so neither X
+nor any product with it is ever formed.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .matrices import DenseMatrix, direct_sum
-from .operators import power_symbol, scalar_shift
+from .matrices import DenseMatrix, SparseMatrix
+from .operators import power_symbol
 from .scalars import Mode, one, scalar_is_zero, scalars_close, zero
 from .space import TruncationParams, flat_index
 
@@ -100,29 +100,6 @@ def channel_order(params: TruncationParams) -> tuple[int, ...]:
     return tuple(f for cb in all_channel_bases(params) for f in cb.flat_indices)
 
 
-def build_intertwiner(params: TruncationParams, mode: Mode = "exact") -> DenseMatrix:
-    """Unitary (permutation) matrix sending the k-th coordinate of channel c
-    to the channel's k-th basis vector.
-
-    Column a has its single 1 in row ``channel_order(params)[a]``, so the
-    adjoint conjugation of the power operator lands on the direct sum of
-    scalar shift blocks.
-    """
-    d = params.d
-    z, o = zero(mode), one(mode)
-    grid = [[z] * d for _ in range(d)]
-    for a, f in enumerate(channel_order(params)):
-        grid[f][a] = o
-    return DenseMatrix(grid, mode)
-
-
-def decomposed_shift(params: TruncationParams, mode: Mode = "exact") -> DenseMatrix:
-    """Direct sum of r = m*n scalar shift blocks of size K, the normal form
-    the intertwiner conjugation must reach."""
-    block = scalar_shift(params.K, mode)
-    return direct_sum([block] * params.r)
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     unitary: bool
@@ -138,7 +115,7 @@ def verify_equivalence(
     params: TruncationParams,
     mode: Mode = "exact",
     tol: float | None = None,
-    operator: DenseMatrix | None = None,
+    operator: DenseMatrix | SparseMatrix | None = None,
 ) -> EquivalenceReport:
     """Check that the intertwiner is unitary and conjugates the truncated
     power operator onto the direct sum of shift blocks.
@@ -147,11 +124,13 @@ def verify_equivalence(
     permutation of the flat indices, and its conjugation of the operator is
     read through that order: entry (a, b) must be one where b = a - 1
     within a channel's block of K coordinates and zero elsewhere, the
-    entries of ``decomposed_shift``.  In exact mode the comparison is a
-    zero-tolerance equality; in float mode it is entrywise within tol.  An
-    order that is no permutation does not intertwine either.  A
-    caller that has already built ``power_symbol(params, mode)`` passes it
-    as ``operator`` instead of having it built again.
+    entries of the direct sum of r shift blocks of size K.  In exact mode
+    the comparison is a zero-tolerance equality; in float mode it is
+    entrywise within tol.  An order that is no permutation does not
+    intertwine either.  The scan visits only the operator's stored
+    nonzeros, d - r of them for the ``SparseMatrix`` that ``power_symbol``
+    builds.  A caller that has already built ``power_symbol(params, mode)``
+    passes it as ``operator`` instead of having it built again.
     """
     if operator is None:
         operator = power_symbol(params, mode)
@@ -168,7 +147,7 @@ def verify_equivalence(
 
 
 def _relabels_to_shift_blocks(
-    T: DenseMatrix, order: tuple[int, ...], params: TruncationParams, mode: Mode,
+    T: DenseMatrix | SparseMatrix, order: tuple[int, ...], params: TruncationParams, mode: Mode,
     tol: float | None,
 ) -> bool:
     """True when T[order[a]][order[b]] is one at the d - r positions with

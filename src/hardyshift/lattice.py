@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from .commutant import restrict, selfadjoint_commutant_dim
 from .decomposition import (
     Channel,
-    all_channel_bases,
     channel_basis,
     channel_order,
     channels,
@@ -34,7 +33,7 @@ from .decomposition import (
 )
 from .errors import CapError, ShapeError
 from .linalg import components
-from .matrices import DenseMatrix
+from .matrices import DenseMatrix, SparseMatrix
 from .operators import power_symbol
 from .scalars import Mode, scalar_is_zero
 from .space import TruncationParams
@@ -104,28 +103,12 @@ class LatticeReport:
     channel_components: int  # of the graph of ``channel_edges``
 
 
-def mask_projection(
-    mask: ChannelMask, params: TruncationParams, mode: Mode = "exact"
-) -> DenseMatrix:
-    """Diagonal 0/1 projection onto the union of the selected channels."""
-    if len(mask.bits) != params.r:
-        raise ShapeError(
-            f"mask has {len(mask.bits)} bits but the model has {params.r} channels"
-        )
-    diag = [0] * params.d
-    for cb, bit in zip(all_channel_bases(params), mask.bits):
-        if bit:
-            for f in cb.flat_indices:
-                diag[f] = 1
-    return DenseMatrix.diagonal(diag, mode)
-
-
 def check_minimal(
     ch: Channel,
     params: TruncationParams,
     mode: Mode = "exact",
     tol: float | None = None,
-    operator: DenseMatrix | None = None,
+    operator: DenseMatrix | SparseMatrix | None = None,
 ) -> ChannelMinimality:
     """Certify one channel minimal: restrict the power operator to it and
     show the restricted self-adjoint commutant is one-dimensional.  A
@@ -146,7 +129,7 @@ def check_minimal(
 
 
 def channel_edges(
-    T: DenseMatrix, params: TruncationParams, tol: float | None = None
+    T: DenseMatrix | SparseMatrix, params: TruncationParams, tol: float | None = None
 ) -> frozenset[tuple[int, int]]:
     """Pairs (a, b) of distinct channel ordinals such that T[u][v] is
     nonzero (beyond tol in float mode) for some u in channel a and v in
@@ -192,7 +175,7 @@ def enumerate_lattice(
     sample: int | None = None,
     seed: int = 0,
     full_selfadjoint_dim: int | None = None,
-    operator: DenseMatrix | None = None,
+    operator: DenseMatrix | SparseMatrix | None = None,
 ) -> LatticeReport:
     """Verify the channel-union lattice of the truncated power operator.
 

@@ -1,12 +1,15 @@
 """Dense and sparse matrices over exact or floating scalars.
 
-``DenseMatrix`` stores tuples of tuples, treated as immutable.  The
-operators reach a few hundred rows (d = 240 for a full report at
-(m,n,K)=(2,2,60)), where a commutant basis element has at most K nonzeros:
-it is a ``SparseMatrix`` of those, made dense only on request, and the
-solvers work on sparse rows too (see ``commutant`` and ``linalg``).
-Products skip zero entries of the left factor, which makes multiplication
-by shifts, projections and permutations (the common case here)
+``DenseMatrix`` stores tuples of tuples, treated as immutable.
+``SparseMatrix`` stores only its nonzero entries, and it is the type of
+every operator the pipeline reads: a truncated Toeplitz operator (see
+``operators``), its compression to a channel (``commutant.restrict``) and
+each commutant basis element.  T = M_{z^n} at (m,n,K)=(2,2,60) has
+d - m*n = 236 nonzeros out of d^2 = 57600 entries, and the pipeline's
+scans (``nonzero_items``) visit only those.  ``to_dense`` builds the dense
+view on request, for a report that prints the matrix, a rank, or a
+product.  ``DenseMatrix`` products skip zero entries of the left factor,
+which makes multiplication by shifts, projections and permutations
 effectively linear in the number of nonzeros.
 """
 
@@ -248,37 +251,28 @@ class SparseMatrix:
     cols: int
     mode: Mode
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def nonzero_items(self) -> Iterator[tuple[int, int, Scalar]]:
+        """The stored nonzero entries in row-major order, the order of
+        ``DenseMatrix.nonzero_items``."""
+        entries = self.entries
+        for key in sorted(entries):
+            s = entries[key]
+            if s:
+                yield (*key, s)
+
+    def nnz(self) -> int:
+        return sum(1 for s in self.entries.values() if s)
+
     def to_dense(self) -> DenseMatrix:
         z = zero(self.mode)
         grid = [[z] * self.cols for _ in range(self.rows)]
         for (u, v), s in self.entries.items():
             grid[u][v] = s
         return DenseMatrix._raw(tuple(map(tuple, grid)), self.mode)
-
-
-def direct_sum(blocks: Sequence[DenseMatrix]) -> DenseMatrix:
-    if not blocks:
-        raise ShapeError("direct_sum needs at least one block")
-    mode = blocks[0].mode
-    if any(b.mode != mode for b in blocks):
-        raise TypeError("direct_sum blocks must share a mode")
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    z = zero(mode)
-    grid = [[z] * cols for _ in range(rows)]
-    roff = coff = 0
-    for b in blocks:
-        for u in range(b.rows):
-            row = grid[roff + u]
-            for v in range(b.cols):
-                row[coff + v] = b.entries[u][v]
-        roff += b.rows
-        coff += b.cols
-    return DenseMatrix._raw(tuple(tuple(r) for r in grid), mode)
-
-
-def commutator(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    return a @ b - b @ a
 
 
 def matrices_close(a: DenseMatrix, b: DenseMatrix, tol: float | None = None) -> bool:
@@ -289,23 +283,3 @@ def matrices_close(a: DenseMatrix, b: DenseMatrix, tol: float | None = None) -> 
         for ra, rb in zip(a.entries, b.entries)
         for x, y in zip(ra, rb)
     )
-
-
-def is_permutation(m: DenseMatrix, tol: float | None = None) -> bool:
-    """True when every entry is 0 or 1 (within tol in float mode) with
-    exactly one 1 in each row and column."""
-    if m.rows != m.cols:
-        return False
-    o = one(m.mode)
-    col_hits = [0] * m.cols
-    for row in m.entries:
-        row_hits = 0
-        for v, s in enumerate(row):
-            if scalars_close(s, o, tol):
-                row_hits += 1
-                col_hits[v] += 1
-            elif not scalar_is_zero(s, tol):
-                return False
-        if row_hits != 1:
-            return False
-    return all(c == 1 for c in col_hits)

@@ -5,6 +5,12 @@ coefficient vectors; products are compressed back into the truncated space
 by dropping every coefficient of degree N and above.  The truncated shift is
 therefore nilpotent, and identities that only move coefficients within the
 retained degree range hold exactly.
+
+Every builder here returns a ``SparseMatrix`` holding only the operator's
+nonzero entries: ``power_symbol`` has d - m*n of them, which is all the
+pipeline reads.  Identities stated between dense matrices, such as
+``power_symbol`` coinciding with ``vector_shift ** n``, hold between their
+``to_dense()`` views.
 """
 
 from __future__ import annotations
@@ -12,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .matrices import DenseMatrix
+from .matrices import DenseMatrix, SparseMatrix
 from .scalars import Mode, scalar_from_json, scalar_to_json, zero
-from .space import CoeffVector, TruncationParams, flat_index
+from .space import TruncationParams
 
 
 @dataclass(frozen=True)
@@ -64,13 +70,17 @@ def monomial_symbol(m: int, t: int, mode: Mode = "exact") -> MatrixSymbol:
 
 def toeplitz_matrix(
     symbol: MatrixSymbol, params: TruncationParams, mode: Mode | None = None
-) -> DenseMatrix:
+) -> SparseMatrix:
     """Matrix of truncated multiplication by the symbol, in the flat basis.
 
     Column flat(i_in, p) receives, in block row p + t, the i_in-th column of
     the coefficient of z^t; contributions past degree N - 1 are dropped.
-    ``mode`` defaults to the coefficients' mode and must match it; it is
-    what decides the mode of a symbol without coefficients.
+    Entry (flat(i_out, q), flat(i_in, p)) can only come from the power
+    t = q - p, so each nonzero coefficient entry is stored as it is, with
+    no sum formed.  A float entry is stored as 0j + e, so that a part of
+    -0.0 reads 0.0.  ``mode`` defaults to the coefficients' mode and must
+    match it; it is what decides the mode of a symbol without
+    coefficients.
     """
     if symbol.m != params.m:
         raise ShapeError(
@@ -80,23 +90,19 @@ def toeplitz_matrix(
         mode = symbol.mode
     elif symbol.coeffs and mode != symbol.mode:
         raise TypeError(f"symbol is in {symbol.mode!r} mode, not {mode!r}")
-    d = params.d
-    z = zero(mode)
-    grid = [[z] * d for _ in range(d)]
+    m, z = params.m, zero(mode)
+    entries = {}  # flat(i, p) = p*m + (i - 1)
     for t, C in symbol.coeffs:
-        for p in range(params.N - t):
-            for i_out in range(1, params.m + 1):
-                row = grid[flat_index(i_out, p + t, params)]
-                crow = C.entries[i_out - 1]
-                for i_in in range(1, params.m + 1):
-                    e = crow[i_in - 1]
-                    if e:
-                        col = flat_index(i_in, p, params)
-                        row[col] = row[col] + e
-    return DenseMatrix(grid, mode)
+        for i_out, crow in enumerate(C.entries):
+            for i_in, e in enumerate(crow):
+                if e:
+                    e = e if mode == "exact" else z + e
+                    for p in range(params.N - t):
+                        entries[((p + t) * m + i_out, p * m + i_in)] = e
+    return SparseMatrix(entries, params.d, params.d, mode)
 
 
-def scalar_shift(L: int, mode: Mode = "exact") -> DenseMatrix:
+def scalar_shift(L: int, mode: Mode = "exact") -> SparseMatrix:
     """Nilpotent L x L subdiagonal shift block, the truncated model of
     multiplication by z on scalar-valued functions."""
     if not isinstance(L, int) or L < 1:
@@ -104,22 +110,17 @@ def scalar_shift(L: int, mode: Mode = "exact") -> DenseMatrix:
     return toeplitz_matrix(monomial_symbol(1, 1, mode), TruncationParams(1, 1, L))
 
 
-def vector_shift(params: TruncationParams, mode: Mode = "exact") -> DenseMatrix:
+def vector_shift(params: TruncationParams, mode: Mode = "exact") -> SparseMatrix:
     """Truncated multiplication by z on the C^m-valued space: the block
     subdiagonal shift."""
     return toeplitz_matrix(monomial_symbol(params.m, 1, mode), params)
 
 
-def power_symbol(params: TruncationParams, mode: Mode = "exact") -> DenseMatrix:
+def power_symbol(params: TruncationParams, mode: Mode = "exact") -> SparseMatrix:
     """Truncated multiplication by z^n, the operator whose reducing structure
-    this package certifies.  Coincides with vector_shift ** n."""
+    this package certifies.  Its ``to_dense()`` coincides with
+    ``vector_shift(params).to_dense() ** n``."""
     return toeplitz_matrix(monomial_symbol(params.m, params.n, mode), params)
-
-
-def apply(operator: DenseMatrix, vec: CoeffVector) -> CoeffVector:
-    if operator.mode != vec.mode:
-        raise TypeError(f"mode mismatch: {operator.mode!r} vs {vec.mode!r}")
-    return CoeffVector(operator.matvec(vec.entries), vec.mode)
 
 
 def symbol_from_json(obj, mode: Mode = "exact") -> MatrixSymbol:

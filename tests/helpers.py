@@ -3,12 +3,30 @@
 The oracles here recompute expected behavior through a different route than
 the package (polynomial coefficient dicts instead of flat matrices, numpy
 instead of exact elimination) so agreement is evidence, not tautology.
+
+The dense references further down (the intertwiner X, the direct sum of
+shift blocks, mask projections, commutators, ``restrict_reference``) state
+the paper's identities as dense matrix products.  The package checks the
+same identities by index relabels and scans of nonzeros, and never builds
+these matrices.
 """
 
 from fractions import Fraction
 
-from hardyshift import GaussianRational, TruncationParams, vector_of
-from hardyshift.scalars import one, scalars_close, zero
+from hardyshift import (
+    CoeffVector,
+    DenseMatrix,
+    GaussianRational,
+    InvarianceError,
+    ShapeError,
+    TruncationParams,
+    all_channel_bases,
+    channel_order,
+    matrices_close,
+    scalar_shift,
+    vector_of,
+)
+from hardyshift.scalars import one, scalar_is_zero, scalars_close, zero
 from hardyshift.space import flat_index, unflat_index
 
 SWEEP = [
@@ -121,4 +139,112 @@ def intertwines_reference(T, order, params, mode, tol=None):
         scalars_close(T.entries[f][order[b]], o if b == a - 1 and a % params.K else z, tol)
         for a, f in enumerate(order)
         for b in range(params.d)
+    )
+
+
+def direct_sum(blocks):
+    """Block-diagonal DenseMatrix of the given dense blocks."""
+    if not blocks:
+        raise ShapeError("direct_sum needs at least one block")
+    mode = blocks[0].mode
+    if any(b.mode != mode for b in blocks):
+        raise TypeError("direct_sum blocks must share a mode")
+    rows = sum(b.rows for b in blocks)
+    cols = sum(b.cols for b in blocks)
+    z = zero(mode)
+    grid = [[z] * cols for _ in range(rows)]
+    roff = coff = 0
+    for b in blocks:
+        for u in range(b.rows):
+            row = grid[roff + u]
+            for v in range(b.cols):
+                row[coff + v] = b.entries[u][v]
+        roff += b.rows
+        coff += b.cols
+    return DenseMatrix(grid, mode)
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def is_permutation(m, tol=None):
+    """True when every entry is 0 or 1 (within tol in float mode) with
+    exactly one 1 in each row and column."""
+    if m.rows != m.cols:
+        return False
+    o = one(m.mode)
+    col_hits = [0] * m.cols
+    for row in m.entries:
+        row_hits = 0
+        for v, s in enumerate(row):
+            if scalars_close(s, o, tol):
+                row_hits += 1
+                col_hits[v] += 1
+            elif not scalar_is_zero(s, tol):
+                return False
+        if row_hits != 1:
+            return False
+    return all(c == 1 for c in col_hits)
+
+
+def is_projection(P, tol=None):
+    """True when P is self-adjoint and idempotent (within tol in float mode)."""
+    if P.rows != P.cols:
+        return False
+    return matrices_close(P, P.adjoint(), tol) and matrices_close(P @ P, P, tol)
+
+
+def build_intertwiner(params, mode="exact"):
+    """Unitary (permutation) matrix X sending the k-th coordinate of channel
+    c to the channel's k-th basis vector: column a has its single 1 in row
+    ``channel_order(params)[a]``."""
+    d = params.d
+    z, o = zero(mode), one(mode)
+    grid = [[z] * d for _ in range(d)]
+    for a, f in enumerate(channel_order(params)):
+        grid[f][a] = o
+    return DenseMatrix(grid, mode)
+
+
+def decomposed_shift(params, mode="exact"):
+    """Direct sum of r = m*n scalar shift blocks of size K, the normal form
+    that X* T X must reach."""
+    return direct_sum([scalar_shift(params.K, mode).to_dense()] * params.r)
+
+
+def mask_projection(mask, params, mode="exact"):
+    """Diagonal 0/1 projection onto the union of the selected channels."""
+    if len(mask.bits) != params.r:
+        raise ShapeError(
+            f"mask has {len(mask.bits)} bits but the model has {params.r} channels"
+        )
+    diag = [0] * params.d
+    for cb, bit in zip(all_channel_bases(params), mask.bits):
+        if bit:
+            for f in cb.flat_indices:
+                diag[f] = 1
+    return DenseMatrix.diagonal(diag, mode)
+
+
+def apply(operator, vec):
+    """A dense operator applied to a coefficient vector."""
+    if operator.mode != vec.mode:
+        raise TypeError(f"mode mismatch: {operator.mode!r} vs {vec.mode!r}")
+    return CoeffVector(operator.matvec(vec.entries), vec.mode)
+
+
+def restrict_reference(A, indices, tol=None):
+    """``commutant.restrict`` as a dense scan of a DenseMatrix: every entry
+    of each column in ``indices`` order, rows ascending, for a leak, then the
+    compressed block read off the grid."""
+    index_set = set(indices)
+    for v in indices:
+        for u in range(A.rows):
+            if u not in index_set and not scalar_is_zero(A.entries[u][v], tol):
+                raise InvarianceError(
+                    f"column {v} has a component at row {u} outside the subspace"
+                )
+    return DenseMatrix(
+        [[A.entries[u][v] for v in indices] for u in indices], A.mode
     )

@@ -7,7 +7,7 @@ import pytest
 
 from hardyshift import commutant, linalg
 from hardyshift.cli import main
-from hardyshift.matrices import SparseMatrix
+from hardyshift.matrices import DenseMatrix, SparseMatrix
 
 SYMBOL_F = Path(__file__).resolve().parents[1] / "benchmarks" / "symbol_F.json"
 
@@ -363,17 +363,25 @@ def test_power_full_report_builds_no_commutation_rows(tmp_path, monkeypatch, m, 
     assert rep["passed"] is True
 
 
-@pytest.mark.parametrize("command", ["full-report", "commutant"])
+@pytest.mark.parametrize(
+    "command", ["full-report", "commutant", "minimality", "lattice", "verify-equivalence"]
+)
 def test_power_report_builds_no_dense_commutant_grid(tmp_path, monkeypatch, command):
-    # the commutant basis stays sparse, and the Lemma-3 audit reads it so
+    # the operator T, its channel restrictions and the commutant basis stay
+    # sparse, and every scan on the z^n path reads their nonzeros only
     def refuse(self):
-        raise AssertionError("dense commutant grid built on the pipeline path")
+        raise AssertionError("dense grid built or scanned on the pipeline path")
 
     monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
-    code, rep = run_cli_json(tmp_path, command, "--m", "2", "--n", "2", "--blocks", "3")
-    assert code == 0
-    assert rep["passed"] is True
-    assert rep["commutant"]["lemma3_structure_ok"] is True
+    monkeypatch.setattr(DenseMatrix, "nonzero_items", refuse)
+    for mode in (("--mode", "exact"), ("--mode", "float", "--tol", "1e-9")):
+        code, rep = run_cli_json(
+            tmp_path, command, "--m", "2", "--n", "2", "--blocks", "3", *mode
+        )
+        assert code == 0
+        assert rep["passed"] is True
+        if "commutant" in rep:
+            assert rep["commutant"]["lemma3_structure_ok"] is True
 
 
 @pytest.mark.parametrize(

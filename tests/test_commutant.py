@@ -13,13 +13,10 @@ from hardyshift import (
     DenseMatrix,
     GaussianRational,
     TruncationParams,
-    build_intertwiner,
     channel_basis,
     commutant_basis,
-    direct_sum,
     is_block_lower_toeplitz,
     is_lower_toeplitz,
-    is_projection,
     linalg,
     power_symbol,
     restrict,
@@ -40,11 +37,18 @@ from hardyshift.matrices import SparseMatrix
 from hardyshift.operators import symbol_from_json, toeplitz_matrix
 from hardyshift.scalars import scalar_is_zero, scalars_close, zero
 
-from helpers import in_span, rand_gaussian_rational
+from helpers import (
+    build_intertwiner,
+    direct_sum,
+    in_span,
+    is_projection,
+    rand_gaussian_rational,
+    restrict_reference,
+)
 
 
 def test_shift_commutant_is_lower_toeplitz_span():
-    J = scalar_shift(3)
+    J = scalar_shift(3).to_dense()
     cb = commutant_basis(J)
     assert cb.dim == 3
     for b in cb.basis:
@@ -70,7 +74,7 @@ def test_commutant_requires_square():
 def test_commutant_of_shift_sum():
     # r equal shift blocks of size K: dimension r^2 * K
     for r, K in [(2, 2), (2, 3), (3, 2)]:
-        A = direct_sum([scalar_shift(K)] * r)
+        A = direct_sum([scalar_shift(K).to_dense()] * r)
         cb = commutant_basis(A)
         assert cb.dim == r * r * K
         for b in cb.basis:
@@ -159,7 +163,7 @@ def test_lower_toeplitz_generated_matrices_commute_with_shift():
     # converse direction of the structure theorem, on random instances
     rng = random.Random(21)
     L = 5
-    J = scalar_shift(L)
+    J = scalar_shift(L).to_dense()
     for _ in range(10):
         diag_vals = [rand_gaussian_rational(rng) for _ in range(L)]
         rows = [
@@ -289,8 +293,8 @@ def test_selfadjoint_dims_reference_values():
         assert selfadjoint_commutant_dim(scalar_shift(K)) == 1
     assert selfadjoint_commutant_dim(DenseMatrix.identity(3)) == 9
     assert selfadjoint_commutant_dim(DenseMatrix.zeros(2, 2)) == 4
-    assert selfadjoint_commutant_dim(direct_sum([scalar_shift(2)] * 2)) == 4
-    assert selfadjoint_commutant_dim(direct_sum([scalar_shift(3)] * 3)) == 9
+    assert selfadjoint_commutant_dim(direct_sum([scalar_shift(2).to_dense()] * 2)) == 4
+    assert selfadjoint_commutant_dim(direct_sum([scalar_shift(3).to_dense()] * 3)) == 9
 
 
 def test_selfadjoint_dim_of_power_operator():
@@ -304,7 +308,7 @@ def test_selfadjoint_dim_of_power_operator():
 
 def test_selfadjoint_dim_with_complex_entries():
     # A = i*J: commutant unchanged, realified system exercises the C-part
-    J = scalar_shift(3)
+    J = scalar_shift(3).to_dense()
     A = J.scaled(GaussianRational(0, 1))
     assert selfadjoint_commutant_dim(A) == 1
     assert commutant_basis(A).dim == 3
@@ -329,7 +333,7 @@ def test_is_projection():
     half = DenseMatrix([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]])
     assert is_projection(half)
     assert not is_projection(DenseMatrix.diagonal([1, 2]))
-    assert not is_projection(scalar_shift(2))
+    assert not is_projection(scalar_shift(2).to_dense())
     skew = DenseMatrix([[0, 1], [0, 0]])
     assert not is_projection(skew)
 
@@ -343,7 +347,7 @@ def test_restrict_compresses_invariant_subspace():
     # also accepts a raw index sequence
     assert restrict(T, cb.flat_indices) == scalar_shift(p.K)
     # the identity compresses to the identity on any channel
-    assert restrict(DenseMatrix.identity(p.d), cb) == DenseMatrix.identity(p.K)
+    assert restrict(DenseMatrix.identity(p.d), cb).to_dense() == DenseMatrix.identity(p.K)
 
 
 def test_restrict_rejects_non_invariant_subspace():
@@ -386,6 +390,59 @@ def test_commutant_kernel_property(rows):
     cb = commutant_basis(A)
     for b in cb.basis:
         assert (A @ b - b @ A).is_zero()
+
+
+RESTRICT_TOL = 1e-6
+# float entries at zero, just inside and just outside RESTRICT_TOL
+NEAR_TOL = (0j, complex(-0.0, 0.0), 0.9 * RESTRICT_TOL, -0.9j * RESTRICT_TOL,
+            1.1 * RESTRICT_TOL, -1.1j * RESTRICT_TOL)
+
+
+@st.composite
+def restriction_cases(draw):
+    """(A, indices, tol): a random exact or float matrix, stored dense or
+    sparse, and distinct indices in a random order.  Half the draws clear
+    every leak (to entries within tol in float mode), so that both the
+    compression and the InvarianceError get exercised."""
+    mode = draw(st.sampled_from(["exact", "float"]))
+    d = draw(st.integers(min_value=1, max_value=6))
+    if mode == "exact":
+        tol, small = None, st.just(GaussianRational(0))
+        values = st.one_of(small, small, small_scalars)
+    else:
+        tol, small = RESTRICT_TOL, st.sampled_from(NEAR_TOL[:4])
+        values = st.one_of(
+            st.sampled_from(NEAR_TOL),
+            st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+        )
+    grid = [[draw(values) for _ in range(d)] for _ in range(d)]
+    indices = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+    if draw(st.booleans()):
+        for u in set(range(d)) - set(indices):
+            for v in indices:
+                grid[u][v] = draw(small)
+    A = DenseMatrix(grid, mode)
+    if draw(st.booleans()):
+        A = SparseMatrix({(u, v): s for u, v, s in A.nonzero_items()}, d, d, mode)
+    return A, indices, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(restriction_cases())
+def test_restrict_matches_the_dense_scan(case):
+    A, indices, tol = case
+    dense = A if isinstance(A, DenseMatrix) else A.to_dense()
+    try:
+        want = restrict_reference(dense, indices, tol)
+    except InvarianceError as exc:
+        with pytest.raises(InvarianceError) as got:
+            restrict(A, indices, tol)
+        assert str(got.value) == str(exc)
+    else:
+        got = restrict(A, indices, tol)
+        assert isinstance(got, SparseMatrix)
+        assert got.to_dense() == want
+        assert list(got.nonzero_items()) == list(want.nonzero_items())
 
 
 def realified_rows_reference(A):
@@ -567,7 +624,7 @@ def test_other_operators_decline_the_chain_path(change):
         A, tol = power_symbol(params, "float"), 1e-9
     else:
         u, v, value = change
-        rows = [list(r) for r in power_symbol(params).entries]
+        rows = [list(r) for r in power_symbol(params).to_dense().entries]
         rows[u][v] = GaussianRational(value)
         A, tol = DenseMatrix(rows), None
     assert _partial_permutation(A) is None

@@ -4,7 +4,6 @@ from hardyshift import (
     GaussianRational,
     TruncationParams,
     all_channel_bases,
-    build_intertwiner,
     channel,
     channel_basis,
     channels,
@@ -13,11 +12,18 @@ from hardyshift import (
     vector_shift,
     verify_equivalence,
 )
-from hardyshift.decomposition import channel_order, decomposed_shift
+from hardyshift.decomposition import channel_order
 from hardyshift.errors import ShapeError
-from hardyshift.matrices import DenseMatrix, is_permutation
+from hardyshift.matrices import DenseMatrix
 
-from helpers import SMALL_SWEEP, SWEEP, intertwines_reference
+from helpers import (
+    SMALL_SWEEP,
+    SWEEP,
+    build_intertwiner,
+    decomposed_shift,
+    intertwines_reference,
+    is_permutation,
+)
 
 
 def test_channel_labels_and_ordinals():
@@ -61,7 +67,7 @@ def test_channels_invariant_under_operator_and_adjoint():
     for p in SWEEP:
         if p.d > 16:
             continue
-        T = power_symbol(p)
+        T = power_symbol(p).to_dense()
         Th = T.adjoint()
         for cb in all_channel_bases(p):
             inside = set(cb.flat_indices)
@@ -87,7 +93,7 @@ def test_intertwiner_frozen_small_case():
         (2, 1),
         (3, 3),
     ]
-    conj = X.adjoint() @ power_symbol(p) @ X
+    conj = X.adjoint() @ power_symbol(p).to_dense() @ X
     assert [(u, v) for u, v, s in conj.nonzero_items()] == [(1, 0), (3, 2)]
 
 
@@ -126,7 +132,7 @@ def test_verify_equivalence_is_exact_not_close():
     # comparison must notice
     p = TruncationParams(1, 2, 2)
     X = build_intertwiner(p)
-    conj = X.adjoint() @ power_symbol(p) @ X
+    conj = X.adjoint() @ power_symbol(p).to_dense() @ X
     assert conj == decomposed_shift(p)
     rows = [list(r) for r in conj.entries]
     rows[0][0] = rows[1][0]
@@ -142,7 +148,7 @@ def test_verify_equivalence_can_fail(monkeypatch):
     assert rep.unitary and not rep.intertwines
     # one entry of z^n changed, on and off the shift pattern
     for u, v in ((2, 0), (0, 1)):
-        rows = [list(r) for r in power_symbol(p).entries]
+        rows = [list(r) for r in power_symbol(p).to_dense().entries]
         rows[u][v] = 1 - rows[u][v]
         rep = verify_equivalence(p, operator=DenseMatrix(rows))
         assert rep.unitary and not rep.intertwines
@@ -180,14 +186,15 @@ TOL = 1e-6
 )
 def test_nonzero_scan_matches_the_dense_scan(params, mode, u, v, value, tol, expected):
     T = power_symbol(params, mode)
+    dense = T.to_dense()
     if u is not None:
         u = params.r if u == "s" else u  # T e_0 = e_r, the first shift entry
-        rows = [list(r) for r in T.entries]
+        rows = [list(r) for r in dense.entries]
         rows[u][v] = value if mode == "float" else GaussianRational(value)
-        T = DenseMatrix(rows, mode)
+        T = dense = DenseMatrix(rows, mode)
     rep = verify_equivalence(params, mode, tol, operator=T)
     assert rep.intertwines is expected
-    assert intertwines_reference(T, channel_order(params), params, mode, tol) is expected
+    assert intertwines_reference(dense, channel_order(params), params, mode, tol) is expected
 
 
 @pytest.mark.parametrize("K", [4, 2], ids=["16x16", "8x8"])

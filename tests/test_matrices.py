@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyshift import DenseMatrix, GaussianRational, commutator, direct_sum
+from hardyshift import DenseMatrix, GaussianRational
 from hardyshift.errors import ShapeError
-from hardyshift.matrices import is_permutation, matrices_close
+from hardyshift.matrices import matrices_close
 
-from helpers import rand_gaussian_rational
+from helpers import commutator, direct_sum, is_permutation, rand_gaussian_rational
 
 
 def rand_matrix(rng, rows, cols):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from hardyshift import (
     GaussianRational,
     MatrixSymbol,
     TruncationParams,
-    apply,
     basis_vector,
     monomial_symbol,
     power_symbol,
@@ -23,13 +23,13 @@ from hardyshift import (
 from hardyshift.errors import ShapeError
 from hardyshift.scalars import GR_ZERO
 
-from helpers import SWEEP, poly_multiply_truncate, rand_gaussian_rational, rand_vector
+from helpers import SWEEP, apply, poly_multiply_truncate, rand_gaussian_rational, rand_vector
 
 
 def test_scalar_shift_entries():
-    j1 = scalar_shift(1)
+    j1 = scalar_shift(1).to_dense()
     assert j1.is_zero()
-    j3 = scalar_shift(3)
+    j3 = scalar_shift(3).to_dense()
     assert [(u, v) for u, v, s in j3.nonzero_items()] == [(1, 0), (2, 1)]
     assert (j3 ** 3).is_zero()
     assert not (j3 ** 2).is_zero()
@@ -56,7 +56,7 @@ def test_vector_shift_scalar_case_and_nilpotency():
     p = TruncationParams(1, 2, 3)  # N = 6
     assert vector_shift(p) == scalar_shift(p.N)
     for q in SWEEP:
-        s = vector_shift(q)
+        s = vector_shift(q).to_dense()
         assert (s ** q.N).is_zero()
         assert not (s ** (q.N - 1)).is_zero()
 
@@ -65,7 +65,7 @@ def test_power_symbol_equals_both_routes():
     for p in SWEEP:
         direct = power_symbol(p)
         assert direct == toeplitz_matrix(monomial_symbol(p.m, p.n), p)
-        assert direct == vector_shift(p) ** p.n
+        assert direct.to_dense() == vector_shift(p).to_dense() ** p.n
 
 
 def test_power_symbol_positions_small():
@@ -76,12 +76,12 @@ def test_power_symbol_positions_small():
 
 def test_power_symbol_rank():
     for p in SWEEP:
-        assert power_symbol(p).rank() == p.m * (p.N - p.n)
+        assert power_symbol(p).to_dense().rank() == p.m * (p.N - p.n)
 
 
 def test_power_symbol_nilpotent():
     p = TruncationParams(2, 2, 3)
-    t = power_symbol(p)
+    t = power_symbol(p).to_dense()
     assert not (t ** (p.K - 1)).is_zero()
     assert (t ** p.K).is_zero()
 
@@ -90,7 +90,7 @@ def test_toeplitz_constant_symbol_is_block_diagonal():
     c = DenseMatrix([[1, 2], [3, 4]])
     sym = MatrixSymbol(2, ((0, c),))
     p = TruncationParams(2, 1, 2)
-    t = toeplitz_matrix(sym, p)
+    t = toeplitz_matrix(sym, p).to_dense()
     # each degree gets a copy of c
     for blk in range(p.N):
         for a in range(2):
@@ -102,17 +102,17 @@ def test_toeplitz_constant_symbol_is_block_diagonal():
 def test_toeplitz_truncation_drops_high_degrees():
     p = TruncationParams(1, 1, 2)  # N = 2
     sym = monomial_symbol(1, 5)
-    assert toeplitz_matrix(sym, p).is_zero()
+    assert toeplitz_matrix(sym, p).to_dense().is_zero()
 
 
 def test_toeplitz_multiplicativity_of_monomials():
     p = TruncationParams(2, 2, 3)
     for a in range(4):
         for b in range(4):
-            lhs = toeplitz_matrix(monomial_symbol(p.m, a), p) @ toeplitz_matrix(
+            lhs = toeplitz_matrix(monomial_symbol(p.m, a), p).to_dense() @ toeplitz_matrix(
                 monomial_symbol(p.m, b), p
-            )
-            rhs = toeplitz_matrix(monomial_symbol(p.m, a + b), p)
+            ).to_dense()
+            rhs = toeplitz_matrix(monomial_symbol(p.m, a + b), p).to_dense()
             assert lhs == rhs
 
 
@@ -125,14 +125,14 @@ def test_toeplitz_commutes_with_vector_shift():
             (t, DenseMatrix([[rand_gaussian_rational(rng) for _ in range(2)] for _ in range(2)]))
         )
     sym = MatrixSymbol(2, tuple(coeffs))
-    T = toeplitz_matrix(sym, p)
-    S = vector_shift(p)
+    T = toeplitz_matrix(sym, p).to_dense()
+    S = vector_shift(p).to_dense()
     assert T @ S == S @ T
 
 
 def test_apply_on_basis_vector():
     p = TruncationParams(2, 2, 2)
-    t = power_symbol(p)
+    t = power_symbol(p).to_dense()
     assert apply(t, basis_vector(1, 1, p)) == basis_vector(1, 3, p)
     # degrees pushed past the horizon are annihilated
     for i, q in ((1, 2), (2, 2), (1, 3), (2, 3)):
@@ -154,10 +154,24 @@ def test_toeplitz_mode_of_a_symbol_without_coefficients():
     params = TruncationParams(1, 1, 2)
     empty = MatrixSymbol(1, ())
     assert toeplitz_matrix(empty, params).mode == "exact"
-    assert toeplitz_matrix(empty, params, "float") == DenseMatrix.zeros(2, 2, "float")
+    assert toeplitz_matrix(empty, params, "float").to_dense() == DenseMatrix.zeros(2, 2, "float")
     assert toeplitz_matrix(monomial_symbol(1, 1), params, "exact") == scalar_shift(2)
     with pytest.raises(TypeError):
         toeplitz_matrix(monomial_symbol(1, 1), params, "float")
+
+
+def test_float_toeplitz_entries_have_no_negative_zero_parts():
+    # a report prints a part of -0.0 as "-0.0"; the builder stores a float
+    # entry as 0j + e, whose zero parts are +0.0
+    sym = symbol_from_json(
+        {"m": 1, "coeffs": [{"t": 0, "matrix": [[{"re": -0.0, "im": 1.0}]]},
+                            {"t": 1, "matrix": [[{"re": 2.0, "im": -0.0}]]}]},
+        "float",
+    )
+    T = toeplitz_matrix(sym, TruncationParams(1, 1, 3))
+    parts = [x for s in T.entries.values() for x in (s.real, s.imag)]
+    assert len(parts) == 10
+    assert all(math.copysign(1.0, x) == 1.0 for x in parts)
 
 
 def test_symbol_coeffs_sorted():
@@ -232,7 +246,10 @@ def symbol_and_params(draw):
 def test_toeplitz_action_matches_polynomial_oracle(sym_params, pyrng):
     sym, params = sym_params
     vec = rand_vector(pyrng, params, span=3, den=2)
-    T = toeplitz_matrix(sym, params)
+    S = toeplitz_matrix(sym, params)
+    T = S.to_dense()
+    # the sparse scan is the dense one: the same entries, in row-major order
+    assert list(S.nonzero_items()) == list(T.nonzero_items())
     got = apply(T, vec)
     raw_coeffs = [
         (t, [list(row) for row in mat.entries]) for t, mat in sym.coeffs
