@@ -64,28 +64,14 @@ from .operators import (
     vector_shift,
 )
 from .scalars import GaussianRational, Mode
-from .space import (
-    BasisIndex,
-    CoeffVector,
-    TruncationParams,
-    basis_vector,
-    flat_index,
-    inner_product,
-    norm,
-    norm_squared,
-    unflat_index,
-    vector_of,
-    zero_vector,
-)
+from .space import TruncationParams, flat_index
 
 __all__ = [
-    "BasisIndex",
     "CapError",
     "Channel",
     "ChannelBasis",
     "ChannelMask",
     "ChannelMinimality",
-    "CoeffVector",
     "CommutantBasis",
     "DenseMatrix",
     "EquivalenceReport",
@@ -102,7 +88,6 @@ __all__ = [
     "SparseMatrix",
     "TruncationParams",
     "all_channel_bases",
-    "basis_vector",
     "channel",
     "channel_basis",
     "channel_edges",
@@ -112,15 +97,12 @@ __all__ = [
     "commutant_basis",
     "enumerate_lattice",
     "flat_index",
-    "inner_product",
     "is_block_lower_toeplitz",
     "is_lower_toeplitz",
     "lattice_closure_check",
     "mask_is_reducing",
     "matrices_close",
     "monomial_symbol",
-    "norm",
-    "norm_squared",
     "partition_check",
     "power_symbol",
     "restrict",
@@ -129,11 +111,8 @@ __all__ = [
     "symbol_from_json",
     "symbol_to_json",
     "toeplitz_matrix",
-    "unflat_index",
-    "vector_of",
     "vector_shift",
     "verify_equivalence",
-    "zero_vector",
 ]
 
 __version__ = "0.1.0"

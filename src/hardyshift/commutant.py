@@ -15,7 +15,7 @@ Every other operator, and every operator in float mode, goes through a
 sparse homogeneous system with one equation per matrix position
 (``_commutation_rows``, unknowns P vectorized row-major), which
 ``linalg.kernel_basis`` solves block by block.  A custom symbol's blocks
-are mostly eliminated over Gaussian rationals, so the exact commutant
+are eliminated over Gaussian rationals, so the exact commutant
 dimension is a theorem about the matrix, not a numerical estimate.  In
 float mode each block gets one small SVD behind the rank-ambiguity gate.
 
@@ -75,18 +75,13 @@ def _add(row: dict, key: int, coeff) -> None:
 def _commutation_rows(A: DenseMatrix | SparseMatrix) -> list[dict]:
     # Equation for position (a, b): sum_w A[a][w] P[w][b] - P[a][w] A[w][b] = 0,
     # unknowns P vectorized as (u, v) -> u*d + v.
-    # Each nonzero of A is negated here, not once per equation, and in
-    # exact mode equal nonzeros share one object and one negation: linalg's
-    # +-1 test, which compares by identity first, then needs no arithmetic.
+    # Each nonzero of A is negated here, once, not once per equation.
     d = A.rows
-    exact = A.mode == "exact"
-    shared: dict = {}
     rows_nz = [[] for _ in range(d)]
     cols_nz = [[] for _ in range(d)]
     for u, v, s in A.nonzero_items():
-        s, neg = shared.setdefault(s, (s, -s)) if exact else (s, -s)
         rows_nz[u].append((v, s))
-        cols_nz[v].append((u, neg))
+        cols_nz[v].append((u, -s))
     rows: list[dict] = []
     for a in range(d):
         for b in range(d):
@@ -223,32 +218,22 @@ def _selfadjoint_rows(A: DenseMatrix | SparseMatrix) -> list[dict]:
     d = A.rows
     exact = A.mode == "exact"
     xid, yid = _sym_var_ids(d)
-    # (Re c, Im c, -Re c, -Im c) once per coefficient object c, equal parts
-    # sharing one object for linalg's +-1 test; the keys stay valid while
-    # the commutation rows, which hold every c, are alive.
-    parts: dict[int, tuple] = {}
-    canon: dict = {}
     rows = []
     for crow in _commutation_rows(A):
         real_row: dict[int, object] = {}
         imag_row: dict[int, object] = {}
         for key, c in crow.items():
             u, v = divmod(key, d)
-            split = parts.get(id(c))
-            if split is None:
-                re, im = (c.re, c.im) if exact else (c.real, c.imag)
-                split = tuple(canon.setdefault(x, x) for x in (re, im, -re, -im))
-                parts[id(c)] = split
-            re, im, neg_re, neg_im = split
+            re, im = (c.re, c.im) if exact else (c.real, c.imag)
             pair = (u, v) if u <= v else (v, u)
             if re:
                 _add(real_row, xid[pair], re)
                 if u != v:
-                    _add(imag_row, yid[pair], neg_re if u > v else re)
+                    _add(imag_row, yid[pair], -re if u > v else re)
             if im:
                 _add(imag_row, xid[pair], im)
                 if u != v:
-                    _add(real_row, yid[pair], im if u > v else neg_im)
+                    _add(real_row, yid[pair], im if u > v else -im)
         if real_row:
             rows.append(real_row)
         if imag_row:
@@ -347,7 +332,7 @@ def toeplitz_break(
     z, exact = zero(P.mode), P.mode == "exact"
 
     def differs(s, key) -> bool:
-        # an exact scalar equals itself, and the basis shares its +-1 objects
+        # an exact scalar equals itself, and the chain basis shares its ones
         t = stored.get(key, z)
         return not (exact and t is s) and not scalars_close(s, t, tol)
 

@@ -19,6 +19,7 @@ nor any product with it is ever formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ShapeError
 from .matrices import DenseMatrix, SparseMatrix
@@ -74,7 +75,10 @@ def channel_basis(i: int, j: int, params: TruncationParams) -> ChannelBasis:
     return ChannelBasis(channel=ch, flat_indices=flats)
 
 
+@lru_cache(maxsize=16)
 def all_channel_bases(params: TruncationParams) -> tuple[ChannelBasis, ...]:
+    """Every channel's basis, in ordinal order.  Built once per params and
+    cached: params and the bases are frozen, so callers share the tuple."""
     return tuple(
         channel_basis(ch.i, ch.j, params) for ch in channels(params)
     )

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from .commutant import restrict, selfadjoint_commutant_dim
 from .decomposition import (
     Channel,
-    channel_basis,
+    all_channel_bases,
+    channel,
     channel_order,
     channels,
     partition_check,
@@ -118,7 +119,7 @@ def check_minimal(
         operator = power_symbol(params, mode)
     elif operator.shape != (params.d, params.d):
         raise ShapeError(f"operator is {operator.shape} but the model has d={params.d}")
-    basis = channel_basis(ch.i, ch.j, params)
+    basis = all_channel_bases(params)[channel(ch.i, ch.j, params).ordinal]
     restricted = restrict(operator, basis, tol)
     dim = selfadjoint_commutant_dim(restricted, tol)
     return ChannelMinimality(

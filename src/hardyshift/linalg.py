@@ -16,22 +16,10 @@ block, in one place:
   unscaled one.  No rank is decided when a singular value falls within
   one order of magnitude of that cut-off (``RankAmbiguityError``).
   ``nullity`` skips the singular vectors.
-- exact mode, a signed block: every row holds one entry, or two entries
-  a and b with b = a or b = -a, so it says x_i = 0, x_i = -x_j or
-  x_i = x_j.  The commutation rows of an operator with at most one
-  nonzero per row and column have this shape where those nonzeros are
-  equal up to sign.  Union-find with parity (``_signed_kernel``) decides
-  the block without arithmetic: a one-entry row or a cycle whose signs
-  disagree leaves only zero, and otherwise the kernel is one signed
-  indicator vector.  T_{z^n} never gets here: ``commutant`` solves 0/1
-  partial permutations by walking their chains, without building rows.
-- exact mode, any other block: sparse Gauss-Jordan elimination (``rref``)
-  over any exact field (Fraction and GaussianRational both qualify).
-
-On a signed block ``rref`` would reach the same vector: a kernel spanned
-by a vector with no zero entry makes every proper subset of the columns
-independent, so the pivots are all columns but the last, and the free
-last column is normalized to one.
+- exact mode: sparse Gauss-Jordan elimination (``rref``) over any exact
+  field (Fraction and GaussianRational both qualify).  T_{z^n} never gets
+  here: ``commutant`` solves 0/1 partial permutations by walking their
+  chains, without building rows.
 """
 
 from __future__ import annotations
@@ -144,74 +132,6 @@ def components(rows: list[dict], ncols: int) -> list[tuple[list[int], list[dict]
     return out
 
 
-def _signed_kernel(block: list[dict], width: int, negs: dict):
-    """Kernel of a connected block whose rows are signed equalities.
-
-    Returns None when the block is not one: some row holds three or more
-    entries, or two whose ratio is not +-1, or the two-entry rows do not
-    connect all ``width`` unknowns.  Otherwise returns an empty list when
-    the kernel is zero, and else the sign of each column in the kernel
-    vector relative to the last column (True where it is negated).
-
-    The +-1 test compares by identity first: where the rows share one
-    object per coefficient value, as ``commutant`` builds them, most rows
-    need no arithmetic.  ``negs`` maps ``id(a)``, across the blocks of one
-    system, to the last row object found equal to -a; its keys stay valid
-    while the system's rows, which hold every coefficient, are alive.
-    """
-    parent = list(range(width))
-    flip = [False] * width  # parity of each column relative to its parent
-
-    def find(c: int):
-        path = []
-        while parent[c] != c:
-            path.append(c)
-            c = parent[c]
-        parity = False
-        for x in reversed(path):
-            parity ^= flip[x]
-            flip[x] = parity
-            parent[x] = c
-        return c
-
-    forced_zero = False
-    joined = 0
-    for row in block:
-        if len(row) == 1:
-            forced_zero = True
-            continue
-        if len(row) != 2:
-            return None
-        (i, a), (j, b) = row.items()
-        neg = negs.get(id(a))
-        if b is a or (b is not neg and b == a):
-            odd = True  # a x_i + a x_j = 0
-        elif b is neg or b == -a:
-            negs[id(a)] = b
-            odd = False
-        else:
-            return None
-        ri, rj = find(i), find(j)
-        odd ^= flip[i] ^ flip[j]
-        if ri != rj:
-            parent[ri] = rj
-            flip[ri] = odd
-            joined += 1
-        elif odd:
-            forced_zero = True
-    if joined != width - 1:
-        return None
-    if forced_zero:
-        return []
-    find(width - 1)
-    last = flip[width - 1]
-    signs = []
-    for c in range(width):
-        find(c)
-        signs.append(flip[c] ^ last)
-    return signs
-
-
 def _block_rank(svals, tol: float) -> int:
     """Rank of one block from its singular values (largest first), against
     the cut-off tol * max(1, largest), behind the ambiguity gate."""
@@ -239,8 +159,6 @@ def _solve(rows: list[dict], ncols: int, mode: Mode, tol, vectors: bool):
         field = next((type(c) for row in rows for c in row.values()), type(one))
         if field is not type(one):
             one = field(1)
-    minus_one = -one
-    negs: dict = {}
     uncounted = 0  # kernel dimensions of float blocks solved without vectors
     found = []
     for cols, block in components(rows, ncols):
@@ -265,12 +183,6 @@ def _solve(rows: list[dict], ncols: int, mode: Mode, tol, vectors: bool):
                 key = cols[pivots[i]] if i < len(pivots) else ncols
                 vec = {cols[c]: complex(x) for c, x in enumerate(vec) if x}
                 found.append((key, vec))
-        elif (signs := _signed_kernel(block, width, negs)) is not None:
-            if signs:
-                vec = {cols[-1]: one}
-                for c in range(width - 1):
-                    vec[cols[c]] = minus_one if signs[c] else one
-                found.append((cols[-1], vec))
         else:
             reduced, pivots = rref(block, width)
             for f in range(width):
@@ -299,7 +211,7 @@ def kernel_basis(
     (the shared ``scalars.one(mode)`` for Gaussian rationals, ``Fraction(1)``
     for a Fraction system) and come in ascending free-column order: each
     block's reduced echelon form is the one a single elimination of the
-    whole system reaches, whichever solver the block took.  Float vectors are each block's SVD kernel,
+    whole system reaches.  Float vectors are each block's SVD kernel,
     echelonized in the block's columns, in pivot-column order: the echelon
     basis of the whole kernel, deterministic up to the SVD backend.
     """

@@ -193,14 +193,6 @@ def scalars_close(a: Scalar, b: Scalar, tol: float | None = None) -> bool:
     return abs(a - b) <= tol
 
 
-def scalar_abs2(s: Scalar):
-    """Squared modulus: exact Fraction for Gaussian rationals, float otherwise."""
-    if isinstance(s, GaussianRational):
-        return s.abs2()
-    s = complex(s)
-    return s.real * s.real + s.imag * s.imag
-
-
 def scalar_from_json(obj, mode: Mode) -> Scalar:
     """Parse ``{"re": ..., "im": ...}``, or a bare real part, into a scalar.
 

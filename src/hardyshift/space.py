@@ -1,5 +1,4 @@
-"""Truncated vector-valued Hardy space: indexing, coefficient vectors, inner
-product.
+"""Truncated vector-valued Hardy space: its size and its indexing.
 
 A C^m-valued analytic function F = sum_p A_p z^p is truncated to degrees
 p < N and identified with the flat tuple of its coefficients in the basis
@@ -16,12 +15,7 @@ size K.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import ShapeError
-from .scalars import Mode, as_scalar, one, scalar_abs2, zero
 
 
 @dataclass(frozen=True)
@@ -55,84 +49,9 @@ class TruncationParams:
         return self.m * self.n
 
 
-@dataclass(frozen=True)
-class BasisIndex:
-    """Basis vector e_i z^p, component i in 1..m, degree p in 0..N-1."""
-
-    i: int
-    p: int
-
-
 def flat_index(i: int, p: int, params: TruncationParams) -> int:
     if not 1 <= i <= params.m:
         raise IndexError(f"component {i} out of range 1..{params.m}")
     if not 0 <= p < params.N:
         raise IndexError(f"degree {p} out of range 0..{params.N - 1}")
     return p * params.m + (i - 1)
-
-
-def unflat_index(f: int, params: TruncationParams) -> BasisIndex:
-    if not 0 <= f < params.d:
-        raise IndexError(f"flat index {f} out of range 0..{params.d - 1}")
-    p, rem = divmod(f, params.m)
-    return BasisIndex(i=rem + 1, p=p)
-
-
-@dataclass(frozen=True)
-class CoeffVector:
-    """Flat coefficient tuple of a truncated function."""
-
-    entries: tuple
-    mode: Mode = "exact"
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-
-def vector_of(entries, mode: Mode = "exact") -> CoeffVector:
-    return CoeffVector(tuple(as_scalar(e, mode) for e in entries), mode)
-
-
-def zero_vector(params: TruncationParams, mode: Mode = "exact") -> CoeffVector:
-    return CoeffVector((zero(mode),) * params.d, mode)
-
-
-def basis_vector(
-    i: int, p: int, params: TruncationParams, mode: Mode = "exact"
-) -> CoeffVector:
-    f = flat_index(i, p, params)
-    z = zero(mode)
-    entries = [z] * params.d
-    entries[f] = one(mode)
-    return CoeffVector(tuple(entries), mode)
-
-
-def inner_product(f: CoeffVector, g: CoeffVector):
-    """Hardy-space pairing of truncated functions: linear in the first
-    argument, conjugate-linear in the second."""
-    if f.dim != g.dim:
-        raise ShapeError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    if f.mode != g.mode:
-        raise TypeError(f"mode mismatch: {f.mode!r} vs {g.mode!r}")
-    acc = zero(f.mode)
-    for a, b in zip(f.entries, g.entries):
-        if a and b:
-            acc = acc + a * b.conjugate()
-    return acc
-
-
-def norm_squared(f: CoeffVector):
-    """Exact squared norm: a Fraction in exact mode, a float otherwise."""
-    if f.mode == "exact":
-        acc = Fraction(0)
-    else:
-        acc = 0.0
-    for a in f.entries:
-        if a:
-            acc = acc + scalar_abs2(a)
-    return acc
-
-
-def norm(f: CoeffVector) -> float:
-    return math.sqrt(float(norm_squared(f)))

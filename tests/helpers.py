@@ -3,6 +3,8 @@
 The oracles here recompute expected behavior through a different route than
 the package (polynomial coefficient dicts instead of flat matrices, numpy
 instead of exact elimination) so agreement is evidence, not tautology.
+Truncated functions enter them as ``CoeffVector`` coefficient tuples with
+the Hardy-space pairing; the package itself works on matrices only.
 
 The dense references further down (the intertwiner X, the direct sum of
 shift blocks, mask projections, commutators, ``restrict_reference``) state
@@ -11,10 +13,11 @@ same identities by index relabels and scans of nonzeros, and never builds
 these matrices.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hardyshift import (
-    CoeffVector,
     DenseMatrix,
     GaussianRational,
     InvarianceError,
@@ -24,10 +27,9 @@ from hardyshift import (
     channel_order,
     matrices_close,
     scalar_shift,
-    vector_of,
 )
-from hardyshift.scalars import one, scalar_is_zero, scalars_close, zero
-from hardyshift.space import flat_index, unflat_index
+from hardyshift.scalars import as_scalar, one, scalar_is_zero, scalars_close, zero
+from hardyshift.space import flat_index
 
 SWEEP = [
     TruncationParams(m, n, K)
@@ -37,6 +39,85 @@ SWEEP = [
 ]
 
 SMALL_SWEEP = [p for p in SWEEP if p.d <= 12]
+
+
+@dataclass(frozen=True)
+class BasisIndex:
+    """Basis vector e_i z^p, component i in 1..m, degree p in 0..N-1."""
+
+    i: int
+    p: int
+
+
+def unflat_index(f, params):
+    """Inverse of ``space.flat_index``."""
+    if not 0 <= f < params.d:
+        raise IndexError(f"flat index {f} out of range 0..{params.d - 1}")
+    p, rem = divmod(f, params.m)
+    return BasisIndex(i=rem + 1, p=p)
+
+
+@dataclass(frozen=True)
+class CoeffVector:
+    """Flat coefficient tuple of a truncated function."""
+
+    entries: tuple
+    mode: str = "exact"
+
+    @property
+    def dim(self):
+        return len(self.entries)
+
+
+def vector_of(entries, mode="exact"):
+    return CoeffVector(tuple(as_scalar(e, mode) for e in entries), mode)
+
+
+def zero_vector(params, mode="exact"):
+    return CoeffVector((zero(mode),) * params.d, mode)
+
+
+def basis_vector(i, p, params, mode="exact"):
+    f = flat_index(i, p, params)
+    z = zero(mode)
+    entries = [z] * params.d
+    entries[f] = one(mode)
+    return CoeffVector(tuple(entries), mode)
+
+
+def inner_product(f, g):
+    """Hardy-space pairing of truncated functions: linear in the first
+    argument, conjugate-linear in the second."""
+    if f.dim != g.dim:
+        raise ShapeError(f"dimension mismatch: {f.dim} vs {g.dim}")
+    if f.mode != g.mode:
+        raise TypeError(f"mode mismatch: {f.mode!r} vs {g.mode!r}")
+    acc = zero(f.mode)
+    for a, b in zip(f.entries, g.entries):
+        if a and b:
+            acc = acc + a * b.conjugate()
+    return acc
+
+
+def scalar_abs2(s):
+    """Squared modulus: exact Fraction for Gaussian rationals, float otherwise."""
+    if isinstance(s, GaussianRational):
+        return s.abs2()
+    s = complex(s)
+    return s.real * s.real + s.imag * s.imag
+
+
+def norm_squared(f):
+    """Exact squared norm: a Fraction in exact mode, a float otherwise."""
+    acc = Fraction(0) if f.mode == "exact" else 0.0
+    for a in f.entries:
+        if a:
+            acc = acc + scalar_abs2(a)
+    return acc
+
+
+def norm(f):
+    return math.sqrt(float(norm_squared(f)))
 
 
 def poly_from_vector(vec, params):

@@ -14,12 +14,10 @@ from hardyshift import (
     GaussianRational,
     TruncationParams,
     all_channel_bases,
-    basis_vector,
     channels,
     check_minimal,
     commutant_basis,
     enumerate_lattice,
-    inner_product,
     is_lower_toeplitz,
     lattice_closure_check,
     partition_check,
@@ -33,9 +31,11 @@ from hardyshift.matrices import DenseMatrix
 
 from helpers import (
     SWEEP,
+    basis_vector,
     build_intertwiner,
     decomposed_shift,
     direct_sum,
+    inner_product,
     is_permutation,
     mask_projection,
 )

@@ -395,12 +395,13 @@ def test_power_report_builds_no_dense_commutant_grid(tmp_path, monkeypatch, comm
     ids=["full-223", "full-332", "full-522", "symbol-F"],
 )
 def test_signed_solver_reports_match_elimination(tmp_path, monkeypatch, argv):
+    # the shipped run takes the chain walk wherever the operator is a 0/1
+    # partial permutation; its report must be the one elimination gives
     shipped = tmp_path / "shipped.json"
     eliminated = tmp_path / "eliminated.json"
     assert main([*argv, "--out", str(shipped)]) == 0
     # the eliminated run solves the commutation rows by rref alone
     monkeypatch.setattr(commutant, "_partial_permutation", lambda A: None)
-    monkeypatch.setattr(linalg, "_signed_kernel", lambda block, width, negs: None)
     assert main([*argv, "--out", str(eliminated)]) == 0
     assert shipped.read_bytes() == eliminated.read_bytes()
 

@@ -304,6 +304,11 @@ def test_selfadjoint_dim_of_power_operator():
         TruncationParams(2, 2, 2),
     ]:
         assert selfadjoint_commutant_dim(power_symbol(p)) == p.r ** 2
+        # -T has the commutant of T, but no chain walk: its blocks read
+        # x = -y and go to elimination
+        neg = power_symbol(p).to_dense().scaled(-1)
+        assert selfadjoint_commutant_dim(neg) == p.r ** 2
+        assert commutant_basis(neg).dim == p.r ** 2 * p.K
 
 
 def test_selfadjoint_dim_with_complex_entries():

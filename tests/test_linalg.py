@@ -9,7 +9,6 @@ from hardyshift import GaussianRational, TruncationParams, linalg, power_symbol
 from hardyshift.commutant import _commutation_rows
 from hardyshift.errors import RankAmbiguityError
 from hardyshift.linalg import (
-    _signed_kernel,
     components,
     echelonize_float,
     kernel_basis,
@@ -175,8 +174,6 @@ def test_fraction_kernel_stays_in_the_fractions(system):
 @given(data=st.data())
 def test_signed_blocks_match_rref(field, data):
     rows, ncols = data.draw(signed_systems(field))
-    for cols, block in components(rows, ncols):
-        assert _signed_kernel(block, len(cols), {}) is not None
     _check_against_rref(rows, ncols)
 
 
@@ -184,7 +181,6 @@ def test_single_entry_row_zeroes_its_block():
     # x0 = x1 and x1 = 0: nothing but zero is left
     f = Fraction
     rows = [{0: f(1), 1: f(-1)}, {1: f(2)}]
-    assert _signed_kernel(rows, 2, {}) == []
     assert kernel_basis(lifted(rows), 2, "exact") == []
     assert nullity(rows, 2, "exact") == 0
 
@@ -211,7 +207,6 @@ def test_closing_edge_parity_decides_the_cycle():
     ids=["ratio-2", "three-entries"],
 )
 def test_other_blocks_fall_back_to_rref(rows, monkeypatch):
-    assert _signed_kernel(rows, 3, {}) is None
     calls = []
 
     def counted(block, width):
@@ -226,7 +221,6 @@ def test_other_blocks_fall_back_to_rref(rows, monkeypatch):
 # what each block solver is called with and decides, for comparing the
 # solver choices of two calls
 SPIES = {
-    "_signed_kernel": lambda args, out: (len(args[0]), args[1], out is None),
     "rref": lambda args, out: (len(args[0]), args[1]),
     "_block_rank": lambda args, out: (len(args[0]), out),
 }

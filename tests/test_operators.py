@@ -11,7 +11,6 @@ from hardyshift import (
     GaussianRational,
     MatrixSymbol,
     TruncationParams,
-    basis_vector,
     monomial_symbol,
     power_symbol,
     scalar_shift,
@@ -23,7 +22,14 @@ from hardyshift import (
 from hardyshift.errors import ShapeError
 from hardyshift.scalars import GR_ZERO
 
-from helpers import SWEEP, apply, poly_multiply_truncate, rand_gaussian_rational, rand_vector
+from helpers import (
+    SWEEP,
+    apply,
+    basis_vector,
+    poly_multiply_truncate,
+    rand_gaussian_rational,
+    rand_vector,
+)
 
 
 def test_scalar_shift_entries():

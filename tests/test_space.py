@@ -5,20 +5,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hardyshift import (
-    GaussianRational,
-    TruncationParams,
+from hardyshift import GaussianRational, TruncationParams
+from hardyshift.errors import ShapeError
+from hardyshift.space import flat_index
+
+from helpers import (
+    SWEEP,
     basis_vector,
     inner_product,
     norm,
     norm_squared,
+    rand_vector,
+    unflat_index,
     vector_of,
     zero_vector,
 )
-from hardyshift.errors import ShapeError
-from hardyshift.space import flat_index, unflat_index
-
-from helpers import SWEEP, rand_vector
 
 
 def test_params_derived_sizes():
