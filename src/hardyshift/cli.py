@@ -371,9 +371,16 @@ def emit_report(report: dict, fmt: str) -> bytes:
 def write_output(data: bytes, out_path: Path | None) -> None:
     """Write atomically: a uniquely named temp file in the target's
     directory, synced, then renamed over the target.  A failed run leaves
-    no partial report, and concurrent runs never share a temp file."""
+    no partial report, and concurrent runs never share a temp file.  A
+    target that exists and is neither a regular file nor a directory (a
+    character device, a FIFO) is written in place, since a rename would
+    replace it with a regular file."""
     if out_path is None:
         sys.stdout.write(data.decode())
+        return
+    if out_path.exists() and not (out_path.is_file() or out_path.is_dir()):
+        with open(out_path, "wb") as fh:
+            fh.write(data)
         return
     fd, tmp = tempfile.mkstemp(
         dir=out_path.parent, prefix=f".{out_path.name}.", suffix=".tmp"

@@ -17,7 +17,8 @@ sparse homogeneous system with one equation per matrix position
 ``linalg.kernel_basis`` solves block by block.  A custom symbol's blocks
 are eliminated over Gaussian rationals, so the exact commutant
 dimension is a theorem about the matrix, not a numerical estimate.  In
-float mode each block gets one small SVD behind the rank-ambiguity gate.
+float mode the blocks of one shape share one batched SVD, behind the
+rank-ambiguity gate.
 
 The self-adjoint variant parametrizes Hermitian P = X + iY by a real
 symmetric X and a real antisymmetric Y.  Its rows are the real and

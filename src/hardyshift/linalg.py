@@ -10,12 +10,15 @@ way (an unknown P[u][v] shares equations only with unknowns in the same
 channel pair, on the same diagonal).  The loop then picks one solver per
 block, in one place:
 
-- float mode: a dense numpy SVD.  A singular value counts when it exceeds
-  tol times the block's largest singular value (or tol itself when that
-  is below one), so a symbol scaled by 1e10 gets the same ranks as the
-  unscaled one.  No rank is decided when a singular value falls within
-  one order of magnitude of that cut-off (``RankAmbiguityError``).
-  ``nullity`` skips the singular vectors.
+- float mode: dense numpy SVDs, batched.  Blocks of the same shape (rows,
+  unknowns) are stacked and solved by one ``np.linalg.svd`` call per
+  shape, so a commutation system of some two hundred small blocks costs
+  about ten calls.  A singular value counts when it exceeds tol times its
+  block's largest singular value (or tol itself when that is below one),
+  so a symbol scaled by 1e10 gets the same ranks as the unscaled one.  No
+  rank is decided when a singular value falls within one order of
+  magnitude of that cut-off (``RankAmbiguityError``, naming the first
+  such block in column order).  ``nullity`` skips the singular vectors.
 - exact mode: sparse Gauss-Jordan elimination (``rref``) over any exact
   field (Fraction and GaussianRational both qualify).  T_{z^n} never gets
   here: ``commutant`` solves 0/1 partial permutations by walking their
@@ -132,25 +135,93 @@ def components(rows: list[dict], ncols: int) -> list[tuple[list[int], list[dict]
     return out
 
 
-def _block_rank(svals, tol: float) -> int:
-    """Rank of one block from its singular values (largest first), against
-    the cut-off tol * max(1, largest), behind the ambiguity gate."""
-    cut = tol * max(1.0, float(svals[0]))
-    for s in svals:
-        if cut / _GAP <= s <= cut * _GAP:
-            raise RankAmbiguityError(
-                f"singular value {s:.6e} is within an order of magnitude of "
-                f"the cut-off {cut:.6e} (tol={tol:.6e}); the rank decision "
-                "is not trustworthy (adjust tol or use exact mode)"
-            )
-    return int(np.sum(svals > cut))
+def _row_counts(mask) -> list[int]:
+    """The number of True entries in each row of a 2-D boolean array.
+    (``np.sum(mask, axis=1)`` raised a float run's peak memory by about
+    0.1 MB, the code pages of its reduction loop.)"""
+    return [row.count(True) for row in mask.tolist()]
+
+
+def _float_kernels(blocks: list[tuple[list[int], list[dict]]], ncols: int, tol: float,
+                   vectors: bool) -> list[tuple[int, list]]:
+    """Rank and kernel vectors of each float block, in the order given.
+
+    Blocks of one shape are stacked and solved by one batched SVD, with the
+    singular vectors only when ``vectors`` is set.  A singular value counts
+    when it exceeds tol * max(1, the block's largest).  If some block has a
+    singular value within a factor ``_GAP`` of its cut-off, no rank is
+    returned: the error names the first such block in the given order and,
+    within it, the largest such value.  Each block's vectors are its SVD
+    kernel echelonized in its columns, as ``(sort column, {column: complex})``
+    pairs; the sort column of a vector left without a pivot is ``ncols``.
+    """
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for b, (cols, block) in enumerate(blocks):
+        shapes.setdefault((len(block), len(cols)), []).append(b)
+    solved: list = [None] * len(blocks)
+    ambiguous = None  # (block, singular value, cut-off) first in block order
+    for (height, width), members in shapes.items():
+        # entry (r, c) of the stack seen as len(members) * height rows
+        r_idx, c_idx, values = [], [], []
+        r = 0
+        for b in members:
+            for row in blocks[b][1]:
+                r_idx += [r] * len(row)
+                c_idx += row
+                values += row.values()
+                r += 1
+        stack = np.zeros((len(members), height, width), dtype=complex)
+        stack.reshape(r, width)[r_idx, c_idx] = values
+        if vectors:
+            _, svals, vh = np.linalg.svd(stack)
+        else:
+            svals, vh = np.linalg.svd(stack, compute_uv=False), None
+        top = svals[:, 0]
+        cut = tol * top
+        cut[top < 1.0] = tol
+        cut = cut[:, None]
+        ranks = _row_counts(svals > cut)
+        # per block, the values above the ambiguity band and those at or
+        # above its floor: the values between lie in the band, largest first
+        above = _row_counts(svals > cut * _GAP)
+        reach = _row_counts(svals >= cut / _GAP)
+        for k, (first, end) in enumerate(zip(above, reach)):
+            if first < end:
+                if ambiguous is None or members[k] < ambiguous[0]:
+                    ambiguous = (members[k], svals[k, first], cut[k, 0])
+                break
+        if ambiguous is not None:
+            continue
+        for k, b in enumerate(members):
+            rank, found = ranks[k], []
+            if vectors:
+                cols = blocks[b][0]
+                vecs, pivots = echelonize_float(
+                    [np.conj(vh[k, i]) for i in range(rank, width)], tol
+                )
+                for i, vec in enumerate(vecs):
+                    key = cols[pivots[i]] if i < len(pivots) else ncols
+                    vec = {cols[c]: complex(x) for c, x in enumerate(vec) if x}
+                    found.append((key, vec))
+            solved[b] = (rank, found)
+        del stack, svals, vh  # one group's singular vectors at a time
+    if ambiguous is not None:
+        _, s, cut = ambiguous
+        raise RankAmbiguityError(
+            f"singular value {s:.6e} is within an order of magnitude of "
+            f"the cut-off {cut:.6e} (tol={tol:.6e}); the rank decision "
+            "is not trustworthy (adjust tol or use exact mode)"
+        )
+    return solved
 
 
 def _solve(rows: list[dict], ncols: int, mode: Mode, tol, vectors: bool):
     """The per-block loop of ``kernel_basis`` and ``nullity``: the kernel's
-    dimension and its vectors as ``(sort column, {column: scalar})`` pairs.
-    Float blocks give vectors only when ``vectors`` is set, so that the SVDs
-    of ``nullity`` skip the singular vectors; exact blocks always do."""
+    dimension and its vectors as ``(sort column, {column: scalar})`` pairs,
+    in block order.  Float blocks are grouped by shape and solved by
+    ``_float_kernels``, one batched SVD per shape; they give vectors only
+    when ``vectors`` is set, so that the SVDs of ``nullity`` skip the
+    singular vectors.  Exact blocks always do."""
     if mode == "float" and (tol is None or tol <= 0):
         raise ValueError("float-mode solves require a positive tol")
     one = scalars.one(mode)
@@ -159,30 +230,15 @@ def _solve(rows: list[dict], ncols: int, mode: Mode, tol, vectors: bool):
         field = next((type(c) for row in rows for c in row.values()), type(one))
         if field is not type(one):
             one = field(1)
-    uncounted = 0  # kernel dimensions of float blocks solved without vectors
-    found = []
+    found = []  # vectors, and None in the place of each float block
+    float_blocks = []
     for cols, block in components(rows, ncols):
         width = len(cols)
         if not block:
             found.append((cols[0], {cols[0]: one}))
         elif mode == "float":
-            dense = np.zeros((len(block), width), dtype=complex)
-            for i, row in enumerate(block):
-                for c, v in row.items():
-                    dense[i, c] = complex(v)
-            if not vectors:
-                svals = np.linalg.svd(dense, compute_uv=False)
-                uncounted += width - _block_rank(svals, tol)
-                continue
-            _, svals, vh = np.linalg.svd(dense)
-            rank = _block_rank(svals, tol)
-            vecs, pivots = echelonize_float(
-                [np.conj(vh[i]) for i in range(rank, width)], tol
-            )
-            for i, vec in enumerate(vecs):
-                key = cols[pivots[i]] if i < len(pivots) else ncols
-                vec = {cols[c]: complex(x) for c, x in enumerate(vec) if x}
-                found.append((key, vec))
+            found.append(None)
+            float_blocks.append((cols, block))
         else:
             reduced, pivots = rref(block, width)
             for f in range(width):
@@ -193,7 +249,20 @@ def _solve(rows: list[dict], ncols: int, mode: Mode, tol, vectors: bool):
                         if coeff:
                             vec[cols[pc]] = -coeff
                     found.append((cols[f], vec))
-    return uncounted + len(found), found
+    if not float_blocks:
+        return len(found), found
+    solved = _float_kernels(float_blocks, ncols, tol, vectors)
+    merged, parts = [], iter(solved)
+    for item in found:
+        if item is None:
+            merged.extend(next(parts)[1])
+        else:
+            merged.append(item)
+    # kernel dimensions of float blocks solved without vectors
+    uncounted = 0 if vectors else sum(
+        len(cols) - rank for (cols, _), (rank, _) in zip(float_blocks, solved)
+    )
+    return uncounted + len(merged), merged
 
 
 def nullity(rows: list[dict], ncols: int, mode: Mode, tol: float | None = None) -> int:

@@ -17,14 +17,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from hardyshift import (
     DenseMatrix,
     GaussianRational,
     InvarianceError,
+    RankAmbiguityError,
     ShapeError,
     TruncationParams,
     all_channel_bases,
     channel_order,
+    linalg,
     matrices_close,
     scalar_shift,
 )
@@ -329,3 +333,44 @@ def restrict_reference(A, indices, tol=None):
     return DenseMatrix(
         [[A.entries[u][v] for v in indices] for u in indices], A.mode
     )
+
+
+def float_block_solve_reference(rows, ncols, tol, vectors=True):
+    """``linalg``'s float solve one block at a time: a dense array filled
+    entry by entry and one SVD per block, its rank decided by a loop over
+    the singular values.  Returns the kernel's dimension and, when
+    ``vectors`` is set, its basis in ``kernel_basis`` order."""
+    found, dim = [], 0
+    for cols, block in linalg.components(rows, ncols):
+        width = len(cols)
+        if not block:
+            found.append((cols[0], {cols[0]: 1 + 0j}))
+            dim += 1
+            continue
+        dense = np.zeros((len(block), width), dtype=complex)
+        for i, row in enumerate(block):
+            for c, v in row.items():
+                dense[i, c] = complex(v)
+        if vectors:
+            _, svals, vh = np.linalg.svd(dense)
+        else:
+            svals = np.linalg.svd(dense, compute_uv=False)
+        cut = tol * max(1.0, float(svals[0]))
+        for s in svals:
+            if cut / linalg._GAP <= s <= cut * linalg._GAP:
+                raise RankAmbiguityError(
+                    f"singular value {s:.6e} is within an order of magnitude of "
+                    f"the cut-off {cut:.6e} (tol={tol:.6e}); the rank decision "
+                    "is not trustworthy (adjust tol or use exact mode)"
+                )
+        rank = int(np.sum(svals > cut))
+        dim += width - rank
+        if not vectors:
+            continue
+        vecs, pivots = linalg.echelonize_float(
+            [np.conj(vh[i]) for i in range(rank, width)], tol
+        )
+        for i, vec in enumerate(vecs):
+            key = cols[pivots[i]] if i < len(pivots) else ncols
+            found.append((key, {cols[c]: complex(x) for c, x in enumerate(vec) if x}))
+    return dim, [vec for _, vec in sorted(found, key=lambda item: item[0])]

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -510,6 +513,26 @@ def test_out_write_failure_is_io_error(tmp_path):
     assert code == 4
     # no partial temp file left behind
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_fifo_target_is_written_in_place(tmp_path):
+    argv = ["verify-equivalence", "--m", "1", "--n", "1", "--blocks", "2"]
+    expected = tmp_path / "report.json"
+    assert main([*argv, "--out", str(expected)]) == 0
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    # a daemon, so that a run which never opens the FIFO cannot hang the suite
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert main([*argv, "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [expected.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    # no temp file was made next to it
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "report.json"]
 
 
 def test_stdout_output(capsys):

@@ -12,7 +12,9 @@ from hardyshift import (
     vector_shift,
     verify_equivalence,
 )
+from hardyshift.commutant import _commutation_rows, _selfadjoint_rows
 from hardyshift.errors import RankAmbiguityError
+from hardyshift.linalg import components
 from hardyshift.matrices import matrices_close
 
 from helpers import build_intertwiner, direct_sum, is_projection
@@ -119,3 +121,28 @@ def test_float_commutant_spans_the_exact_commutant():
         [b.to_numpy().ravel() for b in exact.basis + float_.basis]
     )
     assert np.linalg.matrix_rank(stacked, tol=1e-8) == dim
+
+
+@pytest.mark.parametrize(
+    "solve, system, shapes",
+    [(commutant_basis, _commutation_rows, 12),
+     (selfadjoint_commutant_dim, _selfadjoint_rows, 8)],
+    ids=["commutant", "selfadjoint"],
+)
+def test_float_blocks_of_one_shape_share_one_svd(solve, system, shapes, monkeypatch):
+    p = TruncationParams(2, 2, 7)
+    T = power_symbol(p, mode="float")
+    rows = system(T)
+    found = {(len(block), len(cols))
+             for cols, block in components(rows, p.d * p.d) if block}
+    assert len(found) == shapes
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    solve(T, tol=TOL)
+    assert 0 < len(calls) <= shapes

@@ -16,6 +16,8 @@ from hardyshift.linalg import (
     rref,
 )
 
+from helpers import float_block_solve_reference
+
 TOL = 1e-9
 ONE = GaussianRational(1)
 
@@ -222,7 +224,10 @@ def test_other_blocks_fall_back_to_rref(rows, monkeypatch):
 # solver choices of two calls
 SPIES = {
     "rref": lambda args, out: (len(args[0]), args[1]),
-    "_block_rank": lambda args, out: (len(args[0]), out),
+    # each float block's shape and rank, in component order
+    "_float_kernels": lambda args, out: [
+        (len(block), len(cols), rank) for (cols, block), (rank, _) in zip(args[0], out)
+    ],
 }
 
 
@@ -261,6 +266,8 @@ def test_nullity_counts_the_kernel_basis_with_the_same_solvers(mode, data):
     basis, built_by = solver_log(kernel_basis, rows, ncols, mode, tol)
     assert count == len(basis)
     assert counted_by == built_by
+    # a block with rows reaches a spied solver, so the logs can differ
+    assert bool(counted_by) == bool(rows)
 
 
 def test_ambiguous_one_by_one_block_in_well_conditioned_system():
@@ -274,6 +281,53 @@ def test_ambiguous_one_by_one_block_in_well_conditioned_system():
         nullity(rows, n + 1, "float", TOL)
     with pytest.raises(RankAmbiguityError):
         kernel_basis(rows, n + 1, "float", TOL)
+
+
+FLOATS = st.one_of(
+    st.integers(-3, 3).filter(bool).map(float),
+    st.floats(-3, 3).filter(lambda x: abs(x) > 1e-3),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=3,
+                       allow_nan=False, allow_infinity=False),
+)
+
+
+def solve_or_message(call, *args):
+    """``call(*args)``, or the message of the ``RankAmbiguityError`` it
+    raises."""
+    try:
+        return call(*args)
+    except RankAmbiguityError as exc:
+        return str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(planted_systems(FLOATS))
+def test_batched_float_solve_matches_the_per_block_loop(system):
+    rows, ncols, _ = system
+    reference = solve_or_message(float_block_solve_reference, rows, ncols, TOL)
+    basis = solve_or_message(kernel_basis, rows, ncols, "float", TOL)
+    count = solve_or_message(nullity, rows, ncols, "float", TOL)
+    if isinstance(reference, str):
+        assert basis == count == reference
+        return
+    dim, ref_basis = reference
+    assert count == dim == len(ref_basis) == len(basis)
+    assert count == float_block_solve_reference(rows, ncols, TOL, False)[0]
+    for vec, ref in zip(basis, ref_basis):
+        # same support, listed in the same order
+        assert list(vec) == list(ref)
+        assert all(abs(vec[c] - ref[c]) <= 1e-12 for c in vec)
+
+
+def test_first_ambiguous_block_in_component_order_is_named():
+    # blocks of columns {0}, {1, 2} and {3}: the 1x1 blocks form the first
+    # shape group and the ambiguous {3} is in it, but the 2x2 block {1, 2},
+    # whose singular values are 3e-9 and 1e-9, comes first in component order
+    rows = [{0: 1.0}, {1: 2e-9, 2: 1e-9}, {1: 1e-9, 2: 2e-9}, {3: 2e-9}]
+    expected = solve_or_message(float_block_solve_reference, rows, 4, TOL)
+    assert expected.startswith("singular value 3.000000e-09 ")
+    assert solve_or_message(kernel_basis, rows, 4, "float", TOL) == expected
+    assert solve_or_message(nullity, rows, 4, "float", TOL) == expected
 
 
 def test_unknowns_in_no_equation_give_unit_vectors():
