@@ -13,7 +13,6 @@ from .commutant import (
     CommutantBasis,
     commutant_basis,
     is_block_lower_toeplitz,
-    is_lower_toeplitz,
     restrict,
     selfadjoint_commutant_dim,
 )
@@ -48,11 +47,7 @@ from .lattice import (
     lattice_closure_check,
     mask_is_reducing,
 )
-from .matrices import (
-    DenseMatrix,
-    SparseMatrix,
-    matrices_close,
-)
+from .matrices import DenseMatrix, SparseMatrix
 from .operators import (
     MatrixSymbol,
     monomial_symbol,
@@ -98,10 +93,8 @@ __all__ = [
     "enumerate_lattice",
     "flat_index",
     "is_block_lower_toeplitz",
-    "is_lower_toeplitz",
     "lattice_closure_check",
     "mask_is_reducing",
-    "matrices_close",
     "monomial_symbol",
     "partition_check",
     "power_symbol",

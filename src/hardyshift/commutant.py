@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence, Union
 
 from . import linalg, scalars
@@ -48,8 +48,8 @@ from .scalars import scalar_is_zero, scalars_close, zero
 
 @dataclass(frozen=True)
 class CommutantBasis:
-    """Echelon-normalized basis of {P : AP = PA} for a d x d matrix A, kept
-    sparse in ``elements``; ``basis`` builds them dense on first access."""
+    """Echelon-normalized basis of {P : AP = PA} for a d x d matrix A, one
+    ``SparseMatrix`` per element."""
 
     operator_dim: int
     elements: tuple[SparseMatrix, ...]
@@ -57,10 +57,6 @@ class CommutantBasis:
     @property
     def dim(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def basis(self) -> tuple[DenseMatrix, ...]:
-        return tuple(P.to_dense() for P in self.elements)
 
 
 def _add(row: dict, key: int, coeff) -> None:
@@ -275,12 +271,6 @@ def selfadjoint_commutant_dim(A: DenseMatrix | SparseMatrix, tol: float | None =
         closed = sum(1 for _ in _closed_orbits(succ, height))
         return sum(count * count for count in heads.values()) + closed
     return linalg.nullity(_selfadjoint_rows(A), A.rows * A.rows, A.mode, tol)
-
-
-def is_lower_toeplitz(P: DenseMatrix, tol: float | None = None) -> bool:
-    """True when P is lower triangular and constant along each diagonal,
-    the shape every matrix commuting with a single shift block must have."""
-    return P.rows == P.cols and is_block_lower_toeplitz(P, P.rows, tol)
 
 
 def is_block_lower_toeplitz(

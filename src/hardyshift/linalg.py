@@ -114,25 +114,24 @@ def components(rows: list[dict], ncols: int) -> list[tuple[list[int], list[dict]
         first = next(cols, None)
         if first is None:
             continue
-        root = find(first)
+        head = find(first)
         for c in cols:
             other = find(c)
-            if other != root:
-                parent[other] = root
+            if other != head:
+                parent[other] = head
+    # each column's root, and its position among its component's columns
+    root = [find(c) for c in range(ncols)]
+    pos = [0] * ncols
     members: dict[int, list[int]] = {}
-    for c in range(ncols):
-        members.setdefault(find(c), []).append(c)
-    block_rows: dict[int, list[dict]] = {root: [] for root in members}
+    for c, rc in enumerate(root):
+        cols = members.setdefault(rc, [])
+        pos[c] = len(cols)
+        cols.append(c)
+    block_rows: dict[int, list[dict]] = {rc: [] for rc in members}
     for row in rows:
         if row:
-            block_rows[find(next(iter(row)))].append(row)
-    out = []
-    for root, cols in members.items():
-        local = {c: i for i, c in enumerate(cols)}
-        out.append(
-            (cols, [{local[c]: v for c, v in row.items()} for row in block_rows[root]])
-        )
-    return out
+            block_rows[root[next(iter(row))]].append({pos[c]: v for c, v in row.items()})
+    return [(cols, block_rows[rc]) for rc, cols in members.items()]
 
 
 def _row_counts(mask) -> list[int]:

@@ -8,9 +8,9 @@ retained degree range hold exactly.
 
 Every builder here returns a ``SparseMatrix`` holding only the operator's
 nonzero entries: ``power_symbol`` has d - m*n of them, which is all the
-pipeline reads.  Identities stated between dense matrices, such as
-``power_symbol`` coinciding with ``vector_shift ** n``, hold between their
-``to_dense()`` views.
+pipeline reads.  The package forms no matrix products; identities such
+as T = S^n for S = ``vector_shift`` are checked in the tests, against a
+dense reference algebra.
 """
 
 from __future__ import annotations
@@ -118,8 +118,9 @@ def vector_shift(params: TruncationParams, mode: Mode = "exact") -> SparseMatrix
 
 def power_symbol(params: TruncationParams, mode: Mode = "exact") -> SparseMatrix:
     """Truncated multiplication by z^n, the operator whose reducing structure
-    this package certifies.  Its ``to_dense()`` coincides with
-    ``vector_shift(params).to_dense() ** n``."""
+    this package certifies.  It is T = S^n for the shift S =
+    ``vector_shift(params)``, which the tests check against their dense
+    reference."""
     return toeplitz_matrix(monomial_symbol(params.m, params.n, mode), params)
 
 

@@ -10,7 +10,10 @@ The dense references further down (the intertwiner X, the direct sum of
 shift blocks, mask projections, commutators, ``restrict_reference``) state
 the paper's identities as dense matrix products.  The package checks the
 same identities by index relabels and scans of nonzeros, and never builds
-these matrices.
+these matrices.  Their algebra (products, sums, powers, adjoints) is this
+module's ``DenseMatrix``, the package's dense matrix with the arithmetic
+the package itself no longer needs; ``dense`` gives that view of any
+package matrix.
 """
 
 import math
@@ -20,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from hardyshift import (
-    DenseMatrix,
     GaussianRational,
     InvarianceError,
     RankAmbiguityError,
@@ -28,8 +30,9 @@ from hardyshift import (
     TruncationParams,
     all_channel_bases,
     channel_order,
+    is_block_lower_toeplitz,
     linalg,
-    matrices_close,
+    matrices,
     scalar_shift,
 )
 from hardyshift.scalars import as_scalar, one, scalar_is_zero, scalars_close, zero
@@ -213,6 +216,172 @@ def span_rank(mats):
 def in_span(mats, candidate):
     """True when candidate lies in the linear span of mats (exact)."""
     return span_rank(list(mats)) == span_rank(list(mats) + [candidate])
+
+
+class DenseMatrix(matrices.DenseMatrix):
+    """The package's dense matrix with the algebra of the references.
+    Products skip zero entries of the left factor, which makes
+    multiplication by shifts, projections and permutations effectively
+    linear in the number of nonzeros.  An operand may be any package
+    ``DenseMatrix``; every result is this class."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zeros(cls, rows, cols, mode="exact"):
+        if rows < 1 or cols < 1:
+            raise ShapeError("matrix must have at least one row and column")
+        z = zero(mode)
+        return cls._raw(tuple((z,) * cols for _ in range(rows)), mode)
+
+    @classmethod
+    def diagonal(cls, values, mode="exact"):
+        vals = [as_scalar(v, mode) for v in values]
+        z = zero(mode)
+        n = len(vals)
+        return cls._raw(
+            tuple(tuple(vals[u] if u == v else z for v in range(n)) for u in range(n)),
+            mode,
+        )
+
+    def _require_same_mode(self, other):
+        if self.mode != other.mode:
+            raise TypeError(f"mode mismatch: {self.mode!r} vs {other.mode!r}")
+
+    def __matmul__(self, other):
+        if not isinstance(other, matrices.DenseMatrix):
+            return NotImplemented
+        self._require_same_mode(other)
+        if self.cols != other.rows:
+            raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
+        z = zero(self.mode)
+        o = one(self.mode)
+        oentries = other.entries
+        out = []
+        for arow in self.entries:
+            crow = [z] * other.cols
+            for w, a in enumerate(arow):
+                if not a:
+                    continue
+                brow = oentries[w]
+                if a == o:
+                    for v, b in enumerate(brow):
+                        if b:
+                            cur = crow[v]
+                            crow[v] = b if cur is z else cur + b
+                else:
+                    for v, b in enumerate(brow):
+                        if b:
+                            cur = crow[v]
+                            crow[v] = a * b if cur is z else cur + a * b
+            out.append(tuple(crow))
+        return DenseMatrix._raw(tuple(out), self.mode)
+
+    def __add__(self, other):
+        if not isinstance(other, matrices.DenseMatrix):
+            return NotImplemented
+        self._require_same_mode(other)
+        if self.shape != other.shape:
+            raise ShapeError(f"cannot add {self.shape} and {other.shape}")
+        return DenseMatrix._raw(
+            tuple(
+                tuple(a + b for a, b in zip(ra, rb))
+                for ra, rb in zip(self.entries, other.entries)
+            ),
+            self.mode,
+        )
+
+    def __sub__(self, other):
+        if not isinstance(other, matrices.DenseMatrix):
+            return NotImplemented
+        self._require_same_mode(other)
+        if self.shape != other.shape:
+            raise ShapeError(f"cannot subtract {other.shape} from {self.shape}")
+        return DenseMatrix._raw(
+            tuple(
+                tuple(a - b for a, b in zip(ra, rb))
+                for ra, rb in zip(self.entries, other.entries)
+            ),
+            self.mode,
+        )
+
+    def scaled(self, s):
+        s = as_scalar(s, self.mode)
+        return DenseMatrix._raw(
+            tuple(tuple(s * a for a in row) for row in self.entries), self.mode
+        )
+
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("matrix powers must be nonnegative integers")
+        if self.rows != self.cols:
+            raise ShapeError("matrix power needs a square matrix")
+        acc = DenseMatrix.identity(self.rows, self.mode)
+        for _ in range(k):
+            acc = acc @ self
+        return acc
+
+    def adjoint(self):
+        return DenseMatrix._raw(
+            tuple(
+                tuple(self.entries[u][v].conjugate() for u in range(self.rows))
+                for v in range(self.cols)
+            ),
+            self.mode,
+        )
+
+    def matvec(self, vec):
+        if len(vec) != self.cols:
+            raise ShapeError(f"vector of length {len(vec)} against {self.shape}")
+        z = zero(self.mode)
+        out = []
+        for row in self.entries:
+            acc = z
+            for a, x in zip(row, vec):
+                if a and x:
+                    acc = acc + a * x
+            out.append(acc)
+        return tuple(out)
+
+    def is_zero(self, tol=None):
+        return all(
+            scalar_is_zero(s, tol) for row in self.entries for s in row
+        )
+
+    def to_numpy(self):
+        return np.array(
+            [[complex(s) for s in row] for row in self.entries], dtype=complex
+        )
+
+
+def dense(X):
+    """The reference ``DenseMatrix`` view of a package matrix, sparse or
+    dense."""
+    if isinstance(X, matrices.SparseMatrix):
+        X = X.to_dense()
+    return DenseMatrix._raw(X.entries, X.mode)
+
+
+def dense_basis(cb):
+    """The elements of a ``CommutantBasis`` as reference dense matrices."""
+    return [dense(P) for P in cb.elements]
+
+
+def matrices_close(a, b, tol=None):
+    """Same shape, same mode, and every pair of entries ``scalars_close``."""
+    if a.shape != b.shape or a.mode != b.mode:
+        return False
+    return all(
+        scalars_close(x, y, tol)
+        for ra, rb in zip(a.entries, b.entries)
+        for x, y in zip(ra, rb)
+    )
+
+
+def is_lower_toeplitz(P, tol=None):
+    """True when P is lower triangular and constant along each diagonal,
+    the shape every matrix commuting with a single shift block must have."""
+    return P.rows == P.cols and is_block_lower_toeplitz(P, P.rows, tol)
 
 
 def intertwines_reference(T, order, params, mode, tol=None):

@@ -18,7 +18,6 @@ from hardyshift import (
     check_minimal,
     commutant_basis,
     enumerate_lattice,
-    is_lower_toeplitz,
     lattice_closure_check,
     partition_check,
     power_symbol,
@@ -27,15 +26,18 @@ from hardyshift import (
     verify_equivalence,
 )
 from hardyshift.cli import main
-from hardyshift.matrices import DenseMatrix
 
 from helpers import (
     SWEEP,
+    DenseMatrix,
     basis_vector,
     build_intertwiner,
     decomposed_shift,
+    dense,
+    dense_basis,
     direct_sum,
     inner_product,
+    is_lower_toeplitz,
     is_permutation,
     mask_projection,
 )
@@ -57,7 +59,7 @@ def test_criterion_1_unitary_equivalence():
             start = time.perf_counter()
             X = build_intertwiner(p)
             assert is_permutation(X)
-            conjugated = X.adjoint() @ power_symbol(p).to_dense() @ X
+            conjugated = X.adjoint() @ dense(power_symbol(p)) @ X
             assert conjugated == decomposed_shift(p)
             rep = verify_equivalence(p)
             assert rep.unitary and rep.intertwines
@@ -90,10 +92,10 @@ def test_criterion_2_basis_and_partition():
 def test_criterion_3_commutant_structure():
     with criterion("criterion 3, shift commutant is lower Toeplitz"):
         for L in range(2, 9):
-            J = scalar_shift(L).to_dense()
+            J = dense(scalar_shift(L))
             cb = commutant_basis(J)
             assert cb.dim == L
-            for b in cb.basis:
+            for b in dense_basis(cb):
                 assert is_lower_toeplitz(b)
                 assert (J @ b - b @ J).is_zero()
             # converse: the L lower-Toeplitz generators all commute

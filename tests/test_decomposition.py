@@ -21,6 +21,7 @@ from helpers import (
     SWEEP,
     build_intertwiner,
     decomposed_shift,
+    dense,
     intertwines_reference,
     is_permutation,
 )
@@ -67,7 +68,7 @@ def test_channels_invariant_under_operator_and_adjoint():
     for p in SWEEP:
         if p.d > 16:
             continue
-        T = power_symbol(p).to_dense()
+        T = dense(power_symbol(p))
         Th = T.adjoint()
         for cb in all_channel_bases(p):
             inside = set(cb.flat_indices)
@@ -93,7 +94,7 @@ def test_intertwiner_frozen_small_case():
         (2, 1),
         (3, 3),
     ]
-    conj = X.adjoint() @ power_symbol(p).to_dense() @ X
+    conj = X.adjoint() @ dense(power_symbol(p)) @ X
     assert [(u, v) for u, v, s in conj.nonzero_items()] == [(1, 0), (3, 2)]
 
 
@@ -132,7 +133,7 @@ def test_verify_equivalence_is_exact_not_close():
     # comparison must notice
     p = TruncationParams(1, 2, 2)
     X = build_intertwiner(p)
-    conj = X.adjoint() @ power_symbol(p).to_dense() @ X
+    conj = X.adjoint() @ dense(power_symbol(p)) @ X
     assert conj == decomposed_shift(p)
     rows = [list(r) for r in conj.entries]
     rows[0][0] = rows[1][0]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hardyshift import (
-    DenseMatrix,
     TruncationParams,
     commutant_basis,
     enumerate_lattice,
@@ -15,9 +14,16 @@ from hardyshift import (
 from hardyshift.commutant import _commutation_rows, _selfadjoint_rows
 from hardyshift.errors import RankAmbiguityError
 from hardyshift.linalg import components
-from hardyshift.matrices import matrices_close
 
-from helpers import build_intertwiner, direct_sum, is_projection
+from helpers import (
+    DenseMatrix,
+    build_intertwiner,
+    dense,
+    dense_basis,
+    direct_sum,
+    is_projection,
+    matrices_close,
+)
 
 TOL = 1e-9
 
@@ -25,8 +31,8 @@ TOL = 1e-9
 def test_float_builders_match_exact():
     p = TruncationParams(2, 2, 2)
     builds = (
-        lambda mode: power_symbol(p, mode).to_dense(),
-        lambda mode: vector_shift(p, mode).to_dense(),
+        lambda mode: dense(power_symbol(p, mode)),
+        lambda mode: dense(vector_shift(p, mode)),
         lambda mode: build_intertwiner(p, mode),
     )
     for build in builds:
@@ -42,10 +48,10 @@ def test_float_equivalence():
 
 
 def test_float_commutant_dims():
-    J = scalar_shift(3, mode="float").to_dense()
+    J = dense(scalar_shift(3, mode="float"))
     cb = commutant_basis(J, tol=TOL)
     assert cb.dim == 3
-    for b in cb.basis:
+    for b in dense_basis(cb):
         assert matrices_close(J @ b, b @ J, tol=1e-7)
     assert selfadjoint_commutant_dim(J, tol=TOL) == 1
     D = direct_sum([scalar_shift(2, mode="float").to_dense()] * 2)
@@ -105,7 +111,7 @@ def test_float_commutant_basis_echelon_deterministic():
     J = scalar_shift(3, mode="float")
     a = commutant_basis(J, tol=TOL)
     b = commutant_basis(J, tol=TOL)
-    for x, y in zip(a.basis, b.basis):
+    for x, y in zip(dense_basis(a), dense_basis(b)):
         assert np.array_equal(x.to_numpy(), y.to_numpy())
 
 
@@ -118,7 +124,7 @@ def test_float_commutant_spans_the_exact_commutant():
     dim = p.r * p.r * p.K
     assert exact.dim == float_.dim == dim
     stacked = np.array(
-        [b.to_numpy().ravel() for b in exact.basis + float_.basis]
+        [b.to_numpy().ravel() for b in dense_basis(exact) + dense_basis(float_)]
     )
     assert np.linalg.matrix_rank(stacked, tol=1e-8) == dim
 

@@ -1,0 +1,48 @@
+"""The per-layer benchmark harness still runs against the package.
+
+``benchmarks/tracer.py`` wraps the package's layers by name when it is
+installed, so a change in ``src/`` that removes or renames what it reads
+breaks every traced benchmark run.  These tests run one repetition through
+``benchmarks/child.py`` in a fresh interpreter, traced and untraced, as the
+benchmark does.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_child(trace, out, cli_args):
+    # no bytecode written under benchmarks/ by the traced import of tracer.py
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/child.py", "--trace", str(trace),
+         "--out", str(out), "--", *cli_args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "cli_args",
+    [
+        ["full-report", "--m", "2", "--n", "2", "--blocks", "3"],
+        ["full-report", "--m", "2", "--n", "2", "--blocks", "2",
+         "--mode", "float", "--tol", "1e-9"],
+    ],
+    ids=["exact", "float"],
+)
+def test_traced_child_runs_and_writes_the_untraced_report(tmp_path, cli_args):
+    traced = run_child(1, tmp_path / "traced.json", cli_args)
+    untraced = run_child(0, tmp_path / "untraced.json", cli_args)
+    assert traced["rc"] == untraced["rc"] == 0
+    assert isinstance(traced["layers"], dict) and traced["layers"]
+    assert "layers" not in untraced
+    assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "untraced.json").read_bytes()

@@ -24,14 +24,15 @@ from hardyshift.lattice import (
     lattice_component_check,
     mask_is_reducing,
 )
-from hardyshift.matrices import DenseMatrix, matrices_close
-
 from helpers import (
     SMALL_SWEEP,
+    DenseMatrix,
     build_intertwiner,
+    dense,
     direct_sum,
     is_projection,
     mask_projection,
+    matrices_close,
 )
 
 
@@ -96,7 +97,7 @@ def test_enumerate_counts_over_small_sweep():
 
 def test_reducing_verdicts_match_direct_commutation():
     p = TruncationParams(2, 2, 2)
-    T = power_symbol(p).to_dense()
+    T = dense(power_symbol(p))
     rep = enumerate_lattice(p)
     for e in rep.entries:
         P = mask_projection(e.mask, p)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardyshift import (
-    DenseMatrix,
     GaussianRational,
     MatrixSymbol,
     TruncationParams,
@@ -24,8 +23,10 @@ from hardyshift.scalars import GR_ZERO
 
 from helpers import (
     SWEEP,
+    DenseMatrix,
     apply,
     basis_vector,
+    dense,
     poly_multiply_truncate,
     rand_gaussian_rational,
     rand_vector,
@@ -33,9 +34,9 @@ from helpers import (
 
 
 def test_scalar_shift_entries():
-    j1 = scalar_shift(1).to_dense()
+    j1 = dense(scalar_shift(1))
     assert j1.is_zero()
-    j3 = scalar_shift(3).to_dense()
+    j3 = dense(scalar_shift(3))
     assert [(u, v) for u, v, s in j3.nonzero_items()] == [(1, 0), (2, 1)]
     assert (j3 ** 3).is_zero()
     assert not (j3 ** 2).is_zero()
@@ -62,7 +63,7 @@ def test_vector_shift_scalar_case_and_nilpotency():
     p = TruncationParams(1, 2, 3)  # N = 6
     assert vector_shift(p) == scalar_shift(p.N)
     for q in SWEEP:
-        s = vector_shift(q).to_dense()
+        s = dense(vector_shift(q))
         assert (s ** q.N).is_zero()
         assert not (s ** (q.N - 1)).is_zero()
 
@@ -71,7 +72,7 @@ def test_power_symbol_equals_both_routes():
     for p in SWEEP:
         direct = power_symbol(p)
         assert direct == toeplitz_matrix(monomial_symbol(p.m, p.n), p)
-        assert direct.to_dense() == vector_shift(p).to_dense() ** p.n
+        assert direct.to_dense() == dense(vector_shift(p)) ** p.n
 
 
 def test_power_symbol_positions_small():
@@ -87,7 +88,7 @@ def test_power_symbol_rank():
 
 def test_power_symbol_nilpotent():
     p = TruncationParams(2, 2, 3)
-    t = power_symbol(p).to_dense()
+    t = dense(power_symbol(p))
     assert not (t ** (p.K - 1)).is_zero()
     assert (t ** p.K).is_zero()
 
@@ -108,16 +109,16 @@ def test_toeplitz_constant_symbol_is_block_diagonal():
 def test_toeplitz_truncation_drops_high_degrees():
     p = TruncationParams(1, 1, 2)  # N = 2
     sym = monomial_symbol(1, 5)
-    assert toeplitz_matrix(sym, p).to_dense().is_zero()
+    assert dense(toeplitz_matrix(sym, p)).is_zero()
 
 
 def test_toeplitz_multiplicativity_of_monomials():
     p = TruncationParams(2, 2, 3)
     for a in range(4):
         for b in range(4):
-            lhs = toeplitz_matrix(monomial_symbol(p.m, a), p).to_dense() @ toeplitz_matrix(
-                monomial_symbol(p.m, b), p
-            ).to_dense()
+            lhs = dense(toeplitz_matrix(monomial_symbol(p.m, a), p)) @ dense(
+                toeplitz_matrix(monomial_symbol(p.m, b), p)
+            )
             rhs = toeplitz_matrix(monomial_symbol(p.m, a + b), p).to_dense()
             assert lhs == rhs
 
@@ -131,14 +132,14 @@ def test_toeplitz_commutes_with_vector_shift():
             (t, DenseMatrix([[rand_gaussian_rational(rng) for _ in range(2)] for _ in range(2)]))
         )
     sym = MatrixSymbol(2, tuple(coeffs))
-    T = toeplitz_matrix(sym, p).to_dense()
-    S = vector_shift(p).to_dense()
+    T = dense(toeplitz_matrix(sym, p))
+    S = dense(vector_shift(p))
     assert T @ S == S @ T
 
 
 def test_apply_on_basis_vector():
     p = TruncationParams(2, 2, 2)
-    t = power_symbol(p).to_dense()
+    t = dense(power_symbol(p))
     assert apply(t, basis_vector(1, 1, p)) == basis_vector(1, 3, p)
     # degrees pushed past the horizon are annihilated
     for i, q in ((1, 2), (2, 2), (1, 3), (2, 3)):
@@ -253,7 +254,7 @@ def test_toeplitz_action_matches_polynomial_oracle(sym_params, pyrng):
     sym, params = sym_params
     vec = rand_vector(pyrng, params, span=3, den=2)
     S = toeplitz_matrix(sym, params)
-    T = S.to_dense()
+    T = dense(S)
     # the sparse scan is the dense one: the same entries, in row-major order
     assert list(S.nonzero_items()) == list(T.nonzero_items())
     got = apply(T, vec)
