@@ -36,11 +36,9 @@ from .errors import (
     ShapeError,
 )
 from .lattice import (
-    ChannelMask,
     ChannelMinimality,
     LatticeCounts,
     LatticeReport,
-    MaskEntry,
     channel_edges,
     check_minimal,
     enumerate_lattice,
@@ -65,7 +63,6 @@ __all__ = [
     "CapError",
     "Channel",
     "ChannelBasis",
-    "ChannelMask",
     "ChannelMinimality",
     "CommutantBasis",
     "DenseMatrix",
@@ -75,7 +72,6 @@ __all__ = [
     "InvarianceError",
     "LatticeCounts",
     "LatticeReport",
-    "MaskEntry",
     "MatrixSymbol",
     "Mode",
     "RankAmbiguityError",

@@ -235,7 +235,7 @@ def _minimality_json(results) -> list:
 
 
 def _lattice_section(
-    cfg: RunConfig, params: TruncationParams, T, full_selfadjoint_dim: int | None
+    cfg: RunConfig, params: TruncationParams, T, minimal: list, full_selfadjoint_dim: int
 ):
     rep = enumerate_lattice(
         params,
@@ -243,12 +243,12 @@ def _lattice_section(
         tol=cfg.tol,
         sample=cfg.sample,
         seed=cfg.seed or 0,
-        full_selfadjoint_dim=full_selfadjoint_dim,
         operator=T,
     )
     closure = (
         lattice_closure_check(rep) and lattice_component_check(rep) if rep.exhaustive else None
     )
+    r, K = params.r, params.K
     section = {
         "counts": {
             "total_masks": rep.counts.total_masks,
@@ -257,26 +257,21 @@ def _lattice_section(
         },
         "exhaustive": rep.exhaustive,
         "closure_ok": closure,
-        "full_selfadjoint_commutant_dim": rep.full_selfadjoint_commutant_dim,
-        "diagonal_family_generators": params.r,
-        "exceeds_diagonal_family": rep.full_selfadjoint_commutant_dim > params.r,
+        "full_selfadjoint_commutant_dim": full_selfadjoint_dim,
+        "diagonal_family_generators": r,
+        "exceeds_diagonal_family": full_selfadjoint_dim > r,
+        # a mask's bitstring puts the bit of channel ordinal 0 first
         "entries": [
-            {
-                "mask": e.mask.bitstring,
-                "dim": e.subspace_dim,
-                "is_reducing": e.is_reducing,
-            }
-            for e in rep.entries
+            {"mask": format(v, f"0{r}b")[::-1], "dim": v.bit_count() * K,
+             "is_reducing": bool(flag)}
+            for v, flag in zip(rep.values, rep.reducing)
         ],
-        "minimal_channels": _minimality_json(rep.minimal_channels),
+        "minimal_channels": _minimality_json(minimal),
     }
-    checks = {
-        "all_checked_masks_reducing": all(e.is_reducing for e in rep.entries),
-        "all_channels_minimal": all(mc.is_minimal for mc in rep.minimal_channels),
-    }
+    checks = {"all_checked_masks_reducing": all(rep.reducing)}
     if closure is not None:
         checks["closure_ok"] = closure
-    return section, checks, rep
+    return section, checks
 
 
 def execute(cfg: RunConfig) -> tuple[dict, dict]:
@@ -319,18 +314,18 @@ def execute(cfg: RunConfig) -> tuple[dict, dict]:
     if full or cfg.command == "commutant":
         report["commutant"], section_checks = _commutant_section(cfg, params, T, is_power)
         checks.update(section_checks)
+    if full or cfg.command in ("lattice", "minimality"):
+        minimal = [check_minimal(ch, params, cfg.mode, cfg.tol, T) for ch in channels(params)]
+        checks["all_channels_minimal"] = all(mc.is_minimal for mc in minimal)
     if full or cfg.command == "lattice":
         # full-report's commutant section has already solved the
         # self-adjoint system of the power operator the lattice is about
-        sdim = report["commutant"]["selfadjoint_dim"] if full else None
-        report["lattice"], section_checks, lattice = _lattice_section(cfg, params, T, sdim)
+        sdim = (report["commutant"]["selfadjoint_dim"] if full
+                else selfadjoint_commutant_dim(T, cfg.tol))
+        report["lattice"], section_checks = _lattice_section(cfg, params, T, minimal, sdim)
         checks.update(section_checks)
     if full or cfg.command == "minimality":
-        results = lattice.minimal_channels if full else [
-            check_minimal(ch, params, cfg.mode, cfg.tol, T) for ch in channels(params)
-        ]
-        report["minimality"] = {"channels": _minimality_json(results)}
-        checks["all_channels_minimal"] = all(mc.is_minimal for mc in results)
+        report["minimality"] = {"channels": _minimality_json(minimal)}
 
     report["checks"] = dict(sorted(checks.items()))
     report["passed"] = all(checks.values())

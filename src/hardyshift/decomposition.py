@@ -104,6 +104,24 @@ def channel_order(params: TruncationParams) -> tuple[int, ...]:
     return tuple(f for cb in all_channel_bases(params) for f in cb.flat_indices)
 
 
+def power_operator(
+    params: TruncationParams,
+    mode: Mode,
+    operator: DenseMatrix | SparseMatrix | None = None,
+) -> DenseMatrix | SparseMatrix:
+    """The truncated power operator of the model: ``power_symbol(params,
+    mode)``, or ``operator`` when a caller that has already built it passes
+    it in.  A passed operator of the wrong size raises ShapeError and one of
+    the wrong mode TypeError."""
+    if operator is None:
+        return power_symbol(params, mode)
+    if operator.shape != (params.d, params.d):
+        raise ShapeError(f"operator is {operator.shape} but the model has d={params.d}")
+    if operator.mode != mode:
+        raise TypeError(f"operator is in {operator.mode!r} mode, not {mode!r}")
+    return operator
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     unitary: bool
@@ -136,12 +154,7 @@ def verify_equivalence(
     builds.  A caller that has already built ``power_symbol(params, mode)``
     passes it as ``operator`` instead of having it built again.
     """
-    if operator is None:
-        operator = power_symbol(params, mode)
-    elif operator.shape != (params.d, params.d):
-        raise ShapeError(f"operator is {operator.shape} but the model has d={params.d}")
-    elif operator.mode != mode:
-        raise TypeError(f"operator is in {operator.mode!r} mode, not {mode!r}")
+    operator = power_operator(params, mode, operator)
     order = channel_order(params)
     unitary = sorted(order) == list(range(params.d))
     intertwines = unitary and _relabels_to_shift_blocks(operator, order, params, mode, tol)

@@ -5,22 +5,21 @@ diagonal projection P commutes with the truncated power operator T exactly
 when no nonzero entry of T joins a selected channel to an unselected one:
 (PT - TP)[u][v] = (p_u - p_v) T[u][v].  The channel pairs joined by T are
 collected once, and each mask is certified reducing by checking that none
-of those pairs crosses its boundary.  Single channels are certified minimal
-by computing the self-adjoint commutant of the operator restricted to
-them: a restricted dimension of 1 means the only projections commuting
-there are 0 and 1, so the channel admits no proper reducing subspace of
-its own.  The reducing masks form a Boolean lattice exactly when their count is
-2^a for the a classes of channels that they cannot tell apart.
+of those pairs crosses its boundary.  A mask is kept as its integer value,
+bit c for the channel of ordinal c, and its verdict as one byte.  The
+reducing masks form a Boolean lattice exactly when their count is 2^a for
+the a classes of channels that they cannot tell apart.
 
-The report also carries the self-adjoint commutant dimension of the full
-operator.  At truncation this can exceed the count explained by the r
-diagonal channel generators, and the report keeps that visible instead of
-asserting the diagonal family is everything.
+Single channels are certified minimal on their own, by computing the
+self-adjoint commutant of the operator restricted to them: a restricted
+dimension of 1 means the only projections commuting there are 0 and 1, so
+the channel admits no proper reducing subspace of its own.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .commutant import restrict, selfadjoint_commutant_dim
@@ -29,54 +28,16 @@ from .decomposition import (
     all_channel_bases,
     channel,
     channel_order,
-    channels,
     partition_check,
+    power_operator,
 )
 from .errors import CapError, ShapeError
 from .linalg import components
 from .matrices import DenseMatrix, SparseMatrix
-from .operators import power_symbol
 from .scalars import Mode, scalar_is_zero
 from .space import TruncationParams
 
 MAX_EXHAUSTIVE_CHANNELS = 20
-
-
-@dataclass(frozen=True)
-class ChannelMask:
-    """Subset of channels, bit c for the channel of ordinal c."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("mask bits must be 0 or 1")
-
-    @classmethod
-    def from_int(cls, value: int, width: int) -> "ChannelMask":
-        if value < 0 or value >= (1 << width):
-            raise ValueError(f"mask value {value} out of range for {width} bits")
-        return cls(tuple((value >> c) & 1 for c in range(width)))
-
-    @property
-    def value(self) -> int:
-        return sum(b << c for c, b in enumerate(self.bits))
-
-    @property
-    def popcount(self) -> int:
-        return sum(self.bits)
-
-    @property
-    def bitstring(self) -> str:
-        """Bit of channel ordinal 0 first."""
-        return "".join(str(b) for b in self.bits)
-
-
-@dataclass(frozen=True)
-class MaskEntry:
-    mask: ChannelMask
-    subspace_dim: int
-    is_reducing: bool
 
 
 @dataclass(frozen=True)
@@ -96,9 +57,8 @@ class LatticeCounts:
 @dataclass(frozen=True)
 class LatticeReport:
     params: TruncationParams
-    entries: tuple[MaskEntry, ...]
-    minimal_channels: tuple[ChannelMinimality, ...]
-    full_selfadjoint_commutant_dim: int
+    values: Sequence[int]  # the checked mask values, ascending
+    reducing: bytes  # one verdict per checked mask, 1 when it reduces T
     counts: LatticeCounts
     exhaustive: bool
     channel_components: int  # of the graph of ``channel_edges``
@@ -115,12 +75,7 @@ def check_minimal(
     show the restricted self-adjoint commutant is one-dimensional.  A
     caller that has already built ``power_symbol(params, mode)`` passes it
     as ``operator`` instead of having it built again."""
-    if operator is None:
-        operator = power_symbol(params, mode)
-    elif operator.shape != (params.d, params.d):
-        raise ShapeError(f"operator is {operator.shape} but the model has d={params.d}")
-    elif operator.mode != mode:
-        raise TypeError(f"operator is in {operator.mode!r} mode, not {mode!r}")
+    operator = power_operator(params, mode, operator)
     basis = all_channel_bases(params)[channel(ch.i, ch.j, params).ordinal]
     restricted = restrict(operator, basis, tol)
     dim = selfadjoint_commutant_dim(restricted, tol)
@@ -177,7 +132,6 @@ def enumerate_lattice(
     tol: float | None = None,
     sample: int | None = None,
     seed: int = 0,
-    full_selfadjoint_dim: int | None = None,
     operator: DenseMatrix | SparseMatrix | None = None,
 ) -> LatticeReport:
     """Verify the channel-union lattice of the truncated power operator.
@@ -185,11 +139,10 @@ def enumerate_lattice(
     Checks every mask within the limit of ``check_enumeration_cap``; with
     ``sample`` below 2^r, a deterministic uniform sample of masks instead
     (the report then says exhaustive=False).  Each mask is checked against
-    the channel pairs that the operator matrix joins.  A caller that has
-    already solved the self-adjoint commutant of the full operator passes
-    its dimension as ``full_selfadjoint_dim`` instead of having it solved
-    again, and one that has already built ``power_symbol(params, mode)``
-    passes it as ``operator``.
+    the channel pairs that the operator matrix joins, and its verdict is
+    stored as one byte.  A caller that has already built
+    ``power_symbol(params, mode)`` passes it as ``operator``.  Minimality
+    certificates come from ``check_minimal``, one channel at a time.
     """
     r = params.r
     total = 1 << r
@@ -199,40 +152,19 @@ def enumerate_lattice(
     if exhaustive:
         values = range(total)
     else:
-        rng = random.Random(seed)
-        values = sorted(rng.sample(range(total), sample))
-
-    T = power_symbol(params, mode) if operator is None else operator
-    if T.mode != mode:
-        raise TypeError(f"operator is in {T.mode!r} mode, not {mode!r}")
+        values = tuple(sorted(random.Random(seed).sample(range(total), sample)))
+    T = power_operator(params, mode, operator)
     edges = channel_edges(T, params, tol)
-
-    def verify(value: int) -> MaskEntry:
-        mask = ChannelMask.from_int(value, r)
-        return MaskEntry(
-            mask=mask,
-            subspace_dim=mask.popcount * params.K,
-            is_reducing=mask_is_reducing(value, edges),
-        )
-
-    entries = tuple(verify(v) for v in values)
-
-    minimal = tuple(
-        check_minimal(ch, params, mode, tol, T) for ch in channels(params)
-    )
-    if full_selfadjoint_dim is None:
-        full_selfadjoint_dim = selfadjoint_commutant_dim(T, tol)
-    counts = LatticeCounts(
-        total_masks=total,
-        checked_masks=len(entries),
-        reducing_count=sum(1 for e in entries if e.is_reducing),
-    )
+    reducing = bytes(mask_is_reducing(v, edges) for v in values)
     return LatticeReport(
         params=params,
-        entries=entries,
-        minimal_channels=minimal,
-        full_selfadjoint_commutant_dim=full_selfadjoint_dim,
-        counts=counts,
+        values=values,
+        reducing=reducing,
+        counts=LatticeCounts(
+            total_masks=total,
+            checked_masks=len(values),
+            reducing_count=sum(reducing),
+        ),
         exhaustive=exhaustive,
         channel_components=len(components([dict.fromkeys(e) for e in edges], r)),
     )
@@ -251,7 +183,7 @@ def lattice_closure_check(report: LatticeReport) -> bool:
     which ``partition_check`` confirms.  Meaningful for exhaustive reports;
     a sampled family will normally fail closure simply by missing members.
     """
-    family = sorted({e.mask.value for e in report.entries if e.is_reducing})
+    family = sorted({v for v, flag in zip(report.values, report.reducing) if flag})
     classes = {
         bytes((v >> c) & 1 for v in family) for c in range(report.params.r)
     }
@@ -263,5 +195,5 @@ def lattice_component_check(report: LatticeReport) -> bool:
     mask reduces T exactly when it is a union of the graph's c connected
     components, so an exhaustive report has 2^c reducing masks.  c comes
     from the edges alone, not from the per-mask verdicts."""
-    family = {e.mask.value for e in report.entries if e.is_reducing}
+    family = {v for v, flag in zip(report.values, report.reducing) if flag}
     return len(family) == 1 << report.channel_components

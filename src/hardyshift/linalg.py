@@ -217,10 +217,14 @@ def _float_kernels(blocks: list[tuple[list[int], list[dict]]], ncols: int, tol: 
 def _solve(rows: list[dict], ncols: int, mode: Mode, tol, vectors: bool):
     """The per-block loop of ``kernel_basis`` and ``nullity``: the kernel's
     dimension and its vectors as ``(sort column, {column: scalar})`` pairs,
-    in block order.  Float blocks are grouped by shape and solved by
-    ``_float_kernels``, one batched SVD per shape; they give vectors only
-    when ``vectors`` is set, so that the SVDs of ``nullity`` skip the
-    singular vectors.  Exact blocks always do."""
+    those of exact and rowless blocks first, then those of the float
+    blocks in block order.  Sort columns are distinct except the ``ncols``
+    of float vectors left without a pivot, which keep block order.  Float
+    blocks are grouped by shape and solved by ``_float_kernels``, one
+    batched SVD per shape; they give vectors only when ``vectors`` is set,
+    so that the SVDs of ``nullity`` skip the singular vectors, and their
+    kernel is counted as width minus rank.  Exact blocks always give
+    vectors."""
     if mode == "float" and (tol is None or tol <= 0):
         raise ValueError("float-mode solves require a positive tol")
     one = scalars.one(mode)
@@ -229,14 +233,13 @@ def _solve(rows: list[dict], ncols: int, mode: Mode, tol, vectors: bool):
         field = next((type(c) for row in rows for c in row.values()), type(one))
         if field is not type(one):
             one = field(1)
-    found = []  # vectors, and None in the place of each float block
+    found = []
     float_blocks = []
     for cols, block in components(rows, ncols):
         width = len(cols)
         if not block:
             found.append((cols[0], {cols[0]: one}))
         elif mode == "float":
-            found.append(None)
             float_blocks.append((cols, block))
         else:
             reduced, pivots = rref(block, width)
@@ -248,20 +251,13 @@ def _solve(rows: list[dict], ncols: int, mode: Mode, tol, vectors: bool):
                         if coeff:
                             vec[cols[pc]] = -coeff
                     found.append((cols[f], vec))
-    if not float_blocks:
-        return len(found), found
-    solved = _float_kernels(float_blocks, ncols, tol, vectors)
-    merged, parts = [], iter(solved)
-    for item in found:
-        if item is None:
-            merged.extend(next(parts)[1])
-        else:
-            merged.append(item)
-    # kernel dimensions of float blocks solved without vectors
-    uncounted = 0 if vectors else sum(
-        len(cols) - rank for (cols, _), (rank, _) in zip(float_blocks, solved)
-    )
-    return uncounted + len(merged), merged
+    dim = len(found)
+    if float_blocks:
+        solved = _float_kernels(float_blocks, ncols, tol, vectors)
+        for (cols, _), (rank, vecs) in zip(float_blocks, solved):
+            dim += len(cols) - rank
+            found.extend(vecs)
+    return dim, found
 
 
 def nullity(rows: list[dict], ncols: int, mode: Mode, tol: float | None = None) -> int:

@@ -467,15 +467,14 @@ def decomposed_shift(params, mode="exact"):
     return direct_sum([scalar_shift(params.K, mode).to_dense()] * params.r)
 
 
-def mask_projection(mask, params, mode="exact"):
-    """Diagonal 0/1 projection onto the union of the selected channels."""
-    if len(mask.bits) != params.r:
-        raise ShapeError(
-            f"mask has {len(mask.bits)} bits but the model has {params.r} channels"
-        )
+def mask_projection(value, r, params, mode="exact"):
+    """Diagonal 0/1 projection onto the union of the channels selected by
+    the r-bit mask ``value``, bit c for the channel of ordinal c."""
+    if r != params.r:
+        raise ShapeError(f"mask has {r} bits but the model has {params.r} channels")
     diag = [0] * params.d
-    for cb, bit in zip(all_channel_bases(params), mask.bits):
-        if bit:
+    for c, cb in enumerate(all_channel_bases(params)):
+        if (value >> c) & 1:
             for f in cb.flat_indices:
                 diag[f] = 1
     return DenseMatrix.diagonal(diag, mode)

@@ -222,6 +222,21 @@ def test_lattice_command_probe_fields(tmp_path):
     assert rep["passed"] is True
 
 
+def test_lattice_mask_bitstrings_put_channel_zero_first(tmp_path):
+    # r = 4 channels of K = 3: the entry of mask value 5 selects channels 0
+    # and 2, so it reads "1010" and spans 2 * 3 coefficients
+    code, rep = run_cli_json(
+        tmp_path, "lattice", "--m", "2", "--n", "2", "--blocks", "3"
+    )
+    assert code == 0
+    entries = rep["lattice"]["entries"]
+    assert len(entries) == 16
+    assert entries[5] == {"mask": "1010", "dim": 6, "is_reducing": True}
+    for v, e in enumerate(entries):
+        assert e["mask"] == "".join(str((v >> c) & 1) for c in range(4))
+        assert e["dim"] == 3 * e["mask"].count("1")
+
+
 def test_lattice_cap_exceeded():
     assert run_cli("lattice", "--m", "5", "--n", "5", "--blocks", "2") == 2
 

@@ -3,6 +3,8 @@ import pytest
 
 from hardyshift import (
     TruncationParams,
+    channels,
+    check_minimal,
     commutant_basis,
     enumerate_lattice,
     power_symbol,
@@ -72,8 +74,8 @@ def test_float_lattice():
     p = TruncationParams(2, 2, 2)
     rep = enumerate_lattice(p, mode="float", tol=TOL)
     assert rep.counts.reducing_count == 16
-    assert all(mc.is_minimal for mc in rep.minimal_channels)
-    assert rep.full_selfadjoint_commutant_dim == p.r ** 2
+    assert all(check_minimal(ch, p, "float", TOL).is_minimal for ch in channels(p))
+    assert selfadjoint_commutant_dim(power_symbol(p, "float"), tol=TOL) == p.r ** 2
 
 
 def test_rank_ambiguity_raised_near_tol():

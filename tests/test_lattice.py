@@ -4,7 +4,6 @@ import json
 import pytest
 
 from hardyshift import (
-    ChannelMask,
     GaussianRational,
     TruncationParams,
     channels,
@@ -12,13 +11,13 @@ from hardyshift import (
     enumerate_lattice,
     lattice_closure_check,
     power_symbol,
+    selfadjoint_commutant_dim,
     verify_equivalence,
 )
 from hardyshift.errors import CapError, ShapeError
 from hardyshift.decomposition import channel_order
 from hardyshift.decomposition import all_channel_bases
 from hardyshift.lattice import (
-    MaskEntry,
     channel_edges,
     check_enumeration_cap,
     lattice_component_check,
@@ -36,33 +35,21 @@ from helpers import (
 )
 
 
-def test_mask_round_trip_and_views():
-    m = ChannelMask.from_int(0b101, 4)
-    assert m.bits == (1, 0, 1, 0)
-    assert m.value == 5
-    assert m.popcount == 2
-    assert m.bitstring == "1010"
-    with pytest.raises(ValueError):
-        ChannelMask.from_int(16, 4)
-    with pytest.raises(ValueError):
-        ChannelMask((0, 2))
-
-
 def test_mask_projection_small_example():
     p = TruncationParams(1, 2, 2)
-    proj = mask_projection(ChannelMask((1, 0)), p)
+    proj = mask_projection(0b01, 2, p)
     assert proj == DenseMatrix.diagonal([1, 0, 1, 0])
-    proj = mask_projection(ChannelMask((0, 1)), p)
+    proj = mask_projection(0b10, 2, p)
     assert proj == DenseMatrix.diagonal([0, 1, 0, 1])
     with pytest.raises(ShapeError):
-        mask_projection(ChannelMask((1,)), p)
+        mask_projection(1, 1, p)
 
 
 def test_mask_projections_are_projections():
 
     p = TruncationParams(2, 2, 2)
     for v in range(1 << p.r):
-        proj = mask_projection(ChannelMask.from_int(v, p.r), p)
+        proj = mask_projection(v, p.r, p)
         assert is_projection(proj)
 
 
@@ -73,16 +60,16 @@ def test_enumerate_trivial_model():
     assert rep.counts.checked_masks == 2
     assert rep.counts.reducing_count == 2
     assert rep.exhaustive
-    dims = [e.subspace_dim for e in rep.entries]
-    assert dims == [0, 3]
+    assert list(rep.values) == [0, 1]
+    assert rep.reducing == b"\x01\x01"
 
 
 def test_enumerate_dims_and_reducing():
     p = TruncationParams(1, 2, 2)
     rep = enumerate_lattice(p)
-    assert sorted(e.subspace_dim for e in rep.entries) == [0, 2, 2, 4]
-    assert all(e.is_reducing for e in rep.entries)
-    assert rep.full_selfadjoint_commutant_dim == p.r ** 2
+    assert list(rep.values) == [0, 1, 2, 3]
+    assert all(rep.reducing)
+    assert selfadjoint_commutant_dim(power_symbol(p)) == p.r ** 2
 
 
 def test_enumerate_counts_over_small_sweep():
@@ -90,8 +77,8 @@ def test_enumerate_counts_over_small_sweep():
         rep = enumerate_lattice(p)
         assert rep.counts.total_masks == 1 << p.r
         assert rep.counts.reducing_count == 1 << p.r
-        assert all(e.subspace_dim == e.mask.popcount * p.K for e in rep.entries)
-        assert all(mc.is_minimal for mc in rep.minimal_channels)
+        assert list(rep.values) == list(range(1 << p.r))
+        assert all(check_minimal(ch, p).is_minimal for ch in channels(p))
         assert lattice_closure_check(rep)
 
 
@@ -99,9 +86,9 @@ def test_reducing_verdicts_match_direct_commutation():
     p = TruncationParams(2, 2, 2)
     T = dense(power_symbol(p))
     rep = enumerate_lattice(p)
-    for e in rep.entries:
-        P = mask_projection(e.mask, p)
-        assert e.is_reducing == ((P @ T - T @ P).is_zero())
+    for v, flag in zip(rep.values, rep.reducing):
+        P = mask_projection(v, p.r, p)
+        assert bool(flag) == ((P @ T - T @ P).is_zero())
 
 
 def test_cross_channel_entry_breaks_masks_like_direct_commutation():
@@ -116,7 +103,7 @@ def test_cross_channel_entry_breaks_masks_like_direct_commutation():
     assert edges == {(0, 1)}
     verdicts = []
     for v in range(1 << p.r):
-        P = mask_projection(ChannelMask.from_int(v, p.r), p)
+        P = mask_projection(v, p.r, p)
         verdict = mask_is_reducing(v, edges)
         assert verdict == (P @ T == T @ P)
         verdicts.append(verdict)
@@ -133,7 +120,7 @@ def test_channel_edges_respect_float_tolerance():
         edges = channel_edges(T, p, tol=1e-9)
         assert bool(edges) == joined
         for v in range(1 << p.r):
-            P = mask_projection(ChannelMask.from_int(v, p.r), p, "float")
+            P = mask_projection(v, p.r, p, "float")
             assert mask_is_reducing(v, edges) == matrices_close(
                 P @ T, T @ P, 1e-9
             )
@@ -146,12 +133,11 @@ def test_mask_projection_transport_through_intertwiner():
     X = build_intertwiner(p)
     Xh = X.adjoint()
     for v in range(1 << p.r):
-        mask = ChannelMask.from_int(v, p.r)
         blocks = [
-            DenseMatrix.diagonal([bit] * p.K) for bit in mask.bits
+            DenseMatrix.diagonal([(v >> c) & 1] * p.K) for c in range(p.r)
         ]
         G = direct_sum(blocks)
-        assert X @ G @ Xh == mask_projection(mask, p)
+        assert X @ G @ Xh == mask_projection(v, p.r, p)
 
 
 def test_cap_raises():
@@ -177,13 +163,14 @@ def test_sampling_is_deterministic_and_marked():
     p = TruncationParams(3, 3, 2)  # r = 9
     rep1 = enumerate_lattice(p, sample=20, seed=42)
     rep2 = enumerate_lattice(p, sample=20, seed=42)
-    assert [e.mask.value for e in rep1.entries] == [e.mask.value for e in rep2.entries]
+    assert rep1.values == rep2.values
     assert not rep1.exhaustive
     assert rep1.counts.checked_masks == 20
     assert rep1.counts.total_masks == 512
-    assert all(e.is_reducing for e in rep1.entries)
+    assert list(rep1.values) == sorted(set(rep1.values))
+    assert all(rep1.reducing)
     rep3 = enumerate_lattice(p, sample=20, seed=43)
-    assert [e.mask.value for e in rep3.entries] != [e.mask.value for e in rep1.entries]
+    assert rep3.values != rep1.values
 
 
 def test_sampling_beyond_total_is_exhaustive():
@@ -196,7 +183,7 @@ def test_sampling_beyond_total_is_exhaustive():
 def test_sample_zero_gives_empty_entries():
     p = TruncationParams(1, 2, 2)
     rep = enumerate_lattice(p, sample=0)
-    assert rep.entries == ()
+    assert len(rep.values) == 0 and rep.reducing == b""
     assert rep.counts.reducing_count == 0
     assert not rep.exhaustive
 
@@ -205,12 +192,7 @@ def test_closure_check_fails_when_no_mask_is_reducing():
     p = TruncationParams(2, 1, 2)
     rep = enumerate_lattice(p)
     assert rep.exhaustive and lattice_closure_check(rep)
-    flipped = dataclasses.replace(
-        rep,
-        entries=tuple(
-            dataclasses.replace(e, is_reducing=False) for e in rep.entries
-        ),
-    )
+    flipped = dataclasses.replace(rep, reducing=bytes(len(rep.values)))
     assert not lattice_closure_check(flipped)
 
 
@@ -218,9 +200,7 @@ def test_closure_check_fails_on_doctored_family():
     p = TruncationParams(1, 2, 2)
     rep = enumerate_lattice(p)
     # drop everything except one proper mask: complement is now missing
-    doctored = dataclasses.replace(
-        rep, entries=tuple(e for e in rep.entries if e.mask.value == 1)
-    )
+    doctored = dataclasses.replace(rep, values=(1,), reducing=b"\x01")
     assert not lattice_closure_check(doctored)
 
 
@@ -241,7 +221,7 @@ def pairwise_closure_reference(report):
                 s |= chan_support[c]
         return s
 
-    family = {e.mask.value for e in report.entries if e.is_reducing}
+    family = {v for v, flag in zip(report.values, report.reducing) if flag}
     if 0 not in family or universe not in family:
         return False
     sup = {v: support(v) for v in family}
@@ -264,11 +244,7 @@ def pairwise_closure_reference(report):
 def with_family(report, family):
     """The report with exactly the masks in ``family`` marked reducing."""
     return dataclasses.replace(
-        report,
-        entries=tuple(
-            dataclasses.replace(e, is_reducing=e.mask.value in family)
-            for e in report.entries
-        ),
+        report, reducing=bytes(v in family for v in report.values)
     )
 
 
@@ -292,9 +268,9 @@ def test_closure_check_fails_on_complement_closed_family_without_joins():
     # of 100 and 010 is 110, which is missing
     p = TruncationParams(3, 1, 1)
     rep = enumerate_lattice(p)
+    # bitstrings with the bit of channel ordinal 0 first
     family = {
-        ChannelMask(tuple(int(b) for b in bits)).value
-        for bits in ("000", "111", "100", "011", "010", "101")
+        int(bits[::-1], 2) for bits in ("000", "111", "100", "011", "010", "101")
     }
     doctored = with_family(rep, family)
     assert not pairwise_closure_reference(doctored)
@@ -371,7 +347,7 @@ def test_closure_check_matches_projection_algebra():
     p = TruncationParams(2, 1, 2)
     r = p.r
     projs = {
-        v: mask_projection(ChannelMask.from_int(v, r), p) for v in range(1 << r)
+        v: mask_projection(v, r, p) for v in range(1 << r)
     }
     ident = DenseMatrix.identity(p.d)
     for v1 in range(1 << r):
@@ -436,6 +412,5 @@ def test_minimality_fails_for_doubled_block():
 def test_entries_are_mask_ordered():
     p = TruncationParams(2, 2, 2)
     rep = enumerate_lattice(p)
-    values = [e.mask.value for e in rep.entries]
-    assert values == sorted(values)
-    assert isinstance(rep.entries[0], MaskEntry)
+    assert rep.values == range(1 << p.r)
+    assert isinstance(rep.reducing, bytes) and len(rep.reducing) == 1 << p.r
