@@ -168,7 +168,7 @@ def _matrix_json(mat) -> list:
 
 
 def _equivalence_section(cfg: RunConfig, params: TruncationParams, T):
-    rep = verify_equivalence(params, cfg.mode, cfg.tol, T)
+    rep = verify_equivalence(T, params, cfg.tol)
     section = {
         "unitary": rep.unitary,
         "intertwines": rep.intertwines,
@@ -237,14 +237,7 @@ def _minimality_json(results) -> list:
 def _lattice_section(
     cfg: RunConfig, params: TruncationParams, T, minimal: list, full_selfadjoint_dim: int
 ):
-    rep = enumerate_lattice(
-        params,
-        mode=cfg.mode,
-        tol=cfg.tol,
-        sample=cfg.sample,
-        seed=cfg.seed or 0,
-        operator=T,
-    )
+    rep = enumerate_lattice(T, params, cfg.tol, cfg.sample, cfg.seed or 0)
     closure = (
         lattice_closure_check(rep) and lattice_component_check(rep) if rep.exhaustive else None
     )
@@ -315,7 +308,7 @@ def execute(cfg: RunConfig) -> tuple[dict, dict]:
         report["commutant"], section_checks = _commutant_section(cfg, params, T, is_power)
         checks.update(section_checks)
     if full or cfg.command in ("lattice", "minimality"):
-        minimal = [check_minimal(ch, params, cfg.mode, cfg.tol, T) for ch in channels(params)]
+        minimal = [check_minimal(T, params, ch, cfg.tol) for ch in channels(params)]
         checks["all_channels_minimal"] = all(mc.is_minimal for mc in minimal)
     if full or cfg.command == "lattice":
         # full-report's commutant section has already solved the

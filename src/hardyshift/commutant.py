@@ -37,10 +37,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 from . import linalg, scalars
-from .decomposition import ChannelBasis
 from .errors import InvarianceError, ShapeError
 from .matrices import DenseMatrix, SparseMatrix
 from .scalars import scalar_is_zero, scalars_close, zero
@@ -51,7 +50,6 @@ class CommutantBasis:
     """Echelon-normalized basis of {P : AP = PA} for a d x d matrix A, one
     ``SparseMatrix`` per element."""
 
-    operator_dim: int
     elements: tuple[SparseMatrix, ...]
 
     @property
@@ -181,12 +179,12 @@ def commutant_basis(A: DenseMatrix | SparseMatrix, tol: float | None = None) -> 
         # largest key (the free column) first, in ascending free-column order
         one = scalars.one("exact")
         chains = sorted(_chains(*shape), key=lambda keys: keys[-1])
-        return CommutantBasis(d, tuple(
+        return CommutantBasis(tuple(
             SparseMatrix(dict.fromkeys([keys[-1], *keys[:-1]], one), d, d, "exact")
             for keys in chains
         ))
     vecs = linalg.kernel_basis(_commutation_rows(A), d * d, A.mode, tol)
-    return CommutantBasis(d, tuple(
+    return CommutantBasis(tuple(
         SparseMatrix({divmod(k, d): s for k, s in vec.items()}, d, d, A.mode) for vec in vecs
     ))
 
@@ -342,7 +340,7 @@ def toeplitz_break(
 
 def restrict(
     A: DenseMatrix | SparseMatrix,
-    basis: Union[ChannelBasis, Sequence[int]],
+    indices: Sequence[int],
     tol: float | None = None,
 ) -> SparseMatrix:
     """Compression of A to the span of the given flat coordinates, after
@@ -354,10 +352,6 @@ def restrict(
     of columns, then the lowest row.  One scan of A's nonzeros decides
     both; entry (a, b) of the result is A[indices[a]][indices[b]].
     """
-    if isinstance(basis, ChannelBasis):
-        indices = basis.flat_indices
-    else:
-        indices = tuple(basis)
     if len(set(indices)) != len(indices):
         raise ValueError("restriction indices must be distinct")
     if not indices:

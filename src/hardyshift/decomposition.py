@@ -23,8 +23,7 @@ from functools import lru_cache
 
 from .errors import ShapeError
 from .matrices import DenseMatrix, SparseMatrix
-from .operators import power_symbol
-from .scalars import Mode, one, scalar_is_zero, scalars_close, zero
+from .scalars import one, scalar_is_zero, scalars_close, zero
 from .space import TruncationParams, flat_index
 
 
@@ -104,22 +103,10 @@ def channel_order(params: TruncationParams) -> tuple[int, ...]:
     return tuple(f for cb in all_channel_bases(params) for f in cb.flat_indices)
 
 
-def power_operator(
-    params: TruncationParams,
-    mode: Mode,
-    operator: DenseMatrix | SparseMatrix | None = None,
-) -> DenseMatrix | SparseMatrix:
-    """The truncated power operator of the model: ``power_symbol(params,
-    mode)``, or ``operator`` when a caller that has already built it passes
-    it in.  A passed operator of the wrong size raises ShapeError and one of
-    the wrong mode TypeError."""
-    if operator is None:
-        return power_symbol(params, mode)
-    if operator.shape != (params.d, params.d):
-        raise ShapeError(f"operator is {operator.shape} but the model has d={params.d}")
-    if operator.mode != mode:
-        raise TypeError(f"operator is in {operator.mode!r} mode, not {mode!r}")
-    return operator
+def check_operator_shape(T: DenseMatrix | SparseMatrix, params: TruncationParams) -> None:
+    """Raise ShapeError unless T is d x d for the model's d."""
+    if T.shape != (params.d, params.d):
+        raise ShapeError(f"operator is {T.shape} but the model has d={params.d}")
 
 
 @dataclass(frozen=True)
@@ -134,30 +121,27 @@ class EquivalenceReport:
 
 
 def verify_equivalence(
-    params: TruncationParams,
-    mode: Mode = "exact",
-    tol: float | None = None,
-    operator: DenseMatrix | SparseMatrix | None = None,
+    T: DenseMatrix | SparseMatrix, params: TruncationParams, tol: float | None = None
 ) -> EquivalenceReport:
-    """Check that the intertwiner is unitary and conjugates the truncated
-    power operator onto the direct sum of shift blocks.
+    """Check that the intertwiner is unitary and conjugates T onto the
+    direct sum of shift blocks, as it does the truncated power operator
+    ``power_symbol(params, mode)``.
 
     The intertwiner is unitary exactly when its channel order is a
     permutation of the flat indices, and its conjugation of the operator is
     read through that order: entry (a, b) must be one where b = a - 1
     within a channel's block of K coordinates and zero elsewhere, the
-    entries of the direct sum of r shift blocks of size K.  In exact mode
-    the comparison is a zero-tolerance equality; in float mode it is
+    entries of the direct sum of r shift blocks of size K.  For an exact T
+    the comparison is a zero-tolerance equality; for a float T it is
     entrywise within tol.  An order that is no permutation does not
-    intertwine either.  The scan visits only the operator's stored
-    nonzeros, d - r of them for the ``SparseMatrix`` that ``power_symbol``
-    builds.  A caller that has already built ``power_symbol(params, mode)``
-    passes it as ``operator`` instead of having it built again.
+    intertwine either.  The scan visits only T's stored nonzeros, d - r
+    of them for the ``SparseMatrix`` that ``power_symbol`` builds.  A T that
+    is not d x d raises ShapeError.
     """
-    operator = power_operator(params, mode, operator)
+    check_operator_shape(T, params)
     order = channel_order(params)
     unitary = sorted(order) == list(range(params.d))
-    intertwines = unitary and _relabels_to_shift_blocks(operator, order, params, mode, tol)
+    intertwines = unitary and _relabels_to_shift_blocks(T, order, params, tol)
     return EquivalenceReport(
         unitary=unitary,
         intertwines=intertwines,
@@ -166,7 +150,7 @@ def verify_equivalence(
 
 
 def _relabels_to_shift_blocks(
-    T: DenseMatrix | SparseMatrix, order: tuple[int, ...], params: TruncationParams, mode: Mode,
+    T: DenseMatrix | SparseMatrix, order: tuple[int, ...], params: TruncationParams,
     tol: float | None,
 ) -> bool:
     """True when T[order[a]][order[b]] is one at the d - r positions with
@@ -179,7 +163,7 @@ def _relabels_to_shift_blocks(
     inv = [0] * params.d
     for a, f in enumerate(order):
         inv[f] = a
-    o, K = one(mode), params.K
+    o, K = one(T.mode), params.K
     seen = 0
     for f, g, s in T.nonzero_items():
         a, b = inv[f], inv[g]
@@ -189,4 +173,4 @@ def _relabels_to_shift_blocks(
             seen += 1
         elif not scalar_is_zero(s, tol):
             return False
-    return seen == params.d - params.r or scalars_close(zero(mode), o, tol)
+    return seen == params.d - params.r or scalars_close(zero(T.mode), o, tol)

@@ -28,13 +28,13 @@ from .decomposition import (
     all_channel_bases,
     channel,
     channel_order,
+    check_operator_shape,
     partition_check,
-    power_operator,
 )
-from .errors import CapError, ShapeError
+from .errors import CapError
 from .linalg import components
 from .matrices import DenseMatrix, SparseMatrix
-from .scalars import Mode, scalar_is_zero
+from .scalars import scalar_is_zero
 from .space import TruncationParams
 
 MAX_EXHAUSTIVE_CHANNELS = 20
@@ -65,19 +65,18 @@ class LatticeReport:
 
 
 def check_minimal(
-    ch: Channel,
+    T: DenseMatrix | SparseMatrix,
     params: TruncationParams,
-    mode: Mode = "exact",
+    ch: Channel,
     tol: float | None = None,
-    operator: DenseMatrix | SparseMatrix | None = None,
 ) -> ChannelMinimality:
-    """Certify one channel minimal: restrict the power operator to it and
-    show the restricted self-adjoint commutant is one-dimensional.  A
-    caller that has already built ``power_symbol(params, mode)`` passes it
-    as ``operator`` instead of having it built again."""
-    operator = power_operator(params, mode, operator)
+    """Certify one channel minimal: restrict T, the power operator
+    ``power_symbol(params, mode)``, to it and show the restricted
+    self-adjoint commutant is one-dimensional.  A T that is not d x d
+    raises ShapeError."""
+    check_operator_shape(T, params)
     basis = all_channel_bases(params)[channel(ch.i, ch.j, params).ordinal]
-    restricted = restrict(operator, basis, tol)
+    restricted = restrict(T, basis.flat_indices, tol)
     dim = selfadjoint_commutant_dim(restricted, tol)
     return ChannelMinimality(
         channel=ch,
@@ -91,9 +90,8 @@ def channel_edges(
 ) -> frozenset[tuple[int, int]]:
     """Pairs (a, b) of distinct channel ordinals such that T[u][v] is
     nonzero (beyond tol in float mode) for some u in channel a and v in
-    channel b."""
-    if T.shape != (params.d, params.d):
-        raise ShapeError(f"operator is {T.shape} but the model has d={params.d}")
+    channel b.  A T that is not d x d raises ShapeError."""
+    check_operator_shape(T, params)
     owner = [0] * params.d
     for a, f in enumerate(channel_order(params)):
         owner[f] = a // params.K
@@ -127,21 +125,20 @@ def check_enumeration_cap(r: int, sample: int | None) -> bool:
 
 
 def enumerate_lattice(
+    T: DenseMatrix | SparseMatrix,
     params: TruncationParams,
-    mode: Mode = "exact",
     tol: float | None = None,
     sample: int | None = None,
     seed: int = 0,
-    operator: DenseMatrix | SparseMatrix | None = None,
 ) -> LatticeReport:
-    """Verify the channel-union lattice of the truncated power operator.
+    """Verify the channel-union lattice of T, the truncated power operator
+    ``power_symbol(params, mode)``.
 
     Checks every mask within the limit of ``check_enumeration_cap``; with
     ``sample`` below 2^r, a deterministic uniform sample of masks instead
     (the report then says exhaustive=False).  Each mask is checked against
-    the channel pairs that the operator matrix joins, and its verdict is
-    stored as one byte.  A caller that has already built
-    ``power_symbol(params, mode)`` passes it as ``operator``.  Minimality
+    the channel pairs that T joins (``channel_edges``, which refuses a T
+    that is not d x d), and its verdict is stored as one byte.  Minimality
     certificates come from ``check_minimal``, one channel at a time.
     """
     r = params.r
@@ -153,7 +150,6 @@ def enumerate_lattice(
         values = range(total)
     else:
         values = tuple(sorted(random.Random(seed).sample(range(total), sample)))
-    T = power_operator(params, mode, operator)
     edges = channel_edges(T, params, tol)
     reducing = bytes(mask_is_reducing(v, edges) for v in values)
     return LatticeReport(

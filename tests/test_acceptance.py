@@ -62,9 +62,10 @@ def test_criterion_1_unitary_equivalence():
             start = time.perf_counter()
             X = build_intertwiner(p)
             assert is_permutation(X)
-            conjugated = X.adjoint() @ dense(power_symbol(p)) @ X
+            T = power_symbol(p)
+            conjugated = X.adjoint() @ dense(T) @ X
             assert conjugated == decomposed_shift(p)
-            rep = verify_equivalence(p)
+            rep = verify_equivalence(T, p)
             assert rep.unitary and rep.intertwines
             elapsed = time.perf_counter() - start
             assert elapsed < 1.0, f"{p}: took {elapsed:.3f}s, budget 1s"
@@ -113,7 +114,7 @@ def test_criterion_4_lattice_count():
         for p in SWEEP:
             assert p.r <= 9
             start = time.perf_counter()
-            rep = enumerate_lattice(p)
+            rep = enumerate_lattice(power_symbol(p), p)
             elapsed = time.perf_counter() - start
             assert rep.exhaustive
             assert rep.counts.total_masks == 1 << p.r
@@ -129,8 +130,9 @@ def test_criterion_4_lattice_count():
 def test_criterion_5_minimality():
     with criterion("criterion 5, every channel is minimal"):
         for p in SWEEP:
+            T = power_symbol(p)
             for ch in channels(p):
-                cert = check_minimal(ch, p)
+                cert = check_minimal(T, p, ch)
                 assert cert.is_minimal
                 assert cert.restricted_selfadjoint_commutant_dim == 1
 

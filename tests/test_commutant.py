@@ -383,12 +383,13 @@ def test_restrict_compresses_invariant_subspace():
     p = TruncationParams(2, 2, 2)
     T = power_symbol(p)
     cb = channel_basis(1, 0, p)
-    R = restrict(T, cb)
+    R = restrict(T, cb.flat_indices)
     assert R == scalar_shift(p.K)
-    # also accepts a raw index sequence
-    assert restrict(T, cb.flat_indices) == scalar_shift(p.K)
+    # any sequence of flat indices, not only a tuple
+    assert restrict(T, list(cb.flat_indices)) == scalar_shift(p.K)
     # the identity compresses to the identity on any channel
-    assert restrict(DenseMatrix.identity(p.d), cb).to_dense() == DenseMatrix.identity(p.K)
+    compressed = restrict(DenseMatrix.identity(p.d), cb.flat_indices)
+    assert compressed.to_dense() == DenseMatrix.identity(p.K)
 
 
 def test_restrict_rejects_non_invariant_subspace():

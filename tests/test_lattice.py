@@ -55,7 +55,7 @@ def test_mask_projections_are_projections():
 
 def test_enumerate_trivial_model():
     p = TruncationParams(1, 1, 3)
-    rep = enumerate_lattice(p)
+    rep = enumerate_lattice(power_symbol(p), p)
     assert rep.counts.total_masks == 2
     assert rep.counts.checked_masks == 2
     assert rep.counts.reducing_count == 2
@@ -66,7 +66,7 @@ def test_enumerate_trivial_model():
 
 def test_enumerate_dims_and_reducing():
     p = TruncationParams(1, 2, 2)
-    rep = enumerate_lattice(p)
+    rep = enumerate_lattice(power_symbol(p), p)
     assert list(rep.values) == [0, 1, 2, 3]
     assert all(rep.reducing)
     assert selfadjoint_commutant_dim(power_symbol(p)) == p.r ** 2
@@ -74,18 +74,19 @@ def test_enumerate_dims_and_reducing():
 
 def test_enumerate_counts_over_small_sweep():
     for p in SMALL_SWEEP:
-        rep = enumerate_lattice(p)
+        T = power_symbol(p)
+        rep = enumerate_lattice(T, p)
         assert rep.counts.total_masks == 1 << p.r
         assert rep.counts.reducing_count == 1 << p.r
         assert list(rep.values) == list(range(1 << p.r))
-        assert all(check_minimal(ch, p).is_minimal for ch in channels(p))
+        assert all(check_minimal(T, p, ch).is_minimal for ch in channels(p))
         assert lattice_closure_check(rep)
 
 
 def test_reducing_verdicts_match_direct_commutation():
     p = TruncationParams(2, 2, 2)
     T = dense(power_symbol(p))
-    rep = enumerate_lattice(p)
+    rep = enumerate_lattice(power_symbol(p), p)
     for v, flag in zip(rep.values, rep.reducing):
         P = mask_projection(v, p.r, p)
         assert bool(flag) == ((P @ T - T @ P).is_zero())
@@ -143,10 +144,11 @@ def test_mask_projection_transport_through_intertwiner():
 def test_cap_raises():
     p = TruncationParams(5, 5, 2)
     with pytest.raises(CapError):
-        enumerate_lattice(p)
+        enumerate_lattice(power_symbol(p), p)
     # one channel past the fixed limit of 20
+    p = TruncationParams(21, 1, 1)
     with pytest.raises(CapError):
-        enumerate_lattice(TruncationParams(21, 1, 1))
+        enumerate_lattice(power_symbol(p), p)
 
 
 def test_cap_counts_an_oversized_sample_as_exhaustive():
@@ -155,34 +157,35 @@ def test_cap_counts_an_oversized_sample_as_exhaustive():
     # a sample of at least 2^r masks checks every mask, so the limit holds
     with pytest.raises(CapError):
         check_enumeration_cap(22, 1 << 22)
+    p = TruncationParams(11, 2, 1)
     with pytest.raises(CapError):
-        enumerate_lattice(TruncationParams(11, 2, 1), sample=5_000_000)
+        enumerate_lattice(power_symbol(p), p, sample=5_000_000)
 
 
 def test_sampling_is_deterministic_and_marked():
     p = TruncationParams(3, 3, 2)  # r = 9
-    rep1 = enumerate_lattice(p, sample=20, seed=42)
-    rep2 = enumerate_lattice(p, sample=20, seed=42)
+    rep1 = enumerate_lattice(power_symbol(p), p, sample=20, seed=42)
+    rep2 = enumerate_lattice(power_symbol(p), p, sample=20, seed=42)
     assert rep1.values == rep2.values
     assert not rep1.exhaustive
     assert rep1.counts.checked_masks == 20
     assert rep1.counts.total_masks == 512
     assert list(rep1.values) == sorted(set(rep1.values))
     assert all(rep1.reducing)
-    rep3 = enumerate_lattice(p, sample=20, seed=43)
+    rep3 = enumerate_lattice(power_symbol(p), p, sample=20, seed=43)
     assert rep3.values != rep1.values
 
 
 def test_sampling_beyond_total_is_exhaustive():
     p = TruncationParams(1, 2, 2)
-    rep = enumerate_lattice(p, sample=100)
+    rep = enumerate_lattice(power_symbol(p), p, sample=100)
     assert rep.exhaustive
     assert rep.counts.checked_masks == 4
 
 
 def test_sample_zero_gives_empty_entries():
     p = TruncationParams(1, 2, 2)
-    rep = enumerate_lattice(p, sample=0)
+    rep = enumerate_lattice(power_symbol(p), p, sample=0)
     assert len(rep.values) == 0 and rep.reducing == b""
     assert rep.counts.reducing_count == 0
     assert not rep.exhaustive
@@ -190,7 +193,7 @@ def test_sample_zero_gives_empty_entries():
 
 def test_closure_check_fails_when_no_mask_is_reducing():
     p = TruncationParams(2, 1, 2)
-    rep = enumerate_lattice(p)
+    rep = enumerate_lattice(power_symbol(p), p)
     assert rep.exhaustive and lattice_closure_check(rep)
     flipped = dataclasses.replace(rep, reducing=bytes(len(rep.values)))
     assert not lattice_closure_check(flipped)
@@ -198,7 +201,7 @@ def test_closure_check_fails_when_no_mask_is_reducing():
 
 def test_closure_check_fails_on_doctored_family():
     p = TruncationParams(1, 2, 2)
-    rep = enumerate_lattice(p)
+    rep = enumerate_lattice(power_symbol(p), p)
     # drop everything except one proper mask: complement is now missing
     doctored = dataclasses.replace(rep, values=(1,), reducing=b"\x01")
     assert not lattice_closure_check(doctored)
@@ -251,7 +254,7 @@ def with_family(report, family):
 def test_closure_check_agrees_with_pairwise_reference_on_every_family():
     # every family of masks for r = 1, 2, 3: 4 + 16 + 256 families
     for p in (TruncationParams(1, 1, 2), TruncationParams(2, 1, 2), TruncationParams(3, 1, 1)):
-        rep = enumerate_lattice(p)
+        rep = enumerate_lattice(power_symbol(p), p)
         masks = 1 << p.r
         verdicts = []
         for subset in range(1 << masks):
@@ -267,7 +270,7 @@ def test_closure_check_fails_on_complement_closed_family_without_joins():
     # {000, 111, 100, 011, 010, 101}: closed under complement, but the join
     # of 100 and 010 is 110, which is missing
     p = TruncationParams(3, 1, 1)
-    rep = enumerate_lattice(p)
+    rep = enumerate_lattice(power_symbol(p), p)
     # bitstrings with the bit of channel ordinal 0 first
     family = {
         int(bits[::-1], 2) for bits in ("000", "111", "100", "011", "010", "101")
@@ -281,7 +284,7 @@ def test_closure_check_fails_on_complement_closed_family_without_joins():
 
 def test_component_check_counts_the_unions_of_edge_components():
     for p in SMALL_SWEEP:
-        rep = enumerate_lattice(p)
+        rep = enumerate_lattice(power_symbol(p), p)
         # the channels of z^n are invariant, so no edge joins two of them
         assert rep.channel_components == p.r
         assert lattice_component_check(rep)
@@ -292,7 +295,8 @@ def test_component_count_follows_the_edges(monkeypatch):
 
     # an edge joining channels 0 and 1 of three leaves two components
     monkeypatch.setattr(lattice, "channel_edges", lambda T, params, tol=None: {(0, 1)})
-    rep = enumerate_lattice(TruncationParams(3, 1, 2))
+    p = TruncationParams(3, 1, 2)
+    rep = enumerate_lattice(power_symbol(p), p)
     assert rep.channel_components == 2
     assert rep.counts.reducing_count == 4
     assert lattice_closure_check(rep) and lattice_component_check(rep)
@@ -302,12 +306,14 @@ def test_component_check_fails_on_a_closed_family_with_too_few_atoms():
     # two channels and no edges: every mask reduces.  Verdicts flipped to
     # {00, 11} still form a Boolean lattice, with one atom, so the closure
     # check accepts them; the edge graph has two components and says 2^2.
-    rep = enumerate_lattice(TruncationParams(2, 1, 2))
+    p = TruncationParams(2, 1, 2)
+    rep = enumerate_lattice(power_symbol(p), p)
     flipped = with_family(rep, {0, 3})
     assert lattice_closure_check(flipped)
     assert not lattice_component_check(flipped)
     # three channels, verdicts {000, 111, 100, 011}: two atoms, 2^2 members
-    rep = enumerate_lattice(TruncationParams(3, 1, 1))
+    p = TruncationParams(3, 1, 1)
+    rep = enumerate_lattice(power_symbol(p), p)
     flipped = with_family(rep, {0, 7, 1, 6})
     assert lattice_closure_check(flipped)
     assert not lattice_component_check(flipped)
@@ -330,14 +336,16 @@ def test_cli_closure_fails_on_flipped_verdicts_of_a_closed_family(tmp_path, monk
 def test_closure_check_fails_when_channels_do_not_partition(monkeypatch):
     import hardyshift.lattice as lattice
 
-    rep = enumerate_lattice(TruncationParams(2, 1, 2))
+    p = TruncationParams(2, 1, 2)
+    rep = enumerate_lattice(power_symbol(p), p)
     assert lattice_closure_check(rep)
     monkeypatch.setattr(lattice, "partition_check", lambda params: False)
     assert not lattice_closure_check(rep)
 
 
 def test_closure_check_exhaustive_eleven_channels():
-    rep = enumerate_lattice(TruncationParams(11, 1, 1))
+    p = TruncationParams(11, 1, 1)
+    rep = enumerate_lattice(power_symbol(p), p)
     assert rep.exhaustive and rep.counts.reducing_count == 1 << 11
     assert lattice_closure_check(rep)
 
@@ -356,43 +364,35 @@ def test_closure_check_matches_projection_algebra():
             join = projs[v1] + projs[v2] - projs[v1] @ projs[v2]
             assert join == projs[v1 | v2]
         assert ident - projs[v1] == projs[((1 << r) - 1) ^ v1]
-    rep = enumerate_lattice(p)
+    rep = enumerate_lattice(power_symbol(p), p)
     assert lattice_closure_check(rep)
 
 
 def test_check_minimal_certificates():
     for p in [TruncationParams(1, 2, 2), TruncationParams(2, 2, 2), TruncationParams(2, 1, 4)]:
+        T = power_symbol(p)
         for ch in channels(p):
-            cert = check_minimal(ch, p)
+            cert = check_minimal(T, p, ch)
             assert cert.is_minimal
             assert cert.restricted_selfadjoint_commutant_dim == 1
 
 
+def _check_first_channel(T, p):
+    return check_minimal(T, p, channels(p)[0])
+
+
 @pytest.mark.parametrize("K", [4, 2], ids=["16x16", "8x8"])
-def test_check_minimal_refuses_an_operator_of_the_wrong_size(K):
-    p = TruncationParams(2, 2, 3)
-    with pytest.raises(ShapeError):
-        check_minimal(
-            channels(p)[0], p, operator=power_symbol(TruncationParams(2, 2, K))
-        )
-
-
-def _check_first_channel(p, mode, tol, operator):
-    return check_minimal(channels(p)[0], p, mode, tol, operator)
-
-
-@pytest.mark.parametrize("mode, other", [("exact", "float"), ("float", "exact")])
 @pytest.mark.parametrize(
-    "check", [verify_equivalence, enumerate_lattice, _check_first_channel],
-    ids=["verify_equivalence", "enumerate_lattice", "check_minimal"],
+    "check", [verify_equivalence, _check_first_channel, enumerate_lattice],
+    ids=["verify_equivalence", "check_minimal", "enumerate_lattice"],
 )
-def test_operator_of_the_other_mode_refused(check, mode, other):
-    # the right operator in the wrong mode is refused by name, not reported
-    # as a failed intertwining or left to fail inside the solver
+def test_certificates_refuse_an_operator_of_the_wrong_size(check, K):
+    # d = 12 here: a larger operator must not pass on its top-left corner,
+    # and a smaller one must not fail with a bare IndexError
     p = TruncationParams(2, 2, 3)
-    tol = 1e-9 if mode == "float" else None
-    with pytest.raises(TypeError, match=f"operator is in '{other}' mode, not '{mode}'"):
-        check(p, mode, tol, operator=power_symbol(p, other))
+    d = 4 * K
+    with pytest.raises(ShapeError, match=rf"operator is \({d}, {d}\) but the model has d=12"):
+        check(power_symbol(TruncationParams(2, 2, K)), p)
 
 
 def test_minimality_fails_for_doubled_block():
@@ -411,6 +411,6 @@ def test_minimality_fails_for_doubled_block():
 
 def test_entries_are_mask_ordered():
     p = TruncationParams(2, 2, 2)
-    rep = enumerate_lattice(p)
+    rep = enumerate_lattice(power_symbol(p), p)
     assert rep.values == range(1 << p.r)
     assert isinstance(rep.reducing, bytes) and len(rep.reducing) == 1 << p.r
