@@ -1,9 +1,11 @@
 """Command-line verification pipeline.
 
 Each command builds the requested model, runs its checks, and emits a
-deterministic report (JSON by default, CSV for lattice tables).  Exit codes:
-0 all checks passed, 1 a verification check failed, 2 invalid configuration,
-3 a floating rank decision was ambiguous, 4 the report could not be written.
+deterministic report (JSON by default, CSV for lattice tables).  Flags are
+checked once, by argparse and ``config_from_args``; the namespace they pass
+is the run's config, and the stages after them trust it.  Exit codes: 0 all
+checks passed, 1 a verification check failed, 2 invalid configuration, 3 a
+floating rank decision was ambiguous, 4 the report could not be written.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .commutant import (
@@ -55,21 +56,6 @@ COMMANDS = (
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    m: int
-    n: int
-    K: int
-    mode: str = "exact"
-    tol: float | None = None
-    symbol_path: Path | None = None
-    out_path: Path | None = None
-    format: str = "json"
-    sample: int | None = None
-    seed: int | None = None
 
 
 def _positive_int(text: str) -> int:
@@ -115,8 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(**vars(args))
+def config_from_args(cfg: argparse.Namespace) -> argparse.Namespace:
+    """Refuse the flag combinations that argparse cannot express, and return
+    the namespace as the run's config."""
     if cfg.mode == "float":
         if cfg.tol is None or not math.isfinite(cfg.tol) or cfg.tol <= 0:
             raise ConfigError("float mode requires a finite --tol > 0")
@@ -134,15 +121,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_symbol(cfg: RunConfig):
+def _operator(cfg: argparse.Namespace, params: TruncationParams):
+    """The run's operator, z^n or the Toeplitz matrix of --symbol, and
+    whether it is z^n."""
     if cfg.symbol_path is None:
-        return None
+        return power_symbol(params, cfg.mode), True
     try:
-        text = cfg.symbol_path.read_text()
+        obj = json.loads(cfg.symbol_path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read symbol file: {exc}") from exc
-    try:
-        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"symbol file is not valid JSON: {exc}") from exc
     try:
@@ -150,16 +137,7 @@ def _load_symbol(cfg: RunConfig):
     except ValueError as exc:
         raise ConfigError(f"bad symbol file: {exc}") from exc
     if symbol.m != cfg.m:
-        raise ConfigError(
-            f"symbol is {symbol.m} x {symbol.m} but --m is {cfg.m}"
-        )
-    return symbol
-
-
-def _operator(cfg: RunConfig, params: TruncationParams):
-    symbol = _load_symbol(cfg)
-    if symbol is None:
-        return power_symbol(params, cfg.mode), True
+        raise ConfigError(f"symbol is {symbol.m} x {symbol.m} but --m is {cfg.m}")
     return toeplitz_matrix(symbol, params, cfg.mode), False
 
 
@@ -167,7 +145,7 @@ def _matrix_json(mat) -> list:
     return [[scalar_to_json(e) for e in row] for row in mat.entries]
 
 
-def _equivalence_section(cfg: RunConfig, params: TruncationParams, T):
+def _equivalence_section(cfg: argparse.Namespace, params: TruncationParams, T):
     rep = verify_equivalence(T, params, cfg.tol)
     section = {
         "unitary": rep.unitary,
@@ -187,7 +165,7 @@ def _equivalence_section(cfg: RunConfig, params: TruncationParams, T):
 
 
 def _commutant_section(
-    cfg: RunConfig, params: TruncationParams, operator, is_power: bool
+    cfg: argparse.Namespace, params: TruncationParams, operator, is_power: bool
 ):
     cb = commutant_basis(operator, cfg.tol)
     sdim = selfadjoint_commutant_dim(operator, cfg.tol)
@@ -235,7 +213,8 @@ def _minimality_json(results) -> list:
 
 
 def _lattice_section(
-    cfg: RunConfig, params: TruncationParams, T, minimal: list, full_selfadjoint_dim: int
+    cfg: argparse.Namespace, params: TruncationParams, T, minimal: list,
+    full_selfadjoint_dim: int,
 ):
     rep = enumerate_lattice(T, params, cfg.tol, cfg.sample, cfg.seed or 0)
     closure = (
@@ -267,10 +246,8 @@ def _lattice_section(
     return section, checks
 
 
-def execute(cfg: RunConfig) -> tuple[dict, dict]:
-    """Run the configured command; returns (report, checks)."""
-    if cfg.command not in COMMANDS:
-        raise ConfigError(f"unknown command {cfg.command!r}")
+def execute(cfg: argparse.Namespace) -> dict:
+    """Run the configured command and return its report."""
     params = TruncationParams(m=cfg.m, n=cfg.n, K=cfg.K)
     if cfg.command in ("lattice", "full-report"):
         check_enumeration_cap(params.r, cfg.sample)
@@ -322,19 +299,15 @@ def execute(cfg: RunConfig) -> tuple[dict, dict]:
 
     report["checks"] = dict(sorted(checks.items()))
     report["passed"] = all(checks.values())
-    return report, checks
+    return report
 
 
 def emit_report(report: dict, fmt: str) -> bytes:
-    """Render the report deterministically: sorted-key JSON or the lattice
-    CSV table."""
+    """Render the report deterministically: sorted-key JSON, or for "csv"
+    the lattice CSV table, which needs a report with a lattice section."""
     if fmt == "json":
         return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
-    if fmt != "csv":
-        raise ConfigError(f"unknown format {fmt!r}")
-    lattice = report.get("lattice")
-    if lattice is None:
-        raise ConfigError("csv output is only available for the lattice command")
+    lattice = report["lattice"]
     minimal_by_ordinal = {
         mc["ordinal"]: mc["is_minimal"] for mc in lattice["minimal_channels"]
     }
@@ -387,27 +360,23 @@ def write_output(data: bytes, out_path: Path | None) -> None:
         raise
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     try:
-        report, checks = execute(cfg)
+        report = execute(cfg)
     except (ConfigError, CapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RankAmbiguityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANK_AMBIGUITY
-    try:
-        data = emit_report(report, cfg.format)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    data = emit_report(report, cfg.format)
     try:
         write_output(data, cfg.out_path)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO
-    if checks and not all(checks.values()):
-        failed = sorted(k for k, v in checks.items() if not v)
+    failed = [k for k, ok in report["checks"].items() if not ok]
+    if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK

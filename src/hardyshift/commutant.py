@@ -28,7 +28,7 @@ dimension over the reals counts the orthogonal projections' degrees of
 freedom, which is what decides how many reducing subspaces the truncated
 operator actually has.  ``linalg.nullity`` solves this realified system
 in place of the complex system for the commutant of {A, A*}, which has the
-same solutions but measured slower in exact mode (see
+same solutions but measured slower for an exact custom symbol (see
 ``selfadjoint_commutant_dim``); a partial permutation needs neither.
 """
 
@@ -244,10 +244,10 @@ def selfadjoint_commutant_dim(A: DenseMatrix | SparseMatrix, tol: float | None =
     so it is computed directly from the realified system of
     ``_selfadjoint_rows``.  The complex system AP = PA, A*P = PA* has the
     same solutions, but in exact mode its rows are Gaussian rationals where
-    these are Fractions: its solve took about 2.2 times as long for z^n at
-    (m,n,K)=(2,2,12) and for the benchmark's 2x2 symbol at d=16 (best of
-    seven, one Xeon core).  In float mode it was slightly faster (0.85 to
-    0.9 times at (2,2,7)), not enough to keep a second path for.
+    these are Fractions: building and solving it took about 2.1 times as
+    long for the benchmark's 2x2 symbol at d=16 (best of seven, one Xeon
+    core, Python 3.11).  In float mode it was slightly faster (0.8 to 0.95
+    times for z^n at (m,n,K)=(2,2,7)), not enough to keep a second path for.
 
     An exact 0/1 partial permutation needs no system: by ``_chains``, P is
     a combination of the indicators 1_C of the surviving chains, and P* of

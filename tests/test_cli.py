@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -24,6 +25,17 @@ def run_cli_json(tmp_path, *argv):
     code = main([*argv, "--out", str(out)])
     data = json.loads(out.read_text()) if out.exists() else None
     return code, data
+
+
+def refused(tmp_path, capsys, *argv):
+    """Run argv with --out; assert exit 2, no report and nothing on stdout,
+    and return stderr."""
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
 
 
 def test_verify_equivalence_passes(tmp_path):
@@ -99,14 +111,16 @@ def test_build_with_readme_symbol_example(tmp_path):
     assert rep["build"]["matrix"][5][0] == {"re": "0", "im": "1"}
 
 
-def test_symbol_float_coefficient_needs_float_mode(tmp_path):
+def test_symbol_float_coefficient_needs_float_mode(tmp_path, capsys):
     symbol = {"m": 1, "coeffs": [{"t": 0, "matrix": [[{"re": 0.5, "im": 0.0}]]}]}
     path = tmp_path / "symbol.json"
     path.write_text(json.dumps(symbol))
-    code = run_cli(
-        "build", "--m", "1", "--n", "1", "--blocks", "2", "--symbol", str(path)
+    err = refused(
+        tmp_path, capsys,
+        "build", "--m", "1", "--n", "1", "--blocks", "2", "--symbol", str(path),
     )
-    assert code == 2
+    assert err == ("error: bad symbol file: float coefficient 0.5 requires float "
+                   "mode; use a rational string in exact mode\n")
     code, rep = run_cli_json(
         tmp_path,
         "build", "--m", "1", "--n", "1", "--blocks", "2",
@@ -116,21 +130,33 @@ def test_symbol_float_coefficient_needs_float_mode(tmp_path):
     assert rep["build"]["matrix"][0][0] == {"re": 0.5, "im": 0.0}
 
 
-def test_symbol_size_mismatch(tmp_path):
+def test_symbol_size_mismatch(tmp_path, capsys):
     symbol = {"m": 2, "coeffs": []}
     path = tmp_path / "symbol.json"
     path.write_text(json.dumps(symbol))
-    assert run_cli("build", "--m", "1", "--n", "1", "--blocks", "2", "--symbol", str(path)) == 2
+    err = refused(tmp_path, capsys,
+                  "build", "--m", "1", "--n", "1", "--blocks", "2", "--symbol", str(path))
+    assert err == "error: symbol is 2 x 2 but --m is 1\n"
+    err = refused(tmp_path, capsys,
+                  "commutant", "--m", "3", "--n", "1", "--blocks", "2", "--symbol", str(SYMBOL_F))
+    assert err == "error: symbol is 2 x 2 but --m is 3\n"
 
 
-def test_symbol_file_missing(tmp_path):
-    assert (
-        run_cli(
-            "build", "--m", "1", "--n", "1", "--blocks", "2",
-            "--symbol", str(tmp_path / "nope.json"),
-        )
-        == 2
-    )
+def test_symbol_file_missing(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    err = refused(tmp_path, capsys,
+                  "build", "--m", "1", "--n", "1", "--blocks", "2", "--symbol", str(path))
+    assert err == (f"error: cannot read symbol file: [Errno {errno.ENOENT}] "
+                   f"{os.strerror(errno.ENOENT)}: '{path}'\n")
+
+
+def test_symbol_file_not_json(tmp_path, capsys):
+    path = tmp_path / "symbol.json"
+    path.write_text("nope")
+    err = refused(tmp_path, capsys,
+                  "commutant", "--m", "1", "--n", "1", "--blocks", "2", "--symbol", str(path))
+    assert err == ("error: symbol file is not valid JSON: "
+                   "Expecting value: line 1 column 1 (char 0)\n")
 
 
 def test_commutant_command(tmp_path):
@@ -237,8 +263,12 @@ def test_lattice_mask_bitstrings_put_channel_zero_first(tmp_path):
         assert e["dim"] == 3 * e["mask"].count("1")
 
 
-def test_lattice_cap_exceeded():
-    assert run_cli("lattice", "--m", "5", "--n", "5", "--blocks", "2") == 2
+def test_lattice_cap_exceeded(tmp_path, capsys):
+    for argv, r in ((("lattice", "--m", "5", "--n", "5"), 25),
+                    (("full-report", "--m", "21", "--n", "1"), 21)):
+        err = refused(tmp_path, capsys, *argv, "--blocks", "1")
+        assert err == (f"error: enumerating all 2^{r} masks exceeds the limit of 2^20; "
+                       f"pass a sample of fewer than 2^{r} masks\n")
 
 
 def test_oversized_sample_refused_before_any_section(monkeypatch, capsys):
@@ -256,7 +286,10 @@ def test_oversized_sample_refused_before_any_section(monkeypatch, capsys):
         "--sample", "5000000",
     )
     assert code == 2
-    assert "2^20" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: enumerating all 2^22 masks exceeds the limit of 2^20; "
+        "pass a sample of fewer than 2^22 masks\n"
+    )
 
 
 def test_lattice_sample_mode(tmp_path):
@@ -304,15 +337,11 @@ def test_lattice_csv(tmp_path):
     assert body["11"] == ["4", "true", "false"]
 
 
-def test_csv_rejected_outside_lattice():
-    assert (
-        run_cli("verify-equivalence", "--m", "1", "--n", "1", "--blocks", "2", "--format", "csv")
-        == 2
-    )
-    assert (
-        run_cli("full-report", "--m", "1", "--n", "1", "--blocks", "2", "--format", "csv")
-        == 2
-    )
+def test_csv_rejected_outside_lattice(tmp_path, capsys):
+    for command in ("build", "verify-equivalence", "commutant", "minimality", "full-report"):
+        err = refused(tmp_path, capsys,
+                      command, "--m", "1", "--n", "1", "--blocks", "2", "--format", "csv")
+        assert err == "error: csv output is only available for the lattice command\n"
 
 
 def test_minimality_command(tmp_path):
@@ -424,13 +453,18 @@ def test_chain_reports_match_elimination(tmp_path, monkeypatch, argv):
     assert shipped.read_bytes() == eliminated.read_bytes()
 
 
-def test_float_mode_flags():
+def test_float_mode_flags(tmp_path, capsys):
+    argv = ("verify-equivalence", "--m", "1", "--n", "1", "--blocks", "2")
+    needs_tol = "error: float mode requires a finite --tol > 0\n"
     # tol required in float mode
-    assert run_cli("verify-equivalence", "--m", "1", "--n", "1", "--blocks", "2", "--mode", "float") == 2
-    # tol rejected in exact mode
-    assert run_cli("verify-equivalence", "--m", "1", "--n", "1", "--blocks", "2", "--tol", "1e-9") == 2
+    assert refused(tmp_path, capsys, *argv, "--mode", "float") == needs_tol
+    # tol rejected in exact mode, given or not
+    for mode in ((), ("--mode", "exact")):
+        assert (refused(tmp_path, capsys, *argv, *mode, "--tol", "1e-9")
+                == "error: --tol only applies to float mode\n")
     # nonpositive tol rejected
-    assert run_cli("verify-equivalence", "--m", "1", "--n", "1", "--blocks", "2", "--mode", "float", "--tol", "0") == 2
+    for tol in ("0", "-1e-9"):
+        assert refused(tmp_path, capsys, *argv, "--mode", "float", f"--tol={tol}") == needs_tol
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -442,7 +476,7 @@ def test_non_finite_tol_refused(tmp_path, tol, capsys):
     ])
     assert code == 2
     assert not out.exists()
-    assert "finite --tol" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: float mode requires a finite --tol > 0\n"
 
 
 @pytest.mark.parametrize("command", ["build", "commutant"])
@@ -486,11 +520,15 @@ def test_float_mode_runs(tmp_path):
     assert rep["params"]["mode"] == "float"
 
 
-def test_invalid_arguments_exit_two():
+def test_invalid_arguments_exit_two(tmp_path, capsys):
     assert run_cli("verify-equivalence", "--m", "0", "--n", "1", "--blocks", "2") == 2
     assert run_cli("verify-equivalence", "--m", "1", "--n", "1") == 2
     assert run_cli("unknown-command") == 2
-    assert run_cli("lattice", "--m", "1", "--n", "1", "--blocks", "2", "--sample", "-1") == 2
+    capsys.readouterr()  # argparse's usage messages
+    for command in ("lattice", "full-report"):
+        err = refused(tmp_path, capsys,
+                      command, "--m", "1", "--n", "1", "--blocks", "2", "--sample", "-1")
+        assert err == "error: --sample must be nonnegative\n"
 
 
 @pytest.mark.parametrize(
@@ -509,7 +547,9 @@ def test_flag_of_another_command_refused(tmp_path, capsys, command, flag):
     ])
     assert code == 2
     assert not out.exists()
-    assert flag[0] in capsys.readouterr().err
+    commands = ("build and commutant" if flag[0] == "--symbol"
+                else "lattice and full-report")
+    assert capsys.readouterr().err == f"error: {flag[0]} only applies to the {commands} commands\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["full-report", "--help"]])

@@ -30,19 +30,32 @@ def run_child(trace, out, cli_args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# Per-layer metrics that a full report must move.  Each reads 0 when the
+# tracer no longer finds the function it times (a renamed ``cli.execute``, an
+# audit call moved out of it), so a nonzero reading shows the layer is traced.
+LIVE_METRICS = (
+    "operators.build_s", "decomposition.equivalence_s", "commutant.basis_s",
+    "commutant.selfadjoint_s", "commutant.lemma3_audit_s", "lattice.enumerate_s",
+    "lattice.minimality_s", "lattice.closure_s", "cli.execute_s", "cli.emit_s",
+    "cli.write_s", "cli.report_bytes",
+)
+
+
 @pytest.mark.parametrize(
-    "cli_args",
+    "cli_args, live",
     [
-        ["full-report", "--m", "2", "--n", "2", "--blocks", "3"],
-        ["full-report", "--m", "2", "--n", "2", "--blocks", "2",
-         "--mode", "float", "--tol", "1e-9"],
+        (["full-report", "--m", "2", "--n", "2", "--blocks", "3"], LIVE_METRICS),
+        (["full-report", "--m", "2", "--n", "2", "--blocks", "2",
+          "--mode", "float", "--tol", "1e-9"],
+         (*LIVE_METRICS, "linalg.svd_s", "linalg.svd_cells")),
     ],
     ids=["exact", "float"],
 )
-def test_traced_child_runs_and_writes_the_untraced_report(tmp_path, cli_args):
+def test_traced_child_runs_and_writes_the_untraced_report(tmp_path, cli_args, live):
     traced = run_child(1, tmp_path / "traced.json", cli_args)
     untraced = run_child(0, tmp_path / "untraced.json", cli_args)
     assert traced["rc"] == untraced["rc"] == 0
     assert isinstance(traced["layers"], dict) and traced["layers"]
+    assert [name for name in live if not traced["layers"][name] > 0] == []
     assert "layers" not in untraced
     assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "untraced.json").read_bytes()
