@@ -18,14 +18,10 @@ from .commutant import (
 )
 from .decomposition import (
     Channel,
-    ChannelBasis,
     EquivalenceReport,
-    all_channel_bases,
     channel,
-    channel_basis,
-    channel_order,
+    channel_flats,
     channels,
-    partition_check,
     verify_equivalence,
 )
 from .errors import (
@@ -62,7 +58,6 @@ from .space import TruncationParams, flat_index
 __all__ = [
     "CapError",
     "Channel",
-    "ChannelBasis",
     "ChannelMinimality",
     "CommutantBasis",
     "DenseMatrix",
@@ -78,11 +73,9 @@ __all__ = [
     "ShapeError",
     "SparseMatrix",
     "TruncationParams",
-    "all_channel_bases",
     "channel",
-    "channel_basis",
     "channel_edges",
-    "channel_order",
+    "channel_flats",
     "channels",
     "check_minimal",
     "commutant_basis",
@@ -92,7 +85,6 @@ __all__ = [
     "lattice_closure_check",
     "mask_is_reducing",
     "monomial_symbol",
-    "partition_check",
     "power_symbol",
     "restrict",
     "scalar_shift",

@@ -23,7 +23,7 @@ from pathlib import Path
 from .commutant import (
     commutant_basis, is_block_lower_toeplitz, selfadjoint_commutant_dim, toeplitz_break
 )
-from .decomposition import channel_order, channels, verify_equivalence
+from .decomposition import channel_flats, channels, shift_break, verify_equivalence
 from .errors import CapError, RankAmbiguityError
 from .lattice import (
     check_enumeration_cap,
@@ -127,9 +127,11 @@ def _operator(cfg: argparse.Namespace, params: TruncationParams):
     if cfg.symbol_path is None:
         return power_symbol(params, cfg.mode), True
     try:
-        obj = json.loads(cfg.symbol_path.read_text())
+        obj = json.loads(cfg.symbol_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read symbol file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"symbol file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"symbol file is not valid JSON: {exc}") from exc
     try:
@@ -147,17 +149,21 @@ def _matrix_json(mat) -> list:
 
 def _equivalence_section(cfg: argparse.Namespace, params: TruncationParams, T):
     rep = verify_equivalence(T, params, cfg.tol)
+    if rep.unitary and not rep.intertwines:
+        u, v = shift_break(T, params, cfg.tol)
+        print(f"intertwines: the operator is not the shift by r = {params.r} "
+              f"at entry ({u}, {v})", file=sys.stderr)
     section = {
         "unitary": rep.unitary,
         "intertwines": rep.intertwines,
         "channels": [
             {
-                "i": cb.channel.i,
-                "j": cb.channel.j,
-                "ordinal": cb.channel.ordinal,
-                "flat_indices": list(cb.flat_indices),
+                "i": ch.i,
+                "j": ch.j,
+                "ordinal": ch.ordinal,
+                "flat_indices": list(channel_flats(ch, params)),
             }
-            for cb in rep.channel_bases
+            for ch in channels(params)
         ],
     }
     checks = {"unitary": rep.unitary, "intertwines": rep.intertwines}
@@ -173,13 +179,12 @@ def _commutant_section(
     checks: dict[str, bool] = {}
     if is_power:
         # Lemma 3: X* P X is block lower Toeplitz, read through the
-        # intertwiner's channel order
-        order = channel_order(params)
-        ok = [is_block_lower_toeplitz(P, params.K, cfg.tol, order) for P in cb.elements]
+        # intertwiner's relabel
+        ok = [is_block_lower_toeplitz(P, params, cfg.tol) for P in cb.elements]
         structure = all(ok)
         if not structure:
             i = ok.index(False)
-            u, v = toeplitz_break(cb.elements[i], params.K, cfg.tol, order)
+            u, v = toeplitz_break(cb.elements[i], params, cfg.tol)
             print(f"lemma3_structure_ok: commutant basis element {i} is not block "
                   f"lower Toeplitz at entry ({u}, {v})", file=sys.stderr)
         section["lemma3_structure_ok"] = structure

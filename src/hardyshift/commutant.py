@@ -36,13 +36,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from . import linalg, scalars
 from .errors import InvarianceError, ShapeError
 from .matrices import DenseMatrix, SparseMatrix
 from .scalars import scalar_is_zero, scalars_close, zero
+from .space import TruncationParams
 
 
 @dataclass(frozen=True)
@@ -272,53 +272,38 @@ def selfadjoint_commutant_dim(A: DenseMatrix | SparseMatrix, tol: float | None =
 
 
 def is_block_lower_toeplitz(
-    P: DenseMatrix | SparseMatrix,
-    block_size: int,
-    tol: float | None = None,
-    order: Sequence[int] | None = None,
+    P: DenseMatrix | SparseMatrix, params: TruncationParams, tol: float | None = None
 ) -> bool:
-    """True when every block_size x block_size block of P is lower
-    Toeplitz.  This is the shape of the commutant of a direct sum of equal
-    shift blocks, read through the block partition.
+    """True when X* P X is block lower Toeplitz for the intertwiner X of
+    ``params``: every K x K block, the entries between two channels, is
+    lower Toeplitz.  This is the shape of the commutant of a direct sum of
+    r equal shift blocks, read through the block partition.
 
-    With ``order`` (a permutation of the indices) the check applies to the
-    relabeled matrix Q[a][b] = P[order[a]][order[b]], which is X* P X for
-    the permutation X with its 1 of column a in row order[a]; no product
-    is formed.  The scan is ``toeplitz_break``'s, O(nnz).
+    Conjugating by X is a relabel (see ``decomposition``): the block
+    offsets of P[f][g] are f // r and g // r, and its diagonal neighbours
+    are P[f - r][g - r] and P[f + r][g + r], so no product is formed.  A P
+    that is not d x d is not.  The scan is ``toeplitz_break``'s, O(nnz).
     """
-    n = P.rows
-    if P.cols != n or block_size < 1 or n % block_size:
+    if P.shape != (params.d, params.d):
         return False
-    return toeplitz_break(P, block_size, tol, order) is None
-
-
-@lru_cache(maxsize=8)
-def _inverse(order: tuple[int, ...], n: int) -> tuple[int, ...]:
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the row indices")
-    inv = [0] * n
-    for a, f in enumerate(order):
-        inv[f] = a
-    return tuple(inv)
+    return toeplitz_break(P, params, tol) is None
 
 
 def toeplitz_break(
-    P: DenseMatrix | SparseMatrix, block_size: int, tol: float | None = None,
-    order: Sequence[int] | None = None,
+    P: DenseMatrix | SparseMatrix, params: TruncationParams, tol: float | None = None
 ) -> tuple[int, int] | None:
-    """The first nonzero (u, v) of P, in P's own indices, that breaks the
-    pattern of ``is_block_lower_toeplitz`` (whose shape rules P must pass),
-    or None.  At relabeled (a, b) with block offsets u < v an entry must
-    vanish; any other must equal Q[a-1][b-1] if u, v > 0 and Q[a+1][b+1]
-    if u, v < block_size - 1, an absent entry reading as zero.  That
-    compares each pair of diagonal neighbours with a nonzero side."""
-    order = range(P.rows) if order is None else order
-    inv = _inverse(tuple(order), P.rows)
+    """The first nonzero (f, g) of P that breaks the pattern of
+    ``is_block_lower_toeplitz`` (whose shape rule P must pass), or None.
+    An entry with block offsets f // r < g // r must vanish; any other must
+    equal P[f - r][g - r] if g >= r and P[f + r][g + r] if f < d - r, an
+    absent entry reading as zero.  That compares each pair of diagonal
+    neighbours with a nonzero side."""
     if isinstance(P, SparseMatrix):
         stored = P.entries
     else:
         stored = {(u, v): s for u, v, s in P.nonzero_items()}
     z, exact = zero(P.mode), P.mode == "exact"
+    r, last = params.r, params.d - params.r
 
     def differs(s, key) -> bool:
         # an exact scalar equals itself, and the chain basis shares its ones
@@ -326,13 +311,11 @@ def toeplitz_break(
         return not (exact and t is s) and not scalars_close(s, t, tol)
 
     for (f, g), s in stored.items():
-        a, b = inv[f], inv[g]
-        u, v = a % block_size, b % block_size
-        if u < v:
+        if f // r < g // r:
             if not scalar_is_zero(s, tol):
                 return (f, g)
-        elif (u and v and differs(s, (order[a - 1], order[b - 1]))) or (
-            u < block_size - 1 and differs(s, (order[a + 1], order[b + 1]))
+        elif (g >= r and differs(s, (f - r, g - r))) or (
+            f < last and differs(s, (f + r, g + r))
         ):
             return (f, g)
     return None

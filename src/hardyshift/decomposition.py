@@ -1,30 +1,30 @@
 """Channel decomposition of the truncated power-of-shift operator.
 
-Multiplication by z^n splits the space into m*n channels: the channel for
-component i and residue j collects the basis vectors e_i z^{n k + j}.  The
-channels partition the basis, each is invariant under the operator and under
-its adjoint, and relabeling the k-th channel vector as the k-th coordinate
-of a scalar model space turns the operator into a plain shift block.  The
-permutation matrix X realizing that relabeling is the intertwiner;
-conjugating by it exhibits the operator as a direct sum of m*n scalar shift
-blocks of size K.
+Multiplication by z^n splits the space into r = m*n channels: the channel
+for component i and residue j collects the basis vectors e_i z^{n k + j}.
+In the degree-major flat layout that vector sits at k*r + c, where
+c = j*m + (i - 1) is the channel's ordinal, so channel c is the residue
+class of c mod r: flat index f lies in channel f % r, at position f // r
+within it.  The operator sends f to f + r, so it maps each channel into
+itself as a shift, and relabeling position k of channel c as coordinate
+c*K + k of a scalar model space turns it into a direct sum of r scalar
+shift blocks of size K.  The permutation matrix X realizing that
+relabeling is the intertwiner.
 
-Because the intertwiner is a permutation, conjugating by it is only a
-relabeling of indices: ``channel_order`` lists, for each column of X, the
-flat row holding its 1, and (X* P X)[a][b] is P[order[a]][order[b]].  The
-checks here and downstream read matrices through that order, so neither X
-nor any product with it is ever formed.
+Because X is a permutation, conjugating by it is only that relabeling:
+(X* P X)[c*K + k][c'*K + k'] is P[k*r + c][k'*r + c'].  The checks here and
+downstream read matrices through f = (f // r)*r + f % r, so neither X nor
+any product with it is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ShapeError
 from .matrices import DenseMatrix, SparseMatrix
 from .scalars import one, scalar_is_zero, scalars_close, zero
-from .space import TruncationParams, flat_index
+from .space import TruncationParams
 
 
 @dataclass(frozen=True)
@@ -57,50 +57,10 @@ def channels(params: TruncationParams) -> tuple[Channel, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ChannelBasis:
-    """Flat positions of the channel's basis vectors e_i z^{n k + j},
-    k ascending."""
-
-    channel: Channel
-    flat_indices: tuple[int, ...]
-
-
-def channel_basis(i: int, j: int, params: TruncationParams) -> ChannelBasis:
-    ch = channel(i, j, params)
-    flats = tuple(
-        flat_index(i, params.n * k + j, params) for k in range(params.K)
-    )
-    return ChannelBasis(channel=ch, flat_indices=flats)
-
-
-@lru_cache(maxsize=16)
-def all_channel_bases(params: TruncationParams) -> tuple[ChannelBasis, ...]:
-    """Every channel's basis, in ordinal order.  Built once per params and
-    cached: params and the bases are frozen, so callers share the tuple."""
-    return tuple(
-        channel_basis(ch.i, ch.j, params) for ch in channels(params)
-    )
-
-
-def partition_check(params: TruncationParams) -> bool:
-    """True when the channel bases are disjoint and jointly exhaust the flat
-    basis, each of size K."""
-    seen: set[int] = set()
-    total = 0
-    for cb in all_channel_bases(params):
-        if len(cb.flat_indices) != params.K:
-            return False
-        seen.update(cb.flat_indices)
-        total += len(cb.flat_indices)
-    return total == params.d and seen == set(range(params.d))
-
-
-def channel_order(params: TruncationParams) -> tuple[int, ...]:
-    """Flat index of the basis vector e_i z^{n k + j} at position c*K + k,
-    for the channel of ordinal c: the row of the intertwiner's single 1 in
-    column c*K + k."""
-    return tuple(f for cb in all_channel_bases(params) for f in cb.flat_indices)
+def channel_flats(ch: Channel, params: TruncationParams) -> range:
+    """Flat positions of the channel's basis vectors e_i z^{n k + j}, k
+    ascending: the residue class of its ordinal mod r."""
+    return range(ch.ordinal, params.d, params.r)
 
 
 def check_operator_shape(T: DenseMatrix | SparseMatrix, params: TruncationParams) -> None:
@@ -113,7 +73,6 @@ def check_operator_shape(T: DenseMatrix | SparseMatrix, params: TruncationParams
 class EquivalenceReport:
     unitary: bool
     intertwines: bool
-    channel_bases: tuple[ChannelBasis, ...]
 
     @property
     def ok(self) -> bool:
@@ -127,50 +86,42 @@ def verify_equivalence(
     direct sum of shift blocks, as it does the truncated power operator
     ``power_symbol(params, mode)``.
 
-    The intertwiner is unitary exactly when its channel order is a
-    permutation of the flat indices, and its conjugation of the operator is
-    read through that order: entry (a, b) must be one where b = a - 1
-    within a channel's block of K coordinates and zero elsewhere, the
-    entries of the direct sum of r shift blocks of size K.  For an exact T
-    the comparison is a zero-tolerance equality; for a float T it is
-    entrywise within tol.  An order that is no permutation does not
-    intertwine either.  The scan visits only T's stored nonzeros, d - r
-    of them for the ``SparseMatrix`` that ``power_symbol`` builds.  A T that
-    is not d x d raises ShapeError.
+    The intertwiner is unitary exactly when the channels' flat positions
+    are a permutation of the flat indices, and it conjugates T onto the
+    direct sum of r shift blocks exactly when T is the shift f -> f + r
+    (``shift_break``).  For an exact T the comparison is a zero-tolerance
+    equality; for a float T it is entrywise within tol.  A T that is not
+    d x d raises ShapeError.
     """
     check_operator_shape(T, params)
-    order = channel_order(params)
-    unitary = sorted(order) == list(range(params.d))
-    intertwines = unitary and _relabels_to_shift_blocks(T, order, params, tol)
-    return EquivalenceReport(
-        unitary=unitary,
-        intertwines=intertwines,
-        channel_bases=all_channel_bases(params),
-    )
+    flats = sorted(f for ch in channels(params) for f in channel_flats(ch, params))
+    unitary = flats == list(range(params.d))
+    intertwines = unitary and shift_break(T, params, tol) is None
+    return EquivalenceReport(unitary=unitary, intertwines=intertwines)
 
 
-def _relabels_to_shift_blocks(
-    T: DenseMatrix | SparseMatrix, order: tuple[int, ...], params: TruncationParams,
-    tol: float | None,
-) -> bool:
-    """True when T[order[a]][order[b]] is one at the d - r positions with
-    b = a - 1 and a % K != 0 and zero elsewhere, for a permutation ``order``.
+def shift_break(
+    T: DenseMatrix | SparseMatrix, params: TruncationParams, tol: float | None = None
+) -> tuple[int, int] | None:
+    """The first nonzero (f, g) of T that is not a one at a shift position
+    f = g + r, else the first shift position (g + r, g) that T leaves
+    empty, or None when T is the shift by r.
 
-    One scan of T's nonzeros: each must sit at such a position and be one,
-    or else be zero within tol, and every position must have been seen,
-    unless a missing entry, zero, is itself within tol of one.
+    The shift positions are where the relabeled T has the direct sum's
+    ones, b = a - 1 inside a block of K.  One scan of T's nonzeros, d - r
+    of them for the ``SparseMatrix`` that ``power_symbol`` builds, counts
+    the ones; a missing entry, zero, passes only when it is itself within
+    tol of one.
     """
-    inv = [0] * params.d
-    for a, f in enumerate(order):
-        inv[f] = a
-    o, K = one(T.mode), params.K
+    o, r = one(T.mode), params.r
     seen = 0
     for f, g, s in T.nonzero_items():
-        a, b = inv[f], inv[g]
-        if b == a - 1 and a % K:
-            if not scalars_close(s, o, tol):
-                return False
+        if f == g + r and scalars_close(s, o, tol):
             seen += 1
-        elif not scalar_is_zero(s, tol):
-            return False
-    return seen == params.d - params.r or scalars_close(zero(T.mode), o, tol)
+        elif f == g + r or not scalar_is_zero(s, tol):
+            return (f, g)
+    if seen == params.d - r or scalars_close(zero(T.mode), o, tol):
+        return None
+    present = {g for f, g, _ in T.nonzero_items() if f == g + r}
+    g = next(g for g in range(params.d - r) if g not in present)
+    return (g + r, g)

@@ -23,14 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .commutant import restrict, selfadjoint_commutant_dim
-from .decomposition import (
-    Channel,
-    all_channel_bases,
-    channel,
-    channel_order,
-    check_operator_shape,
-    partition_check,
-)
+from .decomposition import Channel, channel, channel_flats, check_operator_shape
 from .errors import CapError
 from .linalg import components
 from .matrices import DenseMatrix, SparseMatrix
@@ -75,8 +68,7 @@ def check_minimal(
     self-adjoint commutant is one-dimensional.  A T that is not d x d
     raises ShapeError."""
     check_operator_shape(T, params)
-    basis = all_channel_bases(params)[channel(ch.i, ch.j, params).ordinal]
-    restricted = restrict(T, basis.flat_indices, tol)
+    restricted = restrict(T, channel_flats(channel(ch.i, ch.j, params), params), tol)
     dim = selfadjoint_commutant_dim(restricted, tol)
     return ChannelMinimality(
         channel=ch,
@@ -90,15 +82,14 @@ def channel_edges(
 ) -> frozenset[tuple[int, int]]:
     """Pairs (a, b) of distinct channel ordinals such that T[u][v] is
     nonzero (beyond tol in float mode) for some u in channel a and v in
-    channel b.  A T that is not d x d raises ShapeError."""
+    channel b; flat index u lies in channel u % r.  A T that is not d x d
+    raises ShapeError."""
     check_operator_shape(T, params)
-    owner = [0] * params.d
-    for a, f in enumerate(channel_order(params)):
-        owner[f] = a // params.K
+    r = params.r
     return frozenset(
-        (owner[u], owner[v])
+        (u % r, v % r)
         for u, v, s in T.nonzero_items()
-        if owner[u] != owner[v] and not scalar_is_zero(s, tol)
+        if u % r != v % r and not scalar_is_zero(s, tol)
     )
 
 
@@ -175,15 +166,15 @@ def lattice_closure_check(report: LatticeReport) -> bool:
     It contains the zero and full masks and is closed under complement,
     meet and join exactly when it has all 2^a of them; the classes are
     then its atoms.  Mask operations are the operations on the 0/1
-    diagonal projections because the channels partition the flat basis,
-    which ``partition_check`` confirms.  Meaningful for exhaustive reports;
-    a sampled family will normally fail closure simply by missing members.
+    diagonal projections because the channels, the residue classes mod r,
+    partition the flat basis.  Meaningful for exhaustive reports; a
+    sampled family will normally fail closure simply by missing members.
     """
     family = sorted({v for v, flag in zip(report.values, report.reducing) if flag})
     classes = {
         bytes((v >> c) & 1 for v in family) for c in range(report.params.r)
     }
-    return partition_check(report.params) and len(family) == 1 << len(classes)
+    return len(family) == 1 << len(classes)
 
 
 def lattice_component_check(report: LatticeReport) -> bool:

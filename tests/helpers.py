@@ -28,9 +28,6 @@ from hardyshift import (
     RankAmbiguityError,
     ShapeError,
     TruncationParams,
-    all_channel_bases,
-    channel_order,
-    is_block_lower_toeplitz,
     linalg,
     matrices,
     scalar_shift,
@@ -378,10 +375,44 @@ def matrices_close(a, b, tol=None):
     )
 
 
+def dense_block_toeplitz_reference(P, block_size, tol=None, order=None):
+    """The dense scan that ``is_block_lower_toeplitz`` used before it read
+    only the nonzeros: every entry of the relabeled matrix
+    Q[a][b] = P[order[a]][order[b]], the upper part of each block of
+    block_size against zero and every other entry against its diagonal
+    predecessor, skipping pairs of two zero objects.  P may be any package
+    matrix, sparse or dense."""
+    P = dense(P)
+    n = P.rows
+    if P.cols != n or block_size < 1 or n % block_size:
+        return False
+    if order is None:
+        order = range(n)
+    elif sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of the row indices")
+    entries = P.entries
+    z = zero(P.mode)
+    cols = [(order[b], b % block_size, order[b - 1]) for b in range(n)]
+    for a in range(n):
+        u = a % block_size
+        row = entries[order[a]]
+        above = entries[order[a - 1]] if u else None
+        for f, v, g in cols:
+            s = row[f]
+            if u < v:
+                if s is not z and not scalar_is_zero(s, tol):
+                    return False
+            elif u and v:
+                t = above[g]
+                if (s is not z or t is not z) and not scalars_close(s, t, tol):
+                    return False
+    return True
+
+
 def is_lower_toeplitz(P, tol=None):
     """True when P is lower triangular and constant along each diagonal,
     the shape every matrix commuting with a single shift block must have."""
-    return P.rows == P.cols and is_block_lower_toeplitz(P, P.rows, tol)
+    return P.rows == P.cols and dense_block_toeplitz_reference(P, P.rows, tol)
 
 
 def intertwines_reference(T, order, params, mode, tol=None):
@@ -449,14 +480,33 @@ def is_projection(P, tol=None):
     return matrices_close(P, P.adjoint(), tol) and matrices_close(P @ P, P, tol)
 
 
+def channel_order_reference(params):
+    """Flat position of the basis vector e_i z^{n k + j} at index c*K + k,
+    for the channel of ordinal c = j*m + (i - 1): the row of the
+    intertwiner's single 1 in column c*K + k.  Built from
+    ``space.flat_index`` alone, so it shares no code with the package's
+    channel arithmetic."""
+    return tuple(
+        flat_index(i, params.n * k + j, params)
+        for j in range(params.n)
+        for i in range(1, params.m + 1)
+        for k in range(params.K)
+    )
+
+
+def channel_flats_reference(c, params):
+    """Flat positions of the channel of ordinal c, k ascending."""
+    return channel_order_reference(params)[c * params.K:(c + 1) * params.K]
+
+
 def build_intertwiner(params, mode="exact"):
     """Unitary (permutation) matrix X sending the k-th coordinate of channel
     c to the channel's k-th basis vector: column a has its single 1 in row
-    ``channel_order(params)[a]``."""
+    ``channel_order_reference(params)[a]``."""
     d = params.d
     z, o = zero(mode), one(mode)
     grid = [[z] * d for _ in range(d)]
-    for a, f in enumerate(channel_order(params)):
+    for a, f in enumerate(channel_order_reference(params)):
         grid[f][a] = o
     return DenseMatrix(grid, mode)
 
@@ -473,9 +523,9 @@ def mask_projection(value, r, params, mode="exact"):
     if r != params.r:
         raise ShapeError(f"mask has {r} bits but the model has {params.r} channels")
     diag = [0] * params.d
-    for c, cb in enumerate(all_channel_bases(params)):
+    for c in range(params.r):
         if (value >> c) & 1:
-            for f in cb.flat_indices:
+            for f in channel_flats_reference(c, params):
                 diag[f] = 1
     return DenseMatrix.diagonal(diag, mode)
 

@@ -16,13 +16,12 @@ import pytest
 from hardyshift import (
     GaussianRational,
     TruncationParams,
-    all_channel_bases,
+    channel_flats,
     channels,
     check_minimal,
     commutant_basis,
     enumerate_lattice,
     lattice_closure_check,
-    partition_check,
     power_symbol,
     scalar_shift,
     selfadjoint_commutant_dim,
@@ -35,6 +34,7 @@ from helpers import (
     DenseMatrix,
     basis_vector,
     build_intertwiner,
+    channel_order_reference,
     decomposed_shift,
     dense,
     dense_basis,
@@ -84,13 +84,12 @@ def test_criterion_2_basis_and_partition():
             for a, u in enumerate(vecs):
                 for b, v in enumerate(vecs):
                     assert inner_product(u, v) == (one if a == b else zero)
-            assert partition_check(p)
-            bases = all_channel_bases(p)
+            bases = [channel_flats(ch, p) for ch in channels(p)]
             assert len(bases) == p.r
-            covered = sorted(
-                f for cb in bases for f in cb.flat_indices
-            )
-            assert covered == list(range(p.d))
+            assert all(len(flats) == p.K for flats in bases)
+            order = tuple(f for flats in bases for f in flats)
+            assert order == channel_order_reference(p)
+            assert sorted(order) == list(range(p.d))
 
 
 def test_criterion_3_commutant_structure():

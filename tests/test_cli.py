@@ -159,6 +159,53 @@ def test_symbol_file_not_json(tmp_path, capsys):
                    "Expecting value: line 1 column 1 (char 0)\n")
 
 
+def test_symbol_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "symbol.json"
+    path.write_bytes(b"\xff\xfe{")
+    err = refused(tmp_path, capsys,
+                  "build", "--m", "1", "--n", "1", "--blocks", "2", "--symbol", str(path))
+    assert err == ("error: symbol file is not UTF-8: 'utf-8' codec can't decode "
+                   "byte 0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize(
+    "entry, value, witness",
+    [((0, 1), 1, (0, 1)), ((5, 1), 0, (5, 1))],
+    ids=["extra-entry", "missing-shift-entry"],
+)
+def test_verify_equivalence_names_the_entry_that_breaks_the_shift(
+    tmp_path, monkeypatch, capsys, entry, value, witness
+):
+    # (m, n, K) = (2, 2, 2): d = 8 and r = 4, so z^n is the shift f -> f + 4
+    import hardyshift.cli as cli
+    from hardyshift.scalars import GaussianRational
+
+    real = cli.power_symbol
+
+    def doctored(params, mode="exact"):
+        T = real(params, mode)
+        entries = dict(T.entries)
+        if value:
+            entries[entry] = GaussianRational(value)
+        else:
+            del entries[entry]
+        return SparseMatrix(entries, T.rows, T.cols, mode)
+
+    monkeypatch.setattr(cli, "power_symbol", doctored)
+    code, rep = run_cli_json(
+        tmp_path, "verify-equivalence", "--m", "2", "--n", "2", "--blocks", "2"
+    )
+    assert code == 1
+    assert rep["equivalence"]["unitary"] is True
+    assert rep["equivalence"]["intertwines"] is False
+    assert set(rep["equivalence"]) == {"unitary", "intertwines", "channels"}
+    u, v = witness
+    assert capsys.readouterr().err == (
+        f"intertwines: the operator is not the shift by r = 4 at entry ({u}, {v})\n"
+        "failed checks: intertwines\n"
+    )
+
+
 def test_commutant_command(tmp_path):
     code, rep = run_cli_json(
         tmp_path, "commutant", "--m", "1", "--n", "1", "--blocks", "3"

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hardyshift import (
     GaussianRational,
     TruncationParams,
-    channel_basis,
+    channel,
+    channel_flats,
     commutant_basis,
     is_block_lower_toeplitz,
     linalg,
@@ -29,17 +30,17 @@ from hardyshift.commutant import (
     _sym_var_ids,
     toeplitz_break,
 )
-from hardyshift.decomposition import channel_order
 from hardyshift.errors import InvarianceError, ShapeError
 from hardyshift.matrices import SparseMatrix
 from hardyshift.operators import symbol_from_json, toeplitz_matrix
-from hardyshift.scalars import scalar_is_zero, scalars_close, zero
 
 from helpers import (
     DenseMatrix,
     build_intertwiner,
+    channel_order_reference,
     dense,
     dense_basis,
+    dense_block_toeplitz_reference,
     direct_sum,
     in_span,
     is_lower_toeplitz,
@@ -74,14 +75,18 @@ def test_commutant_requires_square():
 
 
 def test_commutant_of_shift_sum():
-    # r equal shift blocks of size K: dimension r^2 * K
+    # r equal shift blocks of size K: dimension r^2 * K.  They are X* T X
+    # for z^r on the scalar Hardy space, so X b X* is read by the relabel
     for r, K in [(2, 2), (2, 3), (3, 2)]:
         A = direct_sum([scalar_shift(K).to_dense()] * r)
         cb = commutant_basis(A)
         assert cb.dim == r * r * K
+        p = TruncationParams(1, r, K)
+        X = build_intertwiner(p)
         for b in dense_basis(cb):
             assert (A @ b - b @ A).is_zero()
-            assert is_block_lower_toeplitz(b, K)
+            assert dense_block_toeplitz_reference(b, K)
+            assert is_block_lower_toeplitz(X @ b @ X.adjoint(), p)
 
 
 def test_commutant_basis_is_independent():
@@ -99,25 +104,26 @@ def test_power_operator_commutant_via_intertwiner():
     X = build_intertwiner(p)
     Xh = X.adjoint()
     for b in dense_basis(cb):
-        assert is_block_lower_toeplitz(Xh @ b @ X, p.K)
+        assert dense_block_toeplitz_reference(Xh @ b @ X, p.K)
+        assert is_block_lower_toeplitz(b, p)
 
 
 def test_relabeled_block_check_matches_dense_conjugation():
-    # reading through the channel order is X* P X without the products;
-    # one changed entry must break it either way
+    # reading through the relabel is X* P X without the products; one
+    # changed entry must break it either way
     p = TruncationParams(2, 2, 2)
-    order = channel_order(p)
+    order = channel_order_reference(p)
     X = build_intertwiner(p)
     Xh = X.adjoint()
     P = dense_basis(commutant_basis(power_symbol(p)))[0]
-    assert is_block_lower_toeplitz(P, p.K, order=order)
+    assert is_block_lower_toeplitz(P, p)
     one = GaussianRational(1)
     for a, b in ((0, 1), (1, 1), (p.K + 1, 1)):
         rows = [list(r) for r in P.entries]
         rows[order[a]][order[b]] = rows[order[a]][order[b]] + one
         Q = DenseMatrix(rows)
-        assert not is_block_lower_toeplitz(Q, p.K, order=order)
-        assert not is_block_lower_toeplitz(Xh @ Q @ X, p.K)
+        assert not is_block_lower_toeplitz(Q, p)
+        assert not dense_block_toeplitz_reference(Xh @ Q @ X, p.K)
 
 
 def test_cli_lemma3_audit_fails_on_a_changed_basis_element(
@@ -126,7 +132,7 @@ def test_cli_lemma3_audit_fails_on_a_changed_basis_element(
     import hardyshift.cli as cli
 
     real = cli.commutant_basis
-    order = channel_order(TruncationParams(2, 2, 2))
+    order = channel_order_reference(TruncationParams(2, 2, 2))
 
     def doctored(A, tol=None):
         cb = real(A, tol)
@@ -213,45 +219,15 @@ def test_lower_toeplitz_generated_matrices_commute_with_shift():
 
 def test_block_lower_toeplitz_predicate():
     p = DenseMatrix([[1, 0, 2, 0], [3, 1, 4, 2], [5, 0, 6, 0], [7, 5, 8, 6]])
-    assert is_block_lower_toeplitz(p, 2)
-    assert not is_block_lower_toeplitz(p, 4)
-    assert not is_block_lower_toeplitz(p, 3)  # size does not divide
-    # swapping the two blocks' indices keeps every block lower Toeplitz
-    assert is_block_lower_toeplitz(p, 2, order=[2, 3, 0, 1])
-    assert not is_block_lower_toeplitz(p, 2, order=[1, 0, 2, 3])
-    with pytest.raises(ValueError):
-        is_block_lower_toeplitz(p, 2, order=[0, 0, 1, 2])
-
-
-def dense_block_toeplitz_reference(P, block_size, tol=None, order=None):
-    """The dense scan that ``is_block_lower_toeplitz`` used before it read
-    only the nonzeros: every entry of the relabeled matrix, the upper part
-    of each block against zero and every other entry against its diagonal
-    predecessor, skipping pairs of two zero objects."""
-    n = P.rows
-    if P.cols != n or block_size < 1 or n % block_size:
-        return False
-    if order is None:
-        order = range(n)
-    elif sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the row indices")
-    entries = P.entries
-    z = zero(P.mode)
-    cols = [(order[b], b % block_size, order[b - 1]) for b in range(n)]
-    for a in range(n):
-        u = a % block_size
-        row = entries[order[a]]
-        above = entries[order[a - 1]] if u else None
-        for f, v, g in cols:
-            s = row[f]
-            if u < v:
-                if s is not z and not scalar_is_zero(s, tol):
-                    return False
-            elif u and v:
-                t = above[g]
-                if (s is not z or t is not z) and not scalars_close(s, t, tol):
-                    return False
-    return True
+    # (m, n, K) = (1, 2, 2) relabels flat (0, 1, 2, 3) as (0, 2, 1, 3): q
+    # read through it is p, whose two 2 x 2 blocks are lower Toeplitz
+    two_blocks = TruncationParams(1, 2, 2)
+    q = DenseMatrix([[p[a][b] for b in (0, 2, 1, 3)] for a in (0, 2, 1, 3)])
+    assert is_block_lower_toeplitz(q, two_blocks)
+    assert not is_block_lower_toeplitz(p, two_blocks)
+    # one channel: no relabel, one 4 x 4 block
+    assert not is_block_lower_toeplitz(p, TruncationParams(1, 1, 4))
+    assert not is_block_lower_toeplitz(p, TruncationParams(1, 1, 3))  # P is not d x d
 
 
 AUDIT_TOL = 1e-6
@@ -260,12 +236,14 @@ AUDIT_CHANGES = ("none", "above", "mid", "first", "last", "below_tol", "above_to
 
 @st.composite
 def changed_block_toeplitz(draw):
-    """A relabeled block lower Toeplitz matrix with at most one entry
-    changed: (mode, P, K, order, change)."""
+    """A block lower Toeplitz matrix, relabeled into flat indices by the
+    channel order of its params, with at most one entry changed:
+    (mode, P, params, change)."""
     mode = draw(st.sampled_from(["exact", "float"]))
-    r, K = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    n = r * K
-    order = draw(st.permutations(range(n)))
+    m, n = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]))
+    params = TruncationParams(m, n, draw(st.integers(1, 4)))
+    r, K, d = params.r, params.K, params.d
+    order = channel_order_reference(params)
     values = st.one_of(st.just(0), st.integers(-3, 3))
     diags = {
         (i, j): draw(st.lists(values, min_size=K, max_size=K))
@@ -275,9 +253,9 @@ def changed_block_toeplitz(draw):
     Q = [
         [
             Fraction(diags[a // K, b // K][a % K - b % K]) if a % K >= b % K else Fraction(0)
-            for b in range(n)
+            for b in range(d)
         ]
-        for a in range(n)
+        for a in range(d)
     ]
     change = draw(st.sampled_from(AUDIT_CHANGES))
     i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
@@ -298,29 +276,31 @@ def changed_block_toeplitz(draw):
     elif change in ("below_tol", "above_tol"):
         step = Fraction(9 if change == "below_tol" else 11, 10) * Fraction(AUDIT_TOL)
         Q[i * K + k + t][j * K + t] += step
-    grid = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
+    grid = [[None] * d for _ in range(d)]
+    for a in range(d):
+        for b in range(d):
             q = Q[a][b]
             grid[order[a]][order[b]] = GaussianRational(q) if mode == "exact" else complex(q)
-    return mode, DenseMatrix(grid, mode), K, order, change
+    return mode, DenseMatrix(grid, mode), params, change
 
 
 @settings(max_examples=300, deadline=None)
 @given(changed_block_toeplitz())
 def test_sparse_audit_matches_the_dense_scan(case):
-    mode, P, K, order, change = case
+    mode, P, params, change = case
     tol = AUDIT_TOL if mode == "float" else None
-    expected = dense_block_toeplitz_reference(P, K, tol, order)
+    expected = dense_block_toeplitz_reference(
+        P, params.K, tol, channel_order_reference(params)
+    )
     sparse = SparseMatrix(
         {(u, v): s for u, v, s in P.nonzero_items()}, P.rows, P.cols, mode
     )
-    assert is_block_lower_toeplitz(P, K, tol, order) == expected
-    assert is_block_lower_toeplitz(sparse, K, tol, order) == expected
-    assert (toeplitz_break(sparse, K, tol, order) is None) == expected
+    assert is_block_lower_toeplitz(P, params, tol) == expected
+    assert is_block_lower_toeplitz(sparse, params, tol) == expected
+    assert (toeplitz_break(sparse, params, tol) is None) == expected
     if change == "none" or (change == "below_tol" and mode == "float"):
         assert expected
-    if change == "above" and K > 1:
+    if change == "above" and params.K > 1:
         assert not expected
 
 
@@ -382,13 +362,14 @@ def test_is_projection():
 def test_restrict_compresses_invariant_subspace():
     p = TruncationParams(2, 2, 2)
     T = power_symbol(p)
-    cb = channel_basis(1, 0, p)
-    R = restrict(T, cb.flat_indices)
+    flats = channel_flats(channel(1, 0, p), p)
+    R = restrict(T, flats)
     assert R == scalar_shift(p.K)
-    # any sequence of flat indices, not only a tuple
-    assert restrict(T, list(cb.flat_indices)) == scalar_shift(p.K)
+    # any sequence of flat indices, not only a range
+    assert restrict(T, list(flats)) == scalar_shift(p.K)
+    assert restrict(T, tuple(flats)) == scalar_shift(p.K)
     # the identity compresses to the identity on any channel
-    compressed = restrict(DenseMatrix.identity(p.d), cb.flat_indices)
+    compressed = restrict(DenseMatrix.identity(p.d), flats)
     assert compressed.to_dense() == DenseMatrix.identity(p.K)
 
 

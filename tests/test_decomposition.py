@@ -3,22 +3,22 @@ import pytest
 from hardyshift import (
     GaussianRational,
     TruncationParams,
-    all_channel_bases,
     channel,
-    channel_basis,
+    channel_flats,
     channels,
-    partition_check,
     power_symbol,
     vector_shift,
     verify_equivalence,
 )
-from hardyshift.decomposition import channel_order
-from hardyshift.matrices import DenseMatrix
+from hardyshift.decomposition import shift_break
+from hardyshift.matrices import DenseMatrix, SparseMatrix
 
 from helpers import (
     SMALL_SWEEP,
     SWEEP,
     build_intertwiner,
+    channel_flats_reference,
+    channel_order_reference,
     decomposed_shift,
     dense,
     intertwines_reference,
@@ -49,18 +49,32 @@ def test_channel_validation():
 
 def test_channel_basis_example():
     p = TruncationParams(2, 2, 2)
-    cb = channel_basis(2, 1, p)
-    assert cb.flat_indices == (3, 7)
-    cb = channel_basis(1, 0, p)
-    assert cb.flat_indices == (0, 4)
+    assert tuple(channel_flats(channel(2, 1, p), p)) == (3, 7)
+    assert tuple(channel_flats(channel(1, 0, p), p)) == (0, 4)
 
 
 def test_partition_over_sweep():
     for p in SWEEP:
-        assert partition_check(p)
-        bases = all_channel_bases(p)
+        bases = [channel_flats(ch, p) for ch in channels(p)]
         assert len(bases) == p.r
-        assert all(len(cb.flat_indices) == p.K for cb in bases)
+        assert all(len(flats) == p.K for flats in bases)
+        assert sorted(f for flats in bases for f in flats) == list(range(p.d))
+
+
+def test_channel_flats_match_the_flat_index_reference():
+    for p in SMALL_SWEEP:
+        for ch in channels(p):
+            assert tuple(channel_flats(ch, p)) == channel_flats_reference(ch.ordinal, p)
+
+
+def test_power_symbol_is_the_shift_by_r():
+    # the dense S^n has its nonzeros exactly at (g + r, g), and so does
+    # power_symbol's sparse storage
+    for p in SMALL_SWEEP:
+        Sn = dense(vector_shift(p)) ** p.n
+        shift = {(g + p.r, g) for g in range(p.d - p.r)}
+        assert {(u, v) for u, v, _ in Sn.nonzero_items()} == shift
+        assert set(power_symbol(p).entries) == shift
 
 
 def test_channels_invariant_under_operator_and_adjoint():
@@ -69,9 +83,9 @@ def test_channels_invariant_under_operator_and_adjoint():
             continue
         T = dense(power_symbol(p))
         Th = T.adjoint()
-        for cb in all_channel_bases(p):
-            inside = set(cb.flat_indices)
-            for v in cb.flat_indices:
+        for ch in channels(p):
+            inside = set(channel_flats(ch, p))
+            for v in inside:
                 for M in (T, Th):
                     for u in range(p.d):
                         if M[u][v]:
@@ -124,7 +138,7 @@ def test_verify_equivalence_small_cases():
         assert rep.unitary
         assert rep.intertwines
         assert rep.ok
-        assert len(rep.channel_bases) == p.r
+        assert len(channels(p)) == p.r
 
 
 def test_verify_equivalence_is_exact_not_close():
@@ -152,8 +166,10 @@ def test_verify_equivalence_can_fail(monkeypatch):
         rows[u][v] = 1 - rows[u][v]
         rep = verify_equivalence(DenseMatrix(rows), p)
         assert rep.unitary and not rep.intertwines
-    # an order that repeats a flat index is no permutation
-    monkeypatch.setattr(decomposition, "channel_order", lambda params: (0, 0, 2, 3))
+    # channels that repeat a flat index are no permutation
+    monkeypatch.setattr(
+        decomposition, "channel_flats", lambda ch, params: range(0, params.d, params.r)
+    )
     rep = verify_equivalence(power_symbol(p), p)
     assert not rep.unitary and not rep.ok
 
@@ -194,12 +210,31 @@ def test_nonzero_scan_matches_the_dense_scan(params, mode, u, v, value, tol, exp
         T = dense = DenseMatrix(rows, mode)
     rep = verify_equivalence(T, params, tol)
     assert rep.intertwines is expected
-    assert intertwines_reference(dense, channel_order(params), params, mode, tol) is expected
+    assert intertwines_reference(
+        dense, channel_order_reference(params), params, mode, tol
+    ) is expected
+    assert (shift_break(T, params, tol) is None) is expected
+
+
+def test_shift_break_names_the_first_broken_entry():
+    p = TruncationParams(2, 2, 2)  # d = 8, r = 4
+    T = power_symbol(p)
+    assert shift_break(T, p) is None
+    one = GaussianRational(1)
+    for entries, witness in (
+        ({**T.entries, (0, 1): one}, (0, 1)),  # an extra entry off the shift
+        ({**T.entries, (5, 1): GaussianRational(2)}, (5, 1)),  # a shift entry not one
+        ({k: s for k, s in T.entries.items() if k[1] not in (1, 2)}, (5, 1)),  # missing
+    ):
+        doctored = SparseMatrix(entries, p.d, p.d, "exact")
+        assert shift_break(doctored, p) == witness
+        assert not verify_equivalence(doctored, p).intertwines
 
 
 def test_channel_order_is_the_intertwiner_columns():
     for p in SMALL_SWEEP:
-        order = channel_order(p)
+        order = tuple(f for ch in channels(p) for f in channel_flats(ch, p))
+        assert order == channel_order_reference(p)
         X = build_intertwiner(p)
         assert [(u, v) for u, v, _ in X.nonzero_items()] == sorted(
             (f, a) for a, f in enumerate(order)

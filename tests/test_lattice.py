@@ -15,8 +15,7 @@ from hardyshift import (
     verify_equivalence,
 )
 from hardyshift.errors import CapError, ShapeError
-from hardyshift.decomposition import channel_order
-from hardyshift.decomposition import all_channel_bases
+from hardyshift.matrices import SparseMatrix
 from hardyshift.lattice import (
     channel_edges,
     check_enumeration_cap,
@@ -27,6 +26,8 @@ from helpers import (
     SMALL_SWEEP,
     DenseMatrix,
     build_intertwiner,
+    channel_flats_reference,
+    channel_order_reference,
     dense,
     direct_sum,
     is_projection,
@@ -96,7 +97,7 @@ def test_cross_channel_entry_breaks_masks_like_direct_commutation():
     # one entry of T joining channel 0 to channel 1: the edge scan must
     # agree with the dense commutation P T == T P on every mask
     p = TruncationParams(2, 2, 2)
-    order = channel_order(p)
+    order = channel_order_reference(p)
     rows = [list(r) for r in power_symbol(p).to_dense().entries]
     rows[order[0]][order[p.K]] = GaussianRational(1, 1)
     T = DenseMatrix(rows)
@@ -111,9 +112,24 @@ def test_cross_channel_entry_breaks_masks_like_direct_commutation():
     assert not all(verdicts) and any(verdicts)
 
 
+def test_channel_edges_name_the_channels_of_each_entry():
+    # one cross-channel entry added to z^n at every position, with the
+    # channel of each flat index read off the reference channel order
+    p = TruncationParams(2, 2, 3)
+    owner = [0] * p.d
+    for a, f in enumerate(channel_order_reference(p)):
+        owner[f] = a // p.K
+    T = power_symbol(p)
+    for f in range(p.d):
+        for g in range(p.d):
+            entries = {**T.entries, (f, g): GaussianRational(1)}
+            edges = channel_edges(SparseMatrix(entries, p.d, p.d, "exact"), p)
+            assert edges == ({(owner[f], owner[g])} if owner[f] != owner[g] else set())
+
+
 def test_channel_edges_respect_float_tolerance():
     p = TruncationParams(1, 2, 2)
-    order = channel_order(p)
+    order = channel_order_reference(p)
     for value, joined in ((1e-12, False), (1e-3, True)):
         rows = [list(r) for r in power_symbol(p, "float").to_dense().entries]
         rows[order[0]][order[p.K]] = complex(value)
@@ -212,7 +228,7 @@ def pairwise_closure_reference(report):
     reducing masks, each compared against the bitset of its flat support."""
     params = report.params
     chan_support = [
-        sum(1 << f for f in cb.flat_indices) for cb in all_channel_bases(params)
+        sum(1 << f for f in channel_flats_reference(c, params)) for c in range(params.r)
     ]
     full = (1 << params.d) - 1
     universe = (1 << params.r) - 1
@@ -333,16 +349,6 @@ def test_cli_closure_fails_on_flipped_verdicts_of_a_closed_family(tmp_path, monk
     assert report["lattice"]["closure_ok"] is False
 
 
-def test_closure_check_fails_when_channels_do_not_partition(monkeypatch):
-    import hardyshift.lattice as lattice
-
-    p = TruncationParams(2, 1, 2)
-    rep = enumerate_lattice(power_symbol(p), p)
-    assert lattice_closure_check(rep)
-    monkeypatch.setattr(lattice, "partition_check", lambda params: False)
-    assert not lattice_closure_check(rep)
-
-
 def test_closure_check_exhaustive_eleven_channels():
     p = TruncationParams(11, 1, 1)
     rep = enumerate_lattice(power_symbol(p), p)
@@ -401,10 +407,8 @@ def test_minimality_fails_for_doubled_block():
     # facts separate
     p = TruncationParams(2, 1, 2)
     from hardyshift import restrict, selfadjoint_commutant_dim
-    from hardyshift.decomposition import all_channel_bases
 
-    bases = all_channel_bases(p)
-    union = tuple(sorted(bases[0].flat_indices + bases[1].flat_indices))
+    union = tuple(sorted(channel_flats_reference(0, p) + channel_flats_reference(1, p)))
     R = restrict(power_symbol(p), union)
     assert selfadjoint_commutant_dim(R) == 4
 
