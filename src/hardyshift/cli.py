@@ -26,11 +26,13 @@ from .commutant import (
 from .decomposition import channel_flats, channels, shift_break, verify_equivalence
 from .errors import CapError, RankAmbiguityError
 from .lattice import (
+    channel_edges,
     check_enumeration_cap,
     check_minimal,
     enumerate_lattice,
     lattice_closure_check,
     lattice_component_check,
+    reducing_classes,
 )
 from .operators import power_symbol, symbol_from_json, toeplitz_matrix
 from .scalars import scalar_to_json
@@ -107,6 +109,11 @@ def config_from_args(cfg: argparse.Namespace) -> argparse.Namespace:
     if cfg.mode == "float":
         if cfg.tol is None or not math.isfinite(cfg.tol) or cfg.tol <= 0:
             raise ConfigError("float mode requires a finite --tol > 0")
+        if cfg.tol >= 1:
+            raise ConfigError(
+                "float mode requires --tol < 1: the rank cut-off, tol times "
+                "max(1, largest singular value), would count no singular value"
+            )
     elif cfg.tol is not None:
         raise ConfigError("--tol only applies to float mode")
     if cfg.format == "csv" and cfg.command != "lattice":
@@ -226,6 +233,11 @@ def _lattice_section(
         lattice_closure_check(rep) and lattice_component_check(rep) if rep.exhaustive else None
     )
     r, K = params.r, params.K
+
+    def bits(value: int) -> str:
+        # a mask's bitstring puts the bit of channel ordinal 0 first
+        return format(value, f"0{r}b")[::-1]
+
     section = {
         "counts": {
             "total_masks": rep.counts.total_masks,
@@ -237,17 +249,27 @@ def _lattice_section(
         "full_selfadjoint_commutant_dim": full_selfadjoint_dim,
         "diagonal_family_generators": r,
         "exceeds_diagonal_family": full_selfadjoint_dim > r,
-        # a mask's bitstring puts the bit of channel ordinal 0 first
         "entries": [
-            {"mask": format(v, f"0{r}b")[::-1], "dim": v.bit_count() * K,
-             "is_reducing": bool(flag)}
+            {"mask": bits(v), "dim": v.bit_count() * K, "is_reducing": bool(flag)}
             for v, flag in zip(rep.values, rep.reducing)
         ],
         "minimal_channels": _minimality_json(minimal),
     }
     checks = {"all_checked_masks_reducing": all(rep.reducing)}
+    if not checks["all_checked_masks_reducing"]:
+        v = rep.values[rep.reducing.index(0)]
+        split = min(((a, b) for a, b in channel_edges(T, params, cfg.tol)
+                     if (v >> a) & 1 != (v >> b) & 1), default=None)
+        print(f"all_checked_masks_reducing: mask {bits(v)} is not reducing; it splits "
+              + (f"the channel edge {split}" if split else "no channel edge"), file=sys.stderr)
     if closure is not None:
         checks["closure_ok"] = closure
+        if not closure:
+            members, classes = reducing_classes(rep)
+            c = rep.channel_components
+            print(f"closure_ok: {members} reducing masks, against 2^{classes} = "
+                  f"{1 << classes} from {classes} channel classes and 2^{c} = {1 << c} "
+                  f"from {c} components of the channel edge graph", file=sys.stderr)
     return section, checks
 
 

@@ -12,24 +12,31 @@ diagonals of the channel pairs, r^2 K of them, and the self-adjoint
 commutant has dimension r^2.
 
 Every other operator, and every operator in float mode, goes through a
-sparse homogeneous system with one equation per matrix position
-(``_commutation_rows``, unknowns P vectorized row-major), which
-``linalg.kernel_basis`` solves block by block.  A custom symbol's blocks
-are eliminated over Gaussian rationals, so the exact commutant
-dimension is a theorem about the matrix, not a numerical estimate.  In
-float mode the blocks of one shape share one batched SVD, behind the
-rank-ambiguity gate.
+sparse homogeneous system with one equation per matrix position, unknowns
+P vectorized row-major, which ``linalg.kernel_basis`` solves block by
+block.  ``_commutation_terms`` is the one statement of that equation: the
+terms each nonzero of A contributes, as (equation, unknown, coefficient).
+Exact mode adds them up into the ``{unknown: coefficient}`` rows that
+``rref`` eliminates (``_commutation_rows``), over Gaussian rationals, so
+the exact commutant dimension of a custom symbol is a theorem about the
+matrix, not a numerical estimate.  Float mode evaluates the same terms
+on numpy arrays, every nonzero against every position at once
+(``_float_terms``), and hands the arrays to ``linalg``, which splits
+them into blocks and solves the blocks of one shape with one batched SVD,
+behind the rank-ambiguity gate.
 
 The self-adjoint variant parametrizes Hermitian P = X + iY by a real
-symmetric X and a real antisymmetric Y.  Its rows are the real and
-imaginary parts of the same commutation rows, rewritten over the entries
-of X and Y, so one builder knows what a commutation equation is.  Its
-dimension over the reals counts the orthogonal projections' degrees of
-freedom, which is what decides how many reducing subspaces the truncated
-operator actually has.  ``linalg.nullity`` solves this realified system
-in place of the complex system for the commutant of {A, A*}, which has the
-same solutions but measured slower for an exact custom symbol (see
-``selfadjoint_commutant_dim``); a partial permutation needs neither.
+symmetric X and a real antisymmetric Y.  Its equations are the real and
+imaginary parts of the commutation terms, rewritten over the entries of X
+and Y by ``_realified_terms``, the one statement of the realification;
+both modes build the realified system from it as they build the
+commutation system.  Its dimension over the reals counts the orthogonal
+projections' degrees of freedom, which is what decides how many reducing
+subspaces the truncated operator actually has.  ``linalg.nullity`` solves
+this realified system in place of the complex system for the commutant of
+{A, A*}, which has the same solutions but measured slower for an exact
+custom symbol (see ``selfadjoint_commutant_dim``); a partial permutation
+needs neither.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import linalg, scalars
 from .errors import InvarianceError, ShapeError
@@ -67,27 +76,89 @@ def _add(row: dict, key: int, coeff) -> None:
         del row[key]
 
 
+def _commutation_terms(u, v, s, t, d):
+    """The terms that a nonzero s = A[u][v] puts into AP - PA = 0 for one
+    t in range(d): s P[v][t] into equation (u, t), from AP, and -s P[t][u]
+    into equation (t, v), from PA.  Each term is (equation, unknown,
+    coefficient), with equation (a, b) and unknown P[a][b] both numbered
+    a*d + b.  Takes ints or broadcasting numpy arrays."""
+    return (u * d + t, v * d + t, s), (t * d + v, t * d + u, -s)
+
+
+def _realified_terms(eq, p, q, re, im, d):
+    """The terms of the real and the imaginary part, equations 2 eq and
+    2 eq + 1, of the term (re + i im) P[p][q] of equation eq, for Hermitian
+    P = X + iY with X real symmetric and Y real antisymmetric.
+
+    The unknowns are x_ab for a <= b, row-major, then y_ab for a < b: d*d
+    in all.  P[p][q] = x + i s y, where s = +1 above the diagonal and -1
+    below it; Y vanishes on the diagonal, where the y terms get s = 0.  So
+    the real part puts re on x and -s im on y, and the imaginary part im
+    on x and s re on y.  Takes ints or broadcasting numpy arrays.
+    """
+    below = q < p
+    lo = p + (q - p) * below
+    hi = p + q - lo
+    x = lo * d - lo * (lo - 1) // 2 + hi - lo
+    y = x + d * (d + 1) // 2 - lo - 1
+    s = (p != q) * (1 - 2 * below)
+    real, imag = 2 * eq, 2 * eq + 1
+    return (real, x, re), (real, y, -s * im), (imag, x, im), (imag, y, s * re)
+
+
+def _exact_rows(terms, nrows: int) -> list[dict]:
+    """The nonempty ``{unknown: coefficient}`` rows that exact terms add up
+    to, in equation order: the input of ``rref``."""
+    rows: list[dict] = [{} for _ in range(nrows)]
+    for eq, unknown, c in terms:
+        if c:
+            _add(rows[eq], unknown, c)
+    return [row for row in rows if row]
+
+
 def _commutation_rows(A: DenseMatrix | SparseMatrix) -> list[dict]:
-    # Equation for position (a, b): sum_w A[a][w] P[w][b] - P[a][w] A[w][b] = 0,
-    # unknowns P vectorized as (u, v) -> u*d + v.
-    # Each nonzero of A is negated here, once, not once per equation.
+    """The exact commutation system of A, unknowns P[u][v] -> u*d + v."""
     d = A.rows
-    rows_nz = [[] for _ in range(d)]
-    cols_nz = [[] for _ in range(d)]
-    for u, v, s in A.nonzero_items():
-        rows_nz[u].append((v, s))
-        cols_nz[v].append((u, -s))
-    rows: list[dict] = []
-    for a in range(d):
-        for b in range(d):
-            row: dict[int, object] = {}
-            for w, s in rows_nz[a]:
-                _add(row, w * d + b, s)
-            for w, neg_s in cols_nz[b]:
-                _add(row, a * d + w, neg_s)
-            if row:
-                rows.append(row)
-    return rows
+    return _exact_rows(
+        (term for u, v, s in A.nonzero_items() for t in range(d)
+         for term in _commutation_terms(u, v, s, t, d)),
+        d * d,
+    )
+
+
+def _selfadjoint_rows(A: DenseMatrix | SparseMatrix) -> list[dict]:
+    """The exact realified system of A, the real and imaginary parts of
+    its commutation system (``_realified_terms``).  Its coefficients are
+    Fractions, so it is solved over the rationals."""
+    d = A.rows
+    return _exact_rows(
+        (term for u, v, s in A.nonzero_items() for t in range(d)
+         for eq, key, c in _commutation_terms(u, v, s, t, d)
+         for term in _realified_terms(eq, *divmod(key, d), c.re, c.im, d)),
+        2 * d * d,
+    )
+
+
+def _float_terms(A: DenseMatrix | SparseMatrix, realified: bool):
+    """The terms of A's float commutation system, or of its realified
+    system, as the numpy arrays ``linalg`` solves: every nonzero of A
+    against every t in range(d) at once."""
+    d = A.rows
+    items = list(A.nonzero_items())
+    u = np.array([u for u, _, _ in items], dtype=np.int64)[:, None]
+    v = np.array([v for _, v, _ in items], dtype=np.int64)[:, None]
+    s = np.array([s for _, _, s in items], dtype=complex)[:, None]
+    shape = (len(items), d)
+    eq, key, c = (
+        np.concatenate([np.broadcast_to(x, shape).ravel() for x in part])
+        for part in zip(*_commutation_terms(u, v, s, np.arange(d), d))
+    )
+    if not realified:
+        return eq, key, c
+    p, q = np.divmod(key, d)
+    return tuple(
+        np.concatenate(part) for part in zip(*_realified_terms(eq, p, q, c.real, c.imag, d))
+    )
 
 
 def _partial_permutation(A: DenseMatrix | SparseMatrix):
@@ -183,57 +254,11 @@ def commutant_basis(A: DenseMatrix | SparseMatrix, tol: float | None = None) -> 
             SparseMatrix(dict.fromkeys([keys[-1], *keys[:-1]], one), d, d, "exact")
             for keys in chains
         ))
-    vecs = linalg.kernel_basis(_commutation_rows(A), d * d, A.mode, tol)
+    system = _commutation_rows(A) if A.mode == "exact" else _float_terms(A, False)
+    vecs = linalg.kernel_basis(system, d * d, A.mode, tol)
     return CommutantBasis(tuple(
         SparseMatrix({divmod(k, d): s for k, s in vec.items()}, d, d, A.mode) for vec in vecs
     ))
-
-
-def _sym_var_ids(d: int):
-    # Hermitian P = X + iY: X real symmetric, Y real antisymmetric.
-    # Variables: x_(a,b) for a <= b, then y_(a,b) for a < b; d*d total.
-    pairs = [(a, b) for a in range(d) for b in range(a, d)]
-    strict = [pair for pair in pairs if pair[0] < pair[1]]
-    xid = {pair: i for i, pair in enumerate(pairs)}
-    yid = {pair: len(pairs) + i for i, pair in enumerate(strict)}
-    return xid, yid
-
-
-def _selfadjoint_rows(A: DenseMatrix | SparseMatrix) -> list[dict]:
-    """Realified system for AP = PA with P Hermitian: the real and
-    imaginary parts of the commutation rows.
-
-    P = X + iY with X real symmetric and Y real antisymmetric, so a term
-    c P[u][v] of a commutation row is (Re c + i Im c)(x_uv + i s y_uv),
-    where s = +1 above the diagonal and -1 below it (Y vanishes on the
-    diagonal).  Its real part puts Re c on x_uv and -s Im c on y_uv; its
-    imaginary part puts Im c on x_uv and s Re c on y_uv.  In exact mode the
-    parts are Fractions, so the system is solved over the rationals.
-    """
-    d = A.rows
-    exact = A.mode == "exact"
-    xid, yid = _sym_var_ids(d)
-    rows = []
-    for crow in _commutation_rows(A):
-        real_row: dict[int, object] = {}
-        imag_row: dict[int, object] = {}
-        for key, c in crow.items():
-            u, v = divmod(key, d)
-            re, im = (c.re, c.im) if exact else (c.real, c.imag)
-            pair = (u, v) if u <= v else (v, u)
-            if re:
-                _add(real_row, xid[pair], re)
-                if u != v:
-                    _add(imag_row, yid[pair], -re if u > v else re)
-            if im:
-                _add(imag_row, xid[pair], im)
-                if u != v:
-                    _add(real_row, yid[pair], im if u > v else -im)
-        if real_row:
-            rows.append(real_row)
-        if imag_row:
-            rows.append(imag_row)
-    return rows
 
 
 def selfadjoint_commutant_dim(A: DenseMatrix | SparseMatrix, tol: float | None = None) -> int:
@@ -242,12 +267,14 @@ def selfadjoint_commutant_dim(A: DenseMatrix | SparseMatrix, tol: float | None =
     This equals the complex commutant dimension when A is diagonalizable
     with real spectrum, but at truncation the operators here are nilpotent,
     so it is computed directly from the realified system of
-    ``_selfadjoint_rows``.  The complex system AP = PA, A*P = PA* has the
+    ``_realified_terms``.  The complex system AP = PA, A*P = PA* has the
     same solutions, but in exact mode its rows are Gaussian rationals where
     these are Fractions: building and solving it took about 2.1 times as
     long for the benchmark's 2x2 symbol at d=16 (best of seven, one Xeon
-    core, Python 3.11).  In float mode it was slightly faster (0.8 to 0.95
-    times for z^n at (m,n,K)=(2,2,7)), not enough to keep a second path for.
+    core, Python 3.11).  In float mode, with both systems built as arrays,
+    it took 0.89 to 1.01 times as long for z^n at (m,n,K)=(2,2,7) (median
+    of 50 in-process calls, 2-vCPU Xeon, numpy 2.4), not enough to keep a
+    second path for.
 
     An exact 0/1 partial permutation needs no system: by ``_chains``, P is
     a combination of the indicators 1_C of the surviving chains, and P* of
@@ -268,7 +295,8 @@ def selfadjoint_commutant_dim(A: DenseMatrix | SparseMatrix, tol: float | None =
         heads = Counter(height[v] for v in range(A.rows) if pred[v] < 0)
         closed = sum(1 for _ in _closed_orbits(succ, height))
         return sum(count * count for count in heads.values()) + closed
-    return linalg.nullity(_selfadjoint_rows(A), A.rows * A.rows, A.mode, tol)
+    system = _selfadjoint_rows(A) if A.mode == "exact" else _float_terms(A, True)
+    return linalg.nullity(system, A.rows * A.rows, A.mode, tol)
 
 
 def is_block_lower_toeplitz(

@@ -170,11 +170,19 @@ def lattice_closure_check(report: LatticeReport) -> bool:
     partition the flat basis.  Meaningful for exhaustive reports; a
     sampled family will normally fail closure simply by missing members.
     """
+    members, classes = reducing_classes(report)
+    return members == 1 << classes
+
+
+def reducing_classes(report: LatticeReport) -> tuple[int, int]:
+    """The number of masks the report certifies reducing, and the number of
+    classes of channels that lie in exactly the same ones of them (see
+    ``lattice_closure_check``)."""
     family = sorted({v for v, flag in zip(report.values, report.reducing) if flag})
     classes = {
         bytes((v >> c) & 1 for v in family) for c in range(report.params.r)
     }
-    return len(family) == 1 << len(classes)
+    return len(family), len(classes)
 
 
 def lattice_component_check(report: LatticeReport) -> bool:

@@ -1,33 +1,41 @@
 """Sparse homogeneous systems: ``kernel_basis`` and ``nullity``.
 
-A system is a list of sparse rows, each row a ``{column: coefficient}``
-dict over ``ncols`` unknowns.  The two entry points serve both modes and
-share one loop.  It first splits the system with ``components``: two
-unknowns are connected when some row holds both, so the system is block
-diagonal after a permutation, and its kernel is the direct sum of the
-blocks' kernels.  The commutation systems of this package fall apart this
-way (an unknown P[u][v] shares equations only with unknowns in the same
-channel pair, on the same diagonal).  The loop then picks one solver per
-block, in one place:
+Both entry points serve both modes.  Each first splits the system into
+connected blocks: two unknowns are connected when some equation holds
+both, so the system is block diagonal after a permutation, and its kernel
+is the direct sum of the blocks' kernels.  The commutation systems of
+this package fall apart this way (an unknown P[u][v] shares equations only
+with unknowns in the same channel pair, on the same diagonal).  Blocks
+are ordered by their smallest unknown, and each keeps its unknowns in
+ascending order and its equations in the system's order.  The two modes
+take their systems in different forms:
 
-- float mode: dense numpy SVDs, batched.  Blocks of the same shape (rows,
-  unknowns) are stacked and solved by one ``np.linalg.svd`` call per
-  shape, so a commutation system of some two hundred small blocks costs
-  about ten calls.  A singular value counts when it exceeds tol times its
-  block's largest singular value (or tol itself when that is below one),
-  so a symbol scaled by 1e10 gets the same ranks as the unscaled one.  No
-  rank is decided when a singular value falls within one order of
-  magnitude of that cut-off (``RankAmbiguityError``, naming the first
-  such block in column order).  ``nullity`` skips the singular vectors.
-- exact mode: sparse Gauss-Jordan elimination (``rref``) over any exact
-  field (Fraction and GaussianRational both qualify).  T_{z^n} never gets
-  here: ``commutant`` solves 0/1 partial permutations by walking their
-  chains, without building rows.
+- exact mode: a list of sparse ``{column: coefficient}`` rows, split by
+  ``components`` (union-find) and eliminated block by block with sparse
+  Gauss-Jordan (``rref``) over any exact field (Fraction and
+  GaussianRational both qualify).  T_{z^n} never gets here: ``commutant``
+  solves 0/1 partial permutations by walking their chains, without
+  building rows.
+- float mode: a triple of numpy arrays, one (equation, unknown,
+  coefficient) term per entry.  ``float_blocks`` adds up repeated terms,
+  labels each unknown with the smallest unknown of its block (label
+  propagation), and renumbers rows and columns within each block, all on
+  arrays.  Blocks of the same shape (rows, unknowns) are scattered into
+  one stack and solved by one ``np.linalg.svd`` call per shape, so a
+  commutation system of some two hundred small blocks costs about ten
+  calls.  A singular value counts when it exceeds tol times its block's
+  largest singular value (or tol itself when that is below one), so a
+  symbol scaled by 1e10 gets the same ranks as the unscaled one; a tol of
+  1 or more would count none and is refused.  No rank is decided when a
+  singular value falls within one order of magnitude of that cut-off
+  (``RankAmbiguityError``, naming the first such block in block order).
+  ``nullity`` skips the singular vectors.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,36 +149,147 @@ def _row_counts(mask) -> list[int]:
     return [row.count(True) for row in mask.tolist()]
 
 
-def _float_kernels(blocks: list[tuple[list[int], list[dict]]], ncols: int, tol: float,
-                   vectors: bool) -> list[tuple[int, list]]:
-    """Rank and kernel vectors of each float block, in the order given.
+class FloatBlocks(NamedTuple):
+    """A float system split into connected blocks, ordered by their
+    smallest columns.  Block b owns the columns ``columns[starts[b]:
+    starts[b + 1]]``, ascending, and ``heights[b]`` rows, in the system's
+    row order.  Entry e is ``value[e]`` at row ``row[e]`` and column
+    ``col[e]`` of block ``block[e]``, both renumbered to positions within
+    the block; entries come in the system's row order."""
 
-    Blocks of one shape are stacked and solved by one batched SVD, with the
-    singular vectors only when ``vectors`` is set.  A singular value counts
-    when it exceeds tol * max(1, the block's largest).  If some block has a
-    singular value within a factor ``_GAP`` of its cut-off, no rank is
-    returned: the error names the first such block in the given order and,
-    within it, the largest such value.  Each block's vectors are its SVD
-    kernel echelonized in its columns, as ``(sort column, {column: complex})``
-    pairs; the sort column of a vector left without a pivot is ``ncols``.
+    columns: np.ndarray
+    starts: np.ndarray
+    heights: np.ndarray
+    block: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+
+
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """Whether each entry of a sorted array starts a run of equal keys."""
+    return np.concatenate(([True], keys[1:] != keys[:-1]))[:len(keys)]
+
+
+def _group(keys: np.ndarray, count: int):
+    """Indices of ``keys`` (ints in range(count)) grouped by key, index
+    order kept within a group: the grouped indices, where each group starts
+    among them (count + 1 offsets), and each index's place in its group."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=count))))
+    place = np.empty(len(keys), dtype=np.int64)
+    place[order] = np.arange(len(keys)) - starts[keys[order]]
+    return order, starts, place
+
+
+def _distinct(keys: np.ndarray):
+    """The distinct values of ``keys``, ascending, and the index of each
+    key among them: ``np.unique`` with its inverse, but from a stable sort.
+    (``np.unique`` sorts with the default quicksort, whose code pages
+    raised a float run's peak memory by about 0.3 MB.)"""
+    order = np.argsort(keys, kind="stable")
+    first = _runs(keys[order])
+    index = np.empty(len(keys), dtype=np.int64)
+    index[order] = np.cumsum(first) - 1
+    return keys[order[first]], index
+
+
+def _labels(entry_row: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
+    """Each column's label: the smallest column connected to it, where a
+    row joins all of its columns.  Entries come row by row.  Each round
+    gives every column the smallest label among the columns of its rows,
+    then follows labels to their fixed points; a label is always a column
+    of the same block, and the rounds stop when no label moves."""
+    label = np.arange(ncols)
+    if not len(cols):
+        return label
+    row_starts = np.flatnonzero(_runs(entry_row))
+    by_col = np.argsort(cols, kind="stable")
+    col_starts = np.flatnonzero(_runs(cols[by_col]))
+    touched = cols[by_col[col_starts]]
+    while True:
+        row_min = np.minimum.reduceat(label[cols], row_starts)
+        new = label.copy()
+        new[touched] = np.minimum.reduceat(row_min[entry_row[by_col]], col_starts)
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def float_blocks(terms, ncols: int) -> FloatBlocks:
+    """Merge and split a float system given as terms.
+
+    ``terms`` is a triple of equal-length sequences: the equation, unknown
+    and coefficient of each term.  Terms of one (equation, unknown) pair
+    add up in the order given, and a zero sum leaves no entry.  Rows are
+    the equations with an entry, in the order of their ids, which need not
+    be contiguous.  The blocks are those of ``components``, in its order,
+    with its columns and its renumbered rows; an unknown in no equation is
+    a block of its own with no rows.
     """
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for b, (cols, block) in enumerate(blocks):
-        shapes.setdefault((len(block), len(cols)), []).append(b)
-    solved: list = [None] * len(blocks)
+    eqs, unknowns, coeffs = (np.asarray(a).ravel() for a in terms)
+    keep = coeffs != 0
+    key = eqs[keep].astype(np.int64) * ncols + unknowns[keep].astype(np.int64)
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], coeffs[keep][order]
+    first = np.flatnonzero(_runs(key))
+    key, values = key[first], np.add.reduceat(values, first)
+    nonzero = values != 0
+    rows, cols = np.divmod(key[nonzero], ncols)
+    values = values[nonzero]
+    entry_row = np.cumsum(_runs(rows)) - 1
+    label = _labels(entry_row, cols, ncols)
+    # blocks numbered by their smallest column, columns ascending within
+    col_block = (np.cumsum(label == np.arange(ncols)) - 1)[label]
+    nblocks = int(col_block.max()) + 1
+    columns, starts, col_place = _group(col_block, nblocks)
+    # each row lies in the block of its first column, and keeps its order
+    row_block = col_block[cols[np.flatnonzero(_runs(entry_row))]]
+    _, row_starts, row_place = _group(row_block, nblocks)
+    return FloatBlocks(
+        columns=columns,
+        starts=starts,
+        heights=np.diff(row_starts),
+        block=row_block[entry_row],
+        row=row_place[entry_row],
+        col=col_place[cols],
+        value=values,
+    )
+
+
+def _float_kernels(blocks: FloatBlocks, ncols: int, tol: float, vectors: bool):
+    """The rank of every float block, and the kernel vectors of those with
+    rows, in block order.
+
+    Blocks of one shape are scattered into one stack and solved by one
+    batched SVD, with the singular vectors only when ``vectors`` is set.
+    A singular value counts when it exceeds tol * max(1, the block's
+    largest).  If some block has a singular value within a factor ``_GAP``
+    of its cut-off, no rank is returned: the error names the first such
+    block in block order and, within it, the largest such value.  Each
+    block's vectors are its SVD kernel echelonized in its columns, as
+    ``(sort column, {column: complex})`` pairs; the sort column of a vector
+    left without a pivot is ``ncols``.
+    """
+    widths = np.diff(blocks.starts)
+    shapes, group = _distinct(blocks.heights * (ncols + 1) + widths)
+    members_of, group_starts, slot = _group(group, len(shapes))
+    entries_of, entry_starts, _ = _group(group[blocks.block], len(shapes))
+    ranks = np.zeros(len(widths), dtype=np.int64)
+    found: dict[int, list] = {}  # vectors by block
     ambiguous = None  # (block, singular value, cut-off) first in block order
-    for (height, width), members in shapes.items():
-        # entry (r, c) of the stack seen as len(members) * height rows
-        r_idx, c_idx, values = [], [], []
-        r = 0
-        for b in members:
-            for row in blocks[b][1]:
-                r_idx += [r] * len(row)
-                c_idx += row
-                values += row.values()
-                r += 1
+    for g, (height, width) in enumerate(divmod(s, ncols + 1) for s in shapes.tolist()):
+        if not height:
+            continue  # unknowns in no equation: rank 0
+        members = members_of[group_starts[g]:group_starts[g + 1]]
+        sel = entries_of[entry_starts[g]:entry_starts[g + 1]]
         stack = np.zeros((len(members), height, width), dtype=complex)
-        stack.reshape(r, width)[r_idx, c_idx] = values
+        stack[slot[blocks.block[sel]], blocks.row[sel], blocks.col[sel]] = blocks.value[sel]
         if vectors:
             _, svals, vh = np.linalg.svd(stack)
         else:
@@ -179,30 +298,46 @@ def _float_kernels(blocks: list[tuple[list[int], list[dict]]], ncols: int, tol: 
         cut = tol * top
         cut[top < 1.0] = tol
         cut = cut[:, None]
-        ranks = _row_counts(svals > cut)
+        group_ranks = _row_counts(svals > cut)
         # per block, the values above the ambiguity band and those at or
         # above its floor: the values between lie in the band, largest first
         above = _row_counts(svals > cut * _GAP)
         reach = _row_counts(svals >= cut / _GAP)
-        for k, (first, end) in enumerate(zip(above, reach)):
-            if first < end:
+        for k, (high, end) in enumerate(zip(above, reach)):
+            if high < end:
                 if ambiguous is None or members[k] < ambiguous[0]:
-                    ambiguous = (members[k], svals[k, first], cut[k, 0])
+                    ambiguous = (members[k], svals[k, high], cut[k, 0])
                 break
         if ambiguous is not None:
             continue
-        for k, b in enumerate(members):
-            rank, found = ranks[k], []
-            if vectors:
-                cols = blocks[b][0]
-                vecs, pivots = echelonize_float(
-                    [np.conj(vh[k, i]) for i in range(rank, width)], tol
-                )
-                for i, vec in enumerate(vecs):
-                    key = cols[pivots[i]] if i < len(pivots) else ncols
-                    vec = {cols[c]: complex(x) for c, x in enumerate(vec) if x}
-                    found.append((key, vec))
-            solved[b] = (rank, found)
+        ranks[members] = group_ranks
+        if not vectors:
+            continue
+        group_cols = blocks.columns[blocks.starts[members, None] + np.arange(width)].tolist()
+        # a one-vector kernel, the common case, needs no elimination:
+        # echelonize_float pivots it on its first entry above tol and scales
+        # that entry to 1, done here for all of the group's at once
+        single = [k for k, rank in enumerate(group_ranks) if rank == width - 1]
+        vec1 = np.conj(vh[single, width - 1])
+        pivot1 = [next((c for c, x in enumerate(vec) if abs(x) > tol), -1)
+                  for vec in vec1.tolist()]
+        scaled = [i for i, c in enumerate(pivot1) if c >= 0]
+        vec1[scaled] = vec1[scaled] / vec1[scaled, [pivot1[i] for i in scaled]][:, None]
+        kernels = dict(zip(single, zip(vec1.tolist(), pivot1)))
+        for k, (b, rank, cols) in enumerate(zip(members.tolist(), group_ranks, group_cols)):
+            if rank == width:
+                continue
+            if k in kernels:
+                vec, pivot = kernels[k]
+                vecs, pivots = [vec], [pivot] if pivot >= 0 else []
+            else:
+                vecs, pivots = echelonize_float(np.conj(vh[k, rank:]), tol)
+                vecs = [vec.tolist() for vec in vecs]
+            found[b] = [
+                (cols[pivots[i]] if i < len(pivots) else ncols,
+                 {c: x for c, x in zip(cols, vec) if x})
+                for i, vec in enumerate(vecs)
+            ]
         del stack, svals, vh  # one group's singular vectors at a time
     if ambiguous is not None:
         _, s, cut = ambiguous
@@ -211,65 +346,63 @@ def _float_kernels(blocks: list[tuple[list[int], list[dict]]], ncols: int, tol: 
             f"the cut-off {cut:.6e} (tol={tol:.6e}); the rank decision "
             "is not trustworthy (adjust tol or use exact mode)"
         )
-    return solved
+    return ranks, [vec for b in sorted(found) for vec in found[b]]
 
 
-def _solve(rows: list[dict], ncols: int, mode: Mode, tol, vectors: bool):
+def _solve(system, ncols: int, mode: Mode, tol, vectors: bool):
     """The per-block loop of ``kernel_basis`` and ``nullity``: the kernel's
     dimension and its vectors as ``(sort column, {column: scalar})`` pairs,
     those of exact and rowless blocks first, then those of the float
     blocks in block order.  Sort columns are distinct except the ``ncols``
-    of float vectors left without a pivot, which keep block order.  Float
-    blocks are grouped by shape and solved by ``_float_kernels``, one
-    batched SVD per shape; they give vectors only when ``vectors`` is set,
-    so that the SVDs of ``nullity`` skip the singular vectors, and their
-    kernel is counted as width minus rank.  Exact blocks always give
-    vectors."""
-    if mode == "float" and (tol is None or tol <= 0):
-        raise ValueError("float-mode solves require a positive tol")
+    of float vectors left without a pivot, which keep block order.  An
+    exact system is a list of ``{column: scalar}`` rows, split by
+    ``components`` and eliminated block by block with ``rref``.  A float
+    system is a triple of term arrays (see ``float_blocks``), solved by
+    ``_float_kernels``, one batched SVD per shape; it gives vectors only
+    when ``vectors`` is set, so that the SVDs of ``nullity`` skip the
+    singular vectors, and its kernel is counted as width minus rank."""
     one = scalars.one(mode)
-    if mode == "exact":
-        # the kernel of an exact system lives in the field of its rows
-        field = next((type(c) for row in rows for c in row.values()), type(one))
-        if field is not type(one):
-            one = field(1)
+    if mode == "float":
+        if tol is None or not 0 < tol < 1:
+            raise ValueError("float-mode solves require 0 < tol < 1")
+        blocks = float_blocks(system, ncols)
+        ranks, vecs = _float_kernels(blocks, ncols, tol, vectors)
+        rowless = blocks.columns[blocks.starts[:-1][blocks.heights == 0]].tolist()
+        return ncols - int(ranks.sum()), [(c, {c: one}) for c in rowless] + vecs
+    # the kernel of an exact system lives in the field of its rows
+    field = next((type(c) for row in system for c in row.values()), type(one))
+    if field is not type(one):
+        one = field(1)
     found = []
-    float_blocks = []
-    for cols, block in components(rows, ncols):
+    for cols, block in components(system, ncols):
         width = len(cols)
         if not block:
             found.append((cols[0], {cols[0]: one}))
-        elif mode == "float":
-            float_blocks.append((cols, block))
-        else:
-            reduced, pivots = rref(block, width)
-            for f in range(width):
-                if f not in pivots:
-                    vec = {cols[f]: one}
-                    for pc, ridx in pivots.items():
-                        coeff = reduced[ridx].get(f)
-                        if coeff:
-                            vec[cols[pc]] = -coeff
-                    found.append((cols[f], vec))
-    dim = len(found)
-    if float_blocks:
-        solved = _float_kernels(float_blocks, ncols, tol, vectors)
-        for (cols, _), (rank, vecs) in zip(float_blocks, solved):
-            dim += len(cols) - rank
-            found.extend(vecs)
-    return dim, found
+            continue
+        reduced, pivots = rref(block, width)
+        for f in range(width):
+            if f not in pivots:
+                vec = {cols[f]: one}
+                for pc, ridx in pivots.items():
+                    coeff = reduced[ridx].get(f)
+                    if coeff:
+                        vec[cols[pc]] = -coeff
+                found.append((cols[f], vec))
+    return len(found), found
 
 
-def nullity(rows: list[dict], ncols: int, mode: Mode, tol: float | None = None) -> int:
-    """Dimension of the kernel of a sparse homogeneous system."""
-    return _solve(rows, ncols, mode, tol, False)[0]
+def nullity(system, ncols: int, mode: Mode, tol: float | None = None) -> int:
+    """Dimension of the kernel of a sparse homogeneous system: exact
+    ``{column: scalar}`` rows, or float term arrays (see ``_solve``)."""
+    return _solve(system, ncols, mode, tol, False)[0]
 
 
 def kernel_basis(
-    rows: list[dict], ncols: int, mode: Mode, tol: float | None = None
+    system, ncols: int, mode: Mode, tol: float | None = None
 ) -> list[dict]:
-    """Basis of the kernel of a sparse homogeneous system as sparse
-    ``{column: scalar}`` vectors.
+    """Basis of the kernel of a sparse homogeneous system, exact
+    ``{column: scalar}`` rows or float term arrays (see ``_solve``), as
+    sparse ``{column: scalar}`` vectors.
 
     Exact vectors have the one of the rows' field at their free column
     (the shared ``scalars.one(mode)`` for Gaussian rationals, ``Fraction(1)``
@@ -279,7 +412,7 @@ def kernel_basis(
     echelonized in the block's columns, in pivot-column order: the echelon
     basis of the whole kernel, deterministic up to the SVD backend.
     """
-    found = _solve(rows, ncols, mode, tol, True)[1]
+    found = _solve(system, ncols, mode, tol, True)[1]
     return [vec for _, vec in sorted(found, key=lambda item: item[0])]
 
 

@@ -89,8 +89,12 @@ class DenseMatrix:
     def rank(self, tol: float | None = None) -> int:
         """Rank, exact by elimination in exact mode, by SVD (with the
         ambiguity gate) in float mode where tol is required."""
-        rows = [{v: s for v, s in enumerate(row) if s} for row in self.entries]
-        return self.cols - linalg.nullity(rows, self.cols, self.mode, tol)
+        if self.mode == "float":
+            # one term per nonzero, as (rows, columns, values)
+            system = tuple(zip(*self.nonzero_items())) or ((), (), ())
+        else:
+            system = [{v: s for v, s in enumerate(row) if s} for row in self.entries]
+        return self.cols - linalg.nullity(system, self.cols, self.mode, tol)
 
 
 @dataclass(frozen=True)

@@ -553,6 +553,113 @@ def restrict_reference(A, indices, tol=None):
     )
 
 
+def _add_term(row, key, coeff):
+    # row[key] += coeff, dropping the entry when the sum cancels
+    cur = row.get(key)
+    nv = coeff if cur is None else cur + coeff
+    if nv:
+        row[key] = nv
+    elif cur is not None:
+        del row[key]
+
+
+def commutation_rows_reference(A):
+    """The commutation system of A as ``{unknown: coefficient}`` rows, one
+    per matrix position (a, b) with a nonzero left after cancellation:
+    sum_w A[a][w] P[w][b] - P[a][w] A[w][b], unknowns P[u][v] -> u*d + v.
+    Each equation is written out in full, in either mode."""
+    d = A.rows
+    rows_nz = [[] for _ in range(d)]
+    cols_nz = [[] for _ in range(d)]
+    for u, v, s in A.nonzero_items():
+        rows_nz[u].append((v, s))
+        cols_nz[v].append((u, -s))
+    rows = []
+    for a in range(d):
+        for b in range(d):
+            row = {}
+            for w, s in rows_nz[a]:
+                _add_term(row, w * d + b, s)
+            for w, neg_s in cols_nz[b]:
+                _add_term(row, a * d + w, neg_s)
+            if row:
+                rows.append(row)
+    return rows
+
+
+def sym_var_ids_reference(d):
+    """Ids of the unknowns of Hermitian P = X + iY as dicts: x_(a,b) for
+    a <= b, then y_(a,b) for a < b, each row-major; d*d in all."""
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    strict = [pair for pair in pairs if pair[0] < pair[1]]
+    xid = {pair: i for i, pair in enumerate(pairs)}
+    yid = {pair: len(pairs) + i for i, pair in enumerate(strict)}
+    return xid, yid
+
+
+def selfadjoint_rows_reference(A):
+    """The realified system of AP = PA for Hermitian P: the real row, then
+    the imaginary row, of each commutation row of
+    ``commutation_rows_reference``, each kept when nonempty.  A term
+    c P[u][v] is (Re c + i Im c)(x_uv + i s y_uv), s = +1 above the
+    diagonal and -1 below it; exact parts are Fractions."""
+    d = A.rows
+    exact = A.mode == "exact"
+    xid, yid = sym_var_ids_reference(d)
+    rows = []
+    for crow in commutation_rows_reference(A):
+        real_row, imag_row = {}, {}
+        for key, c in crow.items():
+            u, v = divmod(key, d)
+            re, im = (c.re, c.im) if exact else (c.real, c.imag)
+            pair = (u, v) if u <= v else (v, u)
+            if re:
+                _add_term(real_row, xid[pair], re)
+                if u != v:
+                    _add_term(imag_row, yid[pair], -re if u > v else re)
+            if im:
+                _add_term(imag_row, xid[pair], im)
+                if u != v:
+                    _add_term(real_row, yid[pair], im if u > v else -im)
+        if real_row:
+            rows.append(real_row)
+        if imag_row:
+            rows.append(imag_row)
+    return rows
+
+
+def terms_of(rows):
+    """A float system of ``{column: value}`` rows as the term arrays that
+    ``linalg`` solves: (row index, column, value) per entry."""
+    entries = [(i, c, complex(v)) for i, row in enumerate(rows) for c, v in row.items()]
+    eqs, cols, values = zip(*entries) if entries else ((), (), ())
+    return (np.array(eqs, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(values, dtype=complex))
+
+
+def rows_of_terms(terms):
+    """The ``{column: value}`` rows that a float system's terms add up to,
+    in equation order, empty rows left out: the inverse of ``terms_of``."""
+    by_eq = {}
+    for eq, c, v in zip(*(np.asarray(a).tolist() for a in terms)):
+        if v:
+            _add_term(by_eq.setdefault(eq, {}), c, v)
+    return [by_eq[eq] for eq in sorted(by_eq) if by_eq[eq]]
+
+
+def blocks_as_components(blocks):
+    """A ``linalg.FloatBlocks`` split in the form ``linalg.components``
+    returns: ``(columns, renumbered rows)`` per block, in block order."""
+    found = []
+    for b, height in enumerate(blocks.heights.tolist()):
+        cols = blocks.columns[blocks.starts[b]:blocks.starts[b + 1]].tolist()
+        found.append((cols, [{} for _ in range(height)]))
+    for b, i, c, v in zip(blocks.block.tolist(), blocks.row.tolist(),
+                          blocks.col.tolist(), blocks.value.tolist()):
+        found[b][1][i][c] = v
+    return found
+
+
 def float_block_solve_reference(rows, ncols, tol, vectors=True):
     """``linalg``'s float solve one block at a time: a dense array filled
     entry by entry and one SVD per block, its rank decided by a loop over

@@ -246,12 +246,24 @@ def test_criterion_8_cli_contract(tmp_path):
         assert list(blocked.iterdir()) == []
         assert not (tmp_path / "blocked.tmp").exists()
 
-        # exit 1: a verification that honestly fails (a tolerance so coarse
-        # the float commutant collapses to the wrong dimension)
+        # a tolerance so coarse that no singular value could count is an
+        # invalid configuration, not a failed check
         assert (
             main([
                 "commutant", "--m", "1", "--n", "1", "--blocks", "2",
                 "--mode", "float", "--tol", "10.0",
+                "--out", str(tmp_path / "coarse.json"),
+            ])
+            == 2
+        )
+
+        # exit 1: a verification that honestly fails (a tolerance so fine
+        # that rounding noise counts as rank, and the float commutant
+        # collapses to the wrong dimension)
+        assert (
+            main([
+                "commutant", "--m", "2", "--n", "2", "--blocks", "3",
+                "--mode", "float", "--tol", "1e-300",
                 "--out", str(tmp_path / "bad.json"),
             ])
             == 1

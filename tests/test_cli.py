@@ -514,6 +514,47 @@ def test_float_mode_flags(tmp_path, capsys):
         assert refused(tmp_path, capsys, *argv, "--mode", "float", f"--tol={tol}") == needs_tol
 
 
+@pytest.mark.parametrize("command", ["build", "full-report"])
+@pytest.mark.parametrize("tol", ["1", "5", "1e10"])
+def test_float_tol_of_one_or_more_refused(tmp_path, capsys, command, tol):
+    # at tol >= 1 the cut-off tol * max(1, top) lies at or above every
+    # singular value, so no rank could be decided
+    assert refused(tmp_path, capsys, command, "--m", "1", "--n", "1", "--blocks", "3",
+                   "--mode", "float", "--tol", tol) == (
+        "error: float mode requires --tol < 1: the rank cut-off, tol times "
+        "max(1, largest singular value), would count no singular value\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, found, cut, tol",
+    [
+        (("full-report", "--m", "2", "--n", "2", "--blocks", "7", "--tol", "0.1"),
+         "4.450419e-01", "1.949856e-01", "1.000000e-01"),
+        (("full-report", "--m", "2", "--n", "2", "--blocks", "7", "--tol", "0.5"),
+         "1.949856e+00", "9.749279e-01", "5.000000e-01"),
+        (("commutant", "--m", "2", "--n", "1", "--blocks", "8", "--tol", "0.05",
+          "--symbol", str(SYMBOL_F)),
+         "7.354624e-01", "2.456565e-01", "5.000000e-02"),
+    ],
+    ids=["power-0.1", "power-0.5", "symbol-0.05"],
+)
+def test_float_ambiguity_names_the_first_ambiguous_block(tmp_path, capsys, argv, found,
+                                                         cut, tol):
+    # several blocks are ambiguous at these tolerances; the message names
+    # the first of them in component order, and its largest value in the band
+    out = tmp_path / "report.json"
+    assert main([*argv, "--mode", "float", "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: singular value {found} is within an order of magnitude of the "
+        f"cut-off {cut} (tol={tol}); the rank decision is not trustworthy "
+        "(adjust tol or use exact mode)\n"
+    )
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tol_refused(tmp_path, tol, capsys):
     out = tmp_path / "report.json"

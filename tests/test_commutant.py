@@ -25,9 +25,9 @@ from hardyshift import (
 )
 from hardyshift.commutant import (
     _commutation_rows,
+    _float_terms,
     _partial_permutation,
     _selfadjoint_rows,
-    _sym_var_ids,
     toeplitz_break,
 )
 from hardyshift.errors import InvarianceError, ShapeError
@@ -38,6 +38,7 @@ from helpers import (
     DenseMatrix,
     build_intertwiner,
     channel_order_reference,
+    commutation_rows_reference,
     dense,
     dense_basis,
     dense_block_toeplitz_reference,
@@ -47,6 +48,10 @@ from helpers import (
     is_projection,
     rand_gaussian_rational,
     restrict_reference,
+    rows_of_terms,
+    selfadjoint_rows_reference,
+    sym_var_ids_reference,
+    terms_of,
 )
 
 
@@ -488,7 +493,7 @@ def realified_rows_reference(A):
         rows_nz[u].append((v, re, im))
         cols_nz[v].append((u, re, im))
 
-    xid, yid = _sym_var_ids(d)
+    xid, yid = sym_var_ids_reference(d)
 
     def xvar(u, v):
         return xid[(u, v)] if u <= v else xid[(v, u)]
@@ -543,9 +548,14 @@ def linear_forms(rows):
 
 
 def assert_rows_match_reference(A):
-    rows = _selfadjoint_rows(A)
     if A.mode == "exact":
+        rows = _selfadjoint_rows(A)
         assert all(type(c) is Fraction for row in rows for c in row.values())
+        # the rows rref reads, equation by equation, as the references write them
+        assert rows == selfadjoint_rows_reference(A)
+        assert _commutation_rows(A) == commutation_rows_reference(A)
+    else:
+        rows = rows_of_terms(_float_terms(A, True))
     assert linear_forms(rows) == linear_forms(realified_rows_reference(A))
 
 
@@ -604,16 +614,19 @@ def assert_matches_the_commutation_system(A, tol=None):
     kernel and the nullity of the commutation systems, in value, repr and
     order."""
     d = A.rows
+    if A.mode == "exact":
+        system, realified = _commutation_rows(A), _selfadjoint_rows(A)
+    else:
+        system = terms_of(commutation_rows_reference(A))
+        realified = terms_of(selfadjoint_rows_reference(A))
     reference = [
         {divmod(k, d): s for k, s in vec.items()}
-        for vec in linalg.kernel_basis(_commutation_rows(A), d * d, A.mode, tol)
+        for vec in linalg.kernel_basis(system, d * d, A.mode, tol)
     ]
     found = [P.entries for P in commutant_basis(A, tol).elements]
     assert [list(P.items()) for P in found] == [list(P.items()) for P in reference]
     assert repr(found) == repr(reference)
-    assert selfadjoint_commutant_dim(A, tol) == linalg.nullity(
-        _selfadjoint_rows(A), d * d, A.mode, tol
-    )
+    assert selfadjoint_commutant_dim(A, tol) == linalg.nullity(realified, d * d, A.mode, tol)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hardyshift import (
     TruncationParams,
@@ -13,18 +17,22 @@ from hardyshift import (
     vector_shift,
     verify_equivalence,
 )
-from hardyshift.commutant import _commutation_rows, _selfadjoint_rows
+from hardyshift.commutant import _float_terms
 from hardyshift.errors import RankAmbiguityError
-from hardyshift.linalg import components
+from hardyshift.linalg import components, float_blocks
 
 from helpers import (
     DenseMatrix,
+    blocks_as_components,
     build_intertwiner,
+    commutation_rows_reference,
     dense,
     dense_basis,
     direct_sum,
     is_projection,
     matrices_close,
+    rows_of_terms,
+    selfadjoint_rows_reference,
 )
 
 TOL = 1e-9
@@ -134,16 +142,17 @@ def test_float_commutant_spans_the_exact_commutant():
 
 @pytest.mark.parametrize(
     "solve, system, shapes",
-    [(commutant_basis, _commutation_rows, 12),
-     (selfadjoint_commutant_dim, _selfadjoint_rows, 8)],
+    [(commutant_basis, commutation_rows_reference, 12),
+     (selfadjoint_commutant_dim, selfadjoint_rows_reference, 8)],
     ids=["commutant", "selfadjoint"],
 )
 def test_float_blocks_of_one_shape_share_one_svd(solve, system, shapes, monkeypatch):
     p = TruncationParams(2, 2, 7)
     T = power_symbol(p, mode="float")
     rows = system(T)
-    found = {(len(block), len(cols))
-             for cols, block in components(rows, p.d * p.d) if block}
+    blocks = Counter((len(block), len(cols))
+                     for cols, block in components(rows, p.d * p.d) if block)
+    found = set(blocks)
     assert len(found) == shapes
     calls = []
     svd = np.linalg.svd
@@ -155,3 +164,38 @@ def test_float_blocks_of_one_shape_share_one_svd(solve, system, shapes, monkeypa
     monkeypatch.setattr(np.linalg, "svd", counted)
     solve(T, tol=TOL)
     assert 0 < len(calls) <= shapes
+    # one stack per shape, holding every block of that shape
+    assert Counter(calls) == Counter(
+        (count, height, width) for (height, width), count in blocks.items()
+    )
+
+
+PARTS = st.floats(-3, 3, allow_nan=False).filter(lambda x: x == 0 or abs(x) > 1e-3)
+
+
+@st.composite
+def sparse_float_operators(draw):
+    """A float matrix of size 1 to 5, mostly zeros, with complex entries.
+    Diagonal entries come from a short list, so that A[a][a] - A[b][b]
+    often cancels, and empty rows and columns leave unknowns P[u][v] (with
+    column u and row v of A zero) in no equation."""
+    d = draw(st.integers(1, 5))
+    diagonal = st.sampled_from([0j, 0j, 1 + 0j, 0.5 - 2j])
+    entry = st.one_of(st.just(0j), st.just(0j), st.builds(complex, PARTS, PARTS))
+    return DenseMatrix(
+        [[draw(diagonal if u == v else entry) for v in range(d)] for u in range(d)], "float"
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_float_operators())
+@example(DenseMatrix([[0, 0], [1j, 0]], "float"))  # P[1][0] is in no equation
+@example(DenseMatrix([[2, 0], [0, 2]], "float"))  # every equation cancels
+def test_float_systems_match_the_dict_rows(A):
+    ncols = A.rows * A.rows
+    for realified, reference in ((False, commutation_rows_reference),
+                                 (True, selfadjoint_rows_reference)):
+        terms = _float_terms(A, realified)
+        rows = reference(A)
+        assert rows_of_terms(terms) == rows
+        assert blocks_as_components(float_blocks(terms, ncols)) == components(rows, ncols)

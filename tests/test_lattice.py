@@ -335,7 +335,7 @@ def test_component_check_fails_on_a_closed_family_with_too_few_atoms():
     assert not lattice_component_check(flipped)
 
 
-def test_cli_closure_fails_on_flipped_verdicts_of_a_closed_family(tmp_path, monkeypatch):
+def test_cli_closure_fails_on_flipped_verdicts_of_a_closed_family(tmp_path, monkeypatch, capsys):
     import hardyshift.cli as cli
     import hardyshift.lattice as lattice
 
@@ -347,6 +347,39 @@ def test_cli_closure_fails_on_flipped_verdicts_of_a_closed_family(tmp_path, monk
     report = json.loads(out.read_text())
     assert report["lattice"]["counts"]["reducing_count"] == 2
     assert report["lattice"]["closure_ok"] is False
+    # z on C^2 joins no two channels, so the flipped mask splits no edge;
+    # the two channels fall in one class (2^1 = 2 masks, as found), but the
+    # edge graph has two components and asks for 2^2
+    assert capsys.readouterr().err == (
+        "all_checked_masks_reducing: mask 10 is not reducing; it splits no channel edge\n"
+        "closure_ok: 2 reducing masks, against 2^1 = 2 from 1 channel classes and "
+        "2^2 = 4 from 2 components of the channel edge graph\n"
+        "failed checks: all_checked_masks_reducing, closure_ok\n"
+    )
+
+
+def test_cli_names_the_channel_edge_a_mask_splits(tmp_path, monkeypatch, capsys):
+    import hardyshift.cli as cli
+    import hardyshift.lattice as lattice
+
+    # a planted edge between channels 0 and 2 of four: the verdicts follow
+    # it, so the family stays closed and only the mask check fails
+    def planted(T, params, tol=None):
+        return frozenset({(2, 0)})
+
+    monkeypatch.setattr(lattice, "channel_edges", planted)
+    monkeypatch.setattr(cli, "channel_edges", planted)
+    out = tmp_path / "report.json"
+    code = cli.main(["lattice", "--m", "2", "--n", "2", "--blocks", "2", "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["lattice"]["counts"]["reducing_count"] == 8
+    assert report["lattice"]["closure_ok"] is True
+    assert capsys.readouterr().err == (
+        "all_checked_masks_reducing: mask 1000 is not reducing; it splits the "
+        "channel edge (2, 0)\n"
+        "failed checks: all_checked_masks_reducing\n"
+    )
 
 
 def test_closure_check_exhaustive_eleven_channels():

@@ -6,17 +6,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hardyshift import GaussianRational, TruncationParams, linalg, power_symbol
-from hardyshift.commutant import _commutation_rows
+from hardyshift.commutant import _float_terms
 from hardyshift.errors import RankAmbiguityError
 from hardyshift.linalg import (
     components,
     echelonize_float,
+    float_blocks,
     kernel_basis,
     nullity,
     rref,
 )
 
-from helpers import float_block_solve_reference
+from helpers import (
+    blocks_as_components,
+    commutation_rows_reference,
+    float_block_solve_reference,
+    terms_of,
+)
 
 TOL = 1e-9
 ONE = GaussianRational(1)
@@ -226,7 +232,10 @@ SPIES = {
     "rref": lambda args, out: (len(args[0]), args[1]),
     # each float block's shape and rank, in component order
     "_float_kernels": lambda args, out: [
-        (len(block), len(cols), rank) for (cols, block), (rank, _) in zip(args[0], out)
+        (height, width, rank)
+        for height, width, rank in zip(args[0].heights.tolist(),
+                                       np.diff(args[0].starts).tolist(), out[0].tolist())
+        if height
     ],
 }
 
@@ -262,12 +271,13 @@ def test_nullity_counts_the_kernel_basis_with_the_same_solvers(mode, data):
             planted_systems(st.integers(-3, 3).filter(bool).map(float))
         )
         tol = TOL
-    count, counted_by = solver_log(nullity, rows, ncols, mode, tol)
-    basis, built_by = solver_log(kernel_basis, rows, ncols, mode, tol)
+    system = rows if mode == "exact" else terms_of(rows)
+    count, counted_by = solver_log(nullity, system, ncols, mode, tol)
+    basis, built_by = solver_log(kernel_basis, system, ncols, mode, tol)
     assert count == len(basis)
     assert counted_by == built_by
     # a block with rows reaches a spied solver, so the logs can differ
-    assert bool(counted_by) == bool(rows)
+    assert any(summary for _, summary in counted_by) == bool(rows)
 
 
 def test_ambiguous_one_by_one_block_in_well_conditioned_system():
@@ -275,12 +285,12 @@ def test_ambiguous_one_by_one_block_in_well_conditioned_system():
     n = 40
     well = np.eye(n) + 0.1 * rng.standard_normal((n, n))
     rows = [{c: complex(v) for c, v in enumerate(r)} for r in well]
-    assert nullity(rows, n + 1, "float", TOL) == 1
+    assert nullity(terms_of(rows), n + 1, "float", TOL) == 1
     rows.append({n: 1e-9})
     with pytest.raises(RankAmbiguityError):
-        nullity(rows, n + 1, "float", TOL)
+        nullity(terms_of(rows), n + 1, "float", TOL)
     with pytest.raises(RankAmbiguityError):
-        kernel_basis(rows, n + 1, "float", TOL)
+        kernel_basis(terms_of(rows), n + 1, "float", TOL)
 
 
 FLOATS = st.one_of(
@@ -305,8 +315,8 @@ def solve_or_message(call, *args):
 def test_batched_float_solve_matches_the_per_block_loop(system):
     rows, ncols, _ = system
     reference = solve_or_message(float_block_solve_reference, rows, ncols, TOL)
-    basis = solve_or_message(kernel_basis, rows, ncols, "float", TOL)
-    count = solve_or_message(nullity, rows, ncols, "float", TOL)
+    basis = solve_or_message(kernel_basis, terms_of(rows), ncols, "float", TOL)
+    count = solve_or_message(nullity, terms_of(rows), ncols, "float", TOL)
     if isinstance(reference, str):
         assert basis == count == reference
         return
@@ -326,8 +336,8 @@ def test_first_ambiguous_block_in_component_order_is_named():
     rows = [{0: 1.0}, {1: 2e-9, 2: 1e-9}, {1: 1e-9, 2: 2e-9}, {3: 2e-9}]
     expected = solve_or_message(float_block_solve_reference, rows, 4, TOL)
     assert expected.startswith("singular value 3.000000e-09 ")
-    assert solve_or_message(kernel_basis, rows, 4, "float", TOL) == expected
-    assert solve_or_message(nullity, rows, 4, "float", TOL) == expected
+    assert solve_or_message(kernel_basis, terms_of(rows), 4, "float", TOL) == expected
+    assert solve_or_message(nullity, terms_of(rows), 4, "float", TOL) == expected
 
 
 def test_unknowns_in_no_equation_give_unit_vectors():
@@ -337,18 +347,18 @@ def test_unknowns_in_no_equation_give_unit_vectors():
     ]
     # float vectors come in pivot-column order: the solution of the
     # equation pivots on column 0
-    basis = kernel_basis([{0: 1.0, 2: -1.0}], 5, "float", TOL)
+    basis = kernel_basis(terms_of([{0: 1.0, 2: -1.0}]), 5, "float", TOL)
     assert sorted(basis[0]) == [0, 2]
     assert basis[0][0] == 1 and basis[0][2] == pytest.approx(1)
     assert basis[1:] == [{1: 1 + 0j}, {3: 1 + 0j}, {4: 1 + 0j}]
-    assert kernel_basis([], 3, "float", TOL) == [{0: 1 + 0j}, {1: 1 + 0j}, {2: 1 + 0j}]
+    assert kernel_basis(terms_of([]), 3, "float", TOL) == [{0: 1 + 0j}, {1: 1 + 0j}, {2: 1 + 0j}]
 
 
 def test_float_kernel_lists_vectors_by_pivot_column_across_blocks():
     # the block of columns {0, 2, 3} starts first, but its kernel vector
     # (0, 1, -1) pivots on column 2, after the unit vector of column 1
     rows = [{0: 1.0}, {0: 1.0, 2: 1.0, 3: 1.0}]
-    basis = kernel_basis(rows, 4, "float", TOL)
+    basis = kernel_basis(terms_of(rows), 4, "float", TOL)
     assert basis[0] == {1: 1 + 0j}
     assert sorted(basis[1]) == [2, 3]
     assert basis[1][2] == 1 and basis[1][3] == pytest.approx(-1)
@@ -356,11 +366,11 @@ def test_float_kernel_lists_vectors_by_pivot_column_across_blocks():
 
 def test_float_solves_repeat_and_match_the_whole_system_echelon_basis():
     p = TruncationParams(2, 2, 3)
-    rows = _commutation_rows(power_symbol(p, mode="float"))
+    T = power_symbol(p, mode="float")
     ncols = p.d * p.d
-    first = kernel_basis(rows, ncols, "float", TOL)
-    assert kernel_basis(rows, ncols, "float", TOL) == first
-    reference = whole_system_kernel_float(rows, ncols, TOL)
+    first = kernel_basis(_float_terms(T, False), ncols, "float", TOL)
+    assert kernel_basis(_float_terms(T, False), ncols, "float", TOL) == first
+    reference = whole_system_kernel_float(commutation_rows_reference(T), ncols, TOL)
     assert len(first) == len(reference) == p.r * p.r * p.K
     for vec, ref in zip(first, reference):
         dense = np.zeros(ncols, dtype=complex)
@@ -371,6 +381,22 @@ def test_float_solves_repeat_and_match_the_whole_system_echelon_basis():
 
 def test_float_rank_requires_tol():
     with pytest.raises(ValueError):
-        nullity([{0: 1.0}], 1, "float", None)
+        nullity(terms_of([{0: 1.0}]), 1, "float", None)
     with pytest.raises(ValueError):
-        kernel_basis([{0: 1.0}], 1, "float", 0.0)
+        kernel_basis(terms_of([{0: 1.0}]), 1, "float", 0.0)
+    # with tol >= 1 the cut-off tol * max(1, top) leaves no singular value
+    for tol in (1.0, 5.0):
+        with pytest.raises(ValueError):
+            nullity(terms_of([{0: 1.0}]), 1, "float", tol)
+
+
+@settings(max_examples=120, deadline=None)
+@given(planted_systems(FLOATS))
+def test_float_split_matches_components(system):
+    # terms_of numbers the rows 0, 1, ...; spreading the ids out must not
+    # change the rows' order or the blocks
+    rows, ncols, _ = system
+    eqs, cols, values = terms_of(rows)
+    expected = components(rows, ncols)
+    assert blocks_as_components(float_blocks((eqs, cols, values), ncols)) == expected
+    assert blocks_as_components(float_blocks((3 * eqs + 1, cols, values), ncols)) == expected
