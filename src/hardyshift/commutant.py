@@ -28,15 +28,15 @@ behind the rank-ambiguity gate.
 The self-adjoint variant parametrizes Hermitian P = X + iY by a real
 symmetric X and a real antisymmetric Y.  Its equations are the real and
 imaginary parts of the commutation terms, rewritten over the entries of X
-and Y by ``_realified_terms``, the one statement of the realification;
-both modes build the realified system from it as they build the
-commutation system.  Its dimension over the reals counts the orthogonal
-projections' degrees of freedom, which is what decides how many reducing
-subspaces the truncated operator actually has.  ``linalg.nullity`` solves
-this realified system in place of the complex system for the commutant of
-{A, A*}, which has the same solutions but measured slower for an exact
-custom symbol (see ``selfadjoint_commutant_dim``); a partial permutation
-needs neither.
+and Y by ``_realified_terms``, the one statement of the realification:
+exact mode applies it to the entries of the summed commutation rows, float
+mode to every term at once.  Its dimension over the reals counts the
+orthogonal projections' degrees of freedom, which is what decides how
+many reducing subspaces the truncated operator actually has.
+``linalg.nullity`` solves this realified system in place of the complex
+system for the commutant of {A, A*}, which has the same solutions but
+measured slower for an exact custom symbol (see
+``selfadjoint_commutant_dim``); a partial permutation needs neither.
 """
 
 from __future__ import annotations
@@ -76,13 +76,14 @@ def _add(row: dict, key: int, coeff) -> None:
         del row[key]
 
 
-def _commutation_terms(u, v, s, t, d):
+def _commutation_terms(u, v, s, neg, t, d):
     """The terms that a nonzero s = A[u][v] puts into AP - PA = 0 for one
     t in range(d): s P[v][t] into equation (u, t), from AP, and -s P[t][u]
     into equation (t, v), from PA.  Each term is (equation, unknown,
     coefficient), with equation (a, b) and unknown P[a][b] both numbered
-    a*d + b.  Takes ints or broadcasting numpy arrays."""
-    return (u * d + t, v * d + t, s), (t * d + v, t * d + u, -s)
+    a*d + b.  ``neg`` is -s, which a caller looping over t negates once.
+    Takes ints or broadcasting numpy arrays."""
+    return (u * d + t, v * d + t, s), (t * d + v, t * d + u, neg)
 
 
 def _realified_terms(eq, p, q, re, im, d):
@@ -103,40 +104,50 @@ def _realified_terms(eq, p, q, re, im, d):
     y = x + d * (d + 1) // 2 - lo - 1
     s = (p != q) * (1 - 2 * below)
     real, imag = 2 * eq, 2 * eq + 1
-    return (real, x, re), (real, y, -s * im), (imag, x, im), (imag, y, s * re)
+    # coefficient first: a Fraction times an int takes its fast path
+    return (real, x, re), (real, y, im * -s), (imag, y, re * s), (imag, x, im)
 
 
 def _exact_rows(terms, nrows: int) -> list[dict]:
-    """The nonempty ``{unknown: coefficient}`` rows that exact terms add up
-    to, in equation order: the input of ``rref``."""
+    """The ``{unknown: coefficient}`` rows that exact terms add up to, one
+    per equation, empty ones included."""
     rows: list[dict] = [{} for _ in range(nrows)]
     for eq, unknown, c in terms:
         if c:
             _add(rows[eq], unknown, c)
-    return [row for row in rows if row]
+    return rows
 
 
-def _commutation_rows(A: DenseMatrix | SparseMatrix) -> list[dict]:
-    """The exact commutation system of A, unknowns P[u][v] -> u*d + v."""
+def _equations(A: DenseMatrix | SparseMatrix) -> list[dict]:
+    """The d*d rows of A's exact commutation system, unknowns P[u][v] ->
+    u*d + v: all of AP's terms, then all of PA's, as the float arrays
+    order them, one nonzero of A and one t at a time."""
     d = A.rows
+    nonzeros = [(u, v, s, -s) for u, v, s in A.nonzero_items()]
     return _exact_rows(
-        (term for u, v, s in A.nonzero_items() for t in range(d)
-         for term in _commutation_terms(u, v, s, t, d)),
+        (_commutation_terms(u, v, s, neg, t, d)[side]
+         for side in (0, 1) for u, v, s, neg in nonzeros for t in range(d)),
         d * d,
     )
 
 
+def _commutation_rows(A: DenseMatrix | SparseMatrix) -> list[dict]:
+    """The nonempty rows of the exact commutation system, in equation
+    order: the input of ``rref``."""
+    return [row for row in _equations(A) if row]
+
+
 def _selfadjoint_rows(A: DenseMatrix | SparseMatrix) -> list[dict]:
-    """The exact realified system of A, the real and imaginary parts of
-    its commutation system (``_realified_terms``).  Its coefficients are
-    Fractions, so it is solved over the rationals."""
+    """The nonempty rows of the exact realified system, the real and
+    imaginary parts of the commutation rows (``_realified_terms``).  Its
+    coefficients are Fractions, so it is solved over the rationals."""
     d = A.rows
-    return _exact_rows(
-        (term for u, v, s in A.nonzero_items() for t in range(d)
-         for eq, key, c in _commutation_terms(u, v, s, t, d)
+    rows = _exact_rows(
+        (term for eq, row in enumerate(_equations(A)) for key, c in row.items()
          for term in _realified_terms(eq, *divmod(key, d), c.re, c.im, d)),
         2 * d * d,
     )
+    return [row for row in rows if row]
 
 
 def _float_terms(A: DenseMatrix | SparseMatrix, realified: bool):
@@ -151,7 +162,7 @@ def _float_terms(A: DenseMatrix | SparseMatrix, realified: bool):
     shape = (len(items), d)
     eq, key, c = (
         np.concatenate([np.broadcast_to(x, shape).ravel() for x in part])
-        for part in zip(*_commutation_terms(u, v, s, np.arange(d), d))
+        for part in zip(*_commutation_terms(u, v, s, -s, np.arange(d), d))
     )
     if not realified:
         return eq, key, c

@@ -182,18 +182,6 @@ def _group(keys: np.ndarray, count: int):
     return order, starts, place
 
 
-def _distinct(keys: np.ndarray):
-    """The distinct values of ``keys``, ascending, and the index of each
-    key among them: ``np.unique`` with its inverse, but from a stable sort.
-    (``np.unique`` sorts with the default quicksort, whose code pages
-    raised a float run's peak memory by about 0.3 MB.)"""
-    order = np.argsort(keys, kind="stable")
-    first = _runs(keys[order])
-    index = np.empty(len(keys), dtype=np.int64)
-    index[order] = np.cumsum(first) - 1
-    return keys[order[first]], index
-
-
 def _labels(entry_row: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
     """Each column's label: the smallest column connected to it, where a
     row joins all of its columns.  Entries come row by row.  Each round
@@ -277,7 +265,7 @@ def _float_kernels(blocks: FloatBlocks, ncols: int, tol: float, vectors: bool):
     left without a pivot is ``ncols``.
     """
     widths = np.diff(blocks.starts)
-    shapes, group = _distinct(blocks.heights * (ncols + 1) + widths)
+    shapes, group = np.unique(blocks.heights * (ncols + 1) + widths, return_inverse=True)
     members_of, group_starts, slot = _group(group, len(shapes))
     entries_of, entry_starts, _ = _group(group[blocks.block], len(shapes))
     ranks = np.zeros(len(widths), dtype=np.int64)
@@ -314,28 +302,13 @@ def _float_kernels(blocks: FloatBlocks, ncols: int, tol: float, vectors: bool):
         if not vectors:
             continue
         group_cols = blocks.columns[blocks.starts[members, None] + np.arange(width)].tolist()
-        # a one-vector kernel, the common case, needs no elimination:
-        # echelonize_float pivots it on its first entry above tol and scales
-        # that entry to 1, done here for all of the group's at once
-        single = [k for k, rank in enumerate(group_ranks) if rank == width - 1]
-        vec1 = np.conj(vh[single, width - 1])
-        pivot1 = [next((c for c, x in enumerate(vec) if abs(x) > tol), -1)
-                  for vec in vec1.tolist()]
-        scaled = [i for i, c in enumerate(pivot1) if c >= 0]
-        vec1[scaled] = vec1[scaled] / vec1[scaled, [pivot1[i] for i in scaled]][:, None]
-        kernels = dict(zip(single, zip(vec1.tolist(), pivot1)))
         for k, (b, rank, cols) in enumerate(zip(members.tolist(), group_ranks, group_cols)):
             if rank == width:
                 continue
-            if k in kernels:
-                vec, pivot = kernels[k]
-                vecs, pivots = [vec], [pivot] if pivot >= 0 else []
-            else:
-                vecs, pivots = echelonize_float(np.conj(vh[k, rank:]), tol)
-                vecs = [vec.tolist() for vec in vecs]
+            vecs, pivots = echelonize_float(np.conj(vh[k, rank:]), tol)
             found[b] = [
                 (cols[pivots[i]] if i < len(pivots) else ncols,
-                 {c: x for c, x in zip(cols, vec) if x})
+                 {c: x for c, x in zip(cols, vec.tolist()) if x})
                 for i, vec in enumerate(vecs)
             ]
         del stack, svals, vh  # one group's singular vectors at a time

@@ -27,6 +27,7 @@ from hardyshift import (
     selfadjoint_commutant_dim,
     verify_equivalence,
 )
+from hardyshift import cli
 from hardyshift.cli import main
 
 from helpers import (
@@ -184,7 +185,7 @@ def test_criterion_7_projection_transport():
             assert X @ G @ Xh == mask_projection(v, p.r, p)
 
 
-def test_criterion_8_cli_contract(tmp_path):
+def test_criterion_8_cli_contract(tmp_path, monkeypatch, capsys):
     with criterion("criterion 8, CLI determinism, exit codes, round trip"):
         # determinism: byte-identical JSON across repeated exact runs
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
@@ -257,16 +258,23 @@ def test_criterion_8_cli_contract(tmp_path):
             == 2
         )
 
-        # exit 1: a verification that honestly fails (a tolerance so fine
-        # that rounding noise counts as rank, and the float commutant
-        # collapses to the wrong dimension)
+        # exit 1: a verification check that fails, here on a self-adjoint
+        # dimension planted one too large
+        measured = cli.selfadjoint_commutant_dim
+        monkeypatch.setattr(
+            cli, "selfadjoint_commutant_dim", lambda A, tol=None: measured(A, tol) + 1
+        )
+        capsys.readouterr()
         assert (
             main([
-                "commutant", "--m", "2", "--n", "2", "--blocks", "3",
-                "--mode", "float", "--tol", "1e-300",
+                "commutant", "--m", "2", "--n", "1", "--blocks", "3",
                 "--out", str(tmp_path / "bad.json"),
             ])
             == 1
+        )
+        assert capsys.readouterr().err == (
+            "selfadjoint_dim_matches: found dimension 5, expected r^2 = 4\n"
+            "failed checks: selfadjoint_dim_matches\n"
         )
 
 

@@ -551,9 +551,13 @@ def assert_rows_match_reference(A):
     if A.mode == "exact":
         rows = _selfadjoint_rows(A)
         assert all(type(c) is Fraction for row in rows for c in row.values())
-        # the rows rref reads, equation by equation, as the references write them
-        assert rows == selfadjoint_rows_reference(A)
-        assert _commutation_rows(A) == commutation_rows_reference(A)
+        # the rows rref reads, equation by equation and entry by entry, as
+        # the references write them
+        def entries(system):
+            return [list(row.items()) for row in system]
+
+        assert entries(rows) == entries(selfadjoint_rows_reference(A))
+        assert entries(_commutation_rows(A)) == entries(commutation_rows_reference(A))
     else:
         rows = rows_of_terms(_float_terms(A, True))
     assert linear_forms(rows) == linear_forms(realified_rows_reference(A))
