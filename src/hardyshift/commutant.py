@@ -13,13 +13,13 @@ commutant has dimension r^2.
 
 Every other operator, and every operator in float mode, goes through a
 sparse homogeneous system with one equation per matrix position, unknowns
-P vectorized row-major, which ``linalg.kernel_basis`` solves block by
-block.  ``_commutation_terms`` is the one statement of that equation: the
+P vectorized row-major, which ``linalg.kernel_basis`` solves.
+``_commutation_terms`` is the one statement of that equation: the
 terms each nonzero of A contributes, as (equation, unknown, coefficient).
 Exact mode adds them up into the ``{unknown: coefficient}`` rows that
-``rref`` eliminates (``_commutation_rows``), over Gaussian rationals, so
-the exact commutant dimension of a custom symbol is a theorem about the
-matrix, not a numerical estimate.  Float mode evaluates the same terms
+one ``rref`` eliminates whole (``_commutation_rows``), over Gaussian
+rationals, so the exact commutant dimension of a custom symbol is a
+theorem about the matrix, not a numerical estimate.  Float mode evaluates the same terms
 on numpy arrays, every nonzero against every position at once
 (``_float_terms``), and hands the arrays to ``linalg``, which splits
 them into blocks and solves the blocks of one shape with one batched SVD,

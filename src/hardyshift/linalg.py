@@ -1,35 +1,37 @@
 """Sparse homogeneous systems: ``kernel_basis`` and ``nullity``.
 
-Both entry points serve both modes.  Each first splits the system into
-connected blocks: two unknowns are connected when some equation holds
-both, so the system is block diagonal after a permutation, and its kernel
-is the direct sum of the blocks' kernels.  The commutation systems of
-this package fall apart this way (an unknown P[u][v] shares equations only
-with unknowns in the same channel pair, on the same diagonal).  Blocks
-are ordered by their smallest unknown, and each keeps its unknowns in
-ascending order and its equations in the system's order.  The two modes
-take their systems in different forms:
+Both entry points serve both modes, which take their systems in
+different forms:
 
-- exact mode: a list of sparse ``{column: coefficient}`` rows, split by
-  ``components`` (union-find) and eliminated block by block with sparse
-  Gauss-Jordan (``rref``) over any exact field (Fraction and
-  GaussianRational both qualify).  T_{z^n} never gets here: ``commutant``
-  solves 0/1 partial permutations by walking their chains, without
-  building rows.
+- exact mode: a list of sparse ``{column: coefficient}`` rows, eliminated
+  whole by one sparse Gauss-Jordan (``rref``) over any exact field
+  (Fraction and GaussianRational both qualify).  Elimination never
+  spreads fill between unknowns that share no chain of equations, and the
+  reduced echelon form is unique, so splitting the system first would
+  change neither the fill nor the basis.  T_{z^n} never gets here:
+  ``commutant`` solves 0/1 partial permutations by walking their chains,
+  without building rows.
 - float mode: a triple of numpy arrays, one (equation, unknown,
-  coefficient) term per entry.  ``float_blocks`` adds up repeated terms,
-  labels each unknown with the smallest unknown of its block (label
-  propagation), and renumbers rows and columns within each block, all on
-  arrays.  Blocks of the same shape (rows, unknowns) are scattered into
-  one stack and solved by one ``np.linalg.svd`` call per shape, so a
-  commutation system of some two hundred small blocks costs about ten
-  calls.  A singular value counts when it exceeds tol times its block's
-  largest singular value (or tol itself when that is below one), so a
-  symbol scaled by 1e10 gets the same ranks as the unscaled one; a tol of
-  1 or more would count none and is refused.  No rank is decided when a
-  singular value falls within one order of magnitude of that cut-off
-  (``RankAmbiguityError``, naming the first such block in block order).
-  ``nullity`` skips the singular vectors.
+  coefficient) term per entry, split into connected blocks: two unknowns
+  are connected when some equation holds both, so the system is block
+  diagonal after a permutation, and its kernel is the direct sum of the
+  blocks' kernels.  The commutation systems of this package fall apart
+  this way (an unknown P[u][v] shares equations only with unknowns in the
+  same channel pair, on the same diagonal).  ``float_blocks`` adds up
+  repeated terms, labels each unknown with the smallest unknown of its
+  block (label propagation), and renumbers rows and columns within each
+  block, all on arrays; blocks are ordered by their smallest unknown, and
+  each keeps its unknowns in ascending order and its equations in the
+  system's order.  Blocks of the same shape (rows, unknowns) are
+  scattered into one stack and solved by one ``np.linalg.svd`` call per
+  shape, so a commutation system of some two hundred small blocks costs
+  about ten calls.  A singular value counts when it exceeds tol times its
+  block's largest singular value (or tol itself when that is below one),
+  so a symbol scaled by 1e10 gets the same ranks as the unscaled one; a
+  tol of 1 or more would count none and is refused.  No rank is decided
+  when a singular value falls within one order of magnitude of that
+  cut-off (``RankAmbiguityError``, naming the first such block in block
+  order).  ``nullity`` skips the singular vectors.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ _GAP = math.sqrt(10.0)
 def rref(rows: list[dict], ncols: int):
     """Reduced row echelon form of a sparse system.
 
-    Returns ``(reduced_rows, pivots)`` where ``pivots`` maps pivot column to
-    the index of the row reduced against it.  Input rows are not mutated.
+    Returns ``(reduced_rows, pivots)`` where ``pivots`` maps each pivot
+    column, in ascending order, to the index of the row reduced against it.  Input rows are not mutated.
     Pivot choice (sparsest candidate row, ties by index) is deterministic.
     """
     work = [dict(r) for r in rows]
@@ -107,7 +109,9 @@ def components(rows: list[dict], ncols: int) -> list[tuple[list[int], list[dict]
     its smallest column.  ``columns`` lists the component's unknowns in
     ascending order, and ``block_rows`` holds its nonempty rows with each
     column renumbered to its position in ``columns``.  An unknown that
-    appears in no row is a component of its own with no rows.
+    appears in no row is a component of its own with no rows.  No solver
+    calls it: ``lattice`` counts the components of its channel-edge graph
+    with it, and the tests hold ``float_blocks`` to its split.
     """
     parent = list(range(ncols))
 
@@ -262,8 +266,10 @@ def _float_kernels(blocks: FloatBlocks, ncols: int, tol: float, vectors: bool):
     block in block order and, within it, the largest such value.  Each
     block's vectors are its SVD kernel echelonized in its columns, as
     ``(sort column, {column: complex})`` pairs; the sort column of a vector
-    left without a pivot is ``ncols``.
+    left without a pivot is ``ncols``.  A tol outside (0, 1) is refused.
     """
+    if tol is None or not 0 < tol < 1:
+        raise ValueError("float-mode solves require 0 < tol < 1")
     widths = np.diff(blocks.starts)
     shapes, group = np.unique(blocks.heights * (ncols + 1) + widths, return_inverse=True)
     members_of, group_starts, slot = _group(group, len(shapes))
@@ -322,71 +328,54 @@ def _float_kernels(blocks: FloatBlocks, ncols: int, tol: float, vectors: bool):
     return ranks, [vec for b in sorted(found) for vec in found[b]]
 
 
-def _solve(system, ncols: int, mode: Mode, tol, vectors: bool):
-    """The per-block loop of ``kernel_basis`` and ``nullity``: the kernel's
-    dimension and its vectors as ``(sort column, {column: scalar})`` pairs,
-    those of exact and rowless blocks first, then those of the float
-    blocks in block order.  Sort columns are distinct except the ``ncols``
-    of float vectors left without a pivot, which keep block order.  An
-    exact system is a list of ``{column: scalar}`` rows, split by
-    ``components`` and eliminated block by block with ``rref``.  A float
-    system is a triple of term arrays (see ``float_blocks``), solved by
-    ``_float_kernels``, one batched SVD per shape; it gives vectors only
-    when ``vectors`` is set, so that the SVDs of ``nullity`` skip the
-    singular vectors, and its kernel is counted as width minus rank."""
-    one = scalars.one(mode)
-    if mode == "float":
-        if tol is None or not 0 < tol < 1:
-            raise ValueError("float-mode solves require 0 < tol < 1")
-        blocks = float_blocks(system, ncols)
-        ranks, vecs = _float_kernels(blocks, ncols, tol, vectors)
-        rowless = blocks.columns[blocks.starts[:-1][blocks.heights == 0]].tolist()
-        return ncols - int(ranks.sum()), [(c, {c: one}) for c in rowless] + vecs
-    # the kernel of an exact system lives in the field of its rows
-    field = next((type(c) for row in system for c in row.values()), type(one))
-    if field is not type(one):
-        one = field(1)
-    found = []
-    for cols, block in components(system, ncols):
-        width = len(cols)
-        if not block:
-            found.append((cols[0], {cols[0]: one}))
-            continue
-        reduced, pivots = rref(block, width)
-        for f in range(width):
-            if f not in pivots:
-                vec = {cols[f]: one}
-                for pc, ridx in pivots.items():
-                    coeff = reduced[ridx].get(f)
-                    if coeff:
-                        vec[cols[pc]] = -coeff
-                found.append((cols[f], vec))
-    return len(found), found
-
-
 def nullity(system, ncols: int, mode: Mode, tol: float | None = None) -> int:
     """Dimension of the kernel of a sparse homogeneous system: exact
-    ``{column: scalar}`` rows, or float term arrays (see ``_solve``)."""
-    return _solve(system, ncols, mode, tol, False)[0]
+    ``{column: scalar}`` rows, counted as the free columns of one ``rref``,
+    or float term arrays, counted as width minus rank per block without
+    the singular vectors."""
+    if mode == "float":
+        ranks, _ = _float_kernels(float_blocks(system, ncols), ncols, tol, False)
+        return ncols - int(ranks.sum())
+    return ncols - len(rref(system, ncols)[1])
 
 
 def kernel_basis(
     system, ncols: int, mode: Mode, tol: float | None = None
 ) -> list[dict]:
     """Basis of the kernel of a sparse homogeneous system, exact
-    ``{column: scalar}`` rows or float term arrays (see ``_solve``), as
-    sparse ``{column: scalar}`` vectors.
+    ``{column: scalar}`` rows or float term arrays, as sparse
+    ``{column: scalar}`` vectors.
 
-    Exact vectors have the one of the rows' field at their free column
-    (the shared ``scalars.one(mode)`` for Gaussian rationals, ``Fraction(1)``
-    for a Fraction system) and come in ascending free-column order: each
-    block's reduced echelon form is the one a single elimination of the
-    whole system reaches.  Float vectors are each block's SVD kernel,
-    echelonized in the block's columns, in pivot-column order: the echelon
-    basis of the whole kernel, deterministic up to the SVD backend.
+    Exact vectors are read off one ``rref`` of the whole system: one per
+    free column, in ascending order, holding the one of the rows' field
+    there (the shared ``scalars.one(mode)`` for Gaussian rationals,
+    ``Fraction(1)`` for a Fraction system), then minus that column's entry
+    of each reduced pivot row, pivot columns ascending.  Float vectors are
+    each block's SVD kernel, echelonized in the block's columns, in
+    pivot-column order (an unknown in no equation gives its unit vector):
+    the echelon basis of the whole kernel, deterministic up to the SVD
+    backend.
     """
-    found = _solve(system, ncols, mode, tol, True)[1]
-    return [vec for _, vec in sorted(found, key=lambda item: item[0])]
+    one = scalars.one(mode)
+    if mode == "float":
+        blocks = float_blocks(system, ncols)
+        _, vecs = _float_kernels(blocks, ncols, tol, True)
+        rowless = blocks.columns[blocks.starts[:-1][blocks.heights == 0]].tolist()
+        # vectors left without a pivot sort last, in block order
+        found = sorted([(c, {c: one}) for c in rowless] + vecs, key=lambda item: item[0])
+        return [vec for _, vec in found]
+    # the kernel of an exact system lives in the field of its rows
+    field = next((type(c) for row in system for c in row.values()), type(one))
+    if field is not type(one):
+        one = field(1)
+    reduced, pivots = rref(system, ncols)
+    basis = {f: {f: one} for f in range(ncols) if f not in pivots}
+    # a reduced pivot row holds its pivot and free columns only
+    for pc, ridx in pivots.items():
+        for c, v in reduced[ridx].items():
+            if c != pc:
+                basis[c][pc] = -v
+    return list(basis.values())
 
 
 def echelonize_float(vecs, tol: float) -> tuple[list[np.ndarray], list[int]]:

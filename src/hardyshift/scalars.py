@@ -24,8 +24,6 @@ from typing import Literal, Union
 
 Mode = Literal["exact", "float"]
 
-MODES = ("exact", "float")
-
 Scalar = Union["GaussianRational", complex]
 
 
@@ -150,7 +148,6 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
 def zero(mode: Mode) -> Scalar:

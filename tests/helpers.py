@@ -176,15 +176,11 @@ def rand_vector(rng, params, span=4, den=3):
     )
 
 
-def span_rank(mats):
-    """Rank of the span of a list of exact matrices, via an independent
-    dense elimination over vectorized rows (no shared code with the
-    package's sparse eliminator)."""
-    if not mats:
+def dense_rank(rows):
+    """Rank of a list of equal-length exact rows, via a dense elimination
+    (no shared code with the package's sparse eliminator)."""
+    if not rows:
         return 0
-    rows = [
-        [s for row in mat.entries for s in row] for mat in mats
-    ]
     ncols = len(rows[0])
     rank = 0
     col = 0
@@ -208,6 +204,12 @@ def span_rank(mats):
         rank += 1
         col += 1
     return rank
+
+
+def span_rank(mats):
+    """Rank of the span of a list of exact matrices, by ``dense_rank``
+    over vectorized rows."""
+    return dense_rank([[s for row in mat.entries for s in row] for mat in mats])
 
 
 def in_span(mats, candidate):

@@ -306,6 +306,12 @@ PINNED_REPORTS = {
          "--symbol", str(SYMBOL_F)],
         "bf3cdf6f56eaa2b1c322b84dc51b762b487ec922af53c05d8106222be903c9b1",
     ),
+    # its rank 8 is counted by the exact nullity
+    "build (2,1,5) symbol F": (
+        ["build", "--m", "2", "--n", "1", "--blocks", "5",
+         "--symbol", str(SYMBOL_F)],
+        "ea20a251964ec6e85f7d95e302fe59e3ff9412c450d8e77f79a8795288700aa4",
+    ),
 }
 
 

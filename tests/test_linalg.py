@@ -20,6 +20,7 @@ from hardyshift.linalg import (
 from helpers import (
     blocks_as_components,
     commutation_rows_reference,
+    dense_rank,
     float_block_solve_reference,
     terms_of,
 )
@@ -40,7 +41,10 @@ def lifted(rows):
 
 def whole_system_kernel_exact(rows, ncols, one):
     """Reference: one elimination of the whole system, free columns in
-    ascending order."""
+    ascending order.  This is ``kernel_basis``'s own algorithm, so it pins
+    the vectors' order, entry order and scalar types;
+    ``test_exact_kernel_is_certified`` checks that they are a kernel
+    basis without it."""
     reduced, pivots = rref(rows, ncols)
     basis = []
     for f in range(ncols):
@@ -154,6 +158,33 @@ def signed_systems(draw, field):
     return rows, ncols
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    planted_systems().map(lambda s: s[:2]),
+    planted_systems().map(lambda s: (lifted(s[0]), s[1])),
+    signed_systems("fraction"),
+    signed_systems("gaussian"),
+))
+def test_exact_kernel_is_certified(system):
+    # a basis of the kernel: every vector solves every row, each has the
+    # field's one at its own free column (its first key), where every other
+    # vector is zero, and there are as many as ncols minus the rank
+    rows, ncols = system
+    field = next((type(c) for row in rows for c in row.values()), GaussianRational)
+    zero = field(0)
+    basis = kernel_basis(rows, ncols, "exact")
+    for vec in basis:
+        for row in rows:
+            assert sum((c * vec.get(k, zero) for k, c in row.items()), zero) == 0
+    free = [next(iter(vec)) for vec in basis]
+    for vec, f in zip(basis, free):
+        assert type(vec[f]) is field and vec[f] == 1
+        assert all(not other.get(f) for other in basis if other is not vec)
+    dense = [[row.get(c, zero) for c in range(ncols)] for row in rows]
+    assert len(basis) == nullity(rows, ncols, "exact") == ncols - dense_rank(dense)
+    assert len(basis) == ncols - len(rref(rows, ncols)[1])
+
+
 def _check_against_rref(rows, ncols):
     """Kernel vectors over GaussianRational, and the nullity of the system
     as given (Fraction or GaussianRational), against one whole-system
@@ -226,10 +257,11 @@ def test_other_blocks_fall_back_to_rref(rows, monkeypatch):
     assert 3 in calls
 
 
-# what each block solver is called with and decides, for comparing the
-# solver choices of two calls
+# what each solver is called with and decides, for comparing the solver
+# choices of two calls; an exact system with no rows logs an empty summary,
+# as a float system with no rows does
 SPIES = {
-    "rref": lambda args, out: (len(args[0]), args[1]),
+    "rref": lambda args, out: (len(args[0]), args[1]) if args[0] else (),
     # each float block's shape and rank, in component order
     "_float_kernels": lambda args, out: [
         (height, width, rank)
@@ -276,7 +308,7 @@ def test_nullity_counts_the_kernel_basis_with_the_same_solvers(mode, data):
     basis, built_by = solver_log(kernel_basis, system, ncols, mode, tol)
     assert count == len(basis)
     assert counted_by == built_by
-    # a block with rows reaches a spied solver, so the logs can differ
+    # a system with rows reaches a spied solver, so the logs can differ
     assert any(summary for _, summary in counted_by) == bool(rows)
 
 
