@@ -312,7 +312,7 @@ def execute(cfg: argparse.Namespace) -> dict:
         report["commutant"], section_checks = _commutant_section(cfg, params, T, is_power)
         checks.update(section_checks)
     if full or cfg.command in ("lattice", "minimality"):
-        minimal = [check_minimal(T, params, ch, cfg.tol) for ch in channels(params)]
+        minimal = check_minimal(T, params, cfg.tol)
         checks["all_channels_minimal"] = all(mc.is_minimal for mc in minimal)
     if full or cfg.command == "lattice":
         # full-report's commutant section has already solved the

@@ -10,10 +10,12 @@ bit c for the channel of ordinal c, and its verdict as one byte.  The
 reducing masks form a Boolean lattice exactly when their count is 2^a for
 the a classes of channels that they cannot tell apart.
 
-Single channels are certified minimal on their own, by computing the
-self-adjoint commutant of the operator restricted to them: a restricted
-dimension of 1 means the only projections commuting there are 0 and 1, so
-the channel admits no proper reducing subspace of its own.
+Single channels are certified minimal by computing the self-adjoint
+commutant of the operator restricted to each: a restricted dimension of 1
+means the only projections commuting there are 0 and 1, so the channel
+admits no proper reducing subspace of its own.  Channels with equal
+restrictions share one solve; T_{z^n} is r copies of one shift, so its r
+channels need a single solve.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .commutant import restrict, selfadjoint_commutant_dim
-from .decomposition import Channel, channel, channel_flats, check_operator_shape
+from .decomposition import Channel, channel_flats, channels, check_operator_shape
 from .errors import CapError
 from .linalg import components
 from .matrices import DenseMatrix, SparseMatrix
@@ -60,21 +62,24 @@ class LatticeReport:
 def check_minimal(
     T: DenseMatrix | SparseMatrix,
     params: TruncationParams,
-    ch: Channel,
     tol: float | None = None,
-) -> ChannelMinimality:
-    """Certify one channel minimal: restrict T, the power operator
-    ``power_symbol(params, mode)``, to it and show the restricted
-    self-adjoint commutant is one-dimensional.  A T that is not d x d
-    raises ShapeError."""
+) -> list[ChannelMinimality]:
+    """Certify every channel minimal, in ordinal order: restrict T, the
+    power operator ``power_symbol(params, mode)``, to each channel (which
+    checks that the channel is invariant) and show the restricted
+    self-adjoint commutant is one-dimensional.  Channels whose restrictions
+    have equal entries share one solve; for T_{z^n} every restriction is
+    the same K x K shift.  A T that is not d x d raises ShapeError."""
     check_operator_shape(T, params)
-    restricted = restrict(T, channel_flats(channel(ch.i, ch.j, params), params), tol)
-    dim = selfadjoint_commutant_dim(restricted, tol)
-    return ChannelMinimality(
-        channel=ch,
-        is_minimal=(dim == 1),
-        restricted_selfadjoint_commutant_dim=dim,
-    )
+    dims: dict = {}  # restricted dimension by the restriction's entries
+    results = []
+    for ch in channels(params):
+        restricted = restrict(T, channel_flats(ch, params), tol)
+        key = frozenset(restricted.entries.items())
+        if key not in dims:
+            dims[key] = selfadjoint_commutant_dim(restricted, tol)
+        results.append(ChannelMinimality(ch, dims[key] == 1, dims[key]))
+    return results
 
 
 def channel_edges(
@@ -130,7 +135,7 @@ def enumerate_lattice(
     (the report then says exhaustive=False).  Each mask is checked against
     the channel pairs that T joins (``channel_edges``, which refuses a T
     that is not d x d), and its verdict is stored as one byte.  Minimality
-    certificates come from ``check_minimal``, one channel at a time.
+    certificates come from ``check_minimal``.
     """
     r = params.r
     total = 1 << r

@@ -23,9 +23,10 @@ different forms:
   block, all on arrays; blocks are ordered by their smallest unknown, and
   each keeps its unknowns in ascending order and its equations in the
   system's order.  Blocks of the same shape (rows, unknowns) are
-  scattered into one stack and solved by one ``np.linalg.svd`` call per
-  shape, so a commutation system of some two hundred small blocks costs
-  about ten calls.  A singular value counts when it exceeds tol times its
+  scattered into one stack, and the stack's bitwise-distinct blocks are
+  solved by one ``np.linalg.svd`` call per shape: at (m,n,K)=(2,2,7) the
+  208 blocks of z^n's realified self-adjoint system hold 20 distinct ones,
+  in 8 shapes.  A singular value counts when it exceeds tol times its
   block's largest singular value (or tol itself when that is below one),
   so a symbol scaled by 1e10 gets the same ranks as the unscaled one; a
   tol of 1 or more would count none and is refused.  No rank is decided
@@ -258,15 +259,18 @@ def _float_kernels(blocks: FloatBlocks, ncols: int, tol: float, vectors: bool):
     """The rank of every float block, and the kernel vectors of those with
     rows, in block order.
 
-    Blocks of one shape are scattered into one stack and solved by one
-    batched SVD, with the singular vectors only when ``vectors`` is set.
-    A singular value counts when it exceeds tol * max(1, the block's
-    largest).  If some block has a singular value within a factor ``_GAP``
-    of its cut-off, no rank is returned: the error names the first such
-    block in block order and, within it, the largest such value.  Each
-    block's vectors are its SVD kernel echelonized in its columns, as
-    ``(sort column, {column: complex})`` pairs; the sort column of a vector
-    left without a pivot is ``ncols``.  A tol outside (0, 1) is refused.
+    Blocks of one shape are scattered into one stack, and its distinct
+    blocks (compared bitwise, so -0.0 differs from 0.0) are solved by one
+    batched SVD, with the singular vectors only when ``vectors`` is set;
+    equal inputs give equal LAPACK outputs, so each copy takes its
+    original's rank and echelonized vectors.  A singular value counts when
+    it exceeds tol * max(1, the block's largest).  If some block has a
+    singular value within a factor ``_GAP`` of its cut-off, no rank is
+    returned: the error names the first such block in block order and,
+    within it, the largest such value.  Each block's vectors are its SVD
+    kernel echelonized in its columns, as ``(sort column, {column:
+    complex})`` pairs; the sort column of a vector left without a pivot is
+    ``ncols``.  A tol outside (0, 1) is refused.
     """
     if tol is None or not 0 < tol < 1:
         raise ValueError("float-mode solves require 0 < tol < 1")
@@ -284,6 +288,12 @@ def _float_kernels(blocks: FloatBlocks, ncols: int, tol: float, vectors: bool):
         sel = entries_of[entry_starts[g]:entry_starts[g + 1]]
         stack = np.zeros((len(members), height, width), dtype=complex)
         stack[slot[blocks.block[sel]], blocks.row[sel], blocks.col[sel]] = blocks.value[sel]
+        # bitwise copies get bitwise the same SVD: solve each distinct block
+        # once, in order of first appearance, and give member k the results
+        # of distinct block copy[k]
+        distinct: dict[bytes, int] = {}
+        copy = [distinct.setdefault(block.tobytes(), len(distinct)) for block in stack]
+        stack = np.frombuffer(b"".join(distinct), dtype=complex).reshape(-1, height, width)
         if vectors:
             _, svals, vh = np.linalg.svd(stack)
         else:
@@ -292,26 +302,30 @@ def _float_kernels(blocks: FloatBlocks, ncols: int, tol: float, vectors: bool):
         cut = tol * top
         cut[top < 1.0] = tol
         cut = cut[:, None]
-        group_ranks = _row_counts(svals > cut)
+        distinct_ranks = _row_counts(svals > cut)
         # per block, the values above the ambiguity band and those at or
         # above its floor: the values between lie in the band, largest first
         above = _row_counts(svals > cut * _GAP)
         reach = _row_counts(svals >= cut / _GAP)
-        for k, (high, end) in enumerate(zip(above, reach)):
-            if high < end:
+        for k, j in enumerate(copy):
+            if above[j] < reach[j]:
                 if ambiguous is None or members[k] < ambiguous[0]:
-                    ambiguous = (members[k], svals[k, high], cut[k, 0])
+                    ambiguous = (members[k], svals[j, above[j]], cut[j, 0])
                 break
         if ambiguous is not None:
             continue
-        ranks[members] = group_ranks
+        ranks[members] = [distinct_ranks[j] for j in copy]
         if not vectors:
             continue
+        kernels = {
+            j: echelonize_float(np.conj(vh[j, rank:]), tol)
+            for j, rank in enumerate(distinct_ranks) if rank < width
+        }
         group_cols = blocks.columns[blocks.starts[members, None] + np.arange(width)].tolist()
-        for k, (b, rank, cols) in enumerate(zip(members.tolist(), group_ranks, group_cols)):
-            if rank == width:
+        for b, j, cols in zip(members.tolist(), copy, group_cols):
+            if j not in kernels:
                 continue
-            vecs, pivots = echelonize_float(np.conj(vh[k, rank:]), tol)
+            vecs, pivots = kernels[j]
             found[b] = [
                 (cols[pivots[i]] if i < len(pivots) else ncols,
                  {c: x for c, x in zip(cols, vec.tolist()) if x})

@@ -131,8 +131,7 @@ def test_criterion_5_minimality():
     with criterion("criterion 5, every channel is minimal"):
         for p in SWEEP:
             T = power_symbol(p)
-            for ch in channels(p):
-                cert = check_minimal(T, p, ch)
+            for cert in check_minimal(T, p):
                 assert cert.is_minimal
                 assert cert.restricted_selfadjoint_commutant_dim == 1
 

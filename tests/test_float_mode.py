@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hardyshift import (
     TruncationParams,
-    channels,
     check_minimal,
     commutant_basis,
     enumerate_lattice,
@@ -83,7 +82,7 @@ def test_float_lattice():
     T = power_symbol(p, "float")
     rep = enumerate_lattice(T, p, TOL)
     assert rep.counts.reducing_count == 16
-    assert all(check_minimal(T, p, ch, TOL).is_minimal for ch in channels(p))
+    assert all(mc.is_minimal for mc in check_minimal(T, p, TOL))
     assert selfadjoint_commutant_dim(T, tol=TOL) == p.r ** 2
 
 
@@ -150,10 +149,17 @@ def test_float_blocks_of_one_shape_share_one_svd(solve, system, shapes, monkeypa
     p = TruncationParams(2, 2, 7)
     T = power_symbol(p, mode="float")
     rows = system(T)
-    blocks = Counter((len(block), len(cols))
-                     for cols, block in components(rows, p.d * p.d) if block)
-    found = set(blocks)
-    assert len(found) == shapes
+    # each block with rows as a dense array, grouped by shape; equal
+    # contents give one distinct block
+    distinct: dict[tuple[int, int], set[bytes]] = {}
+    for cols, block in components(rows, p.d * p.d):
+        if block:
+            dense = np.zeros((len(block), len(cols)), dtype=complex)
+            for i, row in enumerate(block):
+                for c, v in row.items():
+                    dense[i, c] = v
+            distinct.setdefault(dense.shape, set()).add(dense.tobytes())
+    assert len(distinct) == shapes
     calls = []
     svd = np.linalg.svd
 
@@ -164,9 +170,9 @@ def test_float_blocks_of_one_shape_share_one_svd(solve, system, shapes, monkeypa
     monkeypatch.setattr(np.linalg, "svd", counted)
     solve(T, tol=TOL)
     assert 0 < len(calls) <= shapes
-    # one stack per shape, holding every block of that shape
+    # one stack per shape, holding each distinct block of that shape once
     assert Counter(calls) == Counter(
-        (count, height, width) for (height, width), count in blocks.items()
+        (len(found), height, width) for (height, width), found in distinct.items()
     )
 
 

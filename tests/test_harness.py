@@ -57,5 +57,7 @@ def test_traced_child_runs_and_writes_the_untraced_report(tmp_path, cli_args, li
     assert traced["rc"] == untraced["rc"] == 0
     assert isinstance(traced["layers"], dict) and traced["layers"]
     assert [name for name in live if not traced["layers"][name] > 0] == []
+    # one full self-adjoint solve, and one for the channels' common restriction
+    assert traced["layers"]["commutant.selfadjoint_calls"] == 2
     assert "layers" not in untraced
     assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "untraced.json").read_bytes()

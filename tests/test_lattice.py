@@ -6,7 +6,6 @@ import pytest
 from hardyshift import (
     GaussianRational,
     TruncationParams,
-    channels,
     check_minimal,
     enumerate_lattice,
     lattice_closure_check,
@@ -14,8 +13,10 @@ from hardyshift import (
     selfadjoint_commutant_dim,
     verify_equivalence,
 )
+from hardyshift import lattice
 from hardyshift.errors import CapError, ShapeError
 from hardyshift.matrices import SparseMatrix
+from hardyshift.scalars import one
 from hardyshift.lattice import (
     channel_edges,
     check_enumeration_cap,
@@ -80,7 +81,7 @@ def test_enumerate_counts_over_small_sweep():
         assert rep.counts.total_masks == 1 << p.r
         assert rep.counts.reducing_count == 1 << p.r
         assert list(rep.values) == list(range(1 << p.r))
-        assert all(check_minimal(T, p, ch).is_minimal for ch in channels(p))
+        assert all(mc.is_minimal for mc in check_minimal(T, p))
         assert lattice_closure_check(rep)
 
 
@@ -410,19 +411,14 @@ def test_closure_check_matches_projection_algebra():
 def test_check_minimal_certificates():
     for p in [TruncationParams(1, 2, 2), TruncationParams(2, 2, 2), TruncationParams(2, 1, 4)]:
         T = power_symbol(p)
-        for ch in channels(p):
-            cert = check_minimal(T, p, ch)
+        for cert in check_minimal(T, p):
             assert cert.is_minimal
             assert cert.restricted_selfadjoint_commutant_dim == 1
 
 
-def _check_first_channel(T, p):
-    return check_minimal(T, p, channels(p)[0])
-
-
 @pytest.mark.parametrize("K", [4, 2], ids=["16x16", "8x8"])
 @pytest.mark.parametrize(
-    "check", [verify_equivalence, _check_first_channel, enumerate_lattice],
+    "check", [verify_equivalence, check_minimal, enumerate_lattice],
     ids=["verify_equivalence", "check_minimal", "enumerate_lattice"],
 )
 def test_certificates_refuse_an_operator_of_the_wrong_size(check, K):
@@ -432,6 +428,52 @@ def test_certificates_refuse_an_operator_of_the_wrong_size(check, K):
     d = 4 * K
     with pytest.raises(ShapeError, match=rf"operator is \({d}, {d}\) but the model has d=12"):
         check(power_symbol(TruncationParams(2, 2, K)), p)
+
+
+def counting_selfadjoint_solves(monkeypatch):
+    """Count the restricted solves ``check_minimal`` makes."""
+    calls = []
+
+    def counted(A, tol=None):
+        calls.append(A.shape)
+        return selfadjoint_commutant_dim(A, tol)
+
+    monkeypatch.setattr(lattice, "selfadjoint_commutant_dim", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p, mode, tol",
+    [(TruncationParams(2, 2, 7), "float", 1e-9), (TruncationParams(2, 2, 3), "exact", None)],
+    ids=["float", "exact"],
+)
+def test_equal_channel_restrictions_share_one_solve(p, mode, tol, monkeypatch):
+    calls = counting_selfadjoint_solves(monkeypatch)
+    certs = check_minimal(power_symbol(p, mode), p, tol)
+    # every channel of z^n restricts to the same K x K shift
+    assert calls == [(p.K, p.K)]
+    assert [cert.channel.ordinal for cert in certs] == list(range(p.r))
+    assert all(cert.is_minimal for cert in certs)
+    assert all(cert.restricted_selfadjoint_commutant_dim == 1 for cert in certs)
+
+
+@pytest.mark.parametrize("mode, tol", [("float", 1e-9), ("exact", None)])
+def test_a_channel_with_its_own_restriction_gets_its_own_solve(mode, tol, monkeypatch):
+    # an entry from the last basis vector of channel 2 back to its first
+    # closes that channel's shift into a cyclic permutation, whose
+    # self-adjoint commutant (the Hermitian circulants) has real dimension K
+    p = TruncationParams(2, 2, 3)
+    T = power_symbol(p, mode)
+    flats = channel_flats_reference(2, p)
+    entries = dict(T.entries)
+    entries[(flats[0], flats[-1])] = one(mode)
+    planted = SparseMatrix(entries, T.rows, T.cols, mode)
+    calls = counting_selfadjoint_solves(monkeypatch)
+    certs = check_minimal(planted, p, tol)
+    assert calls == [(p.K, p.K), (p.K, p.K)]
+    assert [(cert.is_minimal, cert.restricted_selfadjoint_commutant_dim) for cert in certs] == [
+        (True, 1), (True, 1), (False, p.K), (True, 1)
+    ]
 
 
 def test_minimality_fails_for_doubled_block():

@@ -99,7 +99,7 @@ def planted_systems(draw, coeff=FRACTIONS):
 
 @settings(max_examples=80, deadline=None)
 @given(planted_systems())
-def test_blockwise_exact_matches_whole_system_rref(system):
+def test_exact_kernel_matches_rref_and_components_keep_planted_groups(system):
     rows, ncols, groups = system
     reference = whole_system_kernel_exact(lifted(rows), ncols, ONE)
     assert kernel_basis(lifted(rows), ncols, "exact") == reference
@@ -211,12 +211,12 @@ def test_fraction_kernel_stays_in_the_fractions(system):
 @pytest.mark.parametrize("field", sorted(FIELDS))
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_signed_blocks_match_rref(field, data):
+def test_signed_systems_match_rref(field, data):
     rows, ncols = data.draw(signed_systems(field))
     _check_against_rref(rows, ncols)
 
 
-def test_single_entry_row_zeroes_its_block():
+def test_single_entry_row_zeroes_the_unknowns_joined_to_it():
     # x0 = x1 and x1 = 0: nothing but zero is left
     f = Fraction
     rows = [{0: f(1), 1: f(-1)}, {1: f(2)}]
@@ -245,16 +245,17 @@ def test_closing_edge_parity_decides_the_cycle():
     ],
     ids=["ratio-2", "three-entries"],
 )
-def test_other_blocks_fall_back_to_rref(rows, monkeypatch):
+def test_kernel_basis_and_nullity_each_make_one_rref_call(rows, monkeypatch):
     calls = []
 
-    def counted(block, width):
-        calls.append(width)
-        return rref(block, width)
+    def counted(system, width):
+        calls.append((len(system), width))
+        return rref(system, width)
 
     monkeypatch.setattr(linalg, "rref", counted)
     _check_against_rref(rows, 3)
-    assert 3 in calls
+    # the references call this module's own rref, which is not counted
+    assert calls == [(2, 3), (2, 3)]
 
 
 # what each solver is called with and decides, for comparing the solver
@@ -370,6 +371,124 @@ def test_first_ambiguous_block_in_component_order_is_named():
     assert expected.startswith("singular value 3.000000e-09 ")
     assert solve_or_message(kernel_basis, terms_of(rows), 4, "float", TOL) == expected
     assert solve_or_message(nullity, terms_of(rows), 4, "float", TOL) == expected
+
+
+def near(v, how):
+    """v moved by one ulp (in its imaginary part when that is nonzero), or
+    with the sign of its zero imaginary part flipped: equal to v or nearly,
+    but not bitwise."""
+    v = complex(v)
+    if how == "ulp":
+        if v.imag:
+            return complex(v.real, np.nextafter(v.imag, np.inf))
+        return complex(np.nextafter(v.real, np.inf), v.imag)
+    if v.imag:
+        return complex(v.real, np.nextafter(v.imag, -np.inf))
+    return complex(v.real, -0.0)
+
+
+@st.composite
+def systems_with_copies(draw):
+    """A planted float system, then copies of some of its groups on new
+    columns that keep the group's column order and its rows' order: exact
+    copies, whose blocks are bitwise the original's, and near copies with
+    one entry changed by ``near``."""
+    rows, ncols, groups = draw(planted_systems(FLOATS))
+    for group in draw(st.lists(st.sampled_from(groups), max_size=4)):
+        new_col = {c: ncols + i for i, c in enumerate(sorted(group))}
+        ncols += len(group)
+        copied = [{new_col[c]: complex(v) for c, v in row.items()}
+                  for row in rows if next(iter(row)) in new_col]
+        how = draw(st.sampled_from(["exact", "ulp", "negative zero"]))
+        if copied and how != "exact":
+            row = draw(st.sampled_from(copied))
+            c = draw(st.sampled_from(sorted(row)))
+            row[c] = near(row[c], how)
+        rows = rows + copied
+    return rows, ncols
+
+
+def solve_each_block_alone(rows, ncols):
+    """``kernel_basis`` and ``nullity`` of each block of ``components`` in
+    a call of its own, vectors in global columns; or the message of the
+    first block, in block order, that raises ``RankAmbiguityError``."""
+    bases, dim = [], 0
+    for cols, block in components(rows, ncols):
+        system = terms_of(block)
+        basis = solve_or_message(kernel_basis, system, len(cols), "float", TOL)
+        count = solve_or_message(nullity, system, len(cols), "float", TOL)
+        if isinstance(basis, str):
+            assert count == basis
+            return basis
+        bases.append([{cols[c]: x for c, x in vec.items()} for vec in basis])
+        dim += count
+    return dim, bases
+
+
+@settings(max_examples=120, deadline=None)
+@given(systems_with_copies())
+def test_float_copies_give_bitwise_the_solve_of_each_block_alone(system):
+    rows, ncols = system
+    expected = solve_each_block_alone(rows, ncols)
+    basis = solve_or_message(kernel_basis, terms_of(rows), ncols, "float", TOL)
+    count = solve_or_message(nullity, terms_of(rows), ncols, "float", TOL)
+    if isinstance(expected, str):
+        assert basis == count == expected
+        return
+    dim, bases = expected
+    assert count == dim == len(basis)
+    # each block's vectors, in the order of the whole system's basis; repr
+    # tells -0.0 from 0.0 and prints every float exactly
+    block_of = {c: b for b, (cols, _) in enumerate(components(rows, ncols)) for c in cols}
+    found = [[] for _ in bases]
+    for vec in basis:
+        found[block_of[next(iter(vec))]].append(vec)
+    assert repr(found) == repr(bases)
+
+
+def test_float_stack_holds_each_distinct_block_once(monkeypatch):
+    # six 2x2 blocks: an invertible one, an exact copy, a copy one ulp away,
+    # a copy whose zero imaginary part is -0.0, and a singular block twice;
+    # only the exact copies share a solve
+    block = [{0: 1.0, 1: 2.0}, {0: 3.0 + 0j, 1: 4.0}]
+    singular = [{0: 1.0, 1: 2.0}, {0: 2.0, 1: 4.0}]
+    copies = [block, block, [{0: near(1.0, "ulp"), 1: 2.0}, block[1]],
+              [block[0], {0: near(3.0, "negative zero"), 1: 4.0}], singular, singular]
+    rows = [{2 * b + c: v for c, v in row.items()} for b, copy in enumerate(copies)
+            for row in copy]
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert nullity(terms_of(rows), 12, "float", TOL) == 2
+    first, second = kernel_basis(terms_of(rows), 12, "float", TOL)
+    assert shapes == [(4, 2, 2), (4, 2, 2)]
+    # the two singular blocks get bitwise the same vector, on their own columns
+    assert list(first) == [8, 9] and list(second) == [10, 11]
+    assert repr(list(first.values())) == repr(list(second.values()))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [["fine", "copied", "other", "fine", "copied"],
+     ["fine", "other", "copied", "fine", "copied"]],
+    ids=["copy-first", "other-first"],
+)
+def test_first_ambiguous_block_is_named_when_blocks_repeat(order):
+    # 1x1 blocks: "copied" (singular value 3e-9) at two positions and
+    # "other" (2e-9), both in the ambiguity band around the cut-off 1e-9,
+    # and a well-conditioned "fine" block, also repeated
+    value = {"fine": 1.0, "copied": 3e-9, "other": 2e-9}
+    rows = [{c: value[name]} for c, name in enumerate(order)]
+    expected = solve_or_message(float_block_solve_reference, rows, len(rows), TOL)
+    first = next(name for name in order if name != "fine")
+    assert expected.startswith(f"singular value {value[first]:.6e} ")
+    assert solve_or_message(kernel_basis, terms_of(rows), len(rows), "float", TOL) == expected
+    assert solve_or_message(nullity, terms_of(rows), len(rows), "float", TOL) == expected
 
 
 def test_unknowns_in_no_equation_give_unit_vectors():
