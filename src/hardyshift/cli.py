@@ -187,11 +187,11 @@ def _commutant_section(
     if is_power:
         # Lemma 3: X* P X is block lower Toeplitz, read through the
         # intertwiner's relabel
-        ok = [is_block_lower_toeplitz(P, params, cfg.tol) for P in cb.elements]
+        ok = [is_block_lower_toeplitz(P, params, cfg.tol) for P in cb.members]
         structure = all(ok)
         if not structure:
             i = ok.index(False)
-            u, v = toeplitz_break(cb.elements[i], params, cfg.tol)
+            u, v = toeplitz_break(cb.element(i), params, cfg.tol)
             print(f"lemma3_structure_ok: commutant basis element {i} is not block "
                   f"lower Toeplitz at entry ({u}, {v})", file=sys.stderr)
         section["lemma3_structure_ok"] = structure

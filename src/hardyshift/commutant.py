@@ -5,11 +5,10 @@ partial permutation, A e_v = e_succ(v) or 0, as T = M_{z^n} and each of
 its channel restrictions are, no system is built: equation (a, b) reads
 P[pred a][b] = P[a][succ b], so the unknowns fall into chains
 (u, v) -> (succ u, succ v), and ``_chains`` reads the kernel off their
-ends in one walk with integer arrays.  Its vectors are exactly the ones
-``linalg.kernel_basis`` returns for the same system.  These are the
-paper's counts in coordinates: for z^n the surviving chains are the
-diagonals of the channel pairs, r^2 K of them, and the self-adjoint
-commutant has dimension r^2.
+ends as flat integer keys, the vectors ``linalg.kernel_basis`` returns.
+As the paper counts, for z^n the surviving chains are the diagonals of
+the channel pairs, r^2 K of them, which the Lemma-3 audit checks in
+integers, and the self-adjoint commutant has dimension r^2.
 
 Every other operator, and every operator in float mode, goes through a
 sparse homogeneous system with one equation per matrix position, unknowns
@@ -41,8 +40,12 @@ measured slower for an exact custom symbol (see
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice, repeat
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -56,14 +59,32 @@ from .space import TruncationParams
 
 @dataclass(frozen=True)
 class CommutantBasis:
-    """Echelon-normalized basis of {P : AP = PA} for a d x d matrix A, one
-    ``SparseMatrix`` per element."""
+    """Echelon-normalized basis of {P : AP = PA} for a d x d matrix A.  The
+    chain path keeps each element as its chain (``_chains``), an array of
+    the ascending flat keys u*d + v where it holds the exact one, read as a
+    matrix through ``chain_view``; every other path keeps a ``SparseMatrix``."""
 
-    elements: tuple[SparseMatrix, ...]
+    d: int
+    members: tuple
 
     @property
     def dim(self) -> int:
-        return len(self.elements)
+        return len(self.members)
+
+    def element(self, i: int) -> SparseMatrix:
+        P = self.members[i]
+        return chain_view(P, self.d) if isinstance(P, array) else P
+
+    @cached_property
+    def elements(self) -> tuple[SparseMatrix, ...]:
+        return tuple(map(self.element, range(self.dim)))
+
+
+def chain_view(keys: array, d: int) -> SparseMatrix:
+    """The d x d matrix with the exact one at each key of a chain, stored as
+    ``kernel_basis`` returns its vector: the last key (the free column) first."""
+    entries = dict.fromkeys(map(divmod, keys[-1:] + keys[:-1], repeat(d)), scalars.one("exact"))
+    return SparseMatrix(entries, d, d, "exact")
 
 
 def _add(row: dict, key: int, coeff) -> None:
@@ -203,7 +224,7 @@ def _partial_permutation(A: DenseMatrix | SparseMatrix):
 
 def _chains(succ: list[int], pred: list[int], height: list[int]):
     """The chains of a 0/1 partial permutation's commutation system that
-    carry a kernel vector, each as its ascending list of (u, v) keys.
+    carry a kernel vector, each as an array of its ascending flat keys u*d + v.
 
     Equation (a, b) of AP = PA reads P[pred a][b] = P[a][succ b], a term
     with index -1 dropped, so the unknowns fall into chains
@@ -214,36 +235,40 @@ def _chains(succ: list[int], pred: list[int], height: list[int]):
     has no successor, that is when height[u0] <= height[v0].
     """
     d = len(succ)
-    for v0 in range(d):
-        if pred[v0] < 0:
-            for u0 in range(d):
-                if height[u0] <= height[v0]:
-                    keys, u, v = [], u0, v0
-                    while u >= 0:
-                        keys.append((u, v))
-                        u, v = succ[u], succ[v]
-                    keys.sort()
-                    yield keys
+    walks, rows = {}, [None] * d
+    for head in range(d):
+        if pred[head] < 0:
+            walk, u = [], head
+            while u >= 0:
+                walk.append(u)
+                u = succ[u]
+            walks[head], scaled = walk, [u * d for u in walk]
+            for i, u in enumerate(walk):
+                rows[u] = scaled, i  # u*d along u's path: walk from i on
+    for v0, walk in walks.items():
+        for u0 in range(d):
+            if height[u0] <= height[v0]:
+                scaled, i = rows[u0]
+                yield array("q", sorted(map(add, islice(scaled, i, None), walk)))
     yield from _closed_orbits(succ, height)
 
 
 def _closed_orbits(succ: list[int], height: list[int]):
     """The orbits of (u, v) -> (succ u, succ v) with u and v on cycles of
-    succ, each as its ascending list of keys.  No equation of such an
+    succ, each as an array of its ascending flat keys.  No equation of such an
     orbit has a dropped term, so every one carries a kernel vector."""
     d = len(succ)
     cyclic = [v for v in range(d) if height[v] == d]
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for u0 in cyclic:
         for v0 in cyclic:
-            if (u0, v0) not in seen:
+            if u0 * d + v0 not in seen:
                 keys, u, v = [], u0, v0
-                while (u, v) not in seen:
-                    seen.add((u, v))
-                    keys.append((u, v))
+                while u * d + v not in seen:
+                    seen.add(u * d + v)
+                    keys.append(u * d + v)
                     u, v = succ[u], succ[v]
-                keys.sort()
-                yield keys
+                yield array("q", sorted(keys))
 
 
 def commutant_basis(A: DenseMatrix | SparseMatrix, tol: float | None = None) -> CommutantBasis:
@@ -257,17 +282,11 @@ def commutant_basis(A: DenseMatrix | SparseMatrix, tol: float | None = None) -> 
     d = A.rows
     shape = _partial_permutation(A)
     if shape is not None:
-        # the vectors kernel_basis would return: one on the chain, its
-        # largest key (the free column) first, in ascending free-column order
-        one = scalars.one("exact")
-        chains = sorted(_chains(*shape), key=lambda keys: keys[-1])
-        return CommutantBasis(tuple(
-            SparseMatrix(dict.fromkeys([keys[-1], *keys[:-1]], one), d, d, "exact")
-            for keys in chains
-        ))
+        # in kernel_basis's order: ascending free column, each chain's last key
+        return CommutantBasis(d, tuple(sorted(_chains(*shape), key=lambda keys: keys[-1])))
     system = _commutation_rows(A) if A.mode == "exact" else _float_terms(A, False)
     vecs = linalg.kernel_basis(system, d * d, A.mode, tol)
-    return CommutantBasis(tuple(
+    return CommutantBasis(d, tuple(
         SparseMatrix({divmod(k, d): s for k, s in vec.items()}, d, d, A.mode) for vec in vecs
     ))
 
@@ -311,7 +330,7 @@ def selfadjoint_commutant_dim(A: DenseMatrix | SparseMatrix, tol: float | None =
 
 
 def is_block_lower_toeplitz(
-    P: DenseMatrix | SparseMatrix, params: TruncationParams, tol: float | None = None
+    P: DenseMatrix | SparseMatrix | array, params: TruncationParams, tol: float | None = None
 ) -> bool:
     """True when X* P X is block lower Toeplitz for the intertwiner X of
     ``params``: every K x K block, the entries between two channels, is
@@ -322,8 +341,21 @@ def is_block_lower_toeplitz(
     offsets of P[f][g] are f // r and g // r, and its diagonal neighbours
     are P[f - r][g - r] and P[f + r][g + r], so no product is formed.  A P
     that is not d x d is not.  The scan is ``toeplitz_break``'s, O(nnz).
+
+    A chain (``CommutantBasis``) whose keys f*d + g are one run with step
+    r*d + r is one diagonal of one block, and passes exactly when its head
+    has g < r, so it wraps no row, and its tail f >= d - r.  A key outside
+    range(d^2) fails the shape rule; ``toeplitz_break`` decides the rest.
     """
-    if P.shape != (params.d, params.d):
+    d, r = params.d, params.r
+    if isinstance(P, array):
+        keys, step = P.tolist(), r * d + r
+        if keys and keys == list(range(keys[0], keys[0] + step * len(keys), step)):
+            return 0 <= keys[0] and keys[0] % d < r and d - r <= keys[-1] // d < d
+        if keys and (min(keys) < 0 or max(keys) >= d * d):
+            return False
+        P = chain_view(P, d)
+    elif P.shape != (d, d):
         return False
     return toeplitz_break(P, params, tol) is None
 
@@ -336,18 +368,16 @@ def toeplitz_break(
     An entry with block offsets f // r < g // r must vanish; any other must
     equal P[f - r][g - r] if g >= r and P[f + r][g + r] if f < d - r, an
     absent entry reading as zero.  That compares each pair of diagonal
-    neighbours with a nonzero side."""
+    neighbours with a nonzero side, and names a failed chain's witness."""
     if isinstance(P, SparseMatrix):
         stored = P.entries
     else:
         stored = {(u, v): s for u, v, s in P.nonzero_items()}
-    z, exact = zero(P.mode), P.mode == "exact"
+    z = zero(P.mode)
     r, last = params.r, params.d - params.r
 
     def differs(s, key) -> bool:
-        # an exact scalar equals itself, and the chain basis shares its ones
-        t = stored.get(key, z)
-        return not (exact and t is s) and not scalars_close(s, t, tol)
+        return not scalars_close(s, stored.get(key, z), tol)
 
     for (f, g), s in stored.items():
         if f // r < g // r:

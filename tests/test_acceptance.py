@@ -287,6 +287,11 @@ PINNED_REPORTS = {
         ["full-report", "--m", "2", "--n", "2", "--blocks", "3"],
         "aec20050e116b4b3e1781d6b777efef71f4656e54bbf131b4bb5ec6abc1ab3ab",
     ),
+    # the gated commutant-deep workload
+    "full-report (2,2,12)": (
+        ["full-report", "--m", "2", "--n", "2", "--blocks", "12"],
+        "77508ac4bbb28df4690581cbde0663752089b826bf419f68a3993b4bde5a8589",
+    ),
     "full-report (3,2,2)": (
         ["full-report", "--m", "3", "--n", "2", "--blocks", "2"],
         "de6544c2d0054c2273579a1ecd7c05dcf9e4919c30abe8629ca1090c36195d82",

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +29,7 @@ from hardyshift.commutant import (
     _float_terms,
     _partial_permutation,
     _selfadjoint_rows,
+    chain_view,
     toeplitz_break,
 )
 from hardyshift.errors import InvarianceError, ShapeError
@@ -131,27 +133,54 @@ def test_relabeled_block_check_matches_dense_conjugation():
         assert not dense_block_toeplitz_reference(Xh @ Q @ X, p.K)
 
 
-def test_cli_lemma3_audit_fails_on_a_changed_basis_element(
-    tmp_path, monkeypatch, capsys
-):
+@pytest.fixture
+def built(monkeypatch):
+    """The argument tuples of every ``SparseMatrix`` that ``commutant``
+    builds while the test runs."""
+    import hardyshift.commutant as commutant
+
+    calls = []
+
+    class Spy(SparseMatrix):
+        def __init__(self, *args, **kwargs):
+            calls.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(commutant, "SparseMatrix", Spy)
+    return calls
+
+
+def run_with_doctored_basis(monkeypatch, capsys, doctor, argv):
+    """Run the CLI with ``doctor`` applied to every basis it computes;
+    returns (exit code, stderr, the doctored bases)."""
     import hardyshift.cli as cli
 
-    real = cli.commutant_basis
-    order = channel_order_reference(TruncationParams(2, 2, 2))
+    real, seen = cli.commutant_basis, []
 
     def doctored(A, tol=None):
-        cb = real(A, tol)
-        entries = dict(cb.elements[3].entries)
-        entries[(order[0], order[1])] = GaussianRational(5)
-        elements = list(cb.elements)
-        elements[3] = dataclasses.replace(cb.elements[3], entries=entries)
-        return dataclasses.replace(cb, elements=tuple(elements))
+        seen.append(doctor(real(A, tol)))
+        return seen[-1]
 
     monkeypatch.setattr(cli, "commutant_basis", doctored)
+    code = cli.main(argv)
+    return code, capsys.readouterr().err, seen
+
+
+def replace_chain(cb, i, keys):
+    members = list(cb.members)
+    members[i] = array("q", keys)
+    return dataclasses.replace(cb, members=tuple(members))
+
+
+def test_cli_lemma3_audit_fails_on_a_changed_basis_element(tmp_path, monkeypatch, capsys):
+    p = TruncationParams(2, 2, 2)
+    order = channel_order_reference(p)
+    planted = order[0] * p.d + order[1]
     out = tmp_path / "report.json"
-    code = cli.main([
-        "commutant", "--m", "2", "--n", "2", "--blocks", "2", "--out", str(out),
-    ])
+    code, err, _ = run_with_doctored_basis(
+        monkeypatch, capsys, lambda cb: replace_chain(cb, 3, sorted([*cb.members[3], planted])),
+        ["commutant", "--m", "2", "--n", "2", "--blocks", "2", "--out", str(out)],
+    )
     assert code == 1
     report = json.loads(out.read_text())
     assert report["commutant"]["lemma3_structure_ok"] is False
@@ -159,7 +188,65 @@ def test_cli_lemma3_audit_fails_on_a_changed_basis_element(
     assert (
         "commutant basis element 3 is not block lower Toeplitz at entry "
         f"({order[0]}, {order[1]})"
-    ) in capsys.readouterr().err
+    ) in err
+
+
+# Element 21 of z^2 on C^2 at K = 3 (d = 12, r = 4) is the main diagonal
+# of channel pair (1, 1): flat (1, 1), (5, 5), (9, 9), keys 13, 65 and 117.
+# The shifted key moves its head r columns along its row, into block
+# column 1; the key in another channel pair moves its tail one column.
+@pytest.mark.parametrize(
+    "fault, witness",
+    [
+        (lambda k: [k[0], k[2]], (9, 9)),
+        (lambda k: [k[0] + 4, k[1], k[2]], (1, 5)),
+        (lambda k: [k[0], k[1], k[2] + 1], (9, 10)),
+        (lambda k: [k[1], k[2]], (5, 5)),
+    ],
+    ids=["dropped-key", "shifted-key", "other-channel-pair", "head-column-offset-1"],
+)
+def test_cli_lemma3_audit_names_a_planted_chain_fault(
+    monkeypatch, capsys, built, fault, witness
+):
+    p = TruncationParams(2, 2, 3)
+    code, err, (cb,) = run_with_doctored_basis(
+        monkeypatch, capsys, lambda cb: replace_chain(cb, 21, fault(cb.members[21])),
+        ["commutant", "--m", "2", "--n", "2", "--blocks", "3"],
+    )
+    assert code == 1
+    # only the failing element is read as a matrix, for its witness
+    keys = {divmod(k, p.d) for k in cb.members[21]}
+    assert built and all(set(args[0]) == keys for args in built)
+    assert toeplitz_break(chain_view(cb.members[21], p.d), p) == witness
+    assert err == (
+        "lemma3_structure_ok: commutant basis element 21 is not block lower Toeplitz "
+        f"at entry {witness}\nfailed checks: lemma3_structure_ok\n"
+    )
+
+
+def test_cli_lemma3_audit_fails_on_a_changed_float_element(monkeypatch, capsys):
+    # a float basis keeps valued elements, which toeplitz_break audits
+    p = TruncationParams(2, 2, 2)
+    order = channel_order_reference(p)
+
+    def doctor(cb):
+        members = list(cb.members)
+        entries = {**members[3].entries, (order[0], order[1]): 5 + 0j}
+        members[3] = dataclasses.replace(members[3], entries=entries)
+        return dataclasses.replace(cb, members=tuple(members))
+
+    code, err, (cb,) = run_with_doctored_basis(
+        monkeypatch, capsys, doctor,
+        ["commutant", "--m", "2", "--n", "2", "--blocks", "2", "--mode", "float",
+         "--tol", "1e-9"],
+    )
+    assert code == 1
+    assert all(isinstance(P, SparseMatrix) for P in cb.members)
+    assert toeplitz_break(cb.elements[3], p, 1e-9) == (order[0], order[1])
+    assert err == (
+        "lemma3_structure_ok: commutant basis element 3 is not block lower Toeplitz "
+        f"at entry ({order[0]}, {order[1]})\nfailed checks: lemma3_structure_ok\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -180,7 +267,7 @@ def test_cli_dimension_check_names_expected_and_found(
         result = real(A, tol)
         if isinstance(result, int):
             return result - 1
-        return dataclasses.replace(result, elements=result.elements[:-1])
+        return dataclasses.replace(result, members=result.members[:-1])
 
     monkeypatch.setattr(cli, target, short_by_one)
     out = tmp_path / "report.json"
@@ -638,7 +725,7 @@ def assert_matches_the_commutation_system(A, tol=None):
 def test_chain_path_matches_the_commutation_system(A):
     assert _partial_permutation(A) is not None
     assert_matches_the_commutation_system(A)
-    # the Lemma-3 audit's identity shortcut relies on the shared one
+    # every chain view holds the one exact one, as the eliminated basis did
     assert all(
         s is scalars.one("exact") for P in commutant_basis(A).elements for s in P.entries.values()
     )
@@ -669,3 +756,82 @@ def test_other_operators_decline_the_chain_path(change):
         A, tol = DenseMatrix(rows), None
     assert _partial_permutation(A) is None
     assert_matches_the_commutation_system(A, tol)
+
+
+def assert_chain_audit_matches_the_view(keys, params):
+    """The integer audit of a chain element against ``toeplitz_break`` on
+    its view; returns the verdict.  A key outside range(d^2) has no place
+    in a d x d view, and fails as a matrix of the wrong shape does."""
+    keys = array("q", keys)
+    verdict = is_block_lower_toeplitz(keys, params)
+    if all(0 <= k < params.d ** 2 for k in keys):
+        assert verdict == (toeplitz_break(chain_view(keys, params.d), params) is None)
+    else:
+        assert not verdict
+    return verdict
+
+
+@settings(max_examples=150, deadline=None)
+@given(partial_permutations(), st.data())
+def test_chain_audit_matches_the_view_on_partial_permutation_chains(A, data):
+    d = A.rows
+    r = data.draw(st.sampled_from([r for r in range(1, d + 1) if d % r == 0]))
+    params = TruncationParams(1, r, d // r)
+    for keys in commutant_basis(A).members:
+        assert_chain_audit_matches_the_view(keys, params)
+
+
+POWER_PARAMS = st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 2)]).flatmap(
+    lambda mn: st.integers(1, 4).map(lambda K: TruncationParams(*mn, K))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(POWER_PARAMS, st.data())
+def test_chain_audit_matches_the_view_on_planted_faults(params, data):
+    d, r = params.d, params.r
+    chains = commutant_basis(power_symbol(params)).members
+    keys = list(data.draw(st.sampled_from(chains)))
+    assert assert_chain_audit_matches_the_view(keys, params)
+    fault = data.draw(st.sampled_from(["drop", "shift", "replace", "extend", "slide"]))
+    i = data.draw(st.integers(0, len(keys) - 1))
+    if fault == "drop":
+        del keys[i]
+    elif fault == "shift":
+        keys[i] = data.draw(st.integers(max(0, keys[i] - 2 * d), min(d * d - 1, keys[i] + 2 * d)))
+    elif fault == "replace":
+        keys[i] = data.draw(st.integers(0, d * d - 1))
+    elif fault == "extend":
+        keys.append(data.draw(st.integers(keys[-1] + 1, keys[-1] + 2 * d)))
+    else:
+        step = data.draw(st.sampled_from([-1, 1])) * (r * d + r)
+        keys = [k + step for k in keys]
+    verdict = assert_chain_audit_matches_the_view(keys, params)
+    if fault == "drop" and len(keys) >= 1:
+        assert not verdict
+
+
+@settings(max_examples=300, deadline=None)
+@given(POWER_PARAMS, st.data())
+def test_chain_audit_matches_the_view_on_small_key_lists(params, data):
+    d = params.d
+    keys = data.draw(st.lists(st.integers(0, d * d - 1), max_size=8, unique=True))
+    assert_chain_audit_matches_the_view(sorted(keys), params)
+    assert_chain_audit_matches_the_view(keys, params)
+    # two full diagonals are block lower Toeplitz without being one chain
+    chains = commutant_basis(power_symbol(params)).members
+    if len(chains) > 1:
+        a, b = data.draw(st.lists(st.sampled_from(chains), min_size=2, max_size=2, unique_by=tuple))
+        assert assert_chain_audit_matches_the_view(sorted([*a, *b]), params)
+
+
+def test_chain_basis_and_its_audit_build_no_matrix(monkeypatch, built):
+    import hardyshift.cli as cli
+
+    p = TruncationParams(2, 2, 3)
+    cb = commutant_basis(power_symbol(p))
+    assert cb.dim == p.r * p.r * p.K
+    assert cli.main(["commutant", "--m", "2", "--n", "2", "--blocks", "3"]) == 0
+    assert built == []
+    # the views are built on first access, once
+    assert cb.elements is cb.elements and len(built) == cb.dim

@@ -41,17 +41,19 @@ LIVE_METRICS = (
 )
 
 
+# ``commutant.basis_dim`` is read off the basis that ``commutant_basis``
+# returns, r^2 K at each of these.
 @pytest.mark.parametrize(
-    "cli_args, live",
+    "cli_args, live, basis_dim",
     [
-        (["full-report", "--m", "2", "--n", "2", "--blocks", "3"], LIVE_METRICS),
+        (["full-report", "--m", "2", "--n", "2", "--blocks", "3"], LIVE_METRICS, 48),
         (["full-report", "--m", "2", "--n", "2", "--blocks", "2",
           "--mode", "float", "--tol", "1e-9"],
-         (*LIVE_METRICS, "linalg.svd_s", "linalg.svd_cells")),
+         (*LIVE_METRICS, "linalg.svd_s", "linalg.svd_cells"), 32),
     ],
     ids=["exact", "float"],
 )
-def test_traced_child_runs_and_writes_the_untraced_report(tmp_path, cli_args, live):
+def test_traced_child_runs_and_writes_the_untraced_report(tmp_path, cli_args, live, basis_dim):
     traced = run_child(1, tmp_path / "traced.json", cli_args)
     untraced = run_child(0, tmp_path / "untraced.json", cli_args)
     assert traced["rc"] == untraced["rc"] == 0
@@ -59,5 +61,6 @@ def test_traced_child_runs_and_writes_the_untraced_report(tmp_path, cli_args, li
     assert [name for name in live if not traced["layers"][name] > 0] == []
     # one full self-adjoint solve, and one for the channels' common restriction
     assert traced["layers"]["commutant.selfadjoint_calls"] == 2
+    assert traced["layers"]["commutant.basis_dim"] == basis_dim
     assert "layers" not in untraced
     assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "untraced.json").read_bytes()
