@@ -53,7 +53,7 @@ from .operators import (
     vector_shift,
 )
 from .scalars import GaussianRational, Mode
-from .space import TruncationParams, flat_index
+from .space import TruncationParams
 
 __all__ = [
     "CapError",
@@ -80,7 +80,6 @@ __all__ = [
     "check_minimal",
     "commutant_basis",
     "enumerate_lattice",
-    "flat_index",
     "is_block_lower_toeplitz",
     "lattice_closure_check",
     "mask_is_reducing",

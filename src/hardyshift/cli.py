@@ -35,7 +35,7 @@ from .lattice import (
     reducing_classes,
 )
 from .operators import power_symbol, symbol_from_json, toeplitz_matrix
-from .scalars import scalar_to_json
+from .scalars import scalar_to_json, zero
 from .space import TruncationParams
 
 SCHEMA_VERSION = "1"
@@ -141,6 +141,10 @@ def _operator(cfg: argparse.Namespace, params: TruncationParams):
         raise ConfigError(f"symbol file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"symbol file is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # json refuses an integer literal that int() would refuse
+        raise ConfigError(f"symbol file holds an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
     try:
         symbol = symbol_from_json(obj, cfg.mode)
     except ValueError as exc:
@@ -148,10 +152,6 @@ def _operator(cfg: argparse.Namespace, params: TruncationParams):
     if symbol.m != cfg.m:
         raise ConfigError(f"symbol is {symbol.m} x {symbol.m} but --m is {cfg.m}")
     return toeplitz_matrix(symbol, params, cfg.mode), False
-
-
-def _matrix_json(mat) -> list:
-    return [[scalar_to_json(e) for e in row] for row in mat.entries]
 
 
 def _equivalence_section(cfg: argparse.Namespace, params: TruncationParams, T):
@@ -296,14 +296,15 @@ def execute(cfg: argparse.Namespace) -> dict:
     full = cfg.command == "full-report"
 
     if cfg.command == "build":
-        dense = T.to_dense()
+        z = zero(cfg.mode)
         report["build"] = {
             "operator": "power" if is_power else "symbol",
-            "rows": dense.rows,
-            "cols": dense.cols,
-            "nnz": dense.nnz(),
-            "rank": dense.rank(cfg.tol),
-            "matrix": _matrix_json(dense),
+            "rows": T.rows,
+            "cols": T.cols,
+            "nnz": T.nnz(),
+            "rank": T.rank(cfg.tol),
+            "matrix": [[scalar_to_json(T.entries.get((u, v), z)) for v in range(T.cols)]
+                       for u in range(T.rows)],
         }
     if full or cfg.command == "verify-equivalence":
         report["equivalence"], section_checks = _equivalence_section(cfg, params, T)

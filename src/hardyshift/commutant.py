@@ -52,7 +52,7 @@ import numpy as np
 
 from . import linalg, scalars
 from .errors import InvarianceError, ShapeError
-from .matrices import DenseMatrix, SparseMatrix
+from .matrices import SparseMatrix
 from .scalars import scalar_is_zero, scalars_close, zero
 from .space import TruncationParams
 
@@ -139,7 +139,7 @@ def _exact_rows(terms, nrows: int) -> list[dict]:
     return rows
 
 
-def _equations(A: DenseMatrix | SparseMatrix) -> list[dict]:
+def _equations(A: SparseMatrix) -> list[dict]:
     """The d*d rows of A's exact commutation system, unknowns P[u][v] ->
     u*d + v: all of AP's terms, then all of PA's, as the float arrays
     order them, one nonzero of A and one t at a time."""
@@ -152,13 +152,13 @@ def _equations(A: DenseMatrix | SparseMatrix) -> list[dict]:
     )
 
 
-def _commutation_rows(A: DenseMatrix | SparseMatrix) -> list[dict]:
+def _commutation_rows(A: SparseMatrix) -> list[dict]:
     """The nonempty rows of the exact commutation system, in equation
     order: the input of ``rref``."""
     return [row for row in _equations(A) if row]
 
 
-def _selfadjoint_rows(A: DenseMatrix | SparseMatrix) -> list[dict]:
+def _selfadjoint_rows(A: SparseMatrix) -> list[dict]:
     """The nonempty rows of the exact realified system, the real and
     imaginary parts of the commutation rows (``_realified_terms``).  Its
     coefficients are Fractions, so it is solved over the rationals."""
@@ -171,7 +171,7 @@ def _selfadjoint_rows(A: DenseMatrix | SparseMatrix) -> list[dict]:
     return [row for row in rows if row]
 
 
-def _float_terms(A: DenseMatrix | SparseMatrix, realified: bool):
+def _float_terms(A: SparseMatrix, realified: bool):
     """The terms of A's float commutation system, or of its realified
     system, as the numpy arrays ``linalg`` solves: every nonzero of A
     against every t in range(d) at once."""
@@ -193,7 +193,7 @@ def _float_terms(A: DenseMatrix | SparseMatrix, realified: bool):
     )
 
 
-def _partial_permutation(A: DenseMatrix | SparseMatrix):
+def _partial_permutation(A: SparseMatrix):
     """``(succ, pred, height)`` when A is an exact square 0/1 partial
     permutation, A e_v = e_succ[v] or 0, and None for any other A.
 
@@ -271,7 +271,7 @@ def _closed_orbits(succ: list[int], height: list[int]):
                 yield array("q", sorted(keys))
 
 
-def commutant_basis(A: DenseMatrix | SparseMatrix, tol: float | None = None) -> CommutantBasis:
+def commutant_basis(A: SparseMatrix, tol: float | None = None) -> CommutantBasis:
     """Basis of the commutant of A, canonical up to the elimination order.
 
     Exact mode needs no tol; float mode requires one and may raise
@@ -291,7 +291,7 @@ def commutant_basis(A: DenseMatrix | SparseMatrix, tol: float | None = None) -> 
     ))
 
 
-def selfadjoint_commutant_dim(A: DenseMatrix | SparseMatrix, tol: float | None = None) -> int:
+def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
     """Real dimension of {P = P* : AP = PA}.
 
     This equals the complex commutant dimension when A is diagonalizable
@@ -330,7 +330,7 @@ def selfadjoint_commutant_dim(A: DenseMatrix | SparseMatrix, tol: float | None =
 
 
 def is_block_lower_toeplitz(
-    P: DenseMatrix | SparseMatrix | array, params: TruncationParams, tol: float | None = None
+    P: SparseMatrix | array, params: TruncationParams, tol: float | None = None
 ) -> bool:
     """True when X* P X is block lower Toeplitz for the intertwiner X of
     ``params``: every K x K block, the entries between two channels, is
@@ -361,7 +361,7 @@ def is_block_lower_toeplitz(
 
 
 def toeplitz_break(
-    P: DenseMatrix | SparseMatrix, params: TruncationParams, tol: float | None = None
+    P: SparseMatrix, params: TruncationParams, tol: float | None = None
 ) -> tuple[int, int] | None:
     """The first nonzero (f, g) of P that breaks the pattern of
     ``is_block_lower_toeplitz`` (whose shape rule P must pass), or None.
@@ -369,11 +369,7 @@ def toeplitz_break(
     equal P[f - r][g - r] if g >= r and P[f + r][g + r] if f < d - r, an
     absent entry reading as zero.  That compares each pair of diagonal
     neighbours with a nonzero side, and names a failed chain's witness."""
-    if isinstance(P, SparseMatrix):
-        stored = P.entries
-    else:
-        stored = {(u, v): s for u, v, s in P.nonzero_items()}
-    z = zero(P.mode)
+    stored, z = P.entries, zero(P.mode)
     r, last = params.r, params.d - params.r
 
     def differs(s, key) -> bool:
@@ -391,7 +387,7 @@ def toeplitz_break(
 
 
 def restrict(
-    A: DenseMatrix | SparseMatrix,
+    A: SparseMatrix,
     indices: Sequence[int],
     tol: float | None = None,
 ) -> SparseMatrix:
@@ -402,7 +398,8 @@ def restrict(
     a restriction to a non-invariant coordinate subspace would silently
     change the operator.  The leak named is the first in ``indices`` order
     of columns, then the lowest row.  One scan of A's nonzeros decides
-    both; entry (a, b) of the result is A[indices[a]][indices[b]].
+    both: a nonzero at (indices[a], indices[b]) is the result's entry
+    (a, b), and the result stores nothing else.
     """
     if len(set(indices)) != len(indices):
         raise ValueError("restriction indices must be distinct")

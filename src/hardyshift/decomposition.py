@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .matrices import DenseMatrix, SparseMatrix
+from .matrices import SparseMatrix
 from .scalars import one, scalar_is_zero, scalars_close, zero
 from .space import TruncationParams
 
@@ -63,7 +63,7 @@ def channel_flats(ch: Channel, params: TruncationParams) -> range:
     return range(ch.ordinal, params.d, params.r)
 
 
-def check_operator_shape(T: DenseMatrix | SparseMatrix, params: TruncationParams) -> None:
+def check_operator_shape(T: SparseMatrix, params: TruncationParams) -> None:
     """Raise ShapeError unless T is d x d for the model's d."""
     if T.shape != (params.d, params.d):
         raise ShapeError(f"operator is {T.shape} but the model has d={params.d}")
@@ -80,7 +80,7 @@ class EquivalenceReport:
 
 
 def verify_equivalence(
-    T: DenseMatrix | SparseMatrix, params: TruncationParams, tol: float | None = None
+    T: SparseMatrix, params: TruncationParams, tol: float | None = None
 ) -> EquivalenceReport:
     """Check that the intertwiner is unitary and conjugates T onto the
     direct sum of shift blocks, as it does the truncated power operator
@@ -101,7 +101,7 @@ def verify_equivalence(
 
 
 def shift_break(
-    T: DenseMatrix | SparseMatrix, params: TruncationParams, tol: float | None = None
+    T: SparseMatrix, params: TruncationParams, tol: float | None = None
 ) -> tuple[int, int] | None:
     """The first nonzero (f, g) of T that is not a one at a shift position
     f = g + r, else the first shift position (g + r, g) that T leaves
@@ -122,6 +122,5 @@ def shift_break(
             return (f, g)
     if seen == params.d - r or scalars_close(zero(T.mode), o, tol):
         return None
-    present = {g for f, g, _ in T.nonzero_items() if f == g + r}
-    g = next(g for g in range(params.d - r) if g not in present)
+    g = next(g for g in range(params.d - r) if not T.entries.get((g + r, g)))
     return (g + r, g)

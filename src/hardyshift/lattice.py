@@ -28,7 +28,7 @@ from .commutant import restrict, selfadjoint_commutant_dim
 from .decomposition import Channel, channel_flats, channels, check_operator_shape
 from .errors import CapError
 from .linalg import components
-from .matrices import DenseMatrix, SparseMatrix
+from .matrices import SparseMatrix
 from .scalars import scalar_is_zero
 from .space import TruncationParams
 
@@ -60,7 +60,7 @@ class LatticeReport:
 
 
 def check_minimal(
-    T: DenseMatrix | SparseMatrix,
+    T: SparseMatrix,
     params: TruncationParams,
     tol: float | None = None,
 ) -> list[ChannelMinimality]:
@@ -83,7 +83,7 @@ def check_minimal(
 
 
 def channel_edges(
-    T: DenseMatrix | SparseMatrix, params: TruncationParams, tol: float | None = None
+    T: SparseMatrix, params: TruncationParams, tol: float | None = None
 ) -> frozenset[tuple[int, int]]:
     """Pairs (a, b) of distinct channel ordinals such that T[u][v] is
     nonzero (beyond tol in float mode) for some u in channel a and v in
@@ -121,7 +121,7 @@ def check_enumeration_cap(r: int, sample: int | None) -> bool:
 
 
 def enumerate_lattice(
-    T: DenseMatrix | SparseMatrix,
+    T: SparseMatrix,
     params: TruncationParams,
     tol: float | None = None,
     sample: int | None = None,

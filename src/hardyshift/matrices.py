@@ -1,18 +1,17 @@
-"""Dense and sparse matrices over exact or floating scalars.
+"""Matrices over exact or floating scalars.
 
-``SparseMatrix`` stores only its nonzero entries, and it is the type of
-every operator the pipeline reads: a truncated Toeplitz operator (see
+``SparseMatrix`` stores only its nonzero entries, and it is the one type
+of every operator the package reads: a truncated Toeplitz operator (see
 ``operators``), its compression to a channel (``commutant.restrict``) and
 each commutant basis element.  T = M_{z^n} at (m,n,K)=(2,2,60) has
-d - m*n = 236 nonzeros out of d^2 = 57600 entries, and the pipeline's
-scans (``nonzero_items``) visit only those.
+d - m*n = 236 nonzeros out of d^2 = 57600 entries, and every scan
+(``nonzero_items``) visits only those.  It has no arithmetic: every
+identity the package checks is decided by relabelling indices and
+scanning nonzeros, never by a matrix product.
 
-``DenseMatrix`` stores tuples of tuples, treated as immutable.  It holds
-a symbol's coefficients, and ``to_dense`` builds it as the view of an
-operator that the ``build`` report prints with its rank and nonzero
-count.  It has no arithmetic: every identity the package checks is
-decided by relabelling indices and scanning nonzeros, never by a dense
-product.
+``DenseMatrix`` is the validated m x m coefficient of a ``MatrixSymbol``:
+its constructor coerces every entry to the mode's scalar type and
+refuses a ragged or empty grid.
 """
 
 from __future__ import annotations
@@ -41,29 +40,13 @@ class DenseMatrix:
         self.mode = mode
 
     @classmethod
-    def _raw(cls, entries, mode: Mode) -> "DenseMatrix":
-        # entries already normalized tuples of the right scalar type
-        self = object.__new__(cls)
-        self.entries = entries
-        self.rows = len(entries)
-        self.cols = len(entries[0])
-        self.mode = mode
-        return self
-
-    @classmethod
     def identity(cls, n: int, mode: Mode = "exact") -> "DenseMatrix":
         z, o = zero(mode), one(mode)
-        return cls._raw(
-            tuple(tuple(o if u == v else z for v in range(n)) for u in range(n)),
-            mode,
-        )
+        return cls([[o if u == v else z for v in range(n)] for u in range(n)], mode)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def __getitem__(self, u: int):
-        return self.entries[u]
 
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
@@ -76,25 +59,6 @@ class DenseMatrix:
 
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols}, mode={self.mode!r})"
-
-    def nonzero_items(self) -> Iterator[tuple[int, int, Scalar]]:
-        for u, row in enumerate(self.entries):
-            for v, s in enumerate(row):
-                if s:
-                    yield (u, v, s)
-
-    def nnz(self) -> int:
-        return sum(1 for _ in self.nonzero_items())
-
-    def rank(self, tol: float | None = None) -> int:
-        """Rank, exact by elimination in exact mode, by SVD (with the
-        ambiguity gate) in float mode where tol is required."""
-        if self.mode == "float":
-            # one term per nonzero, as (rows, columns, values)
-            system = tuple(zip(*self.nonzero_items())) or ((), (), ())
-        else:
-            system = [{v: s for v, s in enumerate(row) if s} for row in self.entries]
-        return self.cols - linalg.nullity(system, self.cols, self.mode, tol)
 
 
 @dataclass(frozen=True)
@@ -112,8 +76,7 @@ class SparseMatrix:
         return (self.rows, self.cols)
 
     def nonzero_items(self) -> Iterator[tuple[int, int, Scalar]]:
-        """The stored nonzero entries in row-major order, the order of
-        ``DenseMatrix.nonzero_items``."""
+        """The stored nonzero entries as (u, v, scalar), in row-major order."""
         entries = self.entries
         for key in sorted(entries):
             s = entries[key]
@@ -123,9 +86,14 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(1 for s in self.entries.values() if s)
 
-    def to_dense(self) -> DenseMatrix:
-        z = zero(self.mode)
-        grid = [[z] * self.cols for _ in range(self.rows)]
-        for (u, v), s in self.entries.items():
-            grid[u][v] = s
-        return DenseMatrix._raw(tuple(map(tuple, grid)), self.mode)
+    def rank(self, tol: float | None = None) -> int:
+        """Rank, exact by elimination in exact mode, by SVD (with the
+        ambiguity gate) in float mode where tol is required."""
+        if self.mode == "float":
+            # one term per nonzero, as (rows, columns, values)
+            system = tuple(zip(*self.nonzero_items())) or ((), (), ())
+        else:
+            system = [{} for _ in range(self.rows)]
+            for u, v, s in self.nonzero_items():
+                system[u][v] = s
+        return self.cols - linalg.nullity(system, self.cols, self.mode, tol)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Literal, Union
 
@@ -190,14 +192,38 @@ def scalars_close(a: Scalar, b: Scalar, tol: float | None = None) -> bool:
     return abs(a - b) <= tol
 
 
+def _rational(x: int | str) -> Fraction:
+    """``Fraction(x)``, refusing a numerator or denominator with more digits
+    than ``str`` prints (``sys.get_int_max_str_digits()``).  ``int`` refuses
+    a longer run of digits, so a nonzero literal whose exponent is beyond
+    twice the limit has such a part: it is refused before ``Fraction``
+    forms 10**exponent."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # the exponent of a decimal literal, as Fraction reads it
+    match = re.search(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", x, re.I) if isinstance(x, str) else None
+    e = match[1].replace("_", "").lstrip("0") if match else ""
+    if len(e) > len(str(2 * limit)) or int(e or 0) > 2 * limit:
+        raise ValueError(f"rational literal {x!r} has an exponent beyond {2 * limit}")
+    try:
+        q = Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational literal {x!r}") from exc
+    big = max(abs(q.numerator), q.denominator)
+    # below 2**(3 * limit) < 10**limit, no power of ten is formed
+    if big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise ValueError(f"rational literal {x!r} has a part of more than {limit} digits")
+    return q
+
+
 def scalar_from_json(obj, mode: Mode) -> Scalar:
     """Parse ``{"re": ..., "im": ...}``, or a bare real part, into a scalar.
 
     Parts may be ints or rational strings ("2/3", "-1").  Float parts are
     accepted only in float mode; in exact mode they are rejected so that a
     config cannot quietly downgrade exactness.  Booleans are refused, and
-    so is a float-mode scalar that is not finite (NaN, an infinity, or a
-    rational too large for a float).
+    so are a part too long to print (``_rational``) and a float-mode
+    scalar that is not finite (NaN, an infinity, or a rational too large
+    for a float).
     """
     if isinstance(obj, (int, float, str)) and not isinstance(obj, bool):
         obj = {"re": obj}
@@ -211,10 +237,7 @@ def scalar_from_json(obj, mode: Mode) -> Scalar:
         if isinstance(x, bool):
             raise ValueError("scalar parts must be numbers or rational strings")
         if isinstance(x, (int, str)):
-            try:
-                return Fraction(x)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad rational literal {x!r}") from exc
+            return _rational(x)
         if isinstance(x, float):
             if mode != "float":
                 raise ValueError(

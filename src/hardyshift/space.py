@@ -48,10 +48,3 @@ class TruncationParams:
         """Number of channels (shift blocks) in the decomposition."""
         return self.m * self.n
 
-
-def flat_index(i: int, p: int, params: TruncationParams) -> int:
-    if not 1 <= i <= params.m:
-        raise IndexError(f"component {i} out of range 1..{params.m}")
-    if not 0 <= p < params.N:
-        raise IndexError(f"degree {p} out of range 0..{params.N - 1}")
-    return p * params.m + (i - 1)

@@ -10,10 +10,11 @@ The dense references further down (the intertwiner X, the direct sum of
 shift blocks, mask projections, commutators, ``restrict_reference``) state
 the paper's identities as dense matrix products.  The package checks the
 same identities by index relabels and scans of nonzeros, and never builds
-these matrices.  Their algebra (products, sums, powers, adjoints) is this
-module's ``DenseMatrix``, the package's dense matrix with the arithmetic
-the package itself no longer needs; ``dense`` gives that view of any
-package matrix.
+these matrices.  Their algebra (indexing, nonzero scans, products, sums,
+powers, adjoints) is this module's ``DenseMatrix``, which extends the
+package's symbol coefficient matrix; ``dense`` gives that view of any
+package matrix.  The package reads every operator as a ``SparseMatrix``,
+and ``sparse`` builds one from a grid or a dense matrix.
 """
 
 import math
@@ -33,7 +34,6 @@ from hardyshift import (
     scalar_shift,
 )
 from hardyshift.scalars import as_scalar, one, scalar_is_zero, scalars_close, zero
-from hardyshift.space import flat_index
 
 SWEEP = [
     TruncationParams(m, n, K)
@@ -53,8 +53,18 @@ class BasisIndex:
     p: int
 
 
+def flat_index(i, p, params):
+    """Flat position p*m + (i - 1) of the basis vector e_i z^p, the
+    degree-major layout of ``space``."""
+    if not 1 <= i <= params.m:
+        raise IndexError(f"component {i} out of range 1..{params.m}")
+    if not 0 <= p < params.N:
+        raise IndexError(f"degree {p} out of range 0..{params.N - 1}")
+    return p * params.m + (i - 1)
+
+
 def unflat_index(f, params):
-    """Inverse of ``space.flat_index``."""
+    """Inverse of ``flat_index``."""
     if not 0 <= f < params.d:
         raise IndexError(f"flat index {f} out of range 0..{params.d - 1}")
     p, rem = divmod(f, params.m)
@@ -227,6 +237,28 @@ class DenseMatrix(matrices.DenseMatrix):
     __slots__ = ()
 
     @classmethod
+    def _raw(cls, entries, mode):
+        # entries already normalized tuples of the right scalar type
+        self = object.__new__(cls)
+        self.entries = entries
+        self.rows = len(entries)
+        self.cols = len(entries[0])
+        self.mode = mode
+        return self
+
+    def __getitem__(self, u):
+        return self.entries[u]
+
+    def nonzero_items(self):
+        for u, row in enumerate(self.entries):
+            for v, s in enumerate(row):
+                if s:
+                    yield (u, v, s)
+
+    def nnz(self):
+        return sum(1 for _ in self.nonzero_items())
+
+    @classmethod
     def zeros(cls, rows, cols, mode="exact"):
         if rows < 1 or cols < 1:
             raise ShapeError("matrix must have at least one row and column")
@@ -354,11 +386,26 @@ class DenseMatrix(matrices.DenseMatrix):
 
 
 def dense(X):
-    """The reference ``DenseMatrix`` view of a package matrix, sparse or
-    dense."""
+    """The reference ``DenseMatrix`` view of a package matrix, built from
+    its entries: a ``SparseMatrix``'s ``{(u, v): scalar}`` dict, absent
+    entries read as zero, or a ``DenseMatrix``'s grid."""
     if isinstance(X, matrices.SparseMatrix):
-        X = X.to_dense()
+        z = zero(X.mode)
+        grid = tuple(tuple(X.entries.get((u, v), z) for v in range(X.cols))
+                     for u in range(X.rows))
+        return DenseMatrix._raw(grid, X.mode)
     return DenseMatrix._raw(X.entries, X.mode)
+
+
+def sparse(X, mode="exact", full=False):
+    """The package ``SparseMatrix`` of a dense matrix, in its mode, or of a
+    grid of numbers, coerced to ``mode``: its nonzero entries, or with
+    ``full`` every entry, zeros stored too."""
+    if not isinstance(X, matrices.DenseMatrix):
+        X = matrices.DenseMatrix(X, mode)
+    entries = {(u, v): s for u, row in enumerate(X.entries) for v, s in enumerate(row)
+               if full or s}
+    return matrices.SparseMatrix(entries, X.rows, X.cols, X.mode)
 
 
 def dense_basis(cb):
@@ -516,7 +563,7 @@ def build_intertwiner(params, mode="exact"):
 def decomposed_shift(params, mode="exact"):
     """Direct sum of r = m*n scalar shift blocks of size K, the normal form
     that X* T X must reach."""
-    return direct_sum([scalar_shift(params.K, mode).to_dense()] * params.r)
+    return direct_sum([dense(scalar_shift(params.K, mode))] * params.r)
 
 
 def mask_projection(value, r, params, mode="exact"):

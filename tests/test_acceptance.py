@@ -97,7 +97,7 @@ def test_criterion_3_commutant_structure():
     with criterion("criterion 3, shift commutant is lower Toeplitz"):
         for L in range(2, 9):
             J = dense(scalar_shift(L))
-            cb = commutant_basis(J)
+            cb = commutant_basis(scalar_shift(L))
             assert cb.dim == L
             for b in dense_basis(cb):
                 assert is_lower_toeplitz(b)
@@ -315,6 +315,11 @@ PINNED_REPORTS = {
         ["build", "--m", "2", "--n", "1", "--blocks", "5",
          "--symbol", str(SYMBOL_F)],
         "ea20a251964ec6e85f7d95e302fe59e3ff9412c450d8e77f79a8795288700aa4",
+    ),
+    # z^n's matrix, nonzero count and rank, read from its SparseMatrix
+    "build (2,2,3)": (
+        ["build", "--m", "2", "--n", "2", "--blocks", "3"],
+        "7c6382c9891743865788ecfcb8e47cd15a3026de6bd130ab0376bbb492bff843",
     ),
 }
 

@@ -4,14 +4,16 @@ import io
 import json
 import os
 import stat
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from hardyshift import commutant, linalg
 from hardyshift.cli import main
-from hardyshift.matrices import DenseMatrix, SparseMatrix
+from hardyshift.matrices import SparseMatrix
 
 SYMBOL_F = Path(__file__).resolve().parents[1] / "benchmarks" / "symbol_F.json"
 
@@ -166,6 +168,48 @@ def test_symbol_file_not_utf8(tmp_path, capsys):
                   "build", "--m", "1", "--n", "1", "--blocks", "2", "--symbol", str(path))
     assert err == ("error: symbol file is not UTF-8: 'utf-8' codec can't decode "
                    "byte 0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("mode", [(), ("--mode", "float", "--tol", "1e-9")],
+                         ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("7" * 5000, "symbol file holds an integer of more than {limit} digits"),
+        ('"1e5000"', "bad symbol file: rational literal '1e5000' has a part of more "
+                     "than {limit} digits"),
+        ('"1e10000000"', "bad symbol file: rational literal '1e10000000' has an "
+                         "exponent beyond {twice}"),
+    ],
+    ids=["integer-5000-digits", "numerator-5001-digits", "exponent-1e7"],
+)
+def test_symbol_file_number_too_long_to_print(tmp_path, capsys, entry, message, mode):
+    # str() of an int fails past sys.get_int_max_str_digits(), and
+    # Fraction("1e10000000") alone takes seconds: both are refused first
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "symbol.json"
+    path.write_text('{"m": 1, "coeffs": [{"t": 1, "matrix": [[' + entry + ']]}]}')
+    start = time.perf_counter()
+    err = refused(tmp_path, capsys, "build", "--m", "1", "--n", "1", "--blocks", "2",
+                  *mode, "--symbol", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert err == "error: " + message.format(limit=limit, twice=2 * limit) + "\n"
+
+
+@pytest.mark.parametrize(
+    "entry, exact, floating",
+    [("1e3", "1000", 1000.0), ("2.5e-1", "1/4", 0.25), ("1/3", "1/3", 1 / 3)],
+)
+def test_symbol_file_rational_literals_with_exponents(tmp_path, entry, exact, floating):
+    path = tmp_path / "symbol.json"
+    path.write_text('{"m": 1, "coeffs": [{"t": 1, "matrix": [["' + entry + '"]]}]}')
+    argv = ("build", "--m", "1", "--n", "1", "--blocks", "2", "--symbol", str(path))
+    code, rep = run_cli_json(tmp_path, *argv)
+    assert code == 0
+    assert rep["build"]["matrix"][1][0] == {"re": exact, "im": "0"}
+    code, rep = run_cli_json(tmp_path, *argv, "--mode", "float", "--tol", "1e-9")
+    assert code == 0
+    assert rep["build"]["matrix"][1][0] == {"re": floating, "im": 0.0}
 
 
 @pytest.mark.parametrize(
@@ -460,14 +504,11 @@ def test_power_full_report_builds_no_commutation_rows(tmp_path, monkeypatch, m, 
 @pytest.mark.parametrize(
     "command", ["full-report", "commutant", "minimality", "lattice", "verify-equivalence"]
 )
-def test_power_report_builds_no_dense_commutant_grid(tmp_path, monkeypatch, command):
-    # the operator T, its channel restrictions and the commutant basis stay
-    # sparse, and every scan on the z^n path reads their nonzeros only
-    def refuse(self):
-        raise AssertionError("dense grid built or scanned on the pipeline path")
-
-    monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
-    monkeypatch.setattr(DenseMatrix, "nonzero_items", refuse)
+def test_power_report_builds_no_dense_commutant_grid(tmp_path, command):
+    # the operator T, its channel restrictions and the commutant basis are
+    # all SparseMatrix, the package's one operator type, which has no dense
+    # view to build (tests/test_package.py); every command on the z^n path
+    # passes on their nonzeros alone
     for mode in (("--mode", "exact"), ("--mode", "float", "--tol", "1e-9")):
         code, rep = run_cli_json(
             tmp_path, command, "--m", "2", "--n", "2", "--blocks", "3", *mode

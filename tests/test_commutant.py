@@ -52,6 +52,7 @@ from helpers import (
     restrict_reference,
     rows_of_terms,
     selfadjoint_rows_reference,
+    sparse,
     sym_var_ids_reference,
     terms_of,
 )
@@ -59,7 +60,7 @@ from helpers import (
 
 def test_shift_commutant_is_lower_toeplitz_span():
     J = dense(scalar_shift(3))
-    cb = commutant_basis(J)
+    cb = commutant_basis(scalar_shift(3))
     assert cb.dim == 3
     for b in dense_basis(cb):
         assert is_lower_toeplitz(b)
@@ -70,30 +71,30 @@ def test_shift_commutant_is_lower_toeplitz_span():
 
 
 def test_commutant_dims_of_reference_matrices():
-    assert commutant_basis(DenseMatrix.identity(3)).dim == 9
-    assert commutant_basis(DenseMatrix.zeros(2, 2)).dim == 4
-    assert commutant_basis(DenseMatrix.diagonal([1, 2])).dim == 2
+    assert commutant_basis(sparse(DenseMatrix.identity(3))).dim == 9
+    assert commutant_basis(sparse(DenseMatrix.zeros(2, 2))).dim == 4
+    assert commutant_basis(sparse(DenseMatrix.diagonal([1, 2]))).dim == 2
     assert commutant_basis(scalar_shift(5)).dim == 5
 
 
 def test_commutant_requires_square():
     with pytest.raises(ShapeError):
-        commutant_basis(DenseMatrix.zeros(2, 3))
+        commutant_basis(sparse(DenseMatrix.zeros(2, 3)))
 
 
 def test_commutant_of_shift_sum():
     # r equal shift blocks of size K: dimension r^2 * K.  They are X* T X
     # for z^r on the scalar Hardy space, so X b X* is read by the relabel
     for r, K in [(2, 2), (2, 3), (3, 2)]:
-        A = direct_sum([scalar_shift(K).to_dense()] * r)
-        cb = commutant_basis(A)
+        A = direct_sum([dense(scalar_shift(K))] * r)
+        cb = commutant_basis(sparse(A))
         assert cb.dim == r * r * K
         p = TruncationParams(1, r, K)
         X = build_intertwiner(p)
         for b in dense_basis(cb):
             assert (A @ b - b @ A).is_zero()
             assert dense_block_toeplitz_reference(b, K)
-            assert is_block_lower_toeplitz(X @ b @ X.adjoint(), p)
+            assert is_block_lower_toeplitz(sparse(X @ b @ X.adjoint()), p)
 
 
 def test_commutant_basis_is_independent():
@@ -112,7 +113,7 @@ def test_power_operator_commutant_via_intertwiner():
     Xh = X.adjoint()
     for b in dense_basis(cb):
         assert dense_block_toeplitz_reference(Xh @ b @ X, p.K)
-        assert is_block_lower_toeplitz(b, p)
+        assert is_block_lower_toeplitz(sparse(b), p)
 
 
 def test_relabeled_block_check_matches_dense_conjugation():
@@ -123,13 +124,13 @@ def test_relabeled_block_check_matches_dense_conjugation():
     X = build_intertwiner(p)
     Xh = X.adjoint()
     P = dense_basis(commutant_basis(power_symbol(p)))[0]
-    assert is_block_lower_toeplitz(P, p)
+    assert is_block_lower_toeplitz(sparse(P), p)
     one = GaussianRational(1)
     for a, b in ((0, 1), (1, 1), (p.K + 1, 1)):
         rows = [list(r) for r in P.entries]
         rows[order[a]][order[b]] = rows[order[a]][order[b]] + one
         Q = DenseMatrix(rows)
-        assert not is_block_lower_toeplitz(Q, p)
+        assert not is_block_lower_toeplitz(sparse(Q), p)
         assert not dense_block_toeplitz_reference(Xh @ Q @ X, p.K)
 
 
@@ -315,11 +316,11 @@ def test_block_lower_toeplitz_predicate():
     # read through it is p, whose two 2 x 2 blocks are lower Toeplitz
     two_blocks = TruncationParams(1, 2, 2)
     q = DenseMatrix([[p[a][b] for b in (0, 2, 1, 3)] for a in (0, 2, 1, 3)])
-    assert is_block_lower_toeplitz(q, two_blocks)
-    assert not is_block_lower_toeplitz(p, two_blocks)
+    assert is_block_lower_toeplitz(sparse(q), two_blocks)
+    assert not is_block_lower_toeplitz(sparse(p), two_blocks)
     # one channel: no relabel, one 4 x 4 block
-    assert not is_block_lower_toeplitz(p, TruncationParams(1, 1, 4))
-    assert not is_block_lower_toeplitz(p, TruncationParams(1, 1, 3))  # P is not d x d
+    assert not is_block_lower_toeplitz(sparse(p), TruncationParams(1, 1, 4))
+    assert not is_block_lower_toeplitz(sparse(p), TruncationParams(1, 1, 3))  # not d x d
 
 
 AUDIT_TOL = 1e-6
@@ -384,12 +385,10 @@ def test_sparse_audit_matches_the_dense_scan(case):
     expected = dense_block_toeplitz_reference(
         P, params.K, tol, channel_order_reference(params)
     )
-    sparse = SparseMatrix(
-        {(u, v): s for u, v, s in P.nonzero_items()}, P.rows, P.cols, mode
-    )
-    assert is_block_lower_toeplitz(P, params, tol) == expected
-    assert is_block_lower_toeplitz(sparse, params, tol) == expected
-    assert (toeplitz_break(sparse, params, tol) is None) == expected
+    # stored in full, zeros included, and as its nonzeros only
+    assert is_block_lower_toeplitz(sparse(P, full=True), params, tol) == expected
+    assert is_block_lower_toeplitz(sparse(P), params, tol) == expected
+    assert (toeplitz_break(sparse(P), params, tol) is None) == expected
     if change == "none" or (change == "below_tol" and mode == "float"):
         assert expected
     if change == "above" and params.K > 1:
@@ -399,10 +398,10 @@ def test_sparse_audit_matches_the_dense_scan(case):
 def test_selfadjoint_dims_reference_values():
     for K in range(1, 6):
         assert selfadjoint_commutant_dim(scalar_shift(K)) == 1
-    assert selfadjoint_commutant_dim(DenseMatrix.identity(3)) == 9
-    assert selfadjoint_commutant_dim(DenseMatrix.zeros(2, 2)) == 4
-    assert selfadjoint_commutant_dim(direct_sum([scalar_shift(2).to_dense()] * 2)) == 4
-    assert selfadjoint_commutant_dim(direct_sum([scalar_shift(3).to_dense()] * 3)) == 9
+    assert selfadjoint_commutant_dim(sparse(DenseMatrix.identity(3))) == 9
+    assert selfadjoint_commutant_dim(sparse(DenseMatrix.zeros(2, 2))) == 4
+    assert selfadjoint_commutant_dim(sparse(direct_sum([dense(scalar_shift(2))] * 2))) == 4
+    assert selfadjoint_commutant_dim(sparse(direct_sum([dense(scalar_shift(3))] * 3))) == 9
 
 
 def test_selfadjoint_dim_of_power_operator():
@@ -414,7 +413,7 @@ def test_selfadjoint_dim_of_power_operator():
         assert selfadjoint_commutant_dim(power_symbol(p)) == p.r ** 2
         # -T has the commutant of T, but no chain walk: its blocks read
         # x = -y and go to elimination
-        neg = dense(power_symbol(p)).scaled(-1)
+        neg = sparse(dense(power_symbol(p)).scaled(-1))
         assert selfadjoint_commutant_dim(neg) == p.r ** 2
         assert commutant_basis(neg).dim == p.r ** 2 * p.K
 
@@ -422,14 +421,14 @@ def test_selfadjoint_dim_of_power_operator():
 def test_selfadjoint_dim_with_complex_entries():
     # A = i*J: commutant unchanged, realified system exercises the C-part
     J = dense(scalar_shift(3))
-    A = J.scaled(GaussianRational(0, 1))
+    A = sparse(J.scaled(GaussianRational(0, 1)))
     assert selfadjoint_commutant_dim(A) == 1
     assert commutant_basis(A).dim == 3
     # B^2 = iI, so the commutant is span{I, B}; bB is Hermitian on one real
     # line of b, and the sign of the antisymmetric part decides it
-    B = DenseMatrix([[0, 1], [GaussianRational(0, 1), 0]])
+    B = sparse([[0, 1], [GaussianRational(0, 1), 0]])
     assert selfadjoint_commutant_dim(B) == 2
-    C = DenseMatrix([[0, 0], [GaussianRational(1, 1), 0]])
+    C = sparse([[0, 0], [GaussianRational(1, 1), 0]])
     assert selfadjoint_commutant_dim(C) == 1
 
 
@@ -461,8 +460,8 @@ def test_restrict_compresses_invariant_subspace():
     assert restrict(T, list(flats)) == scalar_shift(p.K)
     assert restrict(T, tuple(flats)) == scalar_shift(p.K)
     # the identity compresses to the identity on any channel
-    compressed = restrict(DenseMatrix.identity(p.d), flats)
-    assert compressed.to_dense() == DenseMatrix.identity(p.K)
+    compressed = restrict(sparse(DenseMatrix.identity(p.d)), flats)
+    assert dense(compressed) == DenseMatrix.identity(p.K)
 
 
 def test_restrict_rejects_non_invariant_subspace():
@@ -482,7 +481,7 @@ def test_commutant_soundness_on_random_matrices():
         A = DenseMatrix(
             [[rand_gaussian_rational(rng, span=2, den=2) for _ in range(3)] for _ in range(3)]
         )
-        cb = commutant_basis(A)
+        cb = commutant_basis(sparse(A))
         assert cb.dim >= 1  # the identity always commutes
         for b in dense_basis(cb):
             assert (A @ b - b @ A).is_zero()
@@ -502,7 +501,7 @@ small_scalars = st.builds(GaussianRational, small_fractions, small_fractions)
 )
 def test_commutant_kernel_property(rows):
     A = DenseMatrix(rows)
-    cb = commutant_basis(A)
+    cb = commutant_basis(sparse(A))
     for b in dense_basis(cb):
         assert (A @ b - b @ A).is_zero()
 
@@ -515,8 +514,8 @@ NEAR_TOL = (0j, complex(-0.0, 0.0), 0.9 * RESTRICT_TOL, -0.9j * RESTRICT_TOL,
 
 @st.composite
 def restriction_cases(draw):
-    """(A, indices, tol): a random exact or float matrix, stored dense or
-    sparse, and distinct indices in a random order.  Half the draws clear
+    """(A, indices, tol): a random exact or float matrix, stored in full
+    (zeros included) or as its nonzeros, and distinct indices in a random order.  Half the draws clear
     every leak (to entries within tol in float mode), so that both the
     compression and the InvarianceError get exercised."""
     mode = draw(st.sampled_from(["exact", "float"]))
@@ -536,19 +535,15 @@ def restriction_cases(draw):
         for u in set(range(d)) - set(indices):
             for v in indices:
                 grid[u][v] = draw(small)
-    A = DenseMatrix(grid, mode)
-    if draw(st.booleans()):
-        A = SparseMatrix({(u, v): s for u, v, s in A.nonzero_items()}, d, d, mode)
-    return A, indices, tol
+    return sparse(grid, mode, full=draw(st.booleans())), indices, tol
 
 
 @settings(max_examples=300, deadline=None)
 @given(restriction_cases())
 def test_restrict_matches_the_dense_scan(case):
     A, indices, tol = case
-    dense = A if isinstance(A, DenseMatrix) else A.to_dense()
     try:
-        want = restrict_reference(dense, indices, tol)
+        want = restrict_reference(dense(A), indices, tol)
     except InvarianceError as exc:
         with pytest.raises(InvarianceError) as got:
             restrict(A, indices, tol)
@@ -556,7 +551,7 @@ def test_restrict_matches_the_dense_scan(case):
     else:
         got = restrict(A, indices, tol)
         assert isinstance(got, SparseMatrix)
-        assert got.to_dense() == want
+        assert dense(got) == want
         assert list(got.nonzero_items()) == list(want.nonzero_items())
 
 
@@ -666,7 +661,7 @@ entries = st.one_of(st.just(GaussianRational(0)), st.builds(GaussianRational, dy
     st.sampled_from(["exact", "float"]),
 )
 def test_selfadjoint_rows_split_the_commutation_rows(rows, mode):
-    assert_rows_match_reference(DenseMatrix(rows, mode))
+    assert_rows_match_reference(sparse(rows, mode))
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -697,7 +692,7 @@ def partial_permutations(draw):
         start += length
         for v, u in zip(path, path[1:] + path[:1] if kind == "cycle" else path[1:]):
             grid[u][v] = 1
-    return DenseMatrix(grid, "exact")
+    return sparse(grid)
 
 
 def assert_matches_the_commutation_system(A, tol=None):
@@ -751,9 +746,9 @@ def test_other_operators_decline_the_chain_path(change):
         A, tol = power_symbol(params, "float"), 1e-9
     else:
         u, v, value = change
-        rows = [list(r) for r in power_symbol(params).to_dense().entries]
+        rows = [list(r) for r in dense(power_symbol(params)).entries]
         rows[u][v] = GaussianRational(value)
-        A, tol = DenseMatrix(rows), None
+        A, tol = sparse(rows), None
     assert _partial_permutation(A) is None
     assert_matches_the_commutation_system(A, tol)
 

@@ -23,6 +23,7 @@ from helpers import (
     dense,
     intertwines_reference,
     is_permutation,
+    sparse,
 )
 
 
@@ -162,9 +163,9 @@ def test_verify_equivalence_can_fail(monkeypatch):
     assert rep.unitary and not rep.intertwines
     # one entry of z^n changed, on and off the shift pattern
     for u, v in ((2, 0), (0, 1)):
-        rows = [list(r) for r in power_symbol(p).to_dense().entries]
+        rows = [list(r) for r in dense(power_symbol(p)).entries]
         rows[u][v] = 1 - rows[u][v]
-        rep = verify_equivalence(DenseMatrix(rows), p)
+        rep = verify_equivalence(sparse(rows), p)
         assert rep.unitary and not rep.intertwines
     # channels that repeat a flat index are no permutation
     monkeypatch.setattr(
@@ -202,16 +203,17 @@ TOL = 1e-6
 )
 def test_nonzero_scan_matches_the_dense_scan(params, mode, u, v, value, tol, expected):
     T = power_symbol(params, mode)
-    dense = T.to_dense()
+    full = dense(T)
     if u is not None:
         u = params.r if u == "s" else u  # T e_0 = e_r, the first shift entry
-        rows = [list(r) for r in dense.entries]
+        rows = [list(r) for r in full.entries]
         rows[u][v] = value if mode == "float" else GaussianRational(value)
-        T = dense = DenseMatrix(rows, mode)
+        full = DenseMatrix(rows, mode)
+        T = sparse(full)
     rep = verify_equivalence(T, params, tol)
     assert rep.intertwines is expected
     assert intertwines_reference(
-        dense, channel_order_reference(params), params, mode, tol
+        full, channel_order_reference(params), params, mode, tol
     ) is expected
     assert (shift_break(T, params, tol) is None) is expected
 

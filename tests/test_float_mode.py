@@ -32,6 +32,7 @@ from helpers import (
     matrices_close,
     rows_of_terms,
     selfadjoint_rows_reference,
+    sparse,
 )
 
 TOL = 1e-9
@@ -58,13 +59,13 @@ def test_float_equivalence():
 
 def test_float_commutant_dims():
     J = dense(scalar_shift(3, mode="float"))
-    cb = commutant_basis(J, tol=TOL)
+    cb = commutant_basis(sparse(J), tol=TOL)
     assert cb.dim == 3
     for b in dense_basis(cb):
         assert matrices_close(J @ b, b @ J, tol=1e-7)
-    assert selfadjoint_commutant_dim(J, tol=TOL) == 1
-    D = direct_sum([scalar_shift(2, mode="float").to_dense()] * 2)
-    assert selfadjoint_commutant_dim(D, tol=TOL) == 4
+    assert selfadjoint_commutant_dim(sparse(J), tol=TOL) == 1
+    D = direct_sum([dense(scalar_shift(2, mode="float"))] * 2)
+    assert selfadjoint_commutant_dim(sparse(D), tol=TOL) == 4
 
 
 def test_float_mode_requires_tol():
@@ -89,7 +90,7 @@ def test_float_lattice():
 def test_rank_ambiguity_raised_near_tol():
     # singular values of the commutation system of diag(0, s) sit at 0 and s;
     # s equal to tol is exactly the undecidable band
-    A = DenseMatrix([[0.0, 0.0], [0.0, 1e-9]], mode="float")
+    A = sparse([[0.0, 0.0], [0.0, 1e-9]], "float")
     with pytest.raises(RankAmbiguityError):
         commutant_basis(A, tol=TOL)
     with pytest.raises(RankAmbiguityError):
@@ -99,16 +100,16 @@ def test_rank_ambiguity_raised_near_tol():
 def test_rank_ambiguity_band_edges():
     # an order of magnitude away on either side is decidable again
     for s in (1e-12, 1e-6):
-        A = DenseMatrix([[0.0, 0.0], [0.0, s]], mode="float")
+        A = sparse([[0.0, 0.0], [0.0, s]], "float")
         commutant_basis(A, tol=TOL)  # must not raise
-    clean = DenseMatrix([[0.0, 0.0], [0.0, 1.0]], mode="float")
+    clean = sparse([[0.0, 0.0], [0.0, 1.0]], "float")
     assert commutant_basis(clean, tol=TOL).dim == 2
 
 
 def test_float_rank_of_power_operator():
     p = TruncationParams(2, 2, 3)
     T = power_symbol(p, mode="float")
-    assert T.to_dense().rank(tol=TOL) == p.m * (p.N - p.n)
+    assert T.rank(tol=TOL) == p.m * (p.N - p.n)
 
 
 def test_float_projection_predicate():
@@ -188,15 +189,15 @@ def sparse_float_operators(draw):
     d = draw(st.integers(1, 5))
     diagonal = st.sampled_from([0j, 0j, 1 + 0j, 0.5 - 2j])
     entry = st.one_of(st.just(0j), st.just(0j), st.builds(complex, PARTS, PARTS))
-    return DenseMatrix(
+    return sparse(
         [[draw(diagonal if u == v else entry) for v in range(d)] for u in range(d)], "float"
     )
 
 
 @settings(max_examples=120, deadline=None)
 @given(sparse_float_operators())
-@example(DenseMatrix([[0, 0], [1j, 0]], "float"))  # P[1][0] is in no equation
-@example(DenseMatrix([[2, 0], [0, 2]], "float"))  # every equation cancels
+@example(sparse([[0, 0], [1j, 0]], "float"))  # P[1][0] is in no equation
+@example(sparse([[2, 0], [0, 2]], "float"))  # every equation cancels
 def test_float_systems_match_the_dict_rows(A):
     ncols = A.rows * A.rows
     for realified, reference in ((False, commutation_rows_reference),

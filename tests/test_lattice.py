@@ -34,6 +34,7 @@ from helpers import (
     is_projection,
     mask_projection,
     matrices_close,
+    sparse,
 )
 
 
@@ -99,10 +100,10 @@ def test_cross_channel_entry_breaks_masks_like_direct_commutation():
     # agree with the dense commutation P T == T P on every mask
     p = TruncationParams(2, 2, 2)
     order = channel_order_reference(p)
-    rows = [list(r) for r in power_symbol(p).to_dense().entries]
+    rows = [list(r) for r in dense(power_symbol(p)).entries]
     rows[order[0]][order[p.K]] = GaussianRational(1, 1)
     T = DenseMatrix(rows)
-    edges = channel_edges(T, p)
+    edges = channel_edges(sparse(T), p)
     assert edges == {(0, 1)}
     verdicts = []
     for v in range(1 << p.r):
@@ -132,10 +133,10 @@ def test_channel_edges_respect_float_tolerance():
     p = TruncationParams(1, 2, 2)
     order = channel_order_reference(p)
     for value, joined in ((1e-12, False), (1e-3, True)):
-        rows = [list(r) for r in power_symbol(p, "float").to_dense().entries]
+        rows = [list(r) for r in dense(power_symbol(p, "float")).entries]
         rows[order[0]][order[p.K]] = complex(value)
         T = DenseMatrix(rows, "float")
-        edges = channel_edges(T, p, tol=1e-9)
+        edges = channel_edges(sparse(T), p, tol=1e-9)
         assert bool(edges) == joined
         for v in range(1 << p.r):
             P = mask_projection(v, p.r, p, "float")

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hardyshift import DenseMatrix, GaussianRational
 from hardyshift.errors import ShapeError
 
-# The package's DenseMatrix keeps its constructor, identity, nnz and rank;
-# the algebra checked here is the tests' reference, helpers.DenseMatrix.
+# The package's DenseMatrix keeps its validating constructor and identity,
+# and SparseMatrix has the rank; the algebra checked here is the tests'
+# reference, helpers.DenseMatrix.
 import helpers
 from helpers import (
     commutator,
@@ -18,6 +19,7 @@ from helpers import (
     is_permutation,
     matrices_close,
     rand_gaussian_rational,
+    sparse,
 )
 
 
@@ -30,7 +32,7 @@ def rand_matrix(rng, rows, cols):
 def test_constructor_normalizes_and_validates():
     m = DenseMatrix([[1, Fraction(1, 2)], [0, GaussianRational(0, 1)]])
     assert m.shape == (2, 2)
-    assert m[0][1] == GaussianRational(Fraction(1, 2))
+    assert m.entries[0][1] == GaussianRational(Fraction(1, 2))
     with pytest.raises(ShapeError):
         DenseMatrix([[1, 2], [3]])
     with pytest.raises(ShapeError):
@@ -40,7 +42,7 @@ def test_constructor_normalizes_and_validates():
 
 
 def test_identity_zeros_diagonal():
-    assert DenseMatrix.identity(3)[1][1] == 1
+    assert DenseMatrix.identity(3).entries[1][1] == 1
     assert helpers.DenseMatrix.zeros(2, 3).is_zero()
     d = helpers.DenseMatrix.diagonal([1, 0, 2])
     assert d[0][0] == 1 and d[1][1] == 0 and d[2][2] == 2
@@ -127,16 +129,16 @@ def test_commutator():
 
 
 def test_exact_rank():
-    assert DenseMatrix.identity(4).rank() == 4
-    assert helpers.DenseMatrix.zeros(3, 3).rank() == 0
-    assert DenseMatrix([[1, 2], [2, 4]]).rank() == 1
-    assert DenseMatrix(
+    assert sparse(DenseMatrix.identity(4)).rank() == 4
+    assert sparse(helpers.DenseMatrix.zeros(3, 3)).rank() == 0
+    assert sparse([[1, 2], [2, 4]]).rank() == 1
+    assert sparse(
         [[1, 0, 1], [0, 1, 1], [1, 1, 2]]
     ).rank() == 2
 
 
 def test_float_rank_requires_tol():
-    m = DenseMatrix([[1.0, 0.0], [0.0, 1.0]], mode="float")
+    m = sparse([[1.0, 0.0], [0.0, 1.0]], "float")
     assert m.rank(tol=1e-9) == 2
     with pytest.raises(ValueError):
         m.rank()
@@ -154,7 +156,7 @@ small_integer_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap
 @settings(max_examples=80, deadline=None)
 @given(small_integer_matrices)
 def test_exact_rank_matches_numpy(rows):
-    assert DenseMatrix(rows).rank() == np.linalg.matrix_rank(np.array(rows, dtype=float))
+    assert sparse(rows).rank() == np.linalg.matrix_rank(np.array(rows, dtype=float))
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,7 +173,7 @@ def test_float_rank_matches_numpy_on_well_separated_spectra(n, m, data):
     mat = left @ np.diag(svals) @ right
     expected = np.linalg.matrix_rank(mat)
     assert expected == sum(1 for s in svals if s)
-    assert DenseMatrix(mat.tolist(), mode="float").rank(tol=1e-9) == expected
+    assert sparse(mat.tolist(), "float").rank(tol=1e-9) == expected
 
 
 def test_is_permutation():

@@ -16,3 +16,8 @@ def test_dense_algebra_is_not_part_of_the_package():
     assert "is_lower_toeplitz" not in hardyshift.__all__
     assert not {"np", "numpy"} & set(vars(matrices))
     assert not hasattr(hardyshift.DenseMatrix, "__matmul__")
+    # SparseMatrix is the one operator type: it has no dense view, and
+    # DenseMatrix is only a symbol's validated coefficient matrix
+    assert not hasattr(hardyshift.SparseMatrix, "to_dense")
+    for name in ("nonzero_items", "nnz", "rank", "__getitem__"):
+        assert not hasattr(hardyshift.DenseMatrix, name)

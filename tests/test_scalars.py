@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,16 @@ def test_json_float_parts_gated_by_mode():
 def test_json_float_mode_rejects_non_finite(obj):
     with pytest.raises(ValueError):
         scalar_from_json(obj, "float")
+
+
+def test_json_parts_end_where_str_stops_printing():
+    # a part of exactly the limit's digits prints; one more digit is refused
+    limit = sys.get_int_max_str_digits()
+    for literal in (f"1e{limit - 1}", f"1e-{limit - 1}", "1e1_0_0", "1e000000000000000000003"):
+        assert str(scalar_from_json(literal, "exact").re) == str(Fraction(literal))
+    for literal in (f"1e{limit}", f"1e-{limit}", f"1e{2 * limit + 1}", f"-1e-{10**9}"):
+        with pytest.raises(ValueError):
+            scalar_from_json(literal, "exact")
 
 
 def test_json_rejects_junk():

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from hardyshift import GaussianRational, TruncationParams
 from hardyshift.errors import ShapeError
-from hardyshift.space import flat_index
 
 from helpers import (
     SWEEP,
     basis_vector,
+    flat_index,
     inner_product,
     norm,
     norm_squared,
