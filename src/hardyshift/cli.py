@@ -141,6 +141,8 @@ def _operator(cfg: argparse.Namespace, params: TruncationParams):
         raise ConfigError(f"symbol file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"symbol file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("symbol file nests its JSON too deeply to parse") from exc
     except ValueError as exc:
         # json refuses an integer literal that int() would refuse
         raise ConfigError(f"symbol file holds an integer of more than "

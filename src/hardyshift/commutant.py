@@ -2,13 +2,15 @@
 
 The commutant of A is the kernel of P -> AP - PA.  When A is an exact 0/1
 partial permutation, A e_v = e_succ(v) or 0, as T = M_{z^n} and each of
-its channel restrictions are, no system is built: equation (a, b) reads
+its channel restrictions are, no system is built.  One scan of A, made
+once per operator, gives succ and pred; equation (a, b) reads
 P[pred a][b] = P[a][succ b], so the unknowns fall into chains
 (u, v) -> (succ u, succ v), and ``_chains`` reads the kernel off their
 ends as flat integer keys, the vectors ``linalg.kernel_basis`` returns.
 As the paper counts, for z^n the surviving chains are the diagonals of
-the channel pairs, r^2 K of them, which the Lemma-3 audit checks in
-integers, and the self-adjoint commutant has dimension r^2.
+the channel pairs, r^2 K of them, each a ``range`` of keys that the
+Lemma-3 audit decides from its two ends, and the self-adjoint commutant
+has dimension r^2.
 
 Every other operator, and every operator in float mode, goes through a
 sparse homogeneous system with one equation per matrix position, unknowns
@@ -60,9 +62,11 @@ from .space import TruncationParams
 @dataclass(frozen=True)
 class CommutantBasis:
     """Echelon-normalized basis of {P : AP = PA} for a d x d matrix A.  The
-    chain path keeps each element as its chain (``_chains``), an array of
-    the ascending flat keys u*d + v where it holds the exact one, read as a
-    matrix through ``chain_view``; every other path keeps a ``SparseMatrix``."""
+    chain path keeps each element as its chain (``_chains``), the ascending
+    flat keys u*d + v where it holds the exact one: a ``range`` for a
+    diagonal of z^n or of a channel restriction, an ``array('q')`` for any
+    other chain, read as a matrix through ``chain_view``.  Every other path
+    keeps a ``SparseMatrix``."""
 
     d: int
     members: tuple
@@ -73,17 +77,17 @@ class CommutantBasis:
 
     def element(self, i: int) -> SparseMatrix:
         P = self.members[i]
-        return chain_view(P, self.d) if isinstance(P, array) else P
+        return P if isinstance(P, SparseMatrix) else chain_view(P, self.d)
 
     @cached_property
     def elements(self) -> tuple[SparseMatrix, ...]:
         return tuple(map(self.element, range(self.dim)))
 
 
-def chain_view(keys: array, d: int) -> SparseMatrix:
+def chain_view(keys: Sequence[int], d: int) -> SparseMatrix:
     """The d x d matrix with the exact one at each key of a chain, stored as
     ``kernel_basis`` returns its vector: the last key (the free column) first."""
-    entries = dict.fromkeys(map(divmod, keys[-1:] + keys[:-1], repeat(d)), scalars.one("exact"))
+    entries = dict.fromkeys(map(divmod, [*keys[-1:], *keys[:-1]], repeat(d)), scalars.one("exact"))
     return SparseMatrix(entries, d, d, "exact")
 
 
@@ -222,9 +226,18 @@ def _partial_permutation(A: SparseMatrix):
     return succ, pred, height
 
 
+def _shape(A: SparseMatrix):
+    """``_partial_permutation(A)``, scanned once per operator: kept on A,
+    which is never changed, for its next commutant."""
+    cache = A.__dict__
+    if "_shape" not in cache:
+        cache["_shape"] = _partial_permutation(A)
+    return cache["_shape"]
+
+
 def _chains(succ: list[int], pred: list[int], height: list[int]):
     """The chains of a 0/1 partial permutation's commutation system that
-    carry a kernel vector, each as an array of its ascending flat keys u*d + v.
+    carry a kernel vector, each as its ascending flat keys u*d + v.
 
     Equation (a, b) of AP = PA reads P[pred a][b] = P[a][succ b], a term
     with index -1 dropped, so the unknowns fall into chains
@@ -232,7 +245,13 @@ def _chains(succ: list[int], pred: list[int], height: list[int]):
     indicator unless a one-term equation zeroes it.  A chain that starts
     at (u0, v0) escapes the one-term equation at its start exactly when
     pred[v0] is -1, and the one at its end exactly when its last row index
-    has no successor, that is when height[u0] <= height[v0].
+    has no successor, that is when height[u0] <= height[v0]: it zips the
+    rest of u0's walk with the start of v0's, which is no shorter.
+
+    When both walks step up by one s, as every walk of z^n does with
+    s = r and every walk of a channel restriction with s = 1, the chain's
+    keys step by s*d + s and it is a ``range``, one diagonal of one block
+    (the paper's Lemma 3).  Any other chain is an ``array('q')``.
     """
     d = len(succ)
     walks, rows = {}, [None] * d
@@ -242,14 +261,22 @@ def _chains(succ: list[int], pred: list[int], height: list[int]):
             while u >= 0:
                 walk.append(u)
                 u = succ[u]
-            walks[head], scaled = walk, [u * d for u in walk]
+            # the walk's step if it is an ascending run, else 0
+            s = walk[1] - head if len(walk) > 1 else 1
+            if s < 1 or walk != list(range(head, head + s * len(walk), s)):
+                s = 0
+            walks[head], scaled = (walk, s), [u * d for u in walk]
             for i, u in enumerate(walk):
-                rows[u] = scaled, i  # u*d along u's path: walk from i on
-    for v0, walk in walks.items():
+                rows[u] = scaled, i, s  # u*d along u's path: walk from i on
+    for v0, (walk, s) in walks.items():
         for u0 in range(d):
             if height[u0] <= height[v0]:
-                scaled, i = rows[u0]
-                yield array("q", sorted(map(add, islice(scaled, i, None), walk)))
+                scaled, i, t = rows[u0]
+                if s and s == t:
+                    key, step = u0 * d + v0, s * d + s
+                    yield range(key, key + (len(scaled) - i) * step, step)
+                else:
+                    yield array("q", sorted(map(add, islice(scaled, i, None), walk)))
     yield from _closed_orbits(succ, height)
 
 
@@ -280,7 +307,7 @@ def commutant_basis(A: SparseMatrix, tol: float | None = None) -> CommutantBasis
     if A.rows != A.cols:
         raise ShapeError("commutant needs a square matrix")
     d = A.rows
-    shape = _partial_permutation(A)
+    shape = _shape(A)
     if shape is not None:
         # in kernel_basis's order: ascending free column, each chain's last key
         return CommutantBasis(d, tuple(sorted(_chains(*shape), key=lambda keys: keys[-1])))
@@ -319,7 +346,7 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
     """
     if A.rows != A.cols:
         raise ShapeError("commutant needs a square matrix")
-    shape = _partial_permutation(A)
+    shape = _shape(A)
     if shape is not None:
         succ, pred, height = shape
         heads = Counter(height[v] for v in range(A.rows) if pred[v] < 0)
@@ -330,7 +357,7 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
 
 
 def is_block_lower_toeplitz(
-    P: SparseMatrix | array, params: TruncationParams, tol: float | None = None
+    P: SparseMatrix | Sequence[int], params: TruncationParams, tol: float | None = None
 ) -> bool:
     """True when X* P X is block lower Toeplitz for the intertwiner X of
     ``params``: every K x K block, the entries between two channels, is
@@ -344,15 +371,22 @@ def is_block_lower_toeplitz(
 
     A chain (``CommutantBasis``) whose keys f*d + g are one run with step
     r*d + r is one diagonal of one block, and passes exactly when its head
-    has g < r, so it wraps no row, and its tail f >= d - r.  A key outside
-    range(d^2) fails the shape rule; ``toeplitz_break`` decides the rest.
+    has g < r, so it wraps no row, and its tail f >= d - r.  A ``range``
+    of that step is decided from its two ends in O(1), any other chain
+    by its key list.  A key outside range(d^2) fails the shape rule;
+    ``toeplitz_break`` decides the rest on the chain's view.
     """
     d, r = params.d, params.r
-    if isinstance(P, array):
-        keys, step = P.tolist(), r * d + r
-        if keys and keys == list(range(keys[0], keys[0] + step * len(keys), step)):
-            return 0 <= keys[0] and keys[0] % d < r and d - r <= keys[-1] // d < d
-        if keys and (min(keys) < 0 or max(keys) >= d * d):
+    if not isinstance(P, SparseMatrix):
+        step = r * d + r
+        # a range is that run when its step is; other keys are compared one by one
+        if isinstance(P, range):
+            run = P.step == step
+        else:
+            run = P and list(P) == list(range(P[0], P[0] + step * len(P), step))
+        if P and run:
+            return 0 <= P[0] and P[0] % d < r and d - r <= P[-1] // d < d
+        if P and (min(P) < 0 or max(P) >= d * d):
             return False
         P = chain_view(P, d)
     elif P.shape != (d, d):

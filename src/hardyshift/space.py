@@ -16,12 +16,15 @@ size K.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
 class TruncationParams:
     """Model size: m components, multiplication by z^n, K coefficients kept
-    per channel."""
+    per channel.  The derived sizes are computed on first read and then
+    read as plain attributes, since the Lemma-3 audit reads d and r once
+    per commutant element."""
 
     m: int
     n: int
@@ -33,17 +36,17 @@ class TruncationParams:
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
-    @property
+    @cached_property
     def N(self) -> int:
         """Degree cutoff: coefficients of z^p are kept for p < N."""
         return self.n * self.K
 
-    @property
+    @cached_property
     def d(self) -> int:
         """Dimension of the truncated space."""
         return self.m * self.N
 
-    @property
+    @cached_property
     def r(self) -> int:
         """Number of channels (shift blocks) in the decomposition."""
         return self.m * self.n

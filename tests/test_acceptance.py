@@ -292,6 +292,11 @@ PINNED_REPORTS = {
         ["full-report", "--m", "2", "--n", "2", "--blocks", "12"],
         "77508ac4bbb28df4690581cbde0663752089b826bf419f68a3993b4bde5a8589",
     ),
+    # a large K, where each chain is kept as a range and audited in O(1)
+    "full-report (2,2,300)": (
+        ["full-report", "--m", "2", "--n", "2", "--blocks", "300"],
+        "143a79b9e7d2003c2923b0b1037a8bfcd924a36cae6123615e5252ea28837d31",
+    ),
     "full-report (3,2,2)": (
         ["full-report", "--m", "3", "--n", "2", "--blocks", "2"],
         "de6544c2d0054c2273579a1ecd7c05dcf9e4919c30abe8629ca1090c36195d82",

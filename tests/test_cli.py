@@ -170,6 +170,15 @@ def test_symbol_file_not_utf8(tmp_path, capsys):
                    "byte 0xff in position 0: invalid start byte\n")
 
 
+def test_symbol_file_nested_too_deeply(tmp_path, capsys):
+    # json.loads recurses once per bracket and gives up with RecursionError
+    path = tmp_path / "symbol.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    err = refused(tmp_path, capsys,
+                  "build", "--m", "1", "--n", "1", "--blocks", "2", "--symbol", str(path))
+    assert err == "error: symbol file nests its JSON too deeply to parse\n"
+
+
 @pytest.mark.parametrize("mode", [(), ("--mode", "float", "--tol", "1e-9")],
                          ids=["exact", "float"])
 @pytest.mark.parametrize(
@@ -539,6 +548,22 @@ def test_chain_reports_match_elimination(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(commutant, "_partial_permutation", lambda A: None)
     assert main([*argv, "--out", str(eliminated)]) == 0
     assert shipped.read_bytes() == eliminated.read_bytes()
+
+
+@pytest.mark.parametrize("K", [3, 30])
+def test_full_report_scans_each_operator_once(tmp_path, monkeypatch, K):
+    # the basis and the self-adjoint dimension of T share one scan of T,
+    # and the r equal channel restrictions one scan of their common shift
+    real, scanned = commutant._partial_permutation, []
+
+    def counted(A):
+        scanned.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(commutant, "_partial_permutation", counted)
+    argv = ["full-report", "--m", "2", "--n", "2", "--blocks", str(K)]
+    assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert scanned == [(4 * K, 4 * K), (K, K)]
 
 
 def test_float_mode_flags(tmp_path, capsys):

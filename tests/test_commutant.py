@@ -15,6 +15,7 @@ from hardyshift import (
     TruncationParams,
     channel,
     channel_flats,
+    channels,
     commutant_basis,
     is_block_lower_toeplitz,
     linalg,
@@ -724,6 +725,9 @@ def test_chain_path_matches_the_commutation_system(A):
     assert all(
         s is scalars.one("exact") for P in commutant_basis(A).elements for s in P.entries.values()
     )
+    # a run of one step is a range, any other chain an array, both ascending
+    assert all(type(P) in (range, array) and list(P) == sorted(P)
+               for P in commutant_basis(A).members)
 
 
 @pytest.mark.parametrize("m,n,K", [(1, 1, 1), (2, 2, 3), (3, 2, 2), (2, 3, 4)])
@@ -754,10 +758,12 @@ def test_other_operators_decline_the_chain_path(change):
 
 
 def assert_chain_audit_matches_the_view(keys, params):
-    """The integer audit of a chain element against ``toeplitz_break`` on
-    its view; returns the verdict.  A key outside range(d^2) has no place
-    in a d x d view, and fails as a matrix of the wrong shape does."""
-    keys = array("q", keys)
+    """The integer audit of a chain element, a ``range`` or else an array
+    of its keys, against ``toeplitz_break`` on its view; returns the
+    verdict.  A key outside range(d^2) has no place in a d x d view, and
+    fails as a matrix of the wrong shape does."""
+    if not isinstance(keys, range):
+        keys = array("q", keys)
     verdict = is_block_lower_toeplitz(keys, params)
     if all(0 <= k < params.d ** 2 for k in keys):
         assert verdict == (toeplitz_break(chain_view(keys, params.d), params) is None)
@@ -818,6 +824,66 @@ def test_chain_audit_matches_the_view_on_small_key_lists(params, data):
     if len(chains) > 1:
         a, b = data.draw(st.lists(st.sampled_from(chains), min_size=2, max_size=2, unique_by=tuple))
         assert assert_chain_audit_matches_the_view(sorted([*a, *b]), params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(POWER_PARAMS, st.data())
+def test_range_audit_matches_the_view(params, data):
+    # a chain of z^n, then a range moved off it: another head, step or
+    # length, keys below 0 or past d^2, or a descending run
+    d, r = params.d, params.r
+    chain = data.draw(st.sampled_from(commutant_basis(power_symbol(params)).members))
+    assert type(chain) is range and assert_chain_audit_matches_the_view(chain, params)
+    run = r * d + r
+    start = chain[0] + data.draw(
+        st.sampled_from([0, 0, 1, -1, r, -r, d, -d, run, -run]) | st.integers(-d * d, d * d)
+    )
+    step = data.draw(
+        st.sampled_from([chain.step, run, run, 1, r, d, d + 1, r * d, -run])
+        | st.integers(1, 2 * d * d)
+    )
+    length = data.draw(st.integers(0, params.K + 2))
+    keys = range(start, start + step * length, step)
+    verdict = assert_chain_audit_matches_the_view(keys, params)
+    assert verdict == is_block_lower_toeplitz(array("q", keys), params)
+
+
+@pytest.mark.parametrize("m,n,K", [(1, 1, 2), (2, 2, 3), (1, 3, 4)])
+def test_range_audit_refuses_a_run_from_a_negative_key(m, n, K):
+    # K + 1 keys of step r*d + r from row -2, column 0: the last one wraps
+    # to row d - 1, column 0, so only the head's sign is out of place
+    p = TruncationParams(m, n, K)
+    d, r = p.d, p.r
+    keys = range(-2 * d, -2 * d + (K + 1) * (r * d + r), r * d + r)
+    assert divmod(keys[-1], d) == (d - 1, 0)
+    assert not is_block_lower_toeplitz(keys, p)
+
+
+@pytest.mark.parametrize("m,n,K", [(1, 1, 1), (2, 2, 1), (2, 2, 3), (3, 2, 2), (2, 3, 4)])
+def test_power_and_channel_bases_hold_ranges(m, n, K):
+    p = TruncationParams(m, n, K)
+    T = power_symbol(p)
+    for A in (T, *(restrict(T, channel_flats(ch, p)) for ch in channels(p))):
+        cb = commutant_basis(A)
+        assert cb.dim and all(type(P) is range for P in cb.members)
+        assert [P.step for P in cb.members] == [cb.members[0].step] * cb.dim
+
+
+# succ as {v: u} for A e_v = e_u: a walk 0 -> 2 -> 1 that is no run, a
+# descending run 2 -> 1 -> 0, and that walk beside the cycle 3 <-> 4
+@pytest.mark.parametrize(
+    "d, succ",
+    [(3, {0: 2, 2: 1}), (3, {2: 1, 1: 0}), (5, {0: 2, 2: 1, 3: 4, 4: 3})],
+    ids=["zigzag-walk", "descending-walk", "walk-and-cycle"],
+)
+def test_other_partial_permutations_keep_array_chains(d, succ):
+    grid = [[0] * d for _ in range(d)]
+    for v, u in succ.items():
+        grid[u][v] = 1
+    A = sparse(grid)
+    cb = commutant_basis(A)
+    assert cb.dim and all(type(P) is array and P.typecode == "q" for P in cb.members)
+    assert_matches_the_commutation_system(A)
 
 
 def test_chain_basis_and_its_audit_build_no_matrix(monkeypatch, built):
