@@ -21,7 +21,11 @@ import tempfile
 from pathlib import Path
 
 from .commutant import (
-    commutant_basis, is_block_lower_toeplitz, selfadjoint_commutant_dim, toeplitz_break
+    basis_head_break,
+    commutant_basis,
+    is_block_lower_toeplitz,
+    selfadjoint_commutant_dim,
+    toeplitz_break,
 )
 from .decomposition import channel_flats, channels, shift_break, verify_equivalence
 from .errors import CapError, RankAmbiguityError
@@ -198,14 +202,19 @@ def _commutant_section(
                   f"lower Toeplitz at entry ({u}, {v})", file=sys.stderr)
         section["lemma3_structure_ok"] = structure
         checks["lemma3_structure_ok"] = structure
-        for name, found, expected, what in (
-            ("commutant_dim_matches", cb.dim, params.r * params.r * params.K, "r^2 K"),
-            ("selfadjoint_dim_matches", sdim, params.r * params.r, "r^2"),
+        # the basis must also hold the identity at column offset 0, which
+        # with the audit makes it a basis of the commutant, not only its size
+        for name, found, expected, what, witness in (
+            ("commutant_dim_matches", cb.dim, params.r * params.r * params.K, "r^2 K",
+             basis_head_break(cb, params, cfg.tol)),
+            ("selfadjoint_dim_matches", sdim, params.r * params.r, "r^2", None),
         ):
-            checks[name] = found == expected
+            checks[name] = found == expected and witness is None
             if found != expected:
                 print(f"{name}: found dimension {found}, expected {what} = {expected}",
                       file=sys.stderr)
+            if witness is not None:
+                print(f"{name}: {witness}", file=sys.stderr)
     else:
         section["lemma3_structure_ok"] = None
     return section, checks

@@ -1,30 +1,34 @@
 """Commutants of truncated operators, computed as honest kernels.
 
-The commutant of A is the kernel of P -> AP - PA.  When A is an exact 0/1
-partial permutation, A e_v = e_succ(v) or 0, as T = M_{z^n} and each of
-its channel restrictions are, no system is built.  One scan of A, made
-once per operator, gives succ and pred; equation (a, b) reads
-P[pred a][b] = P[a][succ b], so the unknowns fall into chains
-(u, v) -> (succ u, succ v), and ``_chains`` reads the kernel off their
-ends as flat integer keys, the vectors ``linalg.kernel_basis`` returns.
-As the paper counts, for z^n the surviving chains are the diagonals of
-the channel pairs, r^2 K of them, each a ``range`` of keys that the
-Lemma-3 audit decides from its two ends, and the self-adjoint commutant
-has dimension r^2.
+The commutant of A is the kernel of P -> AP - PA.  When A is a 0/1
+partial permutation, A e_v = e_succ(v) or 0 with every entry exactly the
+mode's one, as T = M_{z^n} and each of its channel restrictions are in
+either mode, no system is built.  One scan of A, made once per operator,
+gives succ and pred; equation (a, b) reads P[pred a][b] = P[a][succ b],
+so the unknowns fall into chains (u, v) -> (succ u, succ v), and
+``_chains`` reads the kernel off their ends as flat integer keys, the
+vectors ``linalg.kernel_basis`` returns.  As the paper counts, for z^n
+the surviving chains are the diagonals of the channel pairs, r^2 K of
+them, each a ``range`` of keys that the Lemma-3 audit decides from its
+two ends, and the self-adjoint commutant has dimension r^2.  That is a
+fact about the pattern of ones, not about the scalar type, so float mode
+makes no numerical rank decision for these operators; it still refuses a
+missing tol, or one outside (0, 1), first.  ``basis_head_break``
+certifies such a basis whole: its elements hold the identity at column
+offset 0, where Lemma 3 says a commutant element is determined.
 
-Every other operator, and every operator in float mode, goes through a
-sparse homogeneous system with one equation per matrix position, unknowns
-P vectorized row-major, which ``linalg.kernel_basis`` solves.
-``_commutation_terms`` is the one statement of that equation: the
-terms each nonzero of A contributes, as (equation, unknown, coefficient).
-Exact mode adds them up into the ``{unknown: coefficient}`` rows that
-one ``rref`` eliminates whole (``_commutation_rows``), over Gaussian
-rationals, so the exact commutant dimension of a custom symbol is a
-theorem about the matrix, not a numerical estimate.  Float mode evaluates the same terms
-on numpy arrays, every nonzero against every position at once
-(``_float_terms``), and hands the arrays to ``linalg``, which splits
-them into blocks and solves the blocks of one shape with one batched SVD,
-behind the rank-ambiguity gate.
+Every other operator goes through a sparse homogeneous system with one
+equation per matrix position, unknowns P vectorized row-major, which
+``linalg.kernel_basis`` solves.  ``_commutation_terms`` is the one
+statement of that equation: the terms each nonzero of A contributes, as
+(equation, unknown, coefficient).  Exact mode adds them up into the
+``{unknown: coefficient}`` rows that one ``rref`` eliminates whole
+(``_commutation_rows``), over Gaussian rationals, so the exact commutant
+dimension of a custom symbol is a theorem about the matrix, not a
+numerical estimate.  Float mode evaluates the same terms on numpy arrays,
+every nonzero against every position at once (``floatsolve.float_terms``,
+imported only then), and hands the arrays to ``linalg``, which solves the
+blocks of one shape with one batched SVD, behind the rank-ambiguity gate.
 
 The self-adjoint variant parametrizes Hermitian P = X + iY by a real
 symmetric X and a real antisymmetric Y.  Its equations are the real and
@@ -50,12 +54,10 @@ from itertools import islice, repeat
 from operator import add
 from typing import Sequence
 
-import numpy as np
-
 from . import linalg, scalars
 from .errors import InvarianceError, ShapeError
 from .matrices import SparseMatrix
-from .scalars import scalar_is_zero, scalars_close, zero
+from .scalars import Mode, scalar_is_zero, scalars_close, zero
 from .space import TruncationParams
 
 
@@ -63,12 +65,14 @@ from .space import TruncationParams
 class CommutantBasis:
     """Echelon-normalized basis of {P : AP = PA} for a d x d matrix A.  The
     chain path keeps each element as its chain (``_chains``), the ascending
-    flat keys u*d + v where it holds the exact one: a ``range`` for a
+    flat keys u*d + v where it holds the one: a ``range`` for a
     diagonal of z^n or of a channel restriction, an ``array('q')`` for any
     other chain, read as a matrix through ``chain_view``.  Every other path
-    keeps a ``SparseMatrix``."""
+    keeps a ``SparseMatrix``.  ``mode`` is the operator's, and a chain's
+    view holds that mode's one."""
 
     d: int
+    mode: Mode
     members: tuple
 
     @property
@@ -77,18 +81,19 @@ class CommutantBasis:
 
     def element(self, i: int) -> SparseMatrix:
         P = self.members[i]
-        return P if isinstance(P, SparseMatrix) else chain_view(P, self.d)
+        return P if isinstance(P, SparseMatrix) else chain_view(P, self.d, self.mode)
 
     @cached_property
     def elements(self) -> tuple[SparseMatrix, ...]:
         return tuple(map(self.element, range(self.dim)))
 
 
-def chain_view(keys: Sequence[int], d: int) -> SparseMatrix:
-    """The d x d matrix with the exact one at each key of a chain, stored as
-    ``kernel_basis`` returns its vector: the last key (the free column) first."""
-    entries = dict.fromkeys(map(divmod, [*keys[-1:], *keys[:-1]], repeat(d)), scalars.one("exact"))
-    return SparseMatrix(entries, d, d, "exact")
+def chain_view(keys: Sequence[int], d: int, mode: Mode) -> SparseMatrix:
+    """The d x d matrix with the mode's one at each key of a chain, stored
+    as ``kernel_basis`` returns its vector: the last key (the free column)
+    first."""
+    entries = dict.fromkeys(map(divmod, [*keys[-1:], *keys[:-1]], repeat(d)), scalars.one(mode))
+    return SparseMatrix(entries, d, d, mode)
 
 
 def _add(row: dict, key: int, coeff) -> None:
@@ -175,31 +180,21 @@ def _selfadjoint_rows(A: SparseMatrix) -> list[dict]:
     return [row for row in rows if row]
 
 
-def _float_terms(A: SparseMatrix, realified: bool):
-    """The terms of A's float commutation system, or of its realified
-    system, as the numpy arrays ``linalg`` solves: every nonzero of A
-    against every t in range(d) at once."""
-    d = A.rows
-    items = list(A.nonzero_items())
-    u = np.array([u for u, _, _ in items], dtype=np.int64)[:, None]
-    v = np.array([v for _, v, _ in items], dtype=np.int64)[:, None]
-    s = np.array([s for _, _, s in items], dtype=complex)[:, None]
-    shape = (len(items), d)
-    eq, key, c = (
-        np.concatenate([np.broadcast_to(x, shape).ravel() for x in part])
-        for part in zip(*_commutation_terms(u, v, s, -s, np.arange(d), d))
-    )
-    if not realified:
-        return eq, key, c
-    p, q = np.divmod(key, d)
-    return tuple(
-        np.concatenate(part) for part in zip(*_realified_terms(eq, p, q, c.real, c.imag, d))
-    )
+def _system(A: SparseMatrix, realified: bool):
+    """A's commutation system, or its realified one, in the form
+    ``linalg`` takes for A's mode: exact rows, or float term arrays from
+    ``floatsolve``, which is imported only here, for a float solve."""
+    if A.mode == "exact":
+        return _selfadjoint_rows(A) if realified else _commutation_rows(A)
+    from .floatsolve import float_terms
+
+    return float_terms(A, realified)
 
 
 def _partial_permutation(A: SparseMatrix):
-    """``(succ, pred, height)`` when A is an exact square 0/1 partial
-    permutation, A e_v = e_succ[v] or 0, and None for any other A.
+    """``(succ, pred, height)`` when A is a square 0/1 partial permutation,
+    A e_v = e_succ[v] or 0 with each entry exactly ``scalars.one(A.mode)``,
+    and None for any other A.
 
     ``succ[v]`` and ``pred[u]`` are -1 where A has no entry in column v or
     row u.  ``height[v]`` counts the steps v -> succ[v] -> ... before the
@@ -208,9 +203,9 @@ def _partial_permutation(A: SparseMatrix):
     entry in a row or a column, declines.
     """
     d = A.rows
-    if A.mode != "exact" or A.cols != d:
+    if A.cols != d:
         return None
-    one = scalars.one("exact")
+    one = scalars.one(A.mode)
     succ, pred = [-1] * d, [-1] * d
     for u, v, s in A.nonzero_items():
         if (s is not one and s != one) or succ[v] >= 0 or pred[u] >= 0:
@@ -301,19 +296,21 @@ def _closed_orbits(succ: list[int], height: list[int]):
 def commutant_basis(A: SparseMatrix, tol: float | None = None) -> CommutantBasis:
     """Basis of the commutant of A, canonical up to the elimination order.
 
-    Exact mode needs no tol; float mode requires one and may raise
-    RankAmbiguityError when the kernel boundary is too close to call.
+    Exact mode needs no tol; float mode requires one in (0, 1), even for a
+    partial permutation, and may raise RankAmbiguityError when the kernel
+    boundary is too close to call.
     """
     if A.rows != A.cols:
         raise ShapeError("commutant needs a square matrix")
+    linalg.require_tol(A.mode, tol)
     d = A.rows
     shape = _shape(A)
     if shape is not None:
         # in kernel_basis's order: ascending free column, each chain's last key
-        return CommutantBasis(d, tuple(sorted(_chains(*shape), key=lambda keys: keys[-1])))
-    system = _commutation_rows(A) if A.mode == "exact" else _float_terms(A, False)
-    vecs = linalg.kernel_basis(system, d * d, A.mode, tol)
-    return CommutantBasis(d, tuple(
+        chains = sorted(_chains(*shape), key=lambda keys: keys[-1])
+        return CommutantBasis(d, A.mode, tuple(chains))
+    vecs = linalg.kernel_basis(_system(A, False), d * d, A.mode, tol)
+    return CommutantBasis(d, A.mode, tuple(
         SparseMatrix({divmod(k, d): s for k, s in vec.items()}, d, d, A.mode) for vec in vecs
     ))
 
@@ -333,7 +330,7 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
     of 50 in-process calls, 2-vCPU Xeon, numpy 2.4), not enough to keep a
     second path for.
 
-    An exact 0/1 partial permutation needs no system: by ``_chains``, P is
+    A 0/1 partial permutation needs no system: by ``_chains``, P is
     a combination of the indicators 1_C of the surviving chains, and P* of
     the indicators of their transposes, so the self-adjoint commutant is
     spanned by 1_C where C = C^T and by 1_C + 1_C^T and i(1_C - 1_C^T) for
@@ -346,14 +343,14 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
     """
     if A.rows != A.cols:
         raise ShapeError("commutant needs a square matrix")
+    linalg.require_tol(A.mode, tol)
     shape = _shape(A)
     if shape is not None:
         succ, pred, height = shape
         heads = Counter(height[v] for v in range(A.rows) if pred[v] < 0)
         closed = sum(1 for _ in _closed_orbits(succ, height))
         return sum(count * count for count in heads.values()) + closed
-    system = _selfadjoint_rows(A) if A.mode == "exact" else _float_terms(A, True)
-    return linalg.nullity(system, A.rows * A.rows, A.mode, tol)
+    return linalg.nullity(_system(A, True), A.rows * A.rows, A.mode, tol)
 
 
 def is_block_lower_toeplitz(
@@ -388,8 +385,9 @@ def is_block_lower_toeplitz(
             return 0 <= P[0] and P[0] % d < r and d - r <= P[-1] // d < d
         if P and (min(P) < 0 or max(P) >= d * d):
             return False
-        P = chain_view(P, d)
-    elif P.shape != (d, d):
+        # a chain is a pattern of ones, decided exactly in either mode
+        return toeplitz_break(chain_view(P, d, "exact"), params) is None
+    if P.shape != (d, d):
         return False
     return toeplitz_break(P, params, tol) is None
 
@@ -417,6 +415,68 @@ def toeplitz_break(
             f < last and differs(s, (f + r, g + r))
         ):
             return (f, g)
+    return None
+
+
+def basis_head_break(
+    cb: CommutantBasis, params: TruncationParams, tol: float | None = None
+) -> str | None:
+    """Why a basis of the commutant of z^n does not hold the identity at
+    column offset 0, as a phrase naming the witness, or None when it does.
+
+    By Lemma 3 a commutant element is block lower Toeplitz, so it is
+    determined by its entries at the d*r = r^2 K positions (f, g) with
+    g < r, its heads.  Elements that pass the Lemma-3 audit, each holding
+    exactly one head, at one, with every head held by exactly one of them,
+    are therefore a basis of the commutant, not only r^2 K elements of it.
+    A chain holds its keys with g < r; a ``range`` of step r*d + r meets
+    column offset 0 every K keys, so slicing finds them in O(1).  A
+    ``SparseMatrix`` holds its entries with g < r beyond tol of zero, each
+    of which must be within tol of one.  The witness named is a head held
+    by two elements, else the first missing head, else the first element
+    whose head is not one, else the first that holds no head or several.
+
+    A range of that step that starts at a head and holds 1 to K keys holds
+    that one head alone, so a basis of such ranges, the chain basis of
+    z^n, passes when its first keys, sorted, are the heads; the scan of
+    each element is left to name a witness.
+    """
+    d, r, K = params.d, params.r, params.K
+    run = r * d + r
+    members = cb.members
+    heads = [k for f in range(0, d * d, d) for k in range(f, f + r)]
+    if all(type(P) is range and P.step == run and 0 < len(P) <= K for P in members) and (
+            sorted(P.start for P in members) == heads):
+        return None
+    holder: dict[int, int] = {}
+    counts = []
+    odd = None  # (element, key, value) of the first head that is not one
+    for i, P in enumerate(members):
+        if isinstance(P, SparseMatrix):
+            held = sorted((f * d + g, s) for (f, g), s in P.entries.items()
+                          if g < r and not scalar_is_zero(s, tol))
+            one = scalars.one(P.mode)
+            if odd is None:
+                odd = next(((i, k, s) for k, s in held if not scalars_close(s, one, tol)), None)
+            keys = [k for k, _ in held]
+        elif isinstance(P, range) and P.step == run and P:
+            keys = P[-((P[0] % d) // r) % K::K]
+        else:
+            keys = [k for k in P if k % d < r]
+        counts.append(len(keys))
+        for k in keys:
+            j = holder.setdefault(k, i)
+            if j != i:
+                return f"head {divmod(k, d)} is held by basis elements {j} and {i}"
+    missing = next((k for k in heads if k not in holder), None)
+    if missing is not None:
+        return f"no basis element holds head {divmod(missing, d)}"
+    if odd is not None:
+        i, k, s = odd
+        return f"basis element {i} holds {s} at head {divmod(k, d)}, not one"
+    i = next((i for i, count in enumerate(counts) if count != 1), None)
+    if i is not None:
+        return f"basis element {i} holds {counts[i]} heads, not one"
     return None
 
 

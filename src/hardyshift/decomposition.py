@@ -110,13 +110,14 @@ def shift_break(
     The shift positions are where the relabeled T has the direct sum's
     ones, b = a - 1 inside a block of K.  One scan of T's nonzeros, d - r
     of them for the ``SparseMatrix`` that ``power_symbol`` builds, counts
-    the ones; a missing entry, zero, passes only when it is itself within
-    tol of one.
+    the ones, each first by identity with the mode's shared one and only
+    then by comparison; a missing entry, zero, passes only when it is
+    itself within tol of one.
     """
     o, r = one(T.mode), params.r
     seen = 0
     for f, g, s in T.nonzero_items():
-        if f == g + r and scalars_close(s, o, tol):
+        if f == g + r and (s is o or scalars_close(s, o, tol)):
             seen += 1
         elif f == g + r or not scalar_is_zero(s, tol):
             return (f, g)

@@ -29,6 +29,7 @@ from hardyshift import (
     RankAmbiguityError,
     ShapeError,
     TruncationParams,
+    floatsolve,
     linalg,
     matrices,
     scalar_shift,
@@ -697,7 +698,7 @@ def rows_of_terms(terms):
 
 
 def blocks_as_components(blocks):
-    """A ``linalg.FloatBlocks`` split in the form ``linalg.components``
+    """A ``floatsolve.FloatBlocks`` split in the form ``linalg.components``
     returns: ``(columns, renumbered rows)`` per block, in block order."""
     found = []
     for b, height in enumerate(blocks.heights.tolist()):
@@ -710,7 +711,7 @@ def blocks_as_components(blocks):
 
 
 def float_block_solve_reference(rows, ncols, tol, vectors=True):
-    """``linalg``'s float solve one block at a time: a dense array filled
+    """``floatsolve``'s solve one block at a time: a dense array filled
     entry by entry and one SVD per block, its rank decided by a loop over
     the singular values.  Returns the kernel's dimension and, when
     ``vectors`` is set, its basis in ``kernel_basis`` order."""
@@ -731,7 +732,7 @@ def float_block_solve_reference(rows, ncols, tol, vectors=True):
             svals = np.linalg.svd(dense, compute_uv=False)
         cut = tol * max(1.0, float(svals[0]))
         for s in svals:
-            if cut / linalg._GAP <= s <= cut * linalg._GAP:
+            if cut / floatsolve._GAP <= s <= cut * floatsolve._GAP:
                 raise RankAmbiguityError(
                     f"singular value {s:.6e} is within an order of magnitude of "
                     f"the cut-off {cut:.6e} (tol={tol:.6e}); the rank decision "
@@ -741,7 +742,7 @@ def float_block_solve_reference(rows, ncols, tol, vectors=True):
         dim += width - rank
         if not vectors:
             continue
-        vecs, pivots = linalg.echelonize_float(
+        vecs, pivots = floatsolve.echelonize_float(
             [np.conj(vh[i]) for i in range(rank, width)], tol
         )
         for i, vec in enumerate(vecs):

@@ -592,23 +592,33 @@ def test_float_tol_of_one_or_more_refused(tmp_path, capsys, command, tol):
     )
 
 
+# The power cases solve 2 z^2 on C^2, written as a symbol file: the blocks
+# of z^2, scaled by 2, since z^n itself is read off its chains with no rank
+# decision (``test_float_powers_exit_zero_at_any_tol``).
+TWO_Z2 = {"m": 2, "coeffs": [{"t": 2, "matrix": [[2, 0], [0, 2]]}]}
+
+
 @pytest.mark.parametrize(
-    "argv, found, cut, tol",
+    "argv, symbol, found, cut, tol",
     [
-        (("full-report", "--m", "2", "--n", "2", "--blocks", "7", "--tol", "0.1"),
-         "4.450419e-01", "1.949856e-01", "1.000000e-01"),
-        (("full-report", "--m", "2", "--n", "2", "--blocks", "7", "--tol", "0.5"),
-         "1.949856e+00", "9.749279e-01", "5.000000e-01"),
+        (("commutant", "--m", "2", "--n", "2", "--blocks", "7", "--tol", "0.1"), TWO_Z2,
+         "8.900837e-01", "3.899712e-01", "1.000000e-01"),
+        (("commutant", "--m", "2", "--n", "2", "--blocks", "7", "--tol", "0.5"), TWO_Z2,
+         "3.899712e+00", "1.949856e+00", "5.000000e-01"),
         (("commutant", "--m", "2", "--n", "1", "--blocks", "8", "--tol", "0.05",
-          "--symbol", str(SYMBOL_F)),
+          "--symbol", str(SYMBOL_F)), None,
          "7.354624e-01", "2.456565e-01", "5.000000e-02"),
     ],
     ids=["power-0.1", "power-0.5", "symbol-0.05"],
 )
-def test_float_ambiguity_names_the_first_ambiguous_block(tmp_path, capsys, argv, found,
-                                                         cut, tol):
+def test_float_ambiguity_names_the_first_ambiguous_block(tmp_path, capsys, argv, symbol,
+                                                         found, cut, tol):
     # several blocks are ambiguous at these tolerances; the message names
     # the first of them in component order, and its largest value in the band
+    if symbol is not None:
+        path = tmp_path / "symbol.json"
+        path.write_text(json.dumps(symbol))
+        argv = (*argv, "--symbol", str(path))
     out = tmp_path / "report.json"
     assert main([*argv, "--mode", "float", "--out", str(out)]) == 3
     assert not out.exists()
@@ -619,6 +629,17 @@ def test_float_ambiguity_names_the_first_ambiguous_block(tmp_path, capsys, argv,
         f"cut-off {cut} (tol={tol}); the rank decision is not trustworthy "
         "(adjust tol or use exact mode)\n"
     )
+
+
+@pytest.mark.parametrize("tol", ["0.1", "0.5"])
+def test_float_powers_exit_zero_at_any_tol(tmp_path, tol):
+    # z^n's commutant is read off its chains in float mode too, so a tol
+    # at which its SVD was ambiguous decides nothing: r^2 K and r^2
+    code, rep = run_cli_json(tmp_path, "full-report", "--m", "2", "--n", "2", "--blocks", "7",
+                             "--mode", "float", "--tol", tol)
+    assert code == 0 and rep["passed"]
+    assert rep["commutant"]["dim"] == 4 * 4 * 7
+    assert rep["commutant"]["selfadjoint_dim"] == 4 * 4
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

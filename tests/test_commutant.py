@@ -27,13 +27,13 @@ from hardyshift import (
 )
 from hardyshift.commutant import (
     _commutation_rows,
-    _float_terms,
     _partial_permutation,
     _selfadjoint_rows,
     chain_view,
     toeplitz_break,
 )
 from hardyshift.errors import InvarianceError, ShapeError
+from hardyshift.floatsolve import float_terms
 from hardyshift.matrices import SparseMatrix
 from hardyshift.operators import symbol_from_json, toeplitz_matrix
 
@@ -197,18 +197,20 @@ def test_cli_lemma3_audit_fails_on_a_changed_basis_element(tmp_path, monkeypatch
 # of channel pair (1, 1): flat (1, 1), (5, 5), (9, 9), keys 13, 65 and 117.
 # The shifted key moves its head r columns along its row, into block
 # column 1; the key in another channel pair moves its tail one column.
+# A fault that takes the head (1, 1) off column offset 0 also leaves the
+# basis without that head, which ``commutant_dim_matches`` names.
 @pytest.mark.parametrize(
-    "fault, witness",
+    "fault, witness, lost_head",
     [
-        (lambda k: [k[0], k[2]], (9, 9)),
-        (lambda k: [k[0] + 4, k[1], k[2]], (1, 5)),
-        (lambda k: [k[0], k[1], k[2] + 1], (9, 10)),
-        (lambda k: [k[1], k[2]], (5, 5)),
+        (lambda k: [k[0], k[2]], (9, 9), False),
+        (lambda k: [k[0] + 4, k[1], k[2]], (1, 5), True),
+        (lambda k: [k[0], k[1], k[2] + 1], (9, 10), False),
+        (lambda k: [k[1], k[2]], (5, 5), True),
     ],
     ids=["dropped-key", "shifted-key", "other-channel-pair", "head-column-offset-1"],
 )
 def test_cli_lemma3_audit_names_a_planted_chain_fault(
-    monkeypatch, capsys, built, fault, witness
+    monkeypatch, capsys, built, fault, witness, lost_head
 ):
     p = TruncationParams(2, 2, 3)
     code, err, (cb,) = run_with_doctored_basis(
@@ -219,22 +221,27 @@ def test_cli_lemma3_audit_names_a_planted_chain_fault(
     # only the failing element is read as a matrix, for its witness
     keys = {divmod(k, p.d) for k in cb.members[21]}
     assert built and all(set(args[0]) == keys for args in built)
-    assert toeplitz_break(chain_view(cb.members[21], p.d), p) == witness
+    assert toeplitz_break(chain_view(cb.members[21], p.d, "exact"), p) == witness
+    heads = "commutant_dim_matches: no basis element holds head (1, 1)\n" if lost_head else ""
+    failed = "commutant_dim_matches, lemma3_structure_ok" if lost_head else "lemma3_structure_ok"
     assert err == (
         "lemma3_structure_ok: commutant basis element 21 is not block lower Toeplitz "
-        f"at entry {witness}\nfailed checks: lemma3_structure_ok\n"
+        f"at entry {witness}\n{heads}failed checks: {failed}\n"
     )
 
 
 def test_cli_lemma3_audit_fails_on_a_changed_float_element(monkeypatch, capsys):
-    # a float basis keeps valued elements, which toeplitz_break audits
+    # a float z^n basis keeps chains, and hands each out as a float
+    # SparseMatrix view, which toeplitz_break audits once it is changed
     p = TruncationParams(2, 2, 2)
     order = channel_order_reference(p)
 
     def doctor(cb):
         members = list(cb.members)
-        entries = {**members[3].entries, (order[0], order[1]): 5 + 0j}
-        members[3] = dataclasses.replace(members[3], entries=entries)
+        view = cb.element(3)
+        assert view.mode == "float" and set(view.entries.values()) == {1 + 0j}
+        entries = {**view.entries, (order[0], order[1]): 5 + 0j}
+        members[3] = dataclasses.replace(view, entries=entries)
         return dataclasses.replace(cb, members=tuple(members))
 
     code, err, (cb,) = run_with_doctored_basis(
@@ -243,7 +250,7 @@ def test_cli_lemma3_audit_fails_on_a_changed_float_element(monkeypatch, capsys):
          "--tol", "1e-9"],
     )
     assert code == 1
-    assert all(isinstance(P, SparseMatrix) for P in cb.members)
+    assert isinstance(cb.members[3], SparseMatrix)
     assert toeplitz_break(cb.elements[3], p, 1e-9) == (order[0], order[1])
     assert err == (
         "lemma3_structure_ok: commutant basis element 3 is not block lower Toeplitz "
@@ -283,6 +290,72 @@ def test_cli_dimension_check_names_expected_and_found(
     err = capsys.readouterr().err
     assert f"{name}: found dimension {found}, expected" in err
     assert f"= {expected}" in err
+
+
+def with_members(cb, members):
+    return dataclasses.replace(cb, members=tuple(members))
+
+
+# At (2,2,3) (d = 12, r = 4) basis element 5 is the diagonal from (4, 1)
+# and element 6 the one from (4, 2); element 3 of the float basis is the
+# single key (8, 3).
+@pytest.mark.parametrize("mode", [(), ("--mode", "float", "--tol", "1e-9")],
+                         ids=["exact", "float"])
+def test_cli_basis_certificate_names_a_duplicated_member(monkeypatch, capsys, mode):
+    code, err, _ = run_with_doctored_basis(
+        monkeypatch, capsys, lambda cb: with_members(cb, [*cb.members, cb.members[6]]),
+        ["commutant", "--m", "2", "--n", "2", "--blocks", "3", *mode],
+    )
+    assert code == 1
+    assert err == (
+        "commutant_dim_matches: found dimension 49, expected r^2 K = 48\n"
+        "commutant_dim_matches: head (4, 2) is held by basis elements 6 and 48\n"
+        "failed checks: commutant_dim_matches\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "doctor, witness",
+    [
+        # the count holds, and every element passes the audit
+        (lambda cb: with_members(cb, [*cb.members[:5], *cb.members[6:], cb.members[6]]),
+         "head (4, 2) is held by basis elements 5 and 47"),
+        # one element holds two diagonals and another none: rank r^2 K - 1
+        (lambda cb: with_members(cb, [*cb.members[:5], array("q", sorted([*cb.members[5],
+                                                                          *cb.members[6]])),
+                                      array("q"), *cb.members[7:]]),
+         "basis element 5 holds 2 heads, not one"),
+    ],
+    ids=["dropped-and-duplicated", "two-heads-in-one"],
+)
+def test_cli_basis_certificate_fails_a_basis_of_the_right_size(monkeypatch, capsys, doctor,
+                                                                witness):
+    code, err, (cb,) = run_with_doctored_basis(
+        monkeypatch, capsys, doctor, ["commutant", "--m", "2", "--n", "2", "--blocks", "3"],
+    )
+    assert code == 1
+    assert cb.dim == 48 and all(is_block_lower_toeplitz(P, TruncationParams(2, 2, 3))
+                                for P in cb.members)
+    assert err == f"commutant_dim_matches: {witness}\nfailed checks: commutant_dim_matches\n"
+
+
+def test_cli_basis_certificate_fails_a_scaled_float_element(monkeypatch, capsys):
+    # twice a diagonal is still block lower Toeplitz, but not one at its head
+    def doctor(cb):
+        view = cb.element(3)
+        scaled = dataclasses.replace(view, entries={k: 2 * s for k, s in view.entries.items()})
+        return with_members(cb, [*cb.members[:3], scaled, *cb.members[4:]])
+
+    code, err, (cb,) = run_with_doctored_basis(
+        monkeypatch, capsys, doctor,
+        ["commutant", "--m", "2", "--n", "2", "--blocks", "3", "--mode", "float", "--tol", "1e-9"],
+    )
+    assert code == 1
+    assert isinstance(cb.members[3], SparseMatrix)
+    assert err == (
+        "commutant_dim_matches: basis element 3 holds (2+0j) at head (8, 3), not one\n"
+        "failed checks: commutant_dim_matches\n"
+    )
 
 
 def test_lower_toeplitz_predicate():
@@ -642,7 +715,7 @@ def assert_rows_match_reference(A):
         assert entries(rows) == entries(selfadjoint_rows_reference(A))
         assert entries(_commutation_rows(A)) == entries(commutation_rows_reference(A))
     else:
-        rows = rows_of_terms(_float_terms(A, True))
+        rows = rows_of_terms(float_terms(A, True))
     assert linear_forms(rows) == linear_forms(realified_rows_reference(A))
 
 
@@ -747,7 +820,10 @@ def test_other_operators_decline_the_chain_path(change):
     # columns 8-11 are empty
     params = TruncationParams(2, 2, 3)
     if change == "float":
-        A, tol = power_symbol(params, "float"), 1e-9
+        # float z^n with one entry 2: a partial permutation's pattern, but
+        # not every entry is the mode's one
+        entries = {**power_symbol(params, "float").entries, (4, 0): 2 + 0j}
+        A, tol = SparseMatrix(entries, params.d, params.d, "float"), 1e-9
     else:
         u, v, value = change
         rows = [list(r) for r in dense(power_symbol(params)).entries]
@@ -755,6 +831,50 @@ def test_other_operators_decline_the_chain_path(change):
         A, tol = sparse(rows), None
     assert _partial_permutation(A) is None
     assert_matches_the_commutation_system(A, tol)
+
+
+@pytest.mark.parametrize("m,n,K", [(1, 1, 1), (2, 2, 3), (3, 2, 2), (2, 3, 4)])
+def test_float_powers_take_the_chain_path(m, n, K):
+    # the chains of z^n are a fact about its pattern of ones, whatever the
+    # scalar type: float mode reads the same ranges, with float views
+    p = TruncationParams(m, n, K)
+    T = power_symbol(p, "float")
+    assert _partial_permutation(T) is not None
+    cb = commutant_basis(T, 1e-9)
+    assert cb.mode == "float" and cb.members == commutant_basis(power_symbol(p)).members
+    assert all(P.mode == "float" and set(P.entries.values()) == {1 + 0j} for P in cb.elements)
+    assert selfadjoint_commutant_dim(T, 1e-9) == p.r * p.r
+
+
+# test_float_mode_requires_tol covers a missing and a negative tol
+@pytest.mark.parametrize("tol", [0.0, 1.0, 2.0])
+def test_float_chain_path_still_refuses_a_bad_tol(tol):
+    T = power_symbol(TruncationParams(2, 2, 3), "float")
+    for solve in (commutant_basis, selfadjoint_commutant_dim):
+        with pytest.raises(ValueError, match="require 0 < tol < 1"):
+            solve(T, tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(partial_permutations())
+def test_float_chain_path_matches_the_svd_kernel(A):
+    # the numeric cross-check that float mode made on every run while it
+    # solved partial permutations by SVD
+    d, tol = A.rows, 1e-9
+    F = SparseMatrix({k: complex(s) for k, s in A.entries.items()}, d, d, "float")
+    assert _partial_permutation(F) is not None
+    system = terms_of(commutation_rows_reference(F))
+    svd = linalg.kernel_basis(system, d * d, "float", tol)
+    # the SVD's echelon basis lists each vector by its pivot, its chain's
+    # first key; the chain basis lists by free column, the last key, as
+    # exact elimination does
+    found = sorted(commutant_basis(F, tol).elements, key=lambda P: min(P.entries))
+    assert len(found) == len(svd)
+    for P, vec in zip(found, svd):
+        assert set(P.entries) == {divmod(k, d) for k, s in vec.items() if abs(s) > tol}
+        assert all(abs(P.entries.get(divmod(k, d), 0) - s) <= tol for k, s in vec.items())
+    realified = terms_of(selfadjoint_rows_reference(F))
+    assert selfadjoint_commutant_dim(F, tol) == linalg.nullity(realified, d * d, "float", tol)
 
 
 def assert_chain_audit_matches_the_view(keys, params):
@@ -766,7 +886,7 @@ def assert_chain_audit_matches_the_view(keys, params):
         keys = array("q", keys)
     verdict = is_block_lower_toeplitz(keys, params)
     if all(0 <= k < params.d ** 2 for k in keys):
-        assert verdict == (toeplitz_break(chain_view(keys, params.d), params) is None)
+        assert verdict == (toeplitz_break(chain_view(keys, params.d, "exact"), params) is None)
     else:
         assert not verdict
     return verdict

@@ -16,9 +16,10 @@ from hardyshift import (
     vector_shift,
     verify_equivalence,
 )
-from hardyshift.commutant import _float_terms
 from hardyshift.errors import RankAmbiguityError
-from hardyshift.linalg import components, float_blocks
+from hardyshift.floatsolve import float_blocks, float_terms
+from hardyshift.linalg import components
+from hardyshift.matrices import SparseMatrix
 
 from helpers import (
     DenseMatrix,
@@ -147,8 +148,10 @@ def test_float_commutant_spans_the_exact_commutant():
     ids=["commutant", "selfadjoint"],
 )
 def test_float_blocks_of_one_shape_share_one_svd(solve, system, shapes, monkeypatch):
+    # 2 z^n: the blocks of z^n, scaled, where z^n itself takes the chain path
     p = TruncationParams(2, 2, 7)
     T = power_symbol(p, mode="float")
+    T = SparseMatrix({k: 2 * s for k, s in T.entries.items()}, p.d, p.d, "float")
     rows = system(T)
     # each block with rows as a dense array, grouped by shape; equal
     # contents give one distinct block
@@ -202,7 +205,7 @@ def test_float_systems_match_the_dict_rows(A):
     ncols = A.rows * A.rows
     for realified, reference in ((False, commutation_rows_reference),
                                  (True, selfadjoint_rows_reference)):
-        terms = _float_terms(A, realified)
+        terms = float_terms(A, realified)
         rows = reference(A)
         assert rows_of_terms(terms) == rows
         assert blocks_as_components(float_blocks(terms, ncols)) == components(rows, ncols)

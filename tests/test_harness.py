@@ -42,25 +42,41 @@ LIVE_METRICS = (
 
 
 # ``commutant.basis_dim`` is read off the basis that ``commutant_basis``
-# returns, r^2 K at each of these.
+# returns, r^2 K at each of these.  z^n reaches no SVD in either mode: its
+# commutants are read off its chains.
 @pytest.mark.parametrize(
-    "cli_args, live, basis_dim",
+    "cli_args, basis_dim",
     [
-        (["full-report", "--m", "2", "--n", "2", "--blocks", "3"], LIVE_METRICS, 48),
+        (["full-report", "--m", "2", "--n", "2", "--blocks", "3"], 48),
         (["full-report", "--m", "2", "--n", "2", "--blocks", "2",
-          "--mode", "float", "--tol", "1e-9"],
-         (*LIVE_METRICS, "linalg.svd_s", "linalg.svd_cells"), 32),
+          "--mode", "float", "--tol", "1e-9"], 32),
     ],
     ids=["exact", "float"],
 )
-def test_traced_child_runs_and_writes_the_untraced_report(tmp_path, cli_args, live, basis_dim):
+def test_traced_child_runs_and_writes_the_untraced_report(tmp_path, cli_args, basis_dim):
     traced = run_child(1, tmp_path / "traced.json", cli_args)
     untraced = run_child(0, tmp_path / "untraced.json", cli_args)
     assert traced["rc"] == untraced["rc"] == 0
     assert isinstance(traced["layers"], dict) and traced["layers"]
-    assert [name for name in live if not traced["layers"][name] > 0] == []
+    assert [name for name in LIVE_METRICS if not traced["layers"][name] > 0] == []
+    assert traced["layers"]["linalg.svd_cells"] == 0
     # one full self-adjoint solve, and one for the channels' common restriction
     assert traced["layers"]["commutant.selfadjoint_calls"] == 2
     assert traced["layers"]["commutant.basis_dim"] == basis_dim
     assert "layers" not in untraced
+    assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "untraced.json").read_bytes()
+
+
+def test_traced_float_symbol_run_times_the_svds(tmp_path):
+    # a float symbol still goes through the batched SVDs, which the tracer
+    # wraps on numpy.linalg as the float solver looks them up at call time
+    cli_args = ["commutant", "--m", "2", "--n", "1", "--blocks", "3", "--mode", "float",
+                "--tol", "1e-9", "--symbol", str(ROOT / "benchmarks" / "symbol_F.json")]
+    traced = run_child(1, tmp_path / "traced.json", cli_args)
+    untraced = run_child(0, tmp_path / "untraced.json", cli_args)
+    assert traced["rc"] == untraced["rc"] == 0
+    live = ("commutant.basis_s", "commutant.selfadjoint_s", "cli.execute_s",
+            "linalg.svd_s", "linalg.svd_cells")
+    assert [name for name in live if not traced["layers"][name] > 0] == []
+    assert traced["layers"]["commutant.selfadjoint_calls"] == 1
     assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "untraced.json").read_bytes()

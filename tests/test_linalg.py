@@ -5,17 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hardyshift import GaussianRational, TruncationParams, linalg, power_symbol
-from hardyshift.commutant import _float_terms
+from hardyshift import GaussianRational, TruncationParams, floatsolve, linalg, power_symbol
 from hardyshift.errors import RankAmbiguityError
-from hardyshift.linalg import (
-    components,
-    echelonize_float,
-    float_blocks,
-    kernel_basis,
-    nullity,
-    rref,
-)
+from hardyshift.floatsolve import echelonize_float, float_blocks, float_terms
+from hardyshift.linalg import components, kernel_basis, nullity, rref
 
 from helpers import (
     blocks_as_components,
@@ -262,9 +255,9 @@ def test_kernel_basis_and_nullity_each_make_one_rref_call(rows, monkeypatch):
 # choices of two calls; an exact system with no rows logs an empty summary,
 # as a float system with no rows does
 SPIES = {
-    "rref": lambda args, out: (len(args[0]), args[1]) if args[0] else (),
+    (linalg, "rref"): lambda args, out: (len(args[0]), args[1]) if args[0] else (),
     # each float block's shape and rank, in component order
-    "_float_kernels": lambda args, out: [
+    (floatsolve, "_float_kernels"): lambda args, out: [
         (height, width, rank)
         for height, width, rank in zip(args[0].heights.tolist(),
                                        np.diff(args[0].starts).tolist(), out[0].tolist())
@@ -277,13 +270,13 @@ def solver_log(call, *args):
     """Run ``call(*args)`` and list, in order, the block solvers it used."""
     log = []
     with pytest.MonkeyPatch.context() as mp:
-        for name, summary in SPIES.items():
-            def spy(*a, _real=getattr(linalg, name), _name=name, _summary=summary):
+        for (module, name), summary in SPIES.items():
+            def spy(*a, _real=getattr(module, name), _name=name, _summary=summary):
                 out = _real(*a)
                 log.append((_name, _summary(a, out)))
                 return out
 
-            mp.setattr(linalg, name, spy)
+            mp.setattr(module, name, spy)
         result = call(*args)
     return result, log
 
@@ -519,8 +512,8 @@ def test_float_solves_repeat_and_match_the_whole_system_echelon_basis():
     p = TruncationParams(2, 2, 3)
     T = power_symbol(p, mode="float")
     ncols = p.d * p.d
-    first = kernel_basis(_float_terms(T, False), ncols, "float", TOL)
-    assert kernel_basis(_float_terms(T, False), ncols, "float", TOL) == first
+    first = kernel_basis(float_terms(T, False), ncols, "float", TOL)
+    assert kernel_basis(float_terms(T, False), ncols, "float", TOL) == first
     reference = whole_system_kernel_float(commutation_rows_reference(T), ncols, TOL)
     assert len(first) == len(reference) == p.r * p.r * p.K
     for vec, ref in zip(first, reference):

@@ -1,4 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import hardyshift
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_export_table_has_no_duplicates_and_every_name_resolves():
@@ -21,3 +30,28 @@ def test_dense_algebra_is_not_part_of_the_package():
     assert not hasattr(hardyshift.SparseMatrix, "to_dense")
     for name in ("nonzero_items", "nnz", "rank", "__getitem__"):
         assert not hasattr(hardyshift.DenseMatrix, name)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["full-report", "--m", "2", "--n", "2", "--blocks", "3"], False),
+        (["full-report", "--m", "2", "--n", "2", "--blocks", "3", "--mode", "float",
+          "--tol", "1e-9"], False),
+        (["commutant", "--m", "2", "--n", "1", "--blocks", "3", "--mode", "float",
+          "--tol", "1e-9", "--symbol", str(ROOT / "benchmarks" / "symbol_F.json")], True),
+    ],
+    ids=["exact-power", "float-power", "float-symbol"],
+)
+def test_numpy_is_loaded_only_by_float_solves(tmp_path, argv, loaded):
+    # z^n is solved by its chains in both modes, so only a float symbol's
+    # SVDs import numpy
+    script = ("import sys, hardyshift.cli as cli; rc = cli.main(sys.argv[1:]); "
+              "print('numpy' in sys.modules); sys.exit(rc)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "report.json")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loaded}\n"
