@@ -11,7 +11,6 @@ floating rank decision was ambiguous, 4 the report could not be written.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -24,6 +23,7 @@ from .commutant import (
     basis_head_break,
     commutant_basis,
     is_block_lower_toeplitz,
+    operator_rank,
     selfadjoint_commutant_dim,
     toeplitz_break,
 )
@@ -313,7 +313,7 @@ def execute(cfg: argparse.Namespace) -> dict:
             "rows": T.rows,
             "cols": T.cols,
             "nnz": T.nnz(),
-            "rank": T.rank(cfg.tol),
+            "rank": operator_rank(T, cfg.tol),
             "matrix": [[scalar_to_json(T.entries.get((u, v), z)) for v in range(T.cols)]
                        for u in range(T.rows)],
         }
@@ -346,6 +346,8 @@ def emit_report(report: dict, fmt: str) -> bytes:
     the lattice CSV table, which needs a report with a lattice section."""
     if fmt == "json":
         return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+    import csv  # only this table needs it, so a JSON run never loads it
+
     lattice = report["lattice"]
     minimal_by_ordinal = {
         mc["ordinal"]: mc["is_minimal"] for mc in lattice["minimal_channels"]

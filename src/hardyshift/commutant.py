@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from operator import add
@@ -61,7 +60,6 @@ from .scalars import Mode, scalar_is_zero, scalars_close, zero
 from .space import TruncationParams
 
 
-@dataclass(frozen=True)
 class CommutantBasis:
     """Echelon-normalized basis of {P : AP = PA} for a d x d matrix A.  The
     chain path keeps each element as its chain (``_chains``), the ascending
@@ -69,11 +67,21 @@ class CommutantBasis:
     diagonal of z^n or of a channel restriction, an ``array('q')`` for any
     other chain, read as a matrix through ``chain_view``.  Every other path
     keeps a ``SparseMatrix``.  ``mode`` is the operator's, and a chain's
-    view holds that mode's one."""
+    view holds that mode's one.  Its fields are read-only."""
 
-    d: int
-    mode: Mode
-    members: tuple
+    def __init__(self, d: int, mode: Mode, members: tuple):
+        vars(self).update(d=d, mode=mode, members=members)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, CommutantBasis):
+            return NotImplemented
+        return (self.d, self.mode, self.members) == (other.d, other.mode, other.members)
+
+    def __repr__(self):
+        return f"CommutantBasis(d={self.d}, mode={self.mode!r}, dim={self.dim})"
 
     @property
     def dim(self) -> int:
@@ -228,6 +236,14 @@ def _shape(A: SparseMatrix):
     if "_shape" not in cache:
         cache["_shape"] = _partial_permutation(A)
     return cache["_shape"]
+
+
+def operator_rank(A: SparseMatrix, tol: float | None = None) -> int:
+    """Rank of A.  A 0/1 partial permutation, as z^n is in either mode,
+    has one nonzero in each of its nonzero rows and columns, so its rank
+    is its count of nonzeros, read off the scan of ``_shape`` with no
+    elimination and no SVD; any other A goes to ``SparseMatrix.rank``."""
+    return A.nnz() if _shape(A) is not None else A.rank(tol)
 
 
 def _chains(succ: list[int], pred: list[int], height: list[int]):

@@ -19,7 +19,7 @@ any product with it is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ShapeError
 from .matrices import SparseMatrix
@@ -27,8 +27,7 @@ from .scalars import one, scalar_is_zero, scalars_close, zero
 from .space import TruncationParams
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(NamedTuple):
     """Channel labels: component i in 1..m, residue j in 0..n-1.
 
     ``ordinal`` is the channel's position in the block order of the
@@ -69,8 +68,7 @@ def check_operator_shape(T: SparseMatrix, params: TruncationParams) -> None:
         raise ShapeError(f"operator is {T.shape} but the model has d={params.d}")
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     unitary: bool
     intertwines: bool
 

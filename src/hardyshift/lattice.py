@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .commutant import restrict, selfadjoint_commutant_dim
 from .decomposition import Channel, channel_flats, channels, check_operator_shape
@@ -35,22 +35,19 @@ from .space import TruncationParams
 MAX_EXHAUSTIVE_CHANNELS = 20
 
 
-@dataclass(frozen=True)
-class ChannelMinimality:
+class ChannelMinimality(NamedTuple):
     channel: Channel
     is_minimal: bool
     restricted_selfadjoint_commutant_dim: int
 
 
-@dataclass(frozen=True)
-class LatticeCounts:
+class LatticeCounts(NamedTuple):
     total_masks: int
     checked_masks: int
     reducing_count: int
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(NamedTuple):
     params: TruncationParams
     values: Sequence[int]  # the checked mask values, ascending
     reducing: bytes  # one verdict per checked mask, 1 when it reduces T

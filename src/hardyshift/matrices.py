@@ -16,7 +16,6 @@ refuses a ragged or empty grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import linalg
@@ -61,15 +60,29 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols}, mode={self.mode!r})"
 
 
-@dataclass(frozen=True)
 class SparseMatrix:
     """A matrix kept as its nonzero entries ``{(u, v): scalar}``; an
-    absent entry is the mode's zero.  Treated as immutable."""
+    absent entry is the mode's zero.  Treated as immutable: its fields are
+    read-only, and its ``__dict__`` also keeps what ``commutant`` learns
+    of it once, its partial-permutation scan."""
 
-    entries: dict
-    rows: int
-    cols: int
-    mode: Mode
+    def __init__(self, entries: dict, rows: int, cols: int, mode: Mode):
+        vars(self).update(entries=entries, rows=rows, cols=cols, mode=mode)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return (
+            self.mode == other.mode
+            and self.shape == other.shape
+            and self.entries == other.entries
+        )
+
+    def __repr__(self):
+        return f"SparseMatrix({self.rows}x{self.cols}, mode={self.mode!r})"
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -15,44 +15,47 @@ dense reference algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ShapeError
 from .matrices import DenseMatrix, SparseMatrix
 from .scalars import Mode, scalar_from_json, scalar_to_json, zero
 from .space import TruncationParams
 
 
-@dataclass(frozen=True)
 class MatrixSymbol:
     """Matrix polynomial sum_t C_t z^t with square m x m coefficients.
 
     Coefficient matrices must share one mode; powers are distinct and
-    nonnegative.  Stored sorted by power.
+    nonnegative.  Stored sorted by power, in read-only fields.
     """
 
-    m: int
-    coeffs: tuple[tuple[int, DenseMatrix], ...]
-
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ShapeError(f"symbol size must be a positive integer, got {self.m!r}")
+    def __init__(self, m: int, coeffs: tuple[tuple[int, DenseMatrix], ...]):
+        if not isinstance(m, int) or m < 1:
+            raise ShapeError(f"symbol size must be a positive integer, got {m!r}")
         seen = set()
-        for t, mat in self.coeffs:
+        for t, mat in coeffs:
             if not isinstance(t, int) or t < 0:
                 raise ShapeError(f"symbol power must be a nonnegative integer, got {t!r}")
             if t in seen:
                 raise ShapeError(f"duplicate symbol power {t}")
             seen.add(t)
-            if mat.shape != (self.m, self.m):
+            if mat.shape != (m, m):
                 raise ShapeError(
-                    f"coefficient of z^{t} has shape {mat.shape}, expected "
-                    f"({self.m}, {self.m})"
+                    f"coefficient of z^{t} has shape {mat.shape}, expected ({m}, {m})"
                 )
-        modes = {mat.mode for _, mat in self.coeffs}
-        if len(modes) > 1:
+        if len({mat.mode for _, mat in coeffs}) > 1:
             raise TypeError("symbol coefficients must share a mode")
-        object.__setattr__(self, "coeffs", tuple(sorted(self.coeffs)))
+        vars(self).update(m=m, coeffs=tuple(sorted(coeffs)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, MatrixSymbol):
+            return NotImplemented
+        return (self.m, self.coeffs) == (other.m, other.coeffs)
+
+    def __repr__(self):
+        return f"MatrixSymbol(m={self.m}, coeffs={self.coeffs!r})"
 
     @property
     def mode(self) -> Mode:

@@ -15,39 +15,34 @@ size K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 
-
-@dataclass(frozen=True)
 class TruncationParams:
     """Model size: m components, multiplication by z^n, K coefficients kept
-    per channel.  The derived sizes are computed on first read and then
-    read as plain attributes, since the Lemma-3 audit reads d and r once
-    per commutant element."""
+    per channel, with the derived sizes N, d and r computed here and read
+    as plain attributes, since the Lemma-3 audit reads d and r once per
+    commutant element.  Every attribute is read-only.
 
-    m: int
-    n: int
-    K: int
+    N is the degree cutoff (coefficients of z^p are kept for p < N), d the
+    dimension of the truncated space and r the number of channels (shift
+    blocks) in the decomposition.
+    """
 
-    def __post_init__(self):
-        for name in ("m", "n", "K"):
-            v = getattr(self, name)
+    def __init__(self, m: int, n: int, K: int):
+        for name, v in (("m", m), ("n", n), ("K", K)):
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        vars(self).update(m=m, n=n, K=K, N=n * K, d=m * n * K, r=m * n)
 
-    @cached_property
-    def N(self) -> int:
-        """Degree cutoff: coefficients of z^p are kept for p < N."""
-        return self.n * self.K
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    @cached_property
-    def d(self) -> int:
-        """Dimension of the truncated space."""
-        return self.m * self.N
+    def __eq__(self, other):
+        if not isinstance(other, TruncationParams):
+            return NotImplemented
+        return (self.m, self.n, self.K) == (other.m, other.n, other.K)
 
-    @cached_property
-    def r(self) -> int:
-        """Number of channels (shift blocks) in the decomposition."""
-        return self.m * self.n
+    def __hash__(self):
+        return hash((self.m, self.n, self.K))
 
+    def __repr__(self):
+        return f"TruncationParams(m={self.m}, n={self.n}, K={self.K})"

@@ -640,6 +640,10 @@ def test_float_powers_exit_zero_at_any_tol(tmp_path, tol):
     assert code == 0 and rep["passed"]
     assert rep["commutant"]["dim"] == 4 * 4 * 7
     assert rep["commutant"]["selfadjoint_dim"] == 4 * 4
+    # and its rank is its count of nonzeros, d - r
+    code, rep = run_cli_json(tmp_path, "build", "--m", "2", "--n", "2", "--blocks", "7",
+                             "--mode", "float", "--tol", tol)
+    assert code == 0 and rep["build"]["rank"] == rep["build"]["nnz"] == 28 - 4
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from array import array
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardyshift import (
+    CommutantBasis,
     GaussianRational,
     TruncationParams,
     channel,
@@ -30,6 +30,7 @@ from hardyshift.commutant import (
     _partial_permutation,
     _selfadjoint_rows,
     chain_view,
+    operator_rank,
     toeplitz_break,
 )
 from hardyshift.errors import InvarianceError, ShapeError
@@ -171,7 +172,7 @@ def run_with_doctored_basis(monkeypatch, capsys, doctor, argv):
 def replace_chain(cb, i, keys):
     members = list(cb.members)
     members[i] = array("q", keys)
-    return dataclasses.replace(cb, members=tuple(members))
+    return CommutantBasis(cb.d, cb.mode, tuple(members))
 
 
 def test_cli_lemma3_audit_fails_on_a_changed_basis_element(tmp_path, monkeypatch, capsys):
@@ -241,8 +242,8 @@ def test_cli_lemma3_audit_fails_on_a_changed_float_element(monkeypatch, capsys):
         view = cb.element(3)
         assert view.mode == "float" and set(view.entries.values()) == {1 + 0j}
         entries = {**view.entries, (order[0], order[1]): 5 + 0j}
-        members[3] = dataclasses.replace(view, entries=entries)
-        return dataclasses.replace(cb, members=tuple(members))
+        members[3] = SparseMatrix(entries, view.rows, view.cols, view.mode)
+        return CommutantBasis(cb.d, cb.mode, tuple(members))
 
     code, err, (cb,) = run_with_doctored_basis(
         monkeypatch, capsys, doctor,
@@ -276,7 +277,7 @@ def test_cli_dimension_check_names_expected_and_found(
         result = real(A, tol)
         if isinstance(result, int):
             return result - 1
-        return dataclasses.replace(result, members=result.members[:-1])
+        return CommutantBasis(result.d, result.mode, result.members[:-1])
 
     monkeypatch.setattr(cli, target, short_by_one)
     out = tmp_path / "report.json"
@@ -293,7 +294,7 @@ def test_cli_dimension_check_names_expected_and_found(
 
 
 def with_members(cb, members):
-    return dataclasses.replace(cb, members=tuple(members))
+    return CommutantBasis(cb.d, cb.mode, tuple(members))
 
 
 # At (2,2,3) (d = 12, r = 4) basis element 5 is the diagonal from (4, 1)
@@ -343,7 +344,8 @@ def test_cli_basis_certificate_fails_a_scaled_float_element(monkeypatch, capsys)
     # twice a diagonal is still block lower Toeplitz, but not one at its head
     def doctor(cb):
         view = cb.element(3)
-        scaled = dataclasses.replace(view, entries={k: 2 * s for k, s in view.entries.items()})
+        scaled = SparseMatrix({k: 2 * s for k, s in view.entries.items()}, view.rows,
+                              view.cols, view.mode)
         return with_members(cb, [*cb.members[:3], scaled, *cb.members[4:]])
 
     code, err, (cb,) = run_with_doctored_basis(
@@ -1003,6 +1005,7 @@ def test_other_partial_permutations_keep_array_chains(d, succ):
     A = sparse(grid)
     cb = commutant_basis(A)
     assert cb.dim and all(type(P) is array and P.typecode == "q" for P in cb.members)
+    assert operator_rank(A) == A.rank() == len(succ)
     assert_matches_the_commutation_system(A)
 
 
@@ -1016,3 +1019,15 @@ def test_chain_basis_and_its_audit_build_no_matrix(monkeypatch, built):
     assert built == []
     # the views are built on first access, once
     assert cb.elements is cb.elements and len(built) == cb.dim
+
+
+def test_commutant_bases_are_read_only_values():
+    p = TruncationParams(2, 2, 2)
+    cb = commutant_basis(power_symbol(p))
+    assert cb == commutant_basis(power_symbol(p)) and cb is not commutant_basis(power_symbol(p))
+    assert cb != CommutantBasis(cb.d, cb.mode, cb.members[:-1])
+    assert cb != CommutantBasis(cb.d, "float", cb.members)
+    assert cb.elements and cb == CommutantBasis(cb.d, cb.mode, cb.members)
+    with pytest.raises(AttributeError):
+        cb.members = ()
+    assert repr(cb) == "CommutantBasis(d=8, mode='exact', dim=32)"

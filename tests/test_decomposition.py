@@ -38,6 +38,14 @@ def test_channel_labels_and_ordinals():
     assert channel(2, 1, p).ordinal == 3
 
 
+def test_channels_are_values():
+    p = TruncationParams(2, 3, 2)
+    assert channel(2, 1, p) == channels(p)[3]
+    assert hash(channel(2, 1, p)) == hash(channels(p)[3])
+    assert channel(2, 1, p) != channel(1, 1, p)
+    assert len(set(channels(p)) | set(channels(p))) == p.r
+
+
 def test_channel_validation():
     p = TruncationParams(2, 2, 2)
     with pytest.raises(IndexError):

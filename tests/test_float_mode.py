@@ -16,6 +16,7 @@ from hardyshift import (
     vector_shift,
     verify_equivalence,
 )
+from hardyshift.commutant import operator_rank
 from hardyshift.errors import RankAmbiguityError
 from hardyshift.floatsolve import float_blocks, float_terms
 from hardyshift.linalg import components
@@ -111,6 +112,10 @@ def test_float_rank_of_power_operator():
     p = TruncationParams(2, 2, 3)
     T = power_symbol(p, mode="float")
     assert T.rank(tol=TOL) == p.m * (p.N - p.n)
+    # read off the partial-permutation scan, and by SVD once T is scaled
+    assert operator_rank(T, TOL) == T.rank(tol=TOL)
+    doubled = SparseMatrix({k: 2 * s for k, s in T.entries.items()}, p.d, p.d, "float")
+    assert operator_rank(doubled, TOL) == T.rank(tol=TOL)
 
 
 def test_float_projection_predicate():

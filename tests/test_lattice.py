@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -213,7 +212,7 @@ def test_closure_check_fails_when_no_mask_is_reducing():
     p = TruncationParams(2, 1, 2)
     rep = enumerate_lattice(power_symbol(p), p)
     assert rep.exhaustive and lattice_closure_check(rep)
-    flipped = dataclasses.replace(rep, reducing=bytes(len(rep.values)))
+    flipped = rep._replace(reducing=bytes(len(rep.values)))
     assert not lattice_closure_check(flipped)
 
 
@@ -221,7 +220,7 @@ def test_closure_check_fails_on_doctored_family():
     p = TruncationParams(1, 2, 2)
     rep = enumerate_lattice(power_symbol(p), p)
     # drop everything except one proper mask: complement is now missing
-    doctored = dataclasses.replace(rep, values=(1,), reducing=b"\x01")
+    doctored = rep._replace(values=(1,), reducing=b"\x01")
     assert not lattice_closure_check(doctored)
 
 
@@ -264,9 +263,7 @@ def pairwise_closure_reference(report):
 
 def with_family(report, family):
     """The report with exactly the masks in ``family`` marked reducing."""
-    return dataclasses.replace(
-        report, reducing=bytes(v in family for v in report.values)
-    )
+    return report._replace(reducing=bytes(v in family for v in report.values))
 
 
 def test_closure_check_agrees_with_pairwise_reference_on_every_family():

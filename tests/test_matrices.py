@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyshift import DenseMatrix, GaussianRational
+from hardyshift import DenseMatrix, GaussianRational, SparseMatrix
+from hardyshift.commutant import operator_rank
 from hardyshift.errors import ShapeError
 
 # The package's DenseMatrix keeps its validating constructor and identity,
@@ -126,6 +127,21 @@ def test_commutator():
     c = commutator(a, b)
     assert c == DenseMatrix([[1, 0], [0, -1]])
     assert commutator(a, a).is_zero()
+
+
+def test_sparse_matrices_are_equal_by_entries_shape_and_mode():
+    T = sparse([[0, 0], [1, 0]])
+    assert T == sparse([[0, 0], [1, 0]]) and T is not sparse([[0, 0], [1, 0]])
+    assert T != sparse([[0, 0], [2, 0]])
+    assert T != SparseMatrix(T.entries, 2, 3, "exact")
+    assert T != sparse([[0, 0], [1, 0]], mode="float")
+    # the partial-permutation scan that commutant keeps on T is no field
+    assert operator_rank(T) == 1 and "_shape" in vars(T)
+    assert T == sparse([[0, 0], [1, 0]])
+    with pytest.raises(AttributeError):
+        T.entries = {}
+    with pytest.raises(TypeError):
+        hash(T)
 
 
 def test_exact_rank():

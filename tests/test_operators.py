@@ -200,6 +200,8 @@ def test_symbol_json_round_trip():
     obj = symbol_to_json(sym)
     back = symbol_from_json(obj, "exact")
     assert back == sym
+    assert back != MatrixSymbol(2, sym.coeffs[1:])
+    assert back != MatrixSymbol(2, ((0, sym.coeffs[0][1]), (2, sym.coeffs[1][1])))
 
 
 def test_symbol_json_validation():

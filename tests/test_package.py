@@ -40,12 +40,18 @@ def test_dense_algebra_is_not_part_of_the_package():
           "--tol", "1e-9"], False),
         (["commutant", "--m", "2", "--n", "1", "--blocks", "3", "--mode", "float",
           "--tol", "1e-9", "--symbol", str(ROOT / "benchmarks" / "symbol_F.json")], True),
+        (["build", "--m", "2", "--n", "2", "--blocks", "3", "--mode", "float",
+          "--tol", "1e-9"], False),
+        (["build", "--m", "2", "--n", "1", "--blocks", "3", "--mode", "float",
+          "--tol", "1e-9", "--symbol", str(ROOT / "benchmarks" / "symbol_F.json")], True),
     ],
-    ids=["exact-power", "float-power", "float-symbol"],
+    ids=["exact-power", "float-power", "float-symbol", "float-power-build",
+         "float-symbol-build"],
 )
 def test_numpy_is_loaded_only_by_float_solves(tmp_path, argv, loaded):
-    # z^n is solved by its chains in both modes, so only a float symbol's
-    # SVDs import numpy
+    # z^n is solved by its chains in both modes, and its rank is its count of
+    # nonzeros, so only a float symbol's SVDs, for its commutant or its
+    # rank, import numpy
     script = ("import sys, hardyshift.cli as cli; rc = cli.main(sys.argv[1:]); "
               "print('numpy' in sys.modules); sys.exit(rc)")
     proc = subprocess.run(
@@ -55,3 +61,20 @@ def test_numpy_is_loaded_only_by_float_solves(tmp_path, argv, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{loaded}\n"
+
+
+def test_cli_import_loads_no_record_machinery_csv_or_numpy():
+    # start-up pays only for what every run uses: the records are plain
+    # classes and named tuples, and csv waits for a CSV table
+    script = ("import sys; bare = set(sys.modules); import hardyshift.cli; "
+              "added = set(sys.modules) - bare; "
+              "print(sorted(added & {'dataclasses', 'inspect', 'csv', 'numpy'}))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    sources = sorted((ROOT / "src" / "hardyshift").rglob("*.py"))
+    assert sources and [f.name for f in sources if "dataclass" in f.read_text()] == []
