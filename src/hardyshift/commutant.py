@@ -29,19 +29,19 @@ numerical estimate.  Float mode evaluates the same terms on numpy arrays,
 every nonzero against every position at once (``floatsolve.float_terms``,
 imported only then), and hands the arrays to ``linalg``, which solves the
 blocks of one shape with one batched SVD, behind the rank-ambiguity gate.
+The basis is solved once per operator and tol and kept on A
+(``_eliminated_basis``), like the scan of ``_shape``.
 
-The self-adjoint variant parametrizes Hermitian P = X + iY by a real
-symmetric X and a real antisymmetric Y.  Its equations are the real and
-imaginary parts of the commutation terms, rewritten over the entries of X
-and Y by ``_realified_terms``, the one statement of the realification:
-exact mode applies it to the entries of the summed commutation rows, float
-mode to every term at once.  Its dimension over the reals counts the
-orthogonal projections' degrees of freedom, which is what decides how
-many reducing subspaces the truncated operator actually has.
-``linalg.nullity`` solves this realified system in place of the complex
-system for the commutant of {A, A*}, which has the same solutions but
-measured slower for an exact custom symbol (see
-``selfadjoint_commutant_dim``); a partial permutation needs neither.
+The self-adjoint commutant {P = P* : AP = PA} is what decides how many
+reducing subspaces the truncated operator has: its real dimension counts
+the orthogonal projections' degrees of freedom.  Every such P is
+sum_k c_k B_k over the D elements of that kept basis, so its equations
+are the real and imaginary parts of P[u][v] - conj(P[v][u]) = 0 in the
+2D real unknowns Re c_k and Im c_k (``_hermitian_terms``), where a
+system in P's entries would be d^2 wide.  Exact mode adds the terms up
+into Fraction rows, float mode evaluates them on arrays
+(``floatsolve.hermitian_terms``), and ``linalg.nullity`` counts the
+solutions.  A partial permutation needs no system at all.
 """
 
 from __future__ import annotations
@@ -124,79 +124,39 @@ def _commutation_terms(u, v, s, neg, t, d):
     return (u * d + t, v * d + t, s), (t * d + v, t * d + u, neg)
 
 
-def _realified_terms(eq, p, q, re, im, d):
-    """The terms of the real and the imaginary part, equations 2 eq and
-    2 eq + 1, of the term (re + i im) P[p][q] of equation eq, for Hermitian
-    P = X + iY with X real symmetric and Y real antisymmetric.
-
-    The unknowns are x_ab for a <= b, row-major, then y_ab for a < b: d*d
-    in all.  P[p][q] = x + i s y, where s = +1 above the diagonal and -1
-    below it; Y vanishes on the diagonal, where the y terms get s = 0.  So
-    the real part puts re on x and -s im on y, and the imaginary part im
-    on x and s re on y.  Takes ints or broadcasting numpy arrays.
-    """
-    below = q < p
-    lo = p + (q - p) * below
-    hi = p + q - lo
-    x = lo * d - lo * (lo - 1) // 2 + hi - lo
-    y = x + d * (d + 1) // 2 - lo - 1
-    s = (p != q) * (1 - 2 * below)
-    real, imag = 2 * eq, 2 * eq + 1
-    # coefficient first: a Fraction times an int takes its fast path
-    return (real, x, re), (real, y, im * -s), (imag, y, re * s), (imag, x, im)
-
-
-def _exact_rows(terms, nrows: int) -> list[dict]:
-    """The ``{unknown: coefficient}`` rows that exact terms add up to, one
-    per equation, empty ones included."""
-    rows: list[dict] = [{} for _ in range(nrows)]
-    for eq, unknown, c in terms:
-        if c:
-            _add(rows[eq], unknown, c)
-    return rows
-
-
-def _equations(A: SparseMatrix) -> list[dict]:
-    """The d*d rows of A's exact commutation system, unknowns P[u][v] ->
-    u*d + v: all of AP's terms, then all of PA's, as the float arrays
-    order them, one nonzero of A and one t at a time."""
+def _commutation_rows(A: SparseMatrix) -> list[dict]:
+    """The nonempty ``{unknown: coefficient}`` rows of A's exact
+    commutation system, in equation order, unknowns P[u][v] -> u*d + v:
+    the input of ``rref``.  The terms come as the float arrays order them,
+    all of AP's, then all of PA's, one nonzero of A and one t at a time."""
     d = A.rows
     nonzeros = [(u, v, s, -s) for u, v, s in A.nonzero_items()]
-    return _exact_rows(
-        (_commutation_terms(u, v, s, neg, t, d)[side]
-         for side in (0, 1) for u, v, s, neg in nonzeros for t in range(d)),
-        d * d,
-    )
-
-
-def _commutation_rows(A: SparseMatrix) -> list[dict]:
-    """The nonempty rows of the exact commutation system, in equation
-    order: the input of ``rref``."""
-    return [row for row in _equations(A) if row]
-
-
-def _selfadjoint_rows(A: SparseMatrix) -> list[dict]:
-    """The nonempty rows of the exact realified system, the real and
-    imaginary parts of the commutation rows (``_realified_terms``).  Its
-    coefficients are Fractions, so it is solved over the rationals."""
-    d = A.rows
-    rows = _exact_rows(
-        (term for eq, row in enumerate(_equations(A)) for key, c in row.items()
-         for term in _realified_terms(eq, *divmod(key, d), c.re, c.im, d)),
-        2 * d * d,
-    )
+    rows: list[dict] = [{} for _ in range(d * d)]
+    for eq, unknown, c in (_commutation_terms(u, v, s, neg, t, d)[side] for side in (0, 1)
+                           for u, v, s, neg in nonzeros for t in range(d)):
+        if c:
+            _add(rows[eq], unknown, c)
     return [row for row in rows if row]
 
 
-def _system(A: SparseMatrix, realified: bool):
-    """A's commutation system, or its realified one, in the form
-    ``linalg`` takes for A's mode: exact rows, or float term arrays from
-    ``floatsolve``, which is imported only here, for a float solve."""
-    if A.mode == "exact":
-        return _selfadjoint_rows(A) if realified else _commutation_rows(A)
-    from .floatsolve import float_terms
-
-    return float_terms(A, realified)
+def _hermitian_terms(k, u, v, re, im, d):
+    """The terms that the entry re + i im of basis element k at (u, v)
+    puts into P - P* = 0 for P = sum_k (a_k + i b_k) B_k, unknowns
+    a_k -> 2k and b_k -> 2k + 1: into equation e = 2 (lo*d + hi), the real
+    part of P[lo][hi] - conj(P[hi][lo]) for the sorted pair lo <= hi of
+    (u, v), and into e + 1, its imaginary part.  Above the diagonal it adds
+    (a re - b im) + i (a im + b re), and below it minus the conjugate of
+    that, so with s = +1 above and -1 below the real part puts s re on a
+    and -s im on b.  On the diagonal s = 0, and the imaginary part, twice
+    Im P[u][u], is written halved.  Takes ints or broadcasting numpy arrays.
+    """
+    below = v < u
+    lo = u + (v - u) * below
+    e = 2 * (lo * d + u + v - lo)
+    s = (u != v) * (1 - 2 * below)
+    a, b = 2 * k, 2 * k + 1
+    # coefficient first: a Fraction times an int takes its fast path
+    return (e, a, re * s), (e, b, im * -s), (e + 1, a, im), (e + 1, b, re)
 
 
 def _partial_permutation(A: SparseMatrix):
@@ -314,21 +274,41 @@ def commutant_basis(A: SparseMatrix, tol: float | None = None) -> CommutantBasis
 
     Exact mode needs no tol; float mode requires one in (0, 1), even for a
     partial permutation, and may raise RankAmbiguityError when the kernel
-    boundary is too close to call.
+    boundary is too close to call.  An A that is not a 0/1 partial
+    permutation returns the same basis on every call with the same tol
+    (``_eliminated_basis``).
     """
     if A.rows != A.cols:
         raise ShapeError("commutant needs a square matrix")
     linalg.require_tol(A.mode, tol)
-    d = A.rows
     shape = _shape(A)
     if shape is not None:
         # in kernel_basis's order: ascending free column, each chain's last key
         chains = sorted(_chains(*shape), key=lambda keys: keys[-1])
-        return CommutantBasis(d, A.mode, tuple(chains))
-    vecs = linalg.kernel_basis(_system(A, False), d * d, A.mode, tol)
-    return CommutantBasis(d, A.mode, tuple(
-        SparseMatrix({divmod(k, d): s for k, s in vec.items()}, d, d, A.mode) for vec in vecs
-    ))
+        return CommutantBasis(A.rows, A.mode, tuple(chains))
+    return _eliminated_basis(A, tol)
+
+
+def _eliminated_basis(A: SparseMatrix, tol: float | None) -> CommutantBasis:
+    """The kernel of A's commutation system, exact rows or float term
+    arrays from ``floatsolve`` (imported only here), solved once per tol
+    and kept on A, which is never changed, for ``commutant_basis`` and
+    ``selfadjoint_commutant_dim`` alike."""
+    bases = A.__dict__.setdefault("_bases", {})
+    if tol not in bases:
+        d = A.rows
+        if A.mode == "exact":
+            system = _commutation_rows(A)
+        else:
+            from .floatsolve import float_terms
+
+            system = float_terms(A)
+        vecs = linalg.kernel_basis(system, d * d, A.mode, tol)
+        bases[tol] = CommutantBasis(d, A.mode, tuple(
+            SparseMatrix({divmod(k, d): s for k, s in vec.items()}, d, d, A.mode)
+            for vec in vecs
+        ))
+    return bases[tol]
 
 
 def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
@@ -336,15 +316,11 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
 
     This equals the complex commutant dimension when A is diagonalizable
     with real spectrum, but at truncation the operators here are nilpotent,
-    so it is computed directly from the realified system of
-    ``_realified_terms``.  The complex system AP = PA, A*P = PA* has the
-    same solutions, but in exact mode its rows are Gaussian rationals where
-    these are Fractions: building and solving it took about 2.1 times as
-    long for the benchmark's 2x2 symbol at d=16 (best of seven, one Xeon
-    core, Python 3.11).  In float mode, with both systems built as arrays,
-    it took 0.89 to 1.01 times as long for z^n at (m,n,K)=(2,2,7) (median
-    of 50 in-process calls, 2-vCPU Xeon, numpy 2.4), not enough to keep a
-    second path for.
+    and it need not: diag(1, 2) z has a commutant of dimension 4K but a
+    self-adjoint commutant of dimension 2.  For an A that ``_shape``
+    declines it is the real nullity of c -> P(c) - P(c)* on the
+    coordinates of A's commutant basis (``_hermitian_terms``), which
+    ``commutant_basis`` has usually solved already.
 
     A 0/1 partial permutation needs no system: by ``_chains``, P is
     a combination of the indicators 1_C of the surviving chains, and P* of
@@ -366,7 +342,21 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
         heads = Counter(height[v] for v in range(A.rows) if pred[v] < 0)
         closed = sum(1 for _ in _closed_orbits(succ, height))
         return sum(count * count for count in heads.values()) + closed
-    return linalg.nullity(_system(A, True), A.rows * A.rows, A.mode, tol)
+    cb = _eliminated_basis(A, tol)
+    if A.mode == "exact":
+        # Fraction rows, solved over the rationals
+        rows: dict[int, dict] = {}
+        for k, P in enumerate(cb.members):
+            for (u, v), s in P.entries.items():
+                for eq, unknown, c in _hermitian_terms(k, u, v, s.re, s.im, cb.d):
+                    if c:
+                        _add(rows.setdefault(eq, {}), unknown, c)
+        system = list(rows.values())
+    else:
+        from .floatsolve import hermitian_terms
+
+        system = hermitian_terms(cb)
+    return linalg.nullity(system, 2 * cb.dim, A.mode, tol)
 
 
 def is_block_lower_toeplitz(

@@ -9,7 +9,8 @@ of a float symbol, or of any float operator with an entry other than
 exactly 1, and a float ``SparseMatrix.rank``.
 
 A system is a triple of numpy arrays, one (equation, unknown, coefficient)
-term per entry (``float_terms``), split into connected blocks: two
+term per entry (``float_terms`` for a commutant, ``hermitian_terms`` for
+the self-adjoint part of one), split into connected blocks: two
 unknowns are connected when some equation holds both, so the system is
 block diagonal after a permutation, and its kernel is the direct sum of
 the blocks' kernels.  The commutation systems of this package fall apart
@@ -38,33 +39,38 @@ from typing import NamedTuple
 import numpy as np
 
 from . import scalars
-from .commutant import _commutation_terms, _realified_terms
+from .commutant import CommutantBasis, _commutation_terms, _hermitian_terms
 from .errors import RankAmbiguityError
 from .matrices import SparseMatrix
 
 _GAP = math.sqrt(10.0)
 
 
-def float_terms(A: SparseMatrix, realified: bool):
-    """The terms of A's float commutation system, or of its realified
-    system, as the numpy arrays ``float_blocks`` splits: every nonzero of
-    A against every t in range(d) at once."""
+def float_terms(A: SparseMatrix):
+    """The terms of A's float commutation system, as the numpy arrays
+    ``float_blocks`` splits: every nonzero of A against every t in
+    range(d) at once."""
     d = A.rows
     items = list(A.nonzero_items())
     u = np.array([u for u, _, _ in items], dtype=np.int64)[:, None]
     v = np.array([v for _, v, _ in items], dtype=np.int64)[:, None]
     s = np.array([s for _, _, s in items], dtype=complex)[:, None]
     shape = (len(items), d)
-    eq, key, c = (
+    return tuple(
         np.concatenate([np.broadcast_to(x, shape).ravel() for x in part])
         for part in zip(*_commutation_terms(u, v, s, -s, np.arange(d), d))
     )
-    if not realified:
-        return eq, key, c
-    p, q = np.divmod(key, d)
-    return tuple(
-        np.concatenate(part) for part in zip(*_realified_terms(eq, p, q, c.real, c.imag, d))
-    )
+
+
+def hermitian_terms(cb: CommutantBasis) -> tuple:
+    """The terms of P(c) - P(c)* = 0 on the coordinates c of a float
+    ``CommutantBasis``, as arrays: ``commutant._hermitian_terms`` applied
+    to every entry of every element at once."""
+    k = np.repeat(np.arange(cb.dim), [len(P.entries) for P in cb.members])
+    uv = np.array([key for P in cb.members for key in P.entries], dtype=np.int64).reshape(-1, 2)
+    s = np.array([s for P in cb.members for s in P.entries.values()], dtype=complex)
+    parts = _hermitian_terms(k, uv[:, 0], uv[:, 1], s.real, s.imag, cb.d)
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _row_counts(mask) -> list[int]:

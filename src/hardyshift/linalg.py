@@ -38,7 +38,8 @@ def rref(rows: list[dict], ncols: int):
     """Reduced row echelon form of a sparse system.
 
     Returns ``(reduced_rows, pivots)`` where ``pivots`` maps each pivot
-    column, in ascending order, to the index of the row reduced against it.  Input rows are not mutated.
+    column, in ascending order, to the index of the row reduced against
+    it.  Input rows are not mutated.
     Pivot choice (sparsest candidate row, ties by index) is deterministic.
     """
     work = [dict(r) for r in rows]

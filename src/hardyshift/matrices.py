@@ -64,7 +64,8 @@ class SparseMatrix:
     """A matrix kept as its nonzero entries ``{(u, v): scalar}``; an
     absent entry is the mode's zero.  Treated as immutable: its fields are
     read-only, and its ``__dict__`` also keeps what ``commutant`` learns
-    of it once, its partial-permutation scan."""
+    of it once: its partial-permutation scan, and its commutant basis per
+    tol when the scan declines."""
 
     def __init__(self, entries: dict, rows: int, cols: int, mode: Mode):
         vars(self).update(entries=entries, rows=rows, cols=cols, mode=mode)

@@ -1,7 +1,6 @@
 import json
 import random
 from array import array
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from hardyshift import (
     CommutantBasis,
     GaussianRational,
+    MatrixSymbol,
     TruncationParams,
     channel,
     channel_flats,
@@ -28,13 +28,11 @@ from hardyshift import (
 from hardyshift.commutant import (
     _commutation_rows,
     _partial_permutation,
-    _selfadjoint_rows,
     chain_view,
     operator_rank,
     toeplitz_break,
 )
-from hardyshift.errors import InvarianceError, ShapeError
-from hardyshift.floatsolve import float_terms
+from hardyshift.errors import InvarianceError, RankAmbiguityError, ShapeError
 from hardyshift.matrices import SparseMatrix
 from hardyshift.operators import symbol_from_json, toeplitz_matrix
 
@@ -52,10 +50,8 @@ from helpers import (
     is_projection,
     rand_gaussian_rational,
     restrict_reference,
-    rows_of_terms,
     selfadjoint_rows_reference,
     sparse,
-    sym_var_ids_reference,
     terms_of,
 )
 
@@ -495,7 +491,7 @@ def test_selfadjoint_dim_of_power_operator():
 
 
 def test_selfadjoint_dim_with_complex_entries():
-    # A = i*J: commutant unchanged, realified system exercises the C-part
+    # A = i*J: commutant unchanged, its basis has imaginary entries
     J = dense(scalar_shift(3))
     A = sparse(J.scaled(GaussianRational(0, 1)))
     assert selfadjoint_commutant_dim(A) == 1
@@ -631,94 +627,13 @@ def test_restrict_matches_the_dense_scan(case):
         assert list(got.nonzero_items()) == list(want.nonzero_items())
 
 
-def realified_rows_reference(A):
-    """The realified Hermitian system built straight from A = B + iC and
-    P = X + iY: the real and imaginary parts of each equation
-    (AP - PA)[a][b] = 0, written out term by term without going through
-    the complex commutation rows."""
-    d = A.rows
-
-    def parts(s):
-        if isinstance(s, GaussianRational):
-            return s.re, s.im
-        s = complex(s)
-        return s.real, s.imag
-
-    rows_nz = [[] for _ in range(d)]
-    cols_nz = [[] for _ in range(d)]
-    for u, v, s in A.nonzero_items():
-        re, im = parts(s)
-        rows_nz[u].append((v, re, im))
-        cols_nz[v].append((u, re, im))
-
-    xid, yid = sym_var_ids_reference(d)
-
-    def xvar(u, v):
-        return xid[(u, v)] if u <= v else xid[(v, u)]
-
-    def yvar(u, v):
-        # (var, sign), or None on the diagonal where Y vanishes
-        if u == v:
-            return None
-        if u < v:
-            return yid[(u, v)], 1
-        return yid[(v, u)], -1
-
-    def add(row, var, coeff):
-        if var is None or not coeff:
-            return
-        cur = row.get(var)
-        nv = coeff if cur is None else cur + coeff
-        if nv:
-            row[var] = nv
-        elif cur is not None:
-            del row[var]
-
-    rows = []
-    for a in range(d):
-        for b in range(d):
-            real_row, imag_row = {}, {}
-            for w, bre, bim in rows_nz[a]:
-                # A[a][w] * P[w][b]
-                add(real_row, xvar(w, b), bre)
-                yv = yvar(w, b)
-                if yv is not None:
-                    add(real_row, yv[0], -bim * yv[1])
-                    add(imag_row, yv[0], bre * yv[1])
-                add(imag_row, xvar(w, b), bim)
-            for w, bre, bim in cols_nz[b]:
-                # -P[a][w] * A[w][b]
-                add(real_row, xvar(a, w), -bre)
-                yv = yvar(a, w)
-                if yv is not None:
-                    add(real_row, yv[0], bim * yv[1])
-                    add(imag_row, yv[0], -bre * yv[1])
-                add(imag_row, xvar(a, w), -bim)
-            if real_row:
-                rows.append(real_row)
-            if imag_row:
-                rows.append(imag_row)
-    return rows
-
-
-def linear_forms(rows):
-    return Counter(frozenset(row.items()) for row in rows)
-
-
-def assert_rows_match_reference(A):
-    if A.mode == "exact":
-        rows = _selfadjoint_rows(A)
-        assert all(type(c) is Fraction for row in rows for c in row.values())
-        # the rows rref reads, equation by equation and entry by entry, as
-        # the references write them
-        def entries(system):
-            return [list(row.items()) for row in system]
-
-        assert entries(rows) == entries(selfadjoint_rows_reference(A))
-        assert entries(_commutation_rows(A)) == entries(commutation_rows_reference(A))
-    else:
-        rows = rows_of_terms(float_terms(A, True))
-    assert linear_forms(rows) == linear_forms(realified_rows_reference(A))
+def realified_nullity(A, tol=None):
+    """The self-adjoint dimension of the reference: the nullity of the
+    Hermitian system over P's d^2 real unknowns, written out term by term
+    from the commutation rows (``selfadjoint_rows_reference``)."""
+    rows = selfadjoint_rows_reference(A)
+    system = rows if A.mode == "exact" else terms_of(rows)
+    return linalg.nullity(system, A.rows * A.rows, A.mode, tol)
 
 
 # denominators 1 and 2 keep every float sum exact, so both modes compare
@@ -736,17 +651,82 @@ entries = st.one_of(st.just(GaussianRational(0)), st.builds(GaussianRational, dy
     ),
     st.sampled_from(["exact", "float"]),
 )
-def test_selfadjoint_rows_split_the_commutation_rows(rows, mode):
-    assert_rows_match_reference(sparse(rows, mode))
+def test_selfadjoint_dim_matches_the_realified_reference(rows, mode):
+    A = sparse(rows, mode)
+    if mode == "exact":
+        # the rows rref reads, equation by equation and entry by entry, as
+        # the reference writes them
+        def entries(system):
+            return [list(row.items()) for row in system]
+
+        assert entries(_commutation_rows(A)) == entries(commutation_rows_reference(A))
+        assert selfadjoint_commutant_dim(A) == realified_nullity(A)
+        return
+    try:
+        want = realified_nullity(A, 1e-9)
+    except RankAmbiguityError:
+        return  # the reference decides no rank to compare with
+    assert selfadjoint_commutant_dim(A, 1e-9) == want
+
+
+def benchmark_symbol_operator(mode, K):
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "symbol_F.json"
+    symbol = symbol_from_json(json.loads(path.read_text()), mode)
+    return toeplitz_matrix(symbol, TruncationParams(2, 1, K))
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_selfadjoint_rows_of_the_benchmark_symbol(mode):
+    A = benchmark_symbol_operator(mode, 8)
+    tol = 1e-9 if mode == "float" else None
+    assert selfadjoint_commutant_dim(A, tol) == realified_nullity(A, tol) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize(
+    "diagonal, params, dims",
+    [((1, 2), TruncationParams(2, 1, 5), (20, 2)), ((2, 2), TruncationParams(2, 2, 3), (48, 16))],
+    ids=["diag(1,2)z", "2z^2"],
+)
+def test_selfadjoint_dim_off_the_chain_path(diagonal, params, dims, mode):
+    # diag(1, 2) z: its two channels, a shift and twice a shift, are not
+    # unitarily equivalent, so each reduces it alone and the self-adjoint
+    # commutant is 2-dimensional where the chain count of z would give 4;
+    # 2 z^2 has the commutant of z^2, but an entry 2 on every chain
+    A = toeplitz_matrix(
+        MatrixSymbol(2, ((params.n, DenseMatrix.diagonal(diagonal, mode)),)), params)
+    tol = 1e-9 if mode == "float" else None
+    assert _partial_permutation(A) is None
+    sdim = selfadjoint_commutant_dim(A, tol)
+    assert (commutant_basis(A, tol).dim, sdim) == dims
+    assert sdim == realified_nullity(A, tol)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_symbol_run_solves_its_commutation_system_once(mode, tmp_path, monkeypatch):
+    # the self-adjoint solve reads the basis that the commutant section
+    # solved, and adds a system 2D wide, on the basis's coordinates, where
+    # a system on P's entries would be d^2 wide again
+    import hardyshift.cli as cli
+    from hardyshift import floatsolve
+
+    module, name = (linalg, "rref") if mode == "exact" else (floatsolve, "float_blocks")
+    real, widths = getattr(module, name), []
+
+    def counted(system, ncols):
+        widths.append(ncols)
+        return real(system, ncols)
+
+    monkeypatch.setattr(module, name, counted)
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "symbol_F.json"
-    symbol = symbol_from_json(json.loads(path.read_text()), mode)
-    A = toeplitz_matrix(symbol, TruncationParams(2, 1, 8))
-    assert_rows_match_reference(A)
-    assert selfadjoint_commutant_dim(A, 1e-9 if mode == "float" else None) == 1
+    argv = ["commutant", "--m", "2", "--n", "1", "--blocks", "3", "--symbol", str(path),
+            "--out", str(tmp_path / "report.json")]
+    if mode == "float":
+        argv += ["--mode", "float", "--tol", "1e-9"]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())["commutant"]
+    assert (report["dim"], report["selfadjoint_dim"]) == (12, 1)
+    assert widths == [6 * 6, 2 * 12]
 
 
 @st.composite
@@ -777,10 +757,9 @@ def assert_matches_the_commutation_system(A, tol=None):
     order."""
     d = A.rows
     if A.mode == "exact":
-        system, realified = _commutation_rows(A), _selfadjoint_rows(A)
+        system = _commutation_rows(A)
     else:
         system = terms_of(commutation_rows_reference(A))
-        realified = terms_of(selfadjoint_rows_reference(A))
     reference = [
         {divmod(k, d): s for k, s in vec.items()}
         for vec in linalg.kernel_basis(system, d * d, A.mode, tol)
@@ -788,7 +767,7 @@ def assert_matches_the_commutation_system(A, tol=None):
     found = [P.entries for P in commutant_basis(A, tol).elements]
     assert [list(P.items()) for P in found] == [list(P.items()) for P in reference]
     assert repr(found) == repr(reference)
-    assert selfadjoint_commutant_dim(A, tol) == linalg.nullity(realified, d * d, A.mode, tol)
+    assert selfadjoint_commutant_dim(A, tol) == realified_nullity(A, tol)
 
 
 @settings(max_examples=150, deadline=None)
@@ -875,8 +854,7 @@ def test_float_chain_path_matches_the_svd_kernel(A):
     for P, vec in zip(found, svd):
         assert set(P.entries) == {divmod(k, d) for k, s in vec.items() if abs(s) > tol}
         assert all(abs(P.entries.get(divmod(k, d), 0) - s) <= tol for k, s in vec.items())
-    realified = terms_of(selfadjoint_rows_reference(F))
-    assert selfadjoint_commutant_dim(F, tol) == linalg.nullity(realified, d * d, "float", tol)
+    assert selfadjoint_commutant_dim(F, tol) == realified_nullity(F, tol)
 
 
 def assert_chain_audit_matches_the_view(keys, params):

@@ -512,8 +512,8 @@ def test_float_solves_repeat_and_match_the_whole_system_echelon_basis():
     p = TruncationParams(2, 2, 3)
     T = power_symbol(p, mode="float")
     ncols = p.d * p.d
-    first = kernel_basis(float_terms(T, False), ncols, "float", TOL)
-    assert kernel_basis(float_terms(T, False), ncols, "float", TOL) == first
+    first = kernel_basis(float_terms(T), ncols, "float", TOL)
+    assert kernel_basis(float_terms(T), ncols, "float", TOL) == first
     reference = whole_system_kernel_float(commutation_rows_reference(T), ncols, TOL)
     assert len(first) == len(reference) == p.r * p.r * p.K
     for vec, ref in zip(first, reference):

@@ -36,6 +36,8 @@ def test_dense_algebra_is_not_part_of_the_package():
     "argv, loaded",
     [
         (["full-report", "--m", "2", "--n", "2", "--blocks", "3"], False),
+        (["commutant", "--m", "2", "--n", "1", "--blocks", "3",
+          "--symbol", str(ROOT / "benchmarks" / "symbol_F.json")], False),
         (["full-report", "--m", "2", "--n", "2", "--blocks", "3", "--mode", "float",
           "--tol", "1e-9"], False),
         (["commutant", "--m", "2", "--n", "1", "--blocks", "3", "--mode", "float",
@@ -45,13 +47,13 @@ def test_dense_algebra_is_not_part_of_the_package():
         (["build", "--m", "2", "--n", "1", "--blocks", "3", "--mode", "float",
           "--tol", "1e-9", "--symbol", str(ROOT / "benchmarks" / "symbol_F.json")], True),
     ],
-    ids=["exact-power", "float-power", "float-symbol", "float-power-build",
+    ids=["exact-power", "exact-symbol", "float-power", "float-symbol", "float-power-build",
          "float-symbol-build"],
 )
 def test_numpy_is_loaded_only_by_float_solves(tmp_path, argv, loaded):
     # z^n is solved by its chains in both modes, and its rank is its count of
-    # nonzeros, so only a float symbol's SVDs, for its commutant or its
-    # rank, import numpy
+    # nonzeros, and an exact symbol by rref alone, so only a float symbol's
+    # SVDs, for its commutant or its rank, import numpy
     script = ("import sys, hardyshift.cli as cli; rc = cli.main(sys.argv[1:]); "
               "print('numpy' in sys.modules); sys.exit(rc)")
     proc = subprocess.run(
