@@ -21,15 +21,13 @@ Every other operator goes through a sparse homogeneous system with one
 equation per matrix position, unknowns P vectorized row-major, which
 ``linalg.kernel_basis`` solves.  ``_commutation_terms`` is the one
 statement of that equation: the terms each nonzero of A contributes, as
-(equation, unknown, coefficient).  Exact mode adds them up into the
-``{unknown: coefficient}`` rows that one ``rref`` eliminates whole
-(``_commutation_rows``), over Gaussian rationals, so the exact commutant
-dimension of a custom symbol is a theorem about the matrix, not a
-numerical estimate.  Float mode evaluates the same terms on numpy arrays,
-every nonzero against every position at once (``floatsolve.float_terms``,
-imported only then), and hands the arrays to ``linalg``, which solves the
-blocks of one shape with one batched SVD, behind the rank-ambiguity gate.
-The basis is solved once per operator and tol and kept on A
+(equation, unknown, coefficient), which ``_commutation_rows`` adds up into
+``{unknown: coefficient}`` rows in either mode.  Exact mode eliminates
+them whole with one ``rref``, over Gaussian rationals, so the exact
+commutant dimension of a custom symbol is a theorem about the matrix, not
+a numerical estimate.  Float mode solves each connected block of the same
+rows with one SVD, behind the rank-ambiguity gate (``floatsolve``).  The
+basis is solved once per operator and tol and kept on A
 (``_eliminated_basis``), like the scan of ``_shape``.
 
 The self-adjoint commutant {P = P* : AP = PA} is what decides how many
@@ -38,9 +36,8 @@ the orthogonal projections' degrees of freedom.  Every such P is
 sum_k c_k B_k over the D elements of that kept basis, so its equations
 are the real and imaginary parts of P[u][v] - conj(P[v][u]) = 0 in the
 2D real unknowns Re c_k and Im c_k (``_hermitian_terms``), where a
-system in P's entries would be d^2 wide.  Exact mode adds the terms up
-into Fraction rows, float mode evaluates them on arrays
-(``floatsolve.hermitian_terms``), and ``linalg.nullity`` counts the
+system in P's entries would be d^2 wide.  Both modes add the terms up into
+rows of real parts, Fractions or floats, and ``linalg.nullity`` counts the
 solutions.  A partial permutation needs no system at all.
 """
 
@@ -119,16 +116,17 @@ def _commutation_terms(u, v, s, neg, t, d):
     t in range(d): s P[v][t] into equation (u, t), from AP, and -s P[t][u]
     into equation (t, v), from PA.  Each term is (equation, unknown,
     coefficient), with equation (a, b) and unknown P[a][b] both numbered
-    a*d + b.  ``neg`` is -s, which a caller looping over t negates once.
-    Takes ints or broadcasting numpy arrays."""
+    a*d + b.  ``neg`` is -s, which a caller looping over t negates once."""
     return (u * d + t, v * d + t, s), (t * d + v, t * d + u, neg)
 
 
 def _commutation_rows(A: SparseMatrix) -> list[dict]:
-    """The nonempty ``{unknown: coefficient}`` rows of A's exact
-    commutation system, in equation order, unknowns P[u][v] -> u*d + v:
-    the input of ``rref``.  The terms come as the float arrays order them,
-    all of AP's, then all of PA's, one nonzero of A and one t at a time."""
+    """The nonempty ``{unknown: coefficient}`` rows of A's commutation
+    system, in equation order, unknowns P[u][v] -> u*d + v: the input of
+    ``rref`` or of the float block solve.  The terms come all of AP's, then
+    all of PA's, one nonzero of A and one t at a time, and each entry adds
+    them up in that order, so that a float row, and with it each block's
+    SVD, is bitwise reproducible."""
     d = A.rows
     nonzeros = [(u, v, s, -s) for u, v, s in A.nonzero_items()]
     rows: list[dict] = [{} for _ in range(d * d)]
@@ -148,12 +146,10 @@ def _hermitian_terms(k, u, v, re, im, d):
     (a re - b im) + i (a im + b re), and below it minus the conjugate of
     that, so with s = +1 above and -1 below the real part puts s re on a
     and -s im on b.  On the diagonal s = 0, and the imaginary part, twice
-    Im P[u][u], is written halved.  Takes ints or broadcasting numpy arrays.
+    Im P[u][u], is written halved.
     """
-    below = v < u
-    lo = u + (v - u) * below
-    e = 2 * (lo * d + u + v - lo)
-    s = (u != v) * (1 - 2 * below)
+    e = 2 * (min(u, v) * d + max(u, v))
+    s = 0 if u == v else 1 if u < v else -1
     a, b = 2 * k, 2 * k + 1
     # coefficient first: a Fraction times an int takes its fast path
     return (e, a, re * s), (e, b, im * -s), (e + 1, a, im), (e + 1, b, re)
@@ -290,20 +286,13 @@ def commutant_basis(A: SparseMatrix, tol: float | None = None) -> CommutantBasis
 
 
 def _eliminated_basis(A: SparseMatrix, tol: float | None) -> CommutantBasis:
-    """The kernel of A's commutation system, exact rows or float term
-    arrays from ``floatsolve`` (imported only here), solved once per tol
-    and kept on A, which is never changed, for ``commutant_basis`` and
+    """The kernel of A's commutation system, solved once per tol and kept
+    on A, which is never changed, for ``commutant_basis`` and
     ``selfadjoint_commutant_dim`` alike."""
     bases = A.__dict__.setdefault("_bases", {})
     if tol not in bases:
         d = A.rows
-        if A.mode == "exact":
-            system = _commutation_rows(A)
-        else:
-            from .floatsolve import float_terms
-
-            system = float_terms(A)
-        vecs = linalg.kernel_basis(system, d * d, A.mode, tol)
+        vecs = linalg.kernel_basis(_commutation_rows(A), d * d, A.mode, tol)
         bases[tol] = CommutantBasis(d, A.mode, tuple(
             SparseMatrix({divmod(k, d): s for k, s in vec.items()}, d, d, A.mode)
             for vec in vecs
@@ -343,19 +332,18 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
         closed = sum(1 for _ in _closed_orbits(succ, height))
         return sum(count * count for count in heads.values()) + closed
     cb = _eliminated_basis(A, tol)
-    if A.mode == "exact":
-        # Fraction rows, solved over the rationals
-        rows: dict[int, dict] = {}
-        for k, P in enumerate(cb.members):
-            for (u, v), s in P.entries.items():
-                for eq, unknown, c in _hermitian_terms(k, u, v, s.re, s.im, cb.d):
-                    if c:
-                        _add(rows.setdefault(eq, {}), unknown, c)
-        system = list(rows.values())
-    else:
-        from .floatsolve import hermitian_terms
-
-        system = hermitian_terms(cb)
+    exact = A.mode == "exact"
+    # rows of real parts, Fractions solved over the rationals or floats,
+    # in ascending equation id: a fixed order, so a float block's SVD input
+    # is bitwise reproducible
+    rows: dict[int, dict] = {}
+    for k, P in enumerate(cb.members):
+        for (u, v), s in P.entries.items():
+            re, im = (s.re, s.im) if exact else (s.real, s.imag)
+            for eq, unknown, c in _hermitian_terms(k, u, v, re, im, cb.d):
+                if c:
+                    _add(rows.setdefault(eq, {}), unknown, c)
+    system = [rows[eq] for eq in sorted(rows) if rows[eq]]
     return linalg.nullity(system, 2 * cb.dim, A.mode, tol)
 
 

@@ -1,24 +1,22 @@
 """Sparse homogeneous systems: ``kernel_basis`` and ``nullity``.
 
-Both entry points serve both modes, which take their systems in
-different forms:
+Both entry points serve both modes, and take a system the same way in
+each: a list of sparse ``{column: coefficient}`` rows.
 
-- exact mode: a list of sparse ``{column: coefficient}`` rows, eliminated
-  whole by one sparse Gauss-Jordan (``rref``) over any exact field
-  (Fraction and GaussianRational both qualify).  Elimination never
-  spreads fill between unknowns that share no chain of equations, and the
-  reduced echelon form is unique, so splitting the system first would
-  change neither the fill nor the basis.  T_{z^n} never gets here:
-  ``commutant`` solves 0/1 partial permutations by walking their chains,
-  without building rows.
-- float mode: a triple of numpy arrays, one (equation, unknown,
-  coefficient) term per entry, split into connected blocks and solved
-  with batched SVDs behind a rank-ambiguity gate.  That code, and every
-  other use of numpy, lives in ``floatsolve``, which these entry points
-  import only in their float branch: a run that solves no float system,
-  exact z^n and float z^n alike, never loads numpy.  A tol outside
-  (0, 1) is refused (``require_tol``): at 1 or more the rank cut-off
-  would count no singular value.
+- exact mode: the rows are eliminated whole by one sparse Gauss-Jordan
+  (``rref``) over any exact field (Fraction and GaussianRational both
+  qualify).  Elimination never spreads fill between unknowns that share
+  no chain of equations, and the reduced echelon form is unique, so
+  splitting the system first would change neither the fill nor the
+  basis.  T_{z^n} never gets here: ``commutant`` solves 0/1 partial
+  permutations by walking their chains, without building rows.
+- float mode: the rows are split into connected blocks (``components``)
+  and each block is solved with one SVD behind a rank-ambiguity gate.
+  That code, and every other use of numpy, lives in ``floatsolve``, which
+  these entry points import only in their float branch: a run that
+  solves no float system, exact z^n and float z^n alike, never loads
+  numpy.  A tol outside (0, 1) is refused (``require_tol``): at 1 or more
+  the rank cut-off would count no singular value.
 """
 
 from __future__ import annotations
@@ -96,9 +94,9 @@ def components(rows: list[dict], ncols: int) -> list[tuple[list[int], list[dict]
     its smallest column.  ``columns`` lists the component's unknowns in
     ascending order, and ``block_rows`` holds its nonempty rows with each
     column renumbered to its position in ``columns``.  An unknown that
-    appears in no row is a component of its own with no rows.  No solver
-    calls it: ``lattice`` counts the components of its channel-edge graph
-    with it, and the tests hold ``floatsolve.float_blocks`` to its split.
+    appears in no row is a component of its own with no rows.  The float
+    solves of ``floatsolve`` take one SVD per component with rows, and
+    ``lattice`` counts the components of its channel-edge graph with it.
     """
     parent = list(range(ncols))
 
@@ -134,10 +132,10 @@ def components(rows: list[dict], ncols: int) -> list[tuple[list[int], list[dict]
 
 
 def nullity(system, ncols: int, mode: Mode, tol: float | None = None) -> int:
-    """Dimension of the kernel of a sparse homogeneous system: exact
-    ``{column: scalar}`` rows, counted as the free columns of one ``rref``,
-    or float term arrays, counted as width minus rank per block without
-    the singular vectors."""
+    """Dimension of the kernel of a sparse homogeneous system of
+    ``{column: scalar}`` rows: in exact mode the free columns of one
+    ``rref``, in float mode width minus rank per block, without the
+    singular vectors."""
     if mode == "float":
         require_tol(mode, tol)
         from . import floatsolve
@@ -149,9 +147,8 @@ def nullity(system, ncols: int, mode: Mode, tol: float | None = None) -> int:
 def kernel_basis(
     system, ncols: int, mode: Mode, tol: float | None = None
 ) -> list[dict]:
-    """Basis of the kernel of a sparse homogeneous system, exact
-    ``{column: scalar}`` rows or float term arrays, as sparse
-    ``{column: scalar}`` vectors.
+    """Basis of the kernel of a sparse homogeneous system of
+    ``{column: scalar}`` rows, as sparse ``{column: scalar}`` vectors.
 
     Exact vectors are read off one ``rref`` of the whole system: one per
     free column, in ascending order, holding the one of the rows' field

@@ -101,13 +101,10 @@ class SparseMatrix:
         return sum(1 for s in self.entries.values() if s)
 
     def rank(self, tol: float | None = None) -> int:
-        """Rank, exact by elimination in exact mode, by SVD (with the
-        ambiguity gate) in float mode where tol is required."""
-        if self.mode == "float":
-            # one term per nonzero, as (rows, columns, values)
-            system = tuple(zip(*self.nonzero_items())) or ((), (), ())
-        else:
-            system = [{} for _ in range(self.rows)]
-            for u, v, s in self.nonzero_items():
-                system[u][v] = s
+        """Rank, from the nullity of the matrix's own rows: exact by
+        elimination in exact mode, by one SVD per connected block (with the
+        ambiguity gate) in float mode, where tol is required."""
+        system = [{} for _ in range(self.rows)]
+        for u, v, s in self.nonzero_items():
+            system[u][v] = s
         return self.cols - linalg.nullity(system, self.cols, self.mode, tol)

@@ -678,42 +678,11 @@ def selfadjoint_rows_reference(A):
     return rows
 
 
-def terms_of(rows):
-    """A float system of ``{column: value}`` rows as the term arrays that
-    ``linalg`` solves: (row index, column, value) per entry."""
-    entries = [(i, c, complex(v)) for i, row in enumerate(rows) for c, v in row.items()]
-    eqs, cols, values = zip(*entries) if entries else ((), (), ())
-    return (np.array(eqs, dtype=np.int64), np.array(cols, dtype=np.int64),
-            np.array(values, dtype=complex))
-
-
-def rows_of_terms(terms):
-    """The ``{column: value}`` rows that a float system's terms add up to,
-    in equation order, empty rows left out: the inverse of ``terms_of``."""
-    by_eq = {}
-    for eq, c, v in zip(*(np.asarray(a).tolist() for a in terms)):
-        if v:
-            _add_term(by_eq.setdefault(eq, {}), c, v)
-    return [by_eq[eq] for eq in sorted(by_eq) if by_eq[eq]]
-
-
-def blocks_as_components(blocks):
-    """A ``floatsolve.FloatBlocks`` split in the form ``linalg.components``
-    returns: ``(columns, renumbered rows)`` per block, in block order."""
-    found = []
-    for b, height in enumerate(blocks.heights.tolist()):
-        cols = blocks.columns[blocks.starts[b]:blocks.starts[b + 1]].tolist()
-        found.append((cols, [{} for _ in range(height)]))
-    for b, i, c, v in zip(blocks.block.tolist(), blocks.row.tolist(),
-                          blocks.col.tolist(), blocks.value.tolist()):
-        found[b][1][i][c] = v
-    return found
-
-
 def float_block_solve_reference(rows, ncols, tol, vectors=True):
     """``floatsolve``'s solve one block at a time: a dense array filled
-    entry by entry and one SVD per block, its rank decided by a loop over
-    the singular values.  Returns the kernel's dimension and, when
+    entry by entry and one SVD per block, its rank and both of its gates,
+    the cut-off's band and the roundoff floor, decided by loops over the
+    singular values.  Returns the kernel's dimension and, when
     ``vectors`` is set, its basis in ``kernel_basis`` order."""
     found, dim = [], 0
     for cols, block in linalg.components(rows, ncols):
@@ -739,6 +708,15 @@ def float_block_solve_reference(rows, ncols, tol, vectors=True):
                     "is not trustworthy (adjust tol or use exact mode)"
                 )
         rank = int(np.sum(svals > cut))
+        floor = float(svals[0]) * max(dense.shape) * np.finfo(float).eps
+        for s in svals[:rank]:
+            if s <= floor * floatsolve._GAP:
+                raise RankAmbiguityError(
+                    f"singular value {s:.6e} lies above the cut-off {cut:.6e} "
+                    f"(tol={tol:.6e}) but not an order of magnitude above the "
+                    f"roundoff floor {floor:.6e}; the rank decision is not "
+                    "trustworthy (raise tol or use exact mode)"
+                )
         dim += width - rank
         if not vectors:
             continue

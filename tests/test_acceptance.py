@@ -336,3 +336,29 @@ def test_criterion_8_report_bytes_are_pinned(tmp_path, name):
         out = tmp_path / "report"
         assert main([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Float reports of a custom symbol, whose dimensions and rank come from
+# SVDs: the bytes hold no singular value or vector, only the decisions
+# taken on them, the symbol's entries and the parameters.
+PINNED_FLOAT_REPORTS = {
+    "commutant (2,1,8) symbol F float": (
+        ["commutant", "--m", "2", "--n", "1", "--blocks", "8", "--symbol", str(SYMBOL_F),
+         "--mode", "float", "--tol", "1e-9"],
+        "5beaf964b318675e8c92817eddd24e67cdfbac5602f7af8e30651bb472a7935f",
+    ),
+    "build (2,1,8) symbol F float": (
+        ["build", "--m", "2", "--n", "1", "--blocks", "8", "--symbol", str(SYMBOL_F),
+         "--mode", "float", "--tol", "1e-9"],
+        "7e0ea8dc00f04d05595d9b0ac54f559ad6b38f45c464fa74c3280f53ef4b2a0a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_FLOAT_REPORTS))
+def test_criterion_8_float_symbol_report_bytes_are_pinned(tmp_path, name):
+    argv, digest = PINNED_FLOAT_REPORTS[name]
+    with criterion(f"criterion 8, pinned report bytes of {name}"):
+        out = tmp_path / "report"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -2,7 +2,9 @@ import csv
 import errno
 import io
 import json
+import math
 import os
+import re
 import stat
 import sys
 import threading
@@ -629,6 +631,41 @@ def test_float_ambiguity_names_the_first_ambiguous_block(tmp_path, capsys, argv,
         f"cut-off {cut} (tol={tol}); the rank decision is not trustworthy "
         "(adjust tol or use exact mode)\n"
     )
+
+
+@pytest.mark.parametrize("tol", ["1e-20", "1e-300", "1e-12", "1e-9"])
+def test_float_cut_off_below_the_roundoff_floor_is_refused(tmp_path, capsys, tol):
+    # symbol F at (2,1,8): its largest block, 252 x 252, has zero singular
+    # values near 1e-15 and a roundoff floor, largest singular value times
+    # 252 times the machine epsilon, near 2.7e-13.  A cut-off below the
+    # floor would count those zeros as rank (dimensions 4 and 0, where the
+    # self-adjoint commutant holds I); one above it gives exact mode's 32, 1
+    argv = ("commutant", "--m", "2", "--n", "1", "--blocks", "8", "--symbol", str(SYMBOL_F),
+            "--mode", "float", "--tol", tol)
+    if float(tol) >= 1e-12:
+        code, rep = run_cli_json(tmp_path, *argv)
+        assert code == 0
+        assert (rep["commutant"]["dim"], rep["commutant"]["selfadjoint_dim"]) == (32, 1)
+        return
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    match = re.fullmatch(
+        r"error: singular value (\S+) lies above the cut-off \S+ "
+        rf"\(tol={float(tol):.6e}\) but not an order of magnitude above the "
+        r"roundoff floor (\S+); the rank decision is not trustworthy "
+        r"\(raise tol or use exact mode\)\n",
+        captured.err,
+    )
+    assert match
+    value, floor = map(float, match.groups())
+    assert 1e-13 < floor < 1e-12 and value <= floor * math.sqrt(10)
+    # the rank of the operator itself stays decidable: its blocks are far
+    # from the floor, and its zero columns reach no SVD
+    code, rep = run_cli_json(tmp_path, "build", *argv[1:])
+    assert code == 0 and rep["build"]["rank"] == 14
 
 
 @pytest.mark.parametrize("tol", ["0.1", "0.5"])

@@ -52,7 +52,6 @@ from helpers import (
     restrict_reference,
     selfadjoint_rows_reference,
     sparse,
-    terms_of,
 )
 
 
@@ -631,9 +630,7 @@ def realified_nullity(A, tol=None):
     """The self-adjoint dimension of the reference: the nullity of the
     Hermitian system over P's d^2 real unknowns, written out term by term
     from the commutation rows (``selfadjoint_rows_reference``)."""
-    rows = selfadjoint_rows_reference(A)
-    system = rows if A.mode == "exact" else terms_of(rows)
-    return linalg.nullity(system, A.rows * A.rows, A.mode, tol)
+    return linalg.nullity(selfadjoint_rows_reference(A), A.rows * A.rows, A.mode, tol)
 
 
 # denominators 1 and 2 keep every float sum exact, so both modes compare
@@ -708,16 +705,15 @@ def test_a_symbol_run_solves_its_commutation_system_once(mode, tmp_path, monkeyp
     # solved, and adds a system 2D wide, on the basis's coordinates, where
     # a system on P's entries would be d^2 wide again
     import hardyshift.cli as cli
-    from hardyshift import floatsolve
 
-    module, name = (linalg, "rref") if mode == "exact" else (floatsolve, "float_blocks")
-    real, widths = getattr(module, name), []
+    name = "rref" if mode == "exact" else "components"
+    real, widths = getattr(linalg, name), []
 
     def counted(system, ncols):
         widths.append(ncols)
         return real(system, ncols)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(linalg, name, counted)
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "symbol_F.json"
     argv = ["commutant", "--m", "2", "--n", "1", "--blocks", "3", "--symbol", str(path),
             "--out", str(tmp_path / "report.json")]
@@ -759,7 +755,7 @@ def assert_matches_the_commutation_system(A, tol=None):
     if A.mode == "exact":
         system = _commutation_rows(A)
     else:
-        system = terms_of(commutation_rows_reference(A))
+        system = commutation_rows_reference(A)
     reference = [
         {divmod(k, d): s for k, s in vec.items()}
         for vec in linalg.kernel_basis(system, d * d, A.mode, tol)
@@ -844,7 +840,7 @@ def test_float_chain_path_matches_the_svd_kernel(A):
     d, tol = A.rows, 1e-9
     F = SparseMatrix({k: complex(s) for k, s in A.entries.items()}, d, d, "float")
     assert _partial_permutation(F) is not None
-    system = terms_of(commutation_rows_reference(F))
+    system = commutation_rows_reference(F)
     svd = linalg.kernel_basis(system, d * d, "float", tol)
     # the SVD's echelon basis lists each vector by its pivot, its chain's
     # first key; the chain basis lists by free column, the last key, as

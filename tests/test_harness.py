@@ -68,8 +68,9 @@ def test_traced_child_runs_and_writes_the_untraced_report(tmp_path, cli_args, ba
 
 
 def test_traced_float_symbol_run_times_the_svds(tmp_path):
-    # a float symbol still goes through the batched SVDs, which the tracer
-    # wraps on numpy.linalg as the float solver looks them up at call time
+    # a float symbol still goes through the SVDs, one per connected block,
+    # which the tracer wraps on numpy.linalg as the float solver looks them
+    # up at call time
     cli_args = ["commutant", "--m", "2", "--n", "1", "--blocks", "3", "--mode", "float",
                 "--tol", "1e-9", "--symbol", str(ROOT / "benchmarks" / "symbol_F.json")]
     traced = run_child(1, tmp_path / "traced.json", cli_args)

@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from hardyshift import GaussianRational, TruncationParams, floatsolve, linalg, power_symbol
 from hardyshift.errors import RankAmbiguityError
-from hardyshift.floatsolve import echelonize_float, float_blocks, float_terms
+from hardyshift.commutant import _commutation_rows
+from hardyshift.floatsolve import echelonize_float
 from hardyshift.linalg import components, kernel_basis, nullity, rref
 
 from helpers import (
-    blocks_as_components,
     commutation_rows_reference,
     dense_rank,
     float_block_solve_reference,
-    terms_of,
 )
 
 TOL = 1e-9
@@ -253,16 +252,11 @@ def test_kernel_basis_and_nullity_each_make_one_rref_call(rows, monkeypatch):
 
 # what each solver is called with and decides, for comparing the solver
 # choices of two calls; an exact system with no rows logs an empty summary,
-# as a float system with no rows does
+# and a float system with no rows logs nothing, as it reaches no SVD
 SPIES = {
     (linalg, "rref"): lambda args, out: (len(args[0]), args[1]) if args[0] else (),
-    # each float block's shape and rank, in component order
-    (floatsolve, "_float_kernels"): lambda args, out: [
-        (height, width, rank)
-        for height, width, rank in zip(args[0].heights.tolist(),
-                                       np.diff(args[0].starts).tolist(), out[0].tolist())
-        if height
-    ],
+    # each float block's shape and rank, one call per block with rows
+    (floatsolve, "_solve_block"): lambda args, out: (len(args[0]), args[1], out[0]),
 }
 
 
@@ -297,9 +291,8 @@ def test_nullity_counts_the_kernel_basis_with_the_same_solvers(mode, data):
             planted_systems(st.integers(-3, 3).filter(bool).map(float))
         )
         tol = TOL
-    system = rows if mode == "exact" else terms_of(rows)
-    count, counted_by = solver_log(nullity, system, ncols, mode, tol)
-    basis, built_by = solver_log(kernel_basis, system, ncols, mode, tol)
+    count, counted_by = solver_log(nullity, rows, ncols, mode, tol)
+    basis, built_by = solver_log(kernel_basis, rows, ncols, mode, tol)
     assert count == len(basis)
     assert counted_by == built_by
     # a system with rows reaches a spied solver, so the logs can differ
@@ -311,12 +304,12 @@ def test_ambiguous_one_by_one_block_in_well_conditioned_system():
     n = 40
     well = np.eye(n) + 0.1 * rng.standard_normal((n, n))
     rows = [{c: complex(v) for c, v in enumerate(r)} for r in well]
-    assert nullity(terms_of(rows), n + 1, "float", TOL) == 1
+    assert nullity(rows, n + 1, "float", TOL) == 1
     rows.append({n: 1e-9})
     with pytest.raises(RankAmbiguityError):
-        nullity(terms_of(rows), n + 1, "float", TOL)
+        nullity(rows, n + 1, "float", TOL)
     with pytest.raises(RankAmbiguityError):
-        kernel_basis(terms_of(rows), n + 1, "float", TOL)
+        kernel_basis(rows, n + 1, "float", TOL)
 
 
 FLOATS = st.one_of(
@@ -341,8 +334,8 @@ def solve_or_message(call, *args):
 def test_batched_float_solve_matches_the_per_block_loop(system):
     rows, ncols, _ = system
     reference = solve_or_message(float_block_solve_reference, rows, ncols, TOL)
-    basis = solve_or_message(kernel_basis, terms_of(rows), ncols, "float", TOL)
-    count = solve_or_message(nullity, terms_of(rows), ncols, "float", TOL)
+    basis = solve_or_message(kernel_basis, rows, ncols, "float", TOL)
+    count = solve_or_message(nullity, rows, ncols, "float", TOL)
     if isinstance(reference, str):
         assert basis == count == reference
         return
@@ -362,8 +355,8 @@ def test_first_ambiguous_block_in_component_order_is_named():
     rows = [{0: 1.0}, {1: 2e-9, 2: 1e-9}, {1: 1e-9, 2: 2e-9}, {3: 2e-9}]
     expected = solve_or_message(float_block_solve_reference, rows, 4, TOL)
     assert expected.startswith("singular value 3.000000e-09 ")
-    assert solve_or_message(kernel_basis, terms_of(rows), 4, "float", TOL) == expected
-    assert solve_or_message(nullity, terms_of(rows), 4, "float", TOL) == expected
+    assert solve_or_message(kernel_basis, rows, 4, "float", TOL) == expected
+    assert solve_or_message(nullity, rows, 4, "float", TOL) == expected
 
 
 def near(v, how):
@@ -407,9 +400,8 @@ def solve_each_block_alone(rows, ncols):
     first block, in block order, that raises ``RankAmbiguityError``."""
     bases, dim = [], 0
     for cols, block in components(rows, ncols):
-        system = terms_of(block)
-        basis = solve_or_message(kernel_basis, system, len(cols), "float", TOL)
-        count = solve_or_message(nullity, system, len(cols), "float", TOL)
+        basis = solve_or_message(kernel_basis, block, len(cols), "float", TOL)
+        count = solve_or_message(nullity, block, len(cols), "float", TOL)
         if isinstance(basis, str):
             assert count == basis
             return basis
@@ -423,8 +415,8 @@ def solve_each_block_alone(rows, ncols):
 def test_float_copies_give_bitwise_the_solve_of_each_block_alone(system):
     rows, ncols = system
     expected = solve_each_block_alone(rows, ncols)
-    basis = solve_or_message(kernel_basis, terms_of(rows), ncols, "float", TOL)
-    count = solve_or_message(nullity, terms_of(rows), ncols, "float", TOL)
+    basis = solve_or_message(kernel_basis, rows, ncols, "float", TOL)
+    count = solve_or_message(nullity, rows, ncols, "float", TOL)
     if isinstance(expected, str):
         assert basis == count == expected
         return
@@ -442,7 +434,7 @@ def test_float_copies_give_bitwise_the_solve_of_each_block_alone(system):
 def test_float_stack_holds_each_distinct_block_once(monkeypatch):
     # six 2x2 blocks: an invertible one, an exact copy, a copy one ulp away,
     # a copy whose zero imaginary part is -0.0, and a singular block twice;
-    # only the exact copies share a solve
+    # each block, copies too, takes one SVD of its own shape
     block = [{0: 1.0, 1: 2.0}, {0: 3.0 + 0j, 1: 4.0}]
     singular = [{0: 1.0, 1: 2.0}, {0: 2.0, 1: 4.0}]
     copies = [block, block, [{0: near(1.0, "ulp"), 1: 2.0}, block[1]],
@@ -457,9 +449,9 @@ def test_float_stack_holds_each_distinct_block_once(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    assert nullity(terms_of(rows), 12, "float", TOL) == 2
-    first, second = kernel_basis(terms_of(rows), 12, "float", TOL)
-    assert shapes == [(4, 2, 2), (4, 2, 2)]
+    assert nullity(rows, 12, "float", TOL) == 2
+    first, second = kernel_basis(rows, 12, "float", TOL)
+    assert shapes == [(2, 2)] * 12
     # the two singular blocks get bitwise the same vector, on their own columns
     assert list(first) == [8, 9] and list(second) == [10, 11]
     assert repr(list(first.values())) == repr(list(second.values()))
@@ -480,8 +472,8 @@ def test_first_ambiguous_block_is_named_when_blocks_repeat(order):
     expected = solve_or_message(float_block_solve_reference, rows, len(rows), TOL)
     first = next(name for name in order if name != "fine")
     assert expected.startswith(f"singular value {value[first]:.6e} ")
-    assert solve_or_message(kernel_basis, terms_of(rows), len(rows), "float", TOL) == expected
-    assert solve_or_message(nullity, terms_of(rows), len(rows), "float", TOL) == expected
+    assert solve_or_message(kernel_basis, rows, len(rows), "float", TOL) == expected
+    assert solve_or_message(nullity, rows, len(rows), "float", TOL) == expected
 
 
 def test_unknowns_in_no_equation_give_unit_vectors():
@@ -491,18 +483,18 @@ def test_unknowns_in_no_equation_give_unit_vectors():
     ]
     # float vectors come in pivot-column order: the solution of the
     # equation pivots on column 0
-    basis = kernel_basis(terms_of([{0: 1.0, 2: -1.0}]), 5, "float", TOL)
+    basis = kernel_basis([{0: 1.0, 2: -1.0}], 5, "float", TOL)
     assert sorted(basis[0]) == [0, 2]
     assert basis[0][0] == 1 and basis[0][2] == pytest.approx(1)
     assert basis[1:] == [{1: 1 + 0j}, {3: 1 + 0j}, {4: 1 + 0j}]
-    assert kernel_basis(terms_of([]), 3, "float", TOL) == [{0: 1 + 0j}, {1: 1 + 0j}, {2: 1 + 0j}]
+    assert kernel_basis([], 3, "float", TOL) == [{0: 1 + 0j}, {1: 1 + 0j}, {2: 1 + 0j}]
 
 
 def test_float_kernel_lists_vectors_by_pivot_column_across_blocks():
     # the block of columns {0, 2, 3} starts first, but its kernel vector
     # (0, 1, -1) pivots on column 2, after the unit vector of column 1
     rows = [{0: 1.0}, {0: 1.0, 2: 1.0, 3: 1.0}]
-    basis = kernel_basis(terms_of(rows), 4, "float", TOL)
+    basis = kernel_basis(rows, 4, "float", TOL)
     assert basis[0] == {1: 1 + 0j}
     assert sorted(basis[1]) == [2, 3]
     assert basis[1][2] == 1 and basis[1][3] == pytest.approx(-1)
@@ -512,8 +504,8 @@ def test_float_solves_repeat_and_match_the_whole_system_echelon_basis():
     p = TruncationParams(2, 2, 3)
     T = power_symbol(p, mode="float")
     ncols = p.d * p.d
-    first = kernel_basis(float_terms(T), ncols, "float", TOL)
-    assert kernel_basis(float_terms(T), ncols, "float", TOL) == first
+    first = kernel_basis(_commutation_rows(T), ncols, "float", TOL)
+    assert kernel_basis(_commutation_rows(T), ncols, "float", TOL) == first
     reference = whole_system_kernel_float(commutation_rows_reference(T), ncols, TOL)
     assert len(first) == len(reference) == p.r * p.r * p.K
     for vec, ref in zip(first, reference):
@@ -525,22 +517,11 @@ def test_float_solves_repeat_and_match_the_whole_system_echelon_basis():
 
 def test_float_rank_requires_tol():
     with pytest.raises(ValueError):
-        nullity(terms_of([{0: 1.0}]), 1, "float", None)
+        nullity([{0: 1.0}], 1, "float", None)
     with pytest.raises(ValueError):
-        kernel_basis(terms_of([{0: 1.0}]), 1, "float", 0.0)
+        kernel_basis([{0: 1.0}], 1, "float", 0.0)
     # with tol >= 1 the cut-off tol * max(1, top) leaves no singular value
     for tol in (1.0, 5.0):
         with pytest.raises(ValueError):
-            nullity(terms_of([{0: 1.0}]), 1, "float", tol)
+            nullity([{0: 1.0}], 1, "float", tol)
 
-
-@settings(max_examples=120, deadline=None)
-@given(planted_systems(FLOATS))
-def test_float_split_matches_components(system):
-    # terms_of numbers the rows 0, 1, ...; spreading the ids out must not
-    # change the rows' order or the blocks
-    rows, ncols, _ = system
-    eqs, cols, values = terms_of(rows)
-    expected = components(rows, ncols)
-    assert blocks_as_components(float_blocks((eqs, cols, values), ncols)) == expected
-    assert blocks_as_components(float_blocks((3 * eqs + 1, cols, values), ncols)) == expected

@@ -32,6 +32,20 @@ def test_dense_algebra_is_not_part_of_the_package():
         assert not hasattr(hardyshift.DenseMatrix, name)
 
 
+def test_float_solves_keep_no_array_machinery_of_their_own():
+    # a float system is the rows of an exact one, split by
+    # linalg.components and solved one SVD per block; floatsolve builds no
+    # systems, so it needs nothing from commutant
+    import hardyshift.floatsolve as floatsolve
+
+    deleted = {"float_terms", "hermitian_terms", "FloatBlocks", "float_blocks", "_labels",
+               "_runs", "_group", "_row_counts", "_float_kernels"}
+    assert deleted & set(vars(floatsolve)) == set()
+    assert "commutant" not in vars(floatsolve)
+    source = (ROOT / "src" / "hardyshift" / "floatsolve.py").read_text()
+    assert "from .commutant" not in source and "hardyshift.commutant" not in source
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
