@@ -27,7 +27,13 @@ from .commutant import (
     selfadjoint_commutant_dim,
     toeplitz_break,
 )
-from .decomposition import channel_flats, channels, shift_break, verify_equivalence
+from .decomposition import (
+    channel_cover_break,
+    channel_flats,
+    channels,
+    shift_break,
+    verify_equivalence,
+)
 from .errors import CapError, RankAmbiguityError
 from .lattice import (
     channel_edges,
@@ -162,7 +168,11 @@ def _operator(cfg: argparse.Namespace, params: TruncationParams):
 
 def _equivalence_section(cfg: argparse.Namespace, params: TruncationParams, T):
     rep = verify_equivalence(T, params, cfg.tol)
-    if rep.unitary and not rep.intertwines:
+    if not rep.unitary:
+        f, count = channel_cover_break(params)
+        print(f"unitary: flat index {f} is held by {count} channels, not 1",
+              file=sys.stderr)
+    elif not rep.intertwines:
         u, v = shift_break(T, params, cfg.tol)
         print(f"intertwines: the operator is not the shift by r = {params.r} "
               f"at entry ({u}, {v})", file=sys.stderr)
@@ -325,7 +335,13 @@ def execute(cfg: argparse.Namespace) -> dict:
         checks.update(section_checks)
     if full or cfg.command in ("lattice", "minimality"):
         minimal = check_minimal(T, params, cfg.tol)
-        checks["all_channels_minimal"] = all(mc.is_minimal for mc in minimal)
+        bad = next((mc for mc in minimal if not mc.is_minimal), None)
+        checks["all_channels_minimal"] = bad is None
+        if bad is not None:
+            ch = bad.channel
+            print(f"all_channels_minimal: channel i={ch.i}, j={ch.j} (ordinal {ch.ordinal}) "
+                  "has a restricted self-adjoint commutant of dimension "
+                  f"{bad.restricted_selfadjoint_commutant_dim}, not 1", file=sys.stderr)
     if full or cfg.command == "lattice":
         # full-report's commutant section has already solved the
         # self-adjoint system of the power operator the lattice is about

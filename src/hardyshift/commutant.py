@@ -19,26 +19,26 @@ offset 0, where Lemma 3 says a commutant element is determined.
 
 Every other operator goes through a sparse homogeneous system with one
 equation per matrix position, unknowns P vectorized row-major, which
-``linalg.kernel_basis`` solves.  ``_commutation_terms`` is the one
-statement of that equation: the terms each nonzero of A contributes, as
-(equation, unknown, coefficient), which ``_commutation_rows`` adds up into
-``{unknown: coefficient}`` rows in either mode.  Exact mode eliminates
-them whole with one ``rref``, over Gaussian rationals, so the exact
-commutant dimension of a custom symbol is a theorem about the matrix, not
-a numerical estimate.  Float mode solves each connected block of the same
-rows with one SVD, behind the rank-ambiguity gate (``floatsolve``).  The
-basis is solved once per operator and tol and kept on A
-(``_eliminated_basis``), like the scan of ``_shape``.
+``linalg.kernel_basis`` solves.  ``_commutation_rows`` is the one
+statement of that equation, one loop over AP's terms and one over PA's,
+adding them up into ``{unknown: coefficient}`` rows in either mode.  Exact
+mode eliminates them whole with one ``rref``, over Gaussian rationals, so
+the exact commutant dimension of a custom symbol is a theorem about the
+matrix, not a numerical estimate.  Float mode solves each connected block
+of the same rows with one SVD, behind the rank-ambiguity gate
+(``floatsolve``).  The basis is solved once per operator and tol and kept
+on A (``_eliminated_basis``), like the scan of ``_shape``.
 
 The self-adjoint commutant {P = P* : AP = PA} is what decides how many
 reducing subspaces the truncated operator has: its real dimension counts
 the orthogonal projections' degrees of freedom.  Every such P is
 sum_k c_k B_k over the D elements of that kept basis, so its equations
 are the real and imaginary parts of P[u][v] - conj(P[v][u]) = 0 in the
-2D real unknowns Re c_k and Im c_k (``_hermitian_terms``), where a
-system in P's entries would be d^2 wide.  Both modes add the terms up into
-rows of real parts, Fractions or floats, and ``linalg.nullity`` counts the
-solutions.  A partial permutation needs no system at all.
+2D real unknowns Re c_k and Im c_k, four terms per entry of a basis
+element (``selfadjoint_commutant_dim``), where a system in P's entries
+would be d^2 wide.  Both modes add the terms up into rows of real parts,
+Fractions or floats, and ``linalg.nullity`` counts the solutions.  A
+partial permutation needs no system at all.
 """
 
 from __future__ import annotations
@@ -111,48 +111,27 @@ def _add(row: dict, key: int, coeff) -> None:
         del row[key]
 
 
-def _commutation_terms(u, v, s, neg, t, d):
-    """The terms that a nonzero s = A[u][v] puts into AP - PA = 0 for one
-    t in range(d): s P[v][t] into equation (u, t), from AP, and -s P[t][u]
-    into equation (t, v), from PA.  Each term is (equation, unknown,
-    coefficient), with equation (a, b) and unknown P[a][b] both numbered
-    a*d + b.  ``neg`` is -s, which a caller looping over t negates once."""
-    return (u * d + t, v * d + t, s), (t * d + v, t * d + u, neg)
-
-
 def _commutation_rows(A: SparseMatrix) -> list[dict]:
     """The nonempty ``{unknown: coefficient}`` rows of A's commutation
     system, in equation order, unknowns P[u][v] -> u*d + v: the input of
-    ``rref`` or of the float block solve.  The terms come all of AP's, then
-    all of PA's, one nonzero of A and one t at a time, and each entry adds
-    them up in that order, so that a float row, and with it each block's
-    SVD, is bitwise reproducible."""
+    ``rref`` or of the float block solve.  Equation (a, b) and unknown
+    P[a][b] are both numbered a*d + b.  For every t in range(d), a nonzero
+    s = A[u][v] puts s P[v][t] into equation (u, t), from AP, and -s P[t][u]
+    into equation (t, v), from PA.  The terms come all of AP's, then all of
+    PA's, one nonzero of A in row-major order and one t at a time, and each
+    entry adds them up in that order, so that a float row, and with it each
+    block's SVD, is bitwise reproducible."""
     d = A.rows
-    nonzeros = [(u, v, s, -s) for u, v, s in A.nonzero_items()]
+    nonzeros = list(A.nonzero_items())
     rows: list[dict] = [{} for _ in range(d * d)]
-    for eq, unknown, c in (_commutation_terms(u, v, s, neg, t, d)[side] for side in (0, 1)
-                           for u, v, s, neg in nonzeros for t in range(d)):
-        if c:
-            _add(rows[eq], unknown, c)
+    for u, v, s in nonzeros:
+        for t in range(d):
+            _add(rows[u * d + t], v * d + t, s)
+    for u, v, s in nonzeros:
+        neg = -s
+        for t in range(d):
+            _add(rows[t * d + v], t * d + u, neg)
     return [row for row in rows if row]
-
-
-def _hermitian_terms(k, u, v, re, im, d):
-    """The terms that the entry re + i im of basis element k at (u, v)
-    puts into P - P* = 0 for P = sum_k (a_k + i b_k) B_k, unknowns
-    a_k -> 2k and b_k -> 2k + 1: into equation e = 2 (lo*d + hi), the real
-    part of P[lo][hi] - conj(P[hi][lo]) for the sorted pair lo <= hi of
-    (u, v), and into e + 1, its imaginary part.  Above the diagonal it adds
-    (a re - b im) + i (a im + b re), and below it minus the conjugate of
-    that, so with s = +1 above and -1 below the real part puts s re on a
-    and -s im on b.  On the diagonal s = 0, and the imaginary part, twice
-    Im P[u][u], is written halved.
-    """
-    e = 2 * (min(u, v) * d + max(u, v))
-    s = 0 if u == v else 1 if u < v else -1
-    a, b = 2 * k, 2 * k + 1
-    # coefficient first: a Fraction times an int takes its fast path
-    return (e, a, re * s), (e, b, im * -s), (e + 1, a, im), (e + 1, b, re)
 
 
 def _partial_permutation(A: SparseMatrix):
@@ -308,8 +287,14 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
     and it need not: diag(1, 2) z has a commutant of dimension 4K but a
     self-adjoint commutant of dimension 2.  For an A that ``_shape``
     declines it is the real nullity of c -> P(c) - P(c)* on the
-    coordinates of A's commutant basis (``_hermitian_terms``), which
-    ``commutant_basis`` has usually solved already.
+    coordinates of A's commutant basis, which ``commutant_basis`` has
+    usually solved already.  For P = sum_k (a_k + i b_k) B_k, unknowns
+    a_k -> 2k and b_k -> 2k + 1, an entry re + i im of B_k at (u, v), with
+    lo <= hi its sorted pair, adds (a re - b im) + i (a im + b re) to
+    P[lo][hi] - conj(P[hi][lo]) above the diagonal and minus its conjugate
+    below: s re on a and -s im on b in e = 2 (lo*d + hi), the real part,
+    with s = +1 above and -1 below, and im on a and re on b in e + 1.  On
+    the diagonal s = 0, and e + 1, twice Im P[u][u], is written halved.
 
     A 0/1 partial permutation needs no system: by ``_chains``, P is
     a combination of the indicators 1_C of the surviving chains, and P* of
@@ -337,10 +322,16 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
     # in ascending equation id: a fixed order, so a float block's SVD input
     # is bitwise reproducible
     rows: dict[int, dict] = {}
+    d = cb.d
     for k, P in enumerate(cb.members):
-        for (u, v), s in P.entries.items():
-            re, im = (s.re, s.im) if exact else (s.real, s.imag)
-            for eq, unknown, c in _hermitian_terms(k, u, v, re, im, cb.d):
+        a, b = 2 * k, 2 * k + 1
+        for (u, v), x in P.entries.items():
+            re, im = (x.re, x.im) if exact else (x.real, x.imag)
+            e = 2 * (min(u, v) * d + max(u, v))
+            s = 0 if u == v else 1 if u < v else -1
+            # coefficient first: a Fraction times an int takes its fast path
+            for eq, unknown, c in ((e, a, re * s), (e, b, im * -s),
+                                   (e + 1, a, im), (e + 1, b, re)):
                 if c:
                     _add(rows.setdefault(eq, {}), unknown, c)
     system = [rows[eq] for eq in sorted(rows) if rows[eq]]
@@ -360,22 +351,16 @@ def is_block_lower_toeplitz(
     are P[f - r][g - r] and P[f + r][g + r], so no product is formed.  A P
     that is not d x d is not.  The scan is ``toeplitz_break``'s, O(nnz).
 
-    A chain (``CommutantBasis``) whose keys f*d + g are one run with step
+    A chain (``CommutantBasis``) that is a nonempty ``range`` of step
     r*d + r is one diagonal of one block, and passes exactly when its head
-    has g < r, so it wraps no row, and its tail f >= d - r.  A ``range``
-    of that step is decided from its two ends in O(1), any other chain
-    by its key list.  A key outside range(d^2) fails the shape rule;
-    ``toeplitz_break`` decides the rest on the chain's view.
+    has g < r, so it wraps no row, and its tail f >= d - r: it is decided
+    from its two ends in O(1).  For any other chain a key outside range(d^2)
+    fails the shape rule, and ``toeplitz_break`` decides the rest on the
+    chain's view.
     """
     d, r = params.d, params.r
     if not isinstance(P, SparseMatrix):
-        step = r * d + r
-        # a range is that run when its step is; other keys are compared one by one
-        if isinstance(P, range):
-            run = P.step == step
-        else:
-            run = P and list(P) == list(range(P[0], P[0] + step * len(P), step))
-        if P and run:
+        if isinstance(P, range) and P and P.step == r * d + r:
             return 0 <= P[0] and P[0] % d < r and d - r <= P[-1] // d < d
         if P and (min(P) < 0 or max(P) >= d * d):
             return False

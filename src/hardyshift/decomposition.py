@@ -85,17 +85,27 @@ def verify_equivalence(
     ``power_symbol(params, mode)``.
 
     The intertwiner is unitary exactly when the channels' flat positions
-    are a permutation of the flat indices, and it conjugates T onto the
-    direct sum of r shift blocks exactly when T is the shift f -> f + r
-    (``shift_break``).  For an exact T the comparison is a zero-tolerance
-    equality; for a float T it is entrywise within tol.  A T that is not
-    d x d raises ShapeError.
+    are a permutation of the flat indices (``channel_cover_break``), and
+    it conjugates T onto the direct sum of r shift blocks exactly when T
+    is the shift f -> f + r (``shift_break``).  For an exact T the
+    comparison is a zero-tolerance equality; for a float T it is entrywise
+    within tol.  A T that is not d x d raises ShapeError.
     """
     check_operator_shape(T, params)
-    flats = sorted(f for ch in channels(params) for f in channel_flats(ch, params))
-    unitary = flats == list(range(params.d))
+    unitary = channel_cover_break(params) is None
     intertwines = unitary and shift_break(T, params, tol) is None
     return EquivalenceReport(unitary=unitary, intertwines=intertwines)
+
+
+def channel_cover_break(params: TruncationParams) -> tuple[int, int] | None:
+    """The first flat index that is not held by exactly one channel's flat
+    positions, with the number of channels that hold it, or None when the
+    channels partition range(d)."""
+    held = [0] * params.d
+    for ch in channels(params):
+        for f in channel_flats(ch, params):
+            held[f] += 1
+    return next(((f, count) for f, count in enumerate(held) if count != 1), None)
 
 
 def shift_break(

@@ -261,6 +261,26 @@ def test_verify_equivalence_names_the_entry_that_breaks_the_shift(
     )
 
 
+def test_verify_equivalence_names_the_flat_index_that_breaks_the_cover(
+    tmp_path, monkeypatch, capsys
+):
+    # both channels of (1, 2, 2) given the flats of channel 0: no permutation
+    import hardyshift.decomposition as decomposition
+
+    monkeypatch.setattr(
+        decomposition, "channel_flats", lambda ch, params: range(0, params.d, params.r)
+    )
+    code, rep = run_cli_json(
+        tmp_path, "verify-equivalence", "--m", "1", "--n", "2", "--blocks", "2"
+    )
+    assert code == 1
+    assert rep["equivalence"]["unitary"] is False
+    assert capsys.readouterr().err == (
+        "unitary: flat index 0 is held by 2 channels, not 1\n"
+        "failed checks: intertwines, unitary\n"
+    )
+
+
 def test_commutant_command(tmp_path):
     code, rep = run_cli_json(
         tmp_path, "commutant", "--m", "1", "--n", "1", "--blocks", "3"
@@ -455,6 +475,24 @@ def test_minimality_command(tmp_path):
     assert len(chans) == 4
     assert all(c["is_minimal"] for c in chans)
     assert all(c["restricted_selfadjoint_commutant_dim"] == 1 for c in chans)
+
+
+def test_minimality_names_the_first_channel_that_is_not_minimal(
+    tmp_path, monkeypatch, capsys
+):
+    import hardyshift.lattice as lattice
+
+    monkeypatch.setattr(lattice, "selfadjoint_commutant_dim", lambda A, tol=None: 2)
+    code, rep = run_cli_json(
+        tmp_path, "minimality", "--m", "2", "--n", "2", "--blocks", "2"
+    )
+    assert code == 1
+    assert rep["checks"] == {"all_channels_minimal": False}
+    assert capsys.readouterr().err == (
+        "all_channels_minimal: channel i=1, j=0 (ordinal 0) has a restricted "
+        "self-adjoint commutant of dimension 2, not 1\n"
+        "failed checks: all_channels_minimal\n"
+    )
 
 
 def test_full_report_has_all_sections(tmp_path):

@@ -10,7 +10,7 @@ from hardyshift import (
     vector_shift,
     verify_equivalence,
 )
-from hardyshift.decomposition import shift_break
+from hardyshift.decomposition import channel_cover_break, shift_break
 from hardyshift.matrices import DenseMatrix, SparseMatrix
 
 from helpers import (
@@ -74,6 +74,7 @@ def test_channel_flats_match_the_flat_index_reference():
     for p in SMALL_SWEEP:
         for ch in channels(p):
             assert tuple(channel_flats(ch, p)) == channel_flats_reference(ch.ordinal, p)
+        assert channel_cover_break(p) is None
 
 
 def test_power_symbol_is_the_shift_by_r():
@@ -181,6 +182,7 @@ def test_verify_equivalence_can_fail(monkeypatch):
     )
     rep = verify_equivalence(power_symbol(p), p)
     assert not rep.unitary and not rep.ok
+    assert channel_cover_break(p) == (0, 2)
 
 
 TOL = 1e-6

@@ -138,7 +138,7 @@ def test_float_commutant_spans_the_exact_commutant():
     assert np.linalg.matrix_rank(stacked, tol=1e-8) == dim
 
 
-def test_float_blocks_of_one_shape_share_one_svd(monkeypatch):
+def test_float_blocks_take_one_svd_each_in_component_order(monkeypatch):
     # 2 z^n: the blocks of z^n, scaled, where z^n itself takes the chain path
     p = TruncationParams(2, 2, 7)
     T = power_symbol(p, mode="float")

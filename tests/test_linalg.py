@@ -331,7 +331,7 @@ def solve_or_message(call, *args):
 
 @settings(max_examples=120, deadline=None)
 @given(planted_systems(FLOATS))
-def test_batched_float_solve_matches_the_per_block_loop(system):
+def test_float_solve_matches_the_per_block_reference(system):
     rows, ncols, _ = system
     reference = solve_or_message(float_block_solve_reference, rows, ncols, TOL)
     basis = solve_or_message(kernel_basis, rows, ncols, "float", TOL)
@@ -431,7 +431,7 @@ def test_float_copies_give_bitwise_the_solve_of_each_block_alone(system):
     assert repr(found) == repr(bases)
 
 
-def test_float_stack_holds_each_distinct_block_once(monkeypatch):
+def test_float_copies_of_a_block_each_take_their_own_svd(monkeypatch):
     # six 2x2 blocks: an invertible one, an exact copy, a copy one ulp away,
     # a copy whose zero imaginary part is -0.0, and a singular block twice;
     # each block, copies too, takes one SVD of its own shape

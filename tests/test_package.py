@@ -46,6 +46,14 @@ def test_float_solves_keep_no_array_machinery_of_their_own():
     assert "from .commutant" not in source and "hardyshift.commutant" not in source
 
 
+def test_commutant_states_each_equation_in_its_one_loop():
+    # the commutation and Hermitian terms are written where they are added
+    # up, in _commutation_rows and selfadjoint_commutant_dim
+    import hardyshift.commutant as commutant
+
+    assert {"_commutation_terms", "_hermitian_terms"} & set(vars(commutant)) == set()
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
