@@ -13,6 +13,7 @@ from .commutant import (
     CommutantBasis,
     commutant_basis,
     is_block_lower_toeplitz,
+    operator_rank,
     restrict,
     selfadjoint_commutant_dim,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "lattice_closure_check",
     "mask_is_reducing",
     "monomial_symbol",
+    "operator_rank",
     "power_symbol",
     "restrict",
     "scalar_shift",

@@ -135,6 +135,8 @@ def config_from_args(cfg: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"{flag} only applies to the lattice and full-report commands")
     if cfg.sample is not None and cfg.sample < 0:
         raise ConfigError("--sample must be nonnegative")
+    if cfg.out_path is not None and not cfg.out_path.parent.is_dir():
+        raise ConfigError(f"--out directory {str(cfg.out_path.parent)!r} does not exist")
     return cfg
 
 
@@ -172,10 +174,12 @@ def _equivalence_section(cfg: argparse.Namespace, params: TruncationParams, T):
         f, count = channel_cover_break(params)
         print(f"unitary: flat index {f} is held by {count} channels, not 1",
               file=sys.stderr)
-    elif not rep.intertwines:
-        u, v = shift_break(T, params, cfg.tol)
-        print(f"intertwines: the operator is not the shift by r = {params.r} "
-              f"at entry ({u}, {v})", file=sys.stderr)
+    if not rep.intertwines:
+        # with a broken cover, verify_equivalence never scans T
+        witness = shift_break(T, params, cfg.tol)
+        found = (f"the shift by r = {params.r}" if witness is None
+                 else f"not the shift by r = {params.r} at entry {witness}")
+        print(f"intertwines: the operator is {found}", file=sys.stderr)
     section = {
         "unitary": rep.unitary,
         "intertwines": rep.intertwines,

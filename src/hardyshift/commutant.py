@@ -174,11 +174,18 @@ def _shape(A: SparseMatrix):
 
 
 def operator_rank(A: SparseMatrix, tol: float | None = None) -> int:
-    """Rank of A.  A 0/1 partial permutation, as z^n is in either mode,
-    has one nonzero in each of its nonzero rows and columns, so its rank
-    is its count of nonzeros, read off the scan of ``_shape`` with no
-    elimination and no SVD; any other A goes to ``SparseMatrix.rank``."""
-    return A.nnz() if _shape(A) is not None else A.rank(tol)
+    """Rank of A; float mode requires a tol in (0, 1) first.  A 0/1
+    partial permutation, as z^n is in either mode, has one nonzero in each
+    of its nonzero rows and columns, so its rank is its count of nonzeros,
+    read off the scan of ``_shape`` with no elimination and no SVD.  Any
+    other A's rank is from the nullity of its rows (``linalg.nullity``)."""
+    linalg.require_tol(A.mode, tol)
+    if _shape(A) is not None:
+        return A.nnz()
+    system = [{} for _ in range(A.rows)]
+    for u, v, s in A.nonzero_items():
+        system[u][v] = s
+    return A.cols - linalg.nullity(system, A.cols, A.mode, tol)
 
 
 def _chains(succ: list[int], pred: list[int], height: list[int]):

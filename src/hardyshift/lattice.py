@@ -13,9 +13,9 @@ the a classes of channels that they cannot tell apart.
 Single channels are certified minimal by computing the self-adjoint
 commutant of the operator restricted to each: a restricted dimension of 1
 means the only projections commuting there are 0 and 1, so the channel
-admits no proper reducing subspace of its own.  Channels with equal
-restrictions share one solve; T_{z^n} is r copies of one shift, so its r
-channels need a single solve.
+admits no proper reducing subspace of its own.  Each channel is solved
+on its own: for T_{z^n} every restriction is a K x K shift, read off its
+chains in O(K), no dearer than hashing it to look up an equal one.
 """
 
 from __future__ import annotations
@@ -64,18 +64,14 @@ def check_minimal(
     """Certify every channel minimal, in ordinal order: restrict T, the
     power operator ``power_symbol(params, mode)``, to each channel (which
     checks that the channel is invariant) and show the restricted
-    self-adjoint commutant is one-dimensional.  Channels whose restrictions
-    have equal entries share one solve; for T_{z^n} every restriction is
-    the same K x K shift.  A T that is not d x d raises ShapeError."""
+    self-adjoint commutant is one-dimensional.  A T that is not d x d
+    raises ShapeError."""
     check_operator_shape(T, params)
-    dims: dict = {}  # restricted dimension by the restriction's entries
     results = []
     for ch in channels(params):
         restricted = restrict(T, channel_flats(ch, params), tol)
-        key = frozenset(restricted.entries.items())
-        if key not in dims:
-            dims[key] = selfadjoint_commutant_dim(restricted, tol)
-        results.append(ChannelMinimality(ch, dims[key] == 1, dims[key]))
+        dim = selfadjoint_commutant_dim(restricted, tol)
+        results.append(ChannelMinimality(ch, dim == 1, dim))
     return results
 
 

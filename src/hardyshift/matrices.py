@@ -5,9 +5,10 @@ of every operator the package reads: a truncated Toeplitz operator (see
 ``operators``), its compression to a channel (``commutant.restrict``) and
 each commutant basis element.  T = M_{z^n} at (m,n,K)=(2,2,60) has
 d - m*n = 236 nonzeros out of d^2 = 57600 entries, and every scan
-(``nonzero_items``) visits only those.  It has no arithmetic: every
-identity the package checks is decided by relabelling indices and
-scanning nonzeros, never by a matrix product.
+(``nonzero_items``) visits only those.  It has no arithmetic and no
+solver: every identity the package checks is decided by relabelling
+indices and scanning nonzeros, never by a matrix product, and its rank
+is ``commutant.operator_rank``.
 
 ``DenseMatrix`` is the validated m x m coefficient of a ``MatrixSymbol``:
 its constructor coerces every entry to the mode's scalar type and
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from . import linalg
 from .errors import ShapeError
 from .scalars import Mode, Scalar, as_scalar, one, zero
 
@@ -99,12 +99,3 @@ class SparseMatrix:
 
     def nnz(self) -> int:
         return sum(1 for s in self.entries.values() if s)
-
-    def rank(self, tol: float | None = None) -> int:
-        """Rank, from the nullity of the matrix's own rows: exact by
-        elimination in exact mode, by one SVD per connected block (with the
-        ambiguity gate) in float mode, where tol is required."""
-        system = [{} for _ in range(self.rows)]
-        for u, v, s in self.nonzero_items():
-            system[u][v] = s
-        return self.cols - linalg.nullity(system, self.cols, self.mode, tol)

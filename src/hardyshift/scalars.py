@@ -17,7 +17,6 @@ from a float raises TypeError rather than laundering binary roundoff into a
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 import sys
@@ -255,7 +254,7 @@ def scalar_from_json(obj, mode: Mode) -> Scalar:
         value = complex(float(re), float(im))
     except OverflowError as exc:
         raise ValueError(f"scalar {obj!r} is too large for a float") from exc
-    if not cmath.isfinite(value):
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ValueError(f"scalar {obj!r} is not finite")
     return value
 

@@ -637,6 +637,16 @@ def commutation_rows_reference(A):
     return rows
 
 
+def rank_reference(A, tol=None):
+    """Rank of a ``SparseMatrix`` from the nullity of its own rows, by
+    elimination or by the float SVDs, with no partial-permutation
+    shortcut: what ``operator_rank`` must agree with."""
+    rows = [{} for _ in range(A.rows)]
+    for u, v, s in A.nonzero_items():
+        rows[u][v] = s
+    return A.cols - linalg.nullity(rows, A.cols, A.mode, tol)
+
+
 def sym_var_ids_reference(d):
     """Ids of the unknowns of Hermitian P = X + iY as dicts: x_(a,b) for
     a <= b, then y_(a,b) for a < b, each row-major; d*d in all."""

@@ -277,6 +277,32 @@ def test_verify_equivalence_names_the_flat_index_that_breaks_the_cover(
     assert rep["equivalence"]["unitary"] is False
     assert capsys.readouterr().err == (
         "unitary: flat index 0 is held by 2 channels, not 1\n"
+        "intertwines: the operator is the shift by r = 2\n"
+        "failed checks: intertwines, unitary\n"
+    )
+
+
+def test_verify_equivalence_names_the_shift_entry_behind_a_broken_cover(
+    tmp_path, monkeypatch, capsys
+):
+    # the cover of the test above, and T = z in place of z^2: its first
+    # nonzero (1, 0) is off the shift by r = 2
+    import hardyshift.cli as cli
+    import hardyshift.decomposition as decomposition
+    from hardyshift import vector_shift
+
+    monkeypatch.setattr(
+        decomposition, "channel_flats", lambda ch, params: range(0, params.d, params.r)
+    )
+    monkeypatch.setattr(cli, "power_symbol", vector_shift)
+    code, rep = run_cli_json(
+        tmp_path, "verify-equivalence", "--m", "1", "--n", "2", "--blocks", "2"
+    )
+    assert code == 1
+    assert (rep["equivalence"]["unitary"], rep["equivalence"]["intertwines"]) == (False, False)
+    assert capsys.readouterr().err == (
+        "unitary: flat index 0 is held by 2 channels, not 1\n"
+        "intertwines: the operator is not the shift by r = 2 at entry (1, 0)\n"
         "failed checks: intertwines, unitary\n"
     )
 
@@ -593,7 +619,7 @@ def test_chain_reports_match_elimination(tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize("K", [3, 30])
 def test_full_report_scans_each_operator_once(tmp_path, monkeypatch, K):
     # the basis and the self-adjoint dimension of T share one scan of T,
-    # and the r equal channel restrictions one scan of their common shift
+    # and each of the r channel restrictions is scanned once
     real, scanned = commutant._partial_permutation, []
 
     def counted(A):
@@ -603,7 +629,7 @@ def test_full_report_scans_each_operator_once(tmp_path, monkeypatch, K):
     monkeypatch.setattr(commutant, "_partial_permutation", counted)
     argv = ["full-report", "--m", "2", "--n", "2", "--blocks", str(K)]
     assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
-    assert scanned == [(4 * K, 4 * K), (K, K)]
+    assert scanned == [(4 * K, 4 * K)] + [(K, K)] * 4
 
 
 def test_float_mode_flags(tmp_path, capsys):
@@ -822,6 +848,27 @@ def test_out_write_failure_is_io_error(tmp_path):
     assert code == 4
     # no partial temp file left behind
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_in_a_missing_directory_is_refused_before_any_work(
+    tmp_path, monkeypatch, capsys
+):
+    import hardyshift.cli as cli
+
+    def no_work(cfg):
+        raise AssertionError("execute ran")
+
+    monkeypatch.setattr(cli, "execute", no_work)
+    missing = tmp_path / "missing"
+    code = main([
+        "full-report", "--m", "2", "--n", "2", "--blocks", "3",
+        "--out", str(missing / "report.json"),
+    ])
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out directory {str(missing)!r} does not exist\n"
 
 
 def test_fifo_target_is_written_in_place(tmp_path):

@@ -60,8 +60,8 @@ def test_traced_child_runs_and_writes_the_untraced_report(tmp_path, cli_args, ba
     assert isinstance(traced["layers"], dict) and traced["layers"]
     assert [name for name in LIVE_METRICS if not traced["layers"][name] > 0] == []
     assert traced["layers"]["linalg.svd_cells"] == 0
-    # one full self-adjoint solve, and one for the channels' common restriction
-    assert traced["layers"]["commutant.selfadjoint_calls"] == 2
+    # one full self-adjoint solve, and one for each of the r = 4 channels
+    assert traced["layers"]["commutant.selfadjoint_calls"] == 1 + 4
     assert traced["layers"]["commutant.basis_dim"] == basis_dim
     assert "layers" not in untraced
     assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "untraced.json").read_bytes()

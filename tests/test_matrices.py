@@ -11,8 +11,8 @@ from hardyshift.commutant import operator_rank
 from hardyshift.errors import ShapeError
 
 # The package's DenseMatrix keeps its validating constructor and identity,
-# and SparseMatrix has the rank; the algebra checked here is the tests'
-# reference, helpers.DenseMatrix.
+# and commutant.operator_rank is SparseMatrix's rank; the algebra checked
+# here is the tests' reference, helpers.DenseMatrix.
 import helpers
 from helpers import (
     commutator,
@@ -145,19 +145,21 @@ def test_sparse_matrices_are_equal_by_entries_shape_and_mode():
 
 
 def test_exact_rank():
-    assert sparse(DenseMatrix.identity(4)).rank() == 4
-    assert sparse(helpers.DenseMatrix.zeros(3, 3)).rank() == 0
-    assert sparse([[1, 2], [2, 4]]).rank() == 1
-    assert sparse(
+    assert operator_rank(sparse(DenseMatrix.identity(4))) == 4
+    assert operator_rank(sparse(helpers.DenseMatrix.zeros(3, 3))) == 0
+    assert operator_rank(sparse([[1, 2], [2, 4]])) == 1
+    assert operator_rank(sparse(
         [[1, 0, 1], [0, 1, 1], [1, 1, 2]]
-    ).rank() == 2
+    )) == 2
 
 
 def test_float_rank_requires_tol():
+    # refused even for the identity, whose rank is read off its scan
     m = sparse([[1.0, 0.0], [0.0, 1.0]], "float")
-    assert m.rank(tol=1e-9) == 2
-    with pytest.raises(ValueError):
-        m.rank()
+    assert operator_rank(m, tol=1e-9) == 2
+    for tol in (None, 0.0, 1.0):
+        with pytest.raises(ValueError):
+            operator_rank(m, tol)
 
 
 small_integer_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
@@ -172,7 +174,7 @@ small_integer_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap
 @settings(max_examples=80, deadline=None)
 @given(small_integer_matrices)
 def test_exact_rank_matches_numpy(rows):
-    assert sparse(rows).rank() == np.linalg.matrix_rank(np.array(rows, dtype=float))
+    assert operator_rank(sparse(rows)) == np.linalg.matrix_rank(np.array(rows, dtype=float))
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,7 +191,7 @@ def test_float_rank_matches_numpy_on_well_separated_spectra(n, m, data):
     mat = left @ np.diag(svals) @ right
     expected = np.linalg.matrix_rank(mat)
     assert expected == sum(1 for s in svals if s)
-    assert sparse(mat.tolist(), "float").rank(tol=1e-9) == expected
+    assert operator_rank(sparse(mat.tolist(), "float"), tol=1e-9) == expected
 
 
 def test_is_permutation():

@@ -11,6 +11,7 @@ from hardyshift import (
     MatrixSymbol,
     TruncationParams,
     monomial_symbol,
+    operator_rank,
     power_symbol,
     scalar_shift,
     symbol_from_json,
@@ -30,6 +31,7 @@ from helpers import (
     poly_multiply_truncate,
     rand_gaussian_rational,
     rand_vector,
+    rank_reference,
 )
 
 
@@ -83,7 +85,8 @@ def test_power_symbol_positions_small():
 
 def test_power_symbol_rank():
     for p in SWEEP:
-        assert power_symbol(p).rank() == p.m * (p.N - p.n)
+        T = power_symbol(p)
+        assert operator_rank(T) == rank_reference(T) == p.m * (p.N - p.n)
 
 
 def test_power_symbol_nilpotent():

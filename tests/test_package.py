@@ -32,6 +32,15 @@ def test_dense_algebra_is_not_part_of_the_package():
         assert not hasattr(hardyshift.DenseMatrix, name)
 
 
+def test_the_record_layer_has_no_rank_and_imports_no_solver():
+    # commutant.operator_rank is the one rank
+    import hardyshift.matrices as matrices
+
+    assert not hasattr(hardyshift.SparseMatrix, "rank")
+    assert not hasattr(matrices, "linalg")
+    assert "operator_rank" in hardyshift.__all__
+
+
 def test_float_solves_keep_no_array_machinery_of_their_own():
     # a float system is the rows of an exact one, split by
     # linalg.components and solved one SVD per block; floatsolve builds no
@@ -89,10 +98,11 @@ def test_numpy_is_loaded_only_by_float_solves(tmp_path, argv, loaded):
 
 def test_cli_import_loads_no_record_machinery_csv_or_numpy():
     # start-up pays only for what every run uses: the records are plain
-    # classes and named tuples, and csv waits for a CSV table
+    # classes and named tuples, csv waits for a CSV table, and a float
+    # scalar is checked finite by math
     script = ("import sys; bare = set(sys.modules); import hardyshift.cli; "
               "added = set(sys.modules) - bare; "
-              "print(sorted(added & {'dataclasses', 'inspect', 'csv', 'numpy'}))")
+              "print(sorted(added & {'dataclasses', 'inspect', 'csv', 'numpy', 'cmath'}))")
     proc = subprocess.run(
         [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
