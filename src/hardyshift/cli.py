@@ -211,7 +211,7 @@ def _commutant_section(
         structure = all(ok)
         if not structure:
             i = ok.index(False)
-            u, v = toeplitz_break(cb.element(i), params, cfg.tol)
+            u, v = toeplitz_break(cb.members[i], params, cfg.tol)
             print(f"lemma3_structure_ok: commutant basis element {i} is not block "
                   f"lower Toeplitz at entry ({u}, {v})", file=sys.stderr)
         section["lemma3_structure_ok"] = structure

@@ -27,7 +27,8 @@ the exact commutant dimension of a custom symbol is a theorem about the
 matrix, not a numerical estimate.  Float mode solves each connected block
 of the same rows with one SVD, behind the rank-ambiguity gate
 (``floatsolve``).  The basis is solved once per operator and tol and kept
-on A (``_eliminated_basis``), like the scan of ``_shape``.
+in A's ``__dict__``, outside its fields (``_eliminated_basis``), like the
+scan of ``_shape``.
 
 The self-adjoint commutant {P = P* : AP = PA} is what decides how many
 reducing subspaces the truncated operator has: its real dimension counts
@@ -45,37 +46,28 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from functools import cached_property
 from itertools import islice, repeat
 from operator import add
 from typing import Sequence
 
 from . import linalg, scalars
-from .errors import InvarianceError, ShapeError
+from .errors import InvarianceError, Record, ShapeError
 from .matrices import SparseMatrix
 from .scalars import Mode, scalar_is_zero, scalars_close, zero
 from .space import TruncationParams
 
 
-class CommutantBasis:
-    """Echelon-normalized basis of {P : AP = PA} for a d x d matrix A.  The
-    chain path keeps each element as its chain (``_chains``), the ascending
-    flat keys u*d + v where it holds the one: a ``range`` for a
-    diagonal of z^n or of a channel restriction, an ``array('q')`` for any
-    other chain, read as a matrix through ``chain_view``.  Every other path
-    keeps a ``SparseMatrix``.  ``mode`` is the operator's, and a chain's
-    view holds that mode's one.  Its fields are read-only."""
+class CommutantBasis(Record):
+    """``CommutantBasis(d, mode, members)``: an echelon-normalized basis of
+    {P : AP = PA} for a d x d matrix A.  The chain path keeps each element
+    as its chain (``_chains``), the ascending flat keys u*d + v where it
+    holds the one: a ``range`` for a diagonal of z^n or of a channel
+    restriction, an ``array('q')`` for any other chain, read as a matrix
+    through ``chain_view``.  Every other path keeps a ``SparseMatrix``.
+    ``mode`` is the operator's, and a chain's view holds that mode's one.
+    A read-only value (``errors.Record``)."""
 
-    def __init__(self, d: int, mode: Mode, members: tuple):
-        vars(self).update(d=d, mode=mode, members=members)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, CommutantBasis):
-            return NotImplemented
-        return (self.d, self.mode, self.members) == (other.d, other.mode, other.members)
+    _fields = ("d", "mode", "members")
 
     def __repr__(self):
         return f"CommutantBasis(d={self.d}, mode={self.mode!r}, dim={self.dim})"
@@ -87,10 +79,6 @@ class CommutantBasis:
     def element(self, i: int) -> SparseMatrix:
         P = self.members[i]
         return P if isinstance(P, SparseMatrix) else chain_view(P, self.d, self.mode)
-
-    @cached_property
-    def elements(self) -> tuple[SparseMatrix, ...]:
-        return tuple(map(self.element, range(self.dim)))
 
 
 def chain_view(keys: Sequence[int], d: int, mode: Mode) -> SparseMatrix:
@@ -361,34 +349,36 @@ def is_block_lower_toeplitz(
     A chain (``CommutantBasis``) that is a nonempty ``range`` of step
     r*d + r is one diagonal of one block, and passes exactly when its head
     has g < r, so it wraps no row, and its tail f >= d - r: it is decided
-    from its two ends in O(1).  For any other chain a key outside range(d^2)
-    fails the shape rule, and ``toeplitz_break`` decides the rest on the
-    chain's view.
+    from its two ends in O(1).  Any other chain is decided by
+    ``toeplitz_break``, which names its witness.
     """
     d, r = params.d, params.r
-    if not isinstance(P, SparseMatrix):
-        if isinstance(P, range) and P and P.step == r * d + r:
-            return 0 <= P[0] and P[0] % d < r and d - r <= P[-1] // d < d
-        if P and (min(P) < 0 or max(P) >= d * d):
-            return False
-        # a chain is a pattern of ones, decided exactly in either mode
-        return toeplitz_break(chain_view(P, d, "exact"), params) is None
-    if P.shape != (d, d):
+    if isinstance(P, range) and P and P.step == r * d + r:
+        return 0 <= P[0] and P[0] % d < r and d - r <= P[-1] // d < d
+    if isinstance(P, SparseMatrix) and P.shape != (d, d):
         return False
     return toeplitz_break(P, params, tol) is None
 
 
 def toeplitz_break(
-    P: SparseMatrix, params: TruncationParams, tol: float | None = None
+    P: SparseMatrix | Sequence[int], params: TruncationParams, tol: float | None = None
 ) -> tuple[int, int] | None:
-    """The first nonzero (f, g) of P that breaks the pattern of
-    ``is_block_lower_toeplitz`` (whose shape rule P must pass), or None.
-    An entry with block offsets f // r < g // r must vanish; any other must
-    equal P[f - r][g - r] if g >= r and P[f + r][g + r] if f < d - r, an
-    absent entry reading as zero.  That compares each pair of diagonal
-    neighbours with a nonzero side, and names a failed chain's witness."""
+    """The first nonzero (f, g) of P, a d x d matrix or a chain, that
+    breaks the pattern of ``is_block_lower_toeplitz``, or None.  An entry
+    with block offsets f // r < g // r must vanish; any other must equal
+    P[f - r][g - r] if g >= r and P[f + r][g + r] if f < d - r, an absent
+    entry reading as zero.  That compares each pair of diagonal neighbours
+    with a nonzero side.  A chain is a pattern of ones, decided exactly on
+    its view in either mode, and its first key outside range(d^2), which
+    has no place in the view, is its witness."""
+    d, r = params.d, params.r
+    if not isinstance(P, SparseMatrix):
+        outside = next((k for k in P if not 0 <= k < d * d), None)
+        if outside is not None:
+            return divmod(outside, d)
+        P, tol = chain_view(P, d, "exact"), None
     stored, z = P.entries, zero(P.mode)
-    r, last = params.r, params.d - params.r
+    last = d - r
 
     def differs(s, key) -> bool:
         return not scalars_close(s, stored.get(key, z), tol)

@@ -12,19 +12,20 @@ is ``commutant.operator_rank``.
 
 ``DenseMatrix`` is the validated m x m coefficient of a ``MatrixSymbol``:
 its constructor coerces every entry to the mode's scalar type and
-refuses a ragged or empty grid.
+refuses a ragged or empty grid.  Both are read-only values
+(``errors.Record``), so a grid that passed validation stays as it was.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import ShapeError
+from .errors import Record, ShapeError
 from .scalars import Mode, Scalar, as_scalar, one, zero
 
 
-class DenseMatrix:
-    __slots__ = ("entries", "rows", "cols", "mode")
+class DenseMatrix(Record):
+    _fields = ("entries", "rows", "cols", "mode")
 
     def __init__(self, entries, mode: Mode = "exact"):
         norm = tuple(tuple(as_scalar(e, mode) for e in row) for row in entries)
@@ -33,10 +34,7 @@ class DenseMatrix:
         width = len(norm[0])
         if any(len(row) != width for row in norm):
             raise ShapeError("ragged rows")
-        self.entries = norm
-        self.rows = len(norm)
-        self.cols = width
-        self.mode = mode
+        super().__init__(norm, len(norm), width, mode)
 
     @classmethod
     def identity(cls, n: int, mode: Mode = "exact") -> "DenseMatrix":
@@ -47,40 +45,18 @@ class DenseMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def __eq__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return (
-            self.mode == other.mode
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
-
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols}, mode={self.mode!r})"
 
 
-class SparseMatrix:
-    """A matrix kept as its nonzero entries ``{(u, v): scalar}``; an
-    absent entry is the mode's zero.  Treated as immutable: its fields are
-    read-only, and its ``__dict__`` also keeps what ``commutant`` learns
-    of it once: its partial-permutation scan, and its commutant basis per
-    tol when the scan declines."""
+class SparseMatrix(Record):
+    """``SparseMatrix(entries, rows, cols, mode)``: a matrix kept as its
+    nonzero entries ``{(u, v): scalar}``; an absent entry is the mode's
+    zero.  A read-only value whose ``__dict__`` also keeps, outside its
+    fields, what ``commutant`` learns of it once: its partial-permutation
+    scan, and its commutant basis per tol when the scan declines."""
 
-    def __init__(self, entries: dict, rows: int, cols: int, mode: Mode):
-        vars(self).update(entries=entries, rows=rows, cols=cols, mode=mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (
-            self.mode == other.mode
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
+    _fields = ("entries", "rows", "cols", "mode")
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, mode={self.mode!r})"

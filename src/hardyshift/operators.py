@@ -15,18 +15,21 @@ dense reference algebra.
 
 from __future__ import annotations
 
-from .errors import ShapeError
+from .errors import Record, ShapeError
 from .matrices import DenseMatrix, SparseMatrix
 from .scalars import Mode, scalar_from_json, scalar_to_json, zero
 from .space import TruncationParams
 
 
-class MatrixSymbol:
+class MatrixSymbol(Record):
     """Matrix polynomial sum_t C_t z^t with square m x m coefficients.
 
     Coefficient matrices must share one mode; powers are distinct and
-    nonnegative.  Stored sorted by power, in read-only fields.
+    nonnegative.  Stored sorted by power, in the fields of a read-only
+    value (``errors.Record``).
     """
+
+    _fields = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs: tuple[tuple[int, DenseMatrix], ...]):
         if not isinstance(m, int) or m < 1:
@@ -44,18 +47,7 @@ class MatrixSymbol:
                 )
         if len({mat.mode for _, mat in coeffs}) > 1:
             raise TypeError("symbol coefficients must share a mode")
-        vars(self).update(m=m, coeffs=tuple(sorted(coeffs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixSymbol):
-            return NotImplemented
-        return (self.m, self.coeffs) == (other.m, other.coeffs)
-
-    def __repr__(self):
-        return f"MatrixSymbol(m={self.m}, coeffs={self.coeffs!r})"
+        super().__init__(m, tuple(sorted(coeffs)))
 
     @property
     def mode(self) -> Mode:

@@ -171,10 +171,6 @@ def as_scalar(value, mode: Mode) -> Scalar:
             "pass int, Fraction or GaussianRational"
         )
     if mode == "float":
-        if isinstance(value, GaussianRational):
-            return complex(value)
-        if isinstance(value, Fraction):
-            return complex(float(value))
         return complex(value)
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -10,39 +10,34 @@ operator builders rely on.
 The truncation horizon is always N = n*K: K coefficients retained per
 channel of the multiplication operator by z^n, so the truncated model of
 that operator is exactly a direct sum of m*n nilpotent shift blocks of
-size K.
+size K.  ``TruncationParams`` holds (m, n, K) as a read-only value
+(``errors.Record``), the one record that also hashes by value.
 """
 
 from __future__ import annotations
 
+from .errors import Record
 
-class TruncationParams:
+
+class TruncationParams(Record):
     """Model size: m components, multiplication by z^n, K coefficients kept
     per channel, with the derived sizes N, d and r computed here and read
     as plain attributes, since the Lemma-3 audit reads d and r once per
-    commutant element.  Every attribute is read-only.
+    commutant element.  Equal, hashed and shown by its fields m, n and K.
 
     N is the degree cutoff (coefficients of z^p are kept for p < N), d the
     dimension of the truncated space and r the number of channels (shift
     blocks) in the decomposition.
     """
 
+    _fields = ("m", "n", "K")
+
     def __init__(self, m: int, n: int, K: int):
         for name, v in (("m", m), ("n", n), ("K", K)):
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        vars(self).update(m=m, n=n, K=K, N=n * K, d=m * n * K, r=m * n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncationParams):
-            return NotImplemented
-        return (self.m, self.n, self.K) == (other.m, other.n, other.K)
+        super().__init__(m, n, K)
+        vars(self).update(N=n * K, d=m * n * K, r=m * n)
 
     def __hash__(self):
         return hash((self.m, self.n, self.K))
-
-    def __repr__(self):
-        return f"TruncationParams(m={self.m}, n={self.n}, K={self.K})"

@@ -34,6 +34,7 @@ from hardyshift import (
     matrices,
     scalar_shift,
 )
+from hardyshift.errors import Record
 from hardyshift.scalars import as_scalar, one, scalar_is_zero, scalars_close, zero
 
 SWEEP = [
@@ -235,16 +236,11 @@ class DenseMatrix(matrices.DenseMatrix):
     linear in the number of nonzeros.  An operand may be any package
     ``DenseMatrix``; every result is this class."""
 
-    __slots__ = ()
-
     @classmethod
     def _raw(cls, entries, mode):
         # entries already normalized tuples of the right scalar type
         self = object.__new__(cls)
-        self.entries = entries
-        self.rows = len(entries)
-        self.cols = len(entries[0])
-        self.mode = mode
+        Record.__init__(self, entries, len(entries), len(entries[0]), mode)
         return self
 
     def __getitem__(self, u):
@@ -411,7 +407,7 @@ def sparse(X, mode="exact", full=False):
 
 def dense_basis(cb):
     """The elements of a ``CommutantBasis`` as reference dense matrices."""
-    return [dense(P) for P in cb.elements]
+    return [dense(cb.element(i)) for i in range(cb.dim)]
 
 
 def matrices_close(a, b, tol=None):

@@ -248,11 +248,35 @@ def test_cli_lemma3_audit_fails_on_a_changed_float_element(monkeypatch, capsys):
     )
     assert code == 1
     assert isinstance(cb.members[3], SparseMatrix)
-    assert toeplitz_break(cb.elements[3], p, 1e-9) == (order[0], order[1])
+    assert toeplitz_break(cb.element(3), p, 1e-9) == (order[0], order[1])
     assert err == (
         "lemma3_structure_ok: commutant basis element 3 is not block lower Toeplitz "
         f"at entry ({order[0]}, {order[1]})\nfailed checks: lemma3_structure_ok\n"
     )
+
+
+def test_cli_lemma3_audit_names_a_chain_key_outside_the_matrix(tmp_path, monkeypatch, capsys):
+    # element 0 of z^2 on C^2 at K = 3 (d = 12) is the one key 96, flat
+    # (8, 0); one more step of 52 reaches key 148, flat (12, 4), a row past
+    # the matrix, which the O(1) range audit refuses and which is itself the
+    # witness, where the chain's view would hold no break
+    out = tmp_path / "report.json"
+
+    def extend(cb):
+        assert cb.members[0] == range(96, 148, 52)
+        return CommutantBasis(cb.d, cb.mode, (range(96, 200, 52), *cb.members[1:]))
+
+    code, err, _ = run_with_doctored_basis(
+        monkeypatch, capsys, extend,
+        ["full-report", "--m", "2", "--n", "2", "--blocks", "3", "--out", str(out)],
+    )
+    assert code == 1
+    assert err == (
+        "lemma3_structure_ok: commutant basis element 0 is not block lower Toeplitz "
+        "at entry (12, 4)\nfailed checks: lemma3_structure_ok\n"
+    )
+    report = json.loads(out.read_text())
+    assert report["checks"]["lemma3_structure_ok"] is False and report["passed"] is False
 
 
 @pytest.mark.parametrize(
@@ -762,7 +786,8 @@ def assert_matches_the_commutation_system(A, tol=None):
         {divmod(k, d): s for k, s in vec.items()}
         for vec in linalg.kernel_basis(system, d * d, A.mode, tol)
     ]
-    found = [P.entries for P in commutant_basis(A, tol).elements]
+    cb = commutant_basis(A, tol)
+    found = [cb.element(i).entries for i in range(cb.dim)]
     assert [list(P.items()) for P in found] == [list(P.items()) for P in reference]
     assert repr(found) == repr(reference)
     assert selfadjoint_commutant_dim(A, tol) == realified_nullity(A, tol)
@@ -774,8 +799,9 @@ def test_chain_path_matches_the_commutation_system(A):
     assert _partial_permutation(A) is not None
     assert_matches_the_commutation_system(A)
     # every chain view holds the one exact one, as the eliminated basis did
+    cb = commutant_basis(A)
     assert all(
-        s is scalars.one("exact") for P in commutant_basis(A).elements for s in P.entries.values()
+        s is scalars.one("exact") for i in range(cb.dim) for s in cb.element(i).entries.values()
     )
     # a run of one step is a range, any other chain an array, both ascending
     assert all(type(P) in (range, array) and list(P) == sorted(P)
@@ -821,7 +847,8 @@ def test_float_powers_take_the_chain_path(m, n, K):
     assert _partial_permutation(T) is not None
     cb = commutant_basis(T, 1e-9)
     assert cb.mode == "float" and cb.members == commutant_basis(power_symbol(p)).members
-    assert all(P.mode == "float" and set(P.entries.values()) == {1 + 0j} for P in cb.elements)
+    assert all(P.mode == "float" and set(P.entries.values()) == {1 + 0j}
+               for P in map(cb.element, range(cb.dim)))
     assert selfadjoint_commutant_dim(T, 1e-9) == p.r * p.r
 
 
@@ -847,7 +874,8 @@ def test_float_chain_path_matches_the_svd_kernel(A):
     # the SVD's echelon basis lists each vector by its pivot, its chain's
     # first key; the chain basis lists by free column, the last key, as
     # exact elimination does
-    found = sorted(commutant_basis(F, tol).elements, key=lambda P: min(P.entries))
+    cb = commutant_basis(F, tol)
+    found = sorted(map(cb.element, range(cb.dim)), key=lambda P: min(P.entries))
     assert len(found) == len(svd)
     for P, vec in zip(found, svd):
         assert set(P.entries) == {divmod(k, d) for k, s in vec.items() if abs(s) > tol}
@@ -858,15 +886,19 @@ def test_float_chain_path_matches_the_svd_kernel(A):
 def assert_chain_audit_matches_the_view(keys, params):
     """The integer audit of a chain element, a ``range`` or else an array
     of its keys, against ``toeplitz_break`` on its view; returns the
-    verdict.  A key outside range(d^2) has no place in a d x d view, and
-    fails as a matrix of the wrong shape does."""
+    verdict.  A key outside range(d^2) has no place in a d x d view: it
+    fails, and the first such key is the chain's witness."""
     if not isinstance(keys, range):
         keys = array("q", keys)
+    d = params.d
     verdict = is_block_lower_toeplitz(keys, params)
-    if all(0 <= k < params.d ** 2 for k in keys):
-        assert verdict == (toeplitz_break(chain_view(keys, params.d, "exact"), params) is None)
-    else:
+    outside = [k for k in keys if not 0 <= k < d * d]
+    if outside:
         assert not verdict
+        assert toeplitz_break(keys, params) == divmod(outside[0], d)
+    else:
+        witness = toeplitz_break(chain_view(keys, d, "exact"), params)
+        assert verdict == (witness is None) and toeplitz_break(keys, params) == witness
     return verdict
 
 
@@ -993,17 +1025,6 @@ def test_chain_basis_and_its_audit_build_no_matrix(monkeypatch, built):
     assert cb.dim == p.r * p.r * p.K
     assert cli.main(["commutant", "--m", "2", "--n", "2", "--blocks", "3"]) == 0
     assert built == []
-    # the views are built on first access, once
-    assert cb.elements is cb.elements and len(built) == cb.dim
-
-
-def test_commutant_bases_are_read_only_values():
-    p = TruncationParams(2, 2, 2)
-    cb = commutant_basis(power_symbol(p))
-    assert cb == commutant_basis(power_symbol(p)) and cb is not commutant_basis(power_symbol(p))
-    assert cb != CommutantBasis(cb.d, cb.mode, cb.members[:-1])
-    assert cb != CommutantBasis(cb.d, "float", cb.members)
-    assert cb.elements and cb == CommutantBasis(cb.d, cb.mode, cb.members)
-    with pytest.raises(AttributeError):
-        cb.members = ()
-    assert repr(cb) == "CommutantBasis(d=8, mode='exact', dim=32)"
+    # a view is built each time an element is read as a matrix
+    assert all(cb.element(i).shape == (p.d, p.d) for i in range(cb.dim))
+    assert len(built) == cb.dim

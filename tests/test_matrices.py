@@ -129,21 +129,6 @@ def test_commutator():
     assert commutator(a, a).is_zero()
 
 
-def test_sparse_matrices_are_equal_by_entries_shape_and_mode():
-    T = sparse([[0, 0], [1, 0]])
-    assert T == sparse([[0, 0], [1, 0]]) and T is not sparse([[0, 0], [1, 0]])
-    assert T != sparse([[0, 0], [2, 0]])
-    assert T != SparseMatrix(T.entries, 2, 3, "exact")
-    assert T != sparse([[0, 0], [1, 0]], mode="float")
-    # the partial-permutation scan that commutant keeps on T is no field
-    assert operator_rank(T) == 1 and "_shape" in vars(T)
-    assert T == sparse([[0, 0], [1, 0]])
-    with pytest.raises(AttributeError):
-        T.entries = {}
-    with pytest.raises(TypeError):
-        hash(T)
-
-
 def test_exact_rank():
     assert operator_rank(sparse(DenseMatrix.identity(4))) == 4
     assert operator_rank(sparse(helpers.DenseMatrix.zeros(3, 3))) == 0

@@ -1,11 +1,24 @@
+import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hardyshift
+from hardyshift import (
+    CommutantBasis,
+    DenseMatrix,
+    GaussianRational,
+    MatrixSymbol,
+    SparseMatrix,
+    TruncationParams,
+    commutant_basis,
+    power_symbol,
+)
+from hardyshift.commutant import operator_rank
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -112,3 +125,94 @@ def test_cli_import_loads_no_record_machinery_csv_or_numpy():
     assert proc.stdout == "[]\n"
     sources = sorted((ROOT / "src" / "hardyshift").rglob("*.py"))
     assert sources and [f.name for f in sources if "dataclass" in f.read_text()] == []
+
+
+def params_record():
+    value = TruncationParams(2, 3, 4)
+    return (value, TruncationParams(m=2, n=3, K=4), [TruncationParams(2, 3, 5), (2, 3, 4)],
+            ("m", "d"), "TruncationParams(m=2, n=3, K=4)")
+
+
+def sparse_record():
+    value = SparseMatrix({(1, 0): GaussianRational(1)}, 2, 2, "exact")
+    # the partial-permutation scan that commutant keeps on it is no field
+    assert operator_rank(value) == 1 and "_shape" in vars(value)
+    others = [SparseMatrix({(1, 0): GaussianRational(2)}, 2, 2, "exact"),
+              SparseMatrix({(1, 0): GaussianRational(1)}, 2, 3, "exact"),
+              SparseMatrix({(1, 0): 1 + 0j}, 2, 2, "float")]
+    return (value, SparseMatrix({(1, 0): GaussianRational(1)}, 2, 2, "exact"), others,
+            ("entries",), "SparseMatrix(2x2, mode='exact')")
+
+
+def basis_record():
+    value = commutant_basis(power_symbol(TruncationParams(2, 2, 2)))
+    others = [CommutantBasis(value.d, value.mode, value.members[:-1]),
+              CommutantBasis(value.d, "float", value.members)]
+    return (value, commutant_basis(power_symbol(TruncationParams(2, 2, 2))), others,
+            ("members",), "CommutantBasis(d=8, mode='exact', dim=32)")
+
+
+def symbol_record():
+    c0, c3 = DenseMatrix([[1, 0], [0, 1]]), DenseMatrix([[0, 0], [1, 0]])
+    others = [MatrixSymbol(2, ((0, c0),)), MatrixSymbol(2, ((0, c0), (2, c3)))]
+    return (MatrixSymbol(2, ((0, c0), (3, c3))), MatrixSymbol(2, ((3, c3), (0, c0))), others,
+            ("coeffs",), "MatrixSymbol(m=2, coeffs=((0, DenseMatrix(2x2, mode='exact')), "
+                         "(3, DenseMatrix(2x2, mode='exact'))))")
+
+
+def dense_record():
+    value = DenseMatrix([[1, Fraction(1, 2)]])
+    others = [DenseMatrix([[1, 2]]), DenseMatrix([[1], [Fraction(1, 2)]]),
+              DenseMatrix([[1.0, 0.5]], "float")]
+    return (value, DenseMatrix([[GaussianRational(1), GaussianRational(Fraction(1, 2))]]),
+            others, ("entries", "rows"), "DenseMatrix(1x2, mode='exact')")
+
+
+RECORDS = {"TruncationParams": params_record, "SparseMatrix": sparse_record,
+           "CommutantBasis": basis_record, "MatrixSymbol": symbol_record,
+           "DenseMatrix": dense_record}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS)
+def test_records_are_read_only_values(make):
+    value, twin, others, fields, text = make()
+    assert value == twin and not value != twin and value is not twin
+    assert all(value != other and other != value for other in others)
+    assert repr(value) == text
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert value == twin and not hasattr(value, "extra")
+    if isinstance(value, TruncationParams):
+        assert hash(value) == hash(twin) and len({value, twin, *others}) == 1 + len(others)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def class_bindings(source: Path):
+    """(name, the names its body defines or assigns) for each class of a
+    module."""
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ClassDef):
+            names = set()
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+            yield node.name, names
+
+
+def test_only_the_record_base_writes_the_value_policy():
+    # errors.Record is the one class that refuses assignment, GaussianRational
+    # included, and the five records leave equality and a field repr to it
+    owners = [name for source in sorted((ROOT / "src" / "hardyshift").rglob("*.py"))
+              for name, names in class_bindings(source) if "__setattr__" in names]
+    assert owners == ["Record"]
+    for cls in RECORDS:
+        own = set(vars(getattr(hardyshift, cls)))
+        assert not {"__eq__", "__setattr__", "__slots__"} & own
+    assert "__repr__" not in {*vars(TruncationParams), *vars(MatrixSymbol)}
+    with pytest.raises(TypeError, match="takes the fields entries, rows, cols, mode"):
+        SparseMatrix({}, 2, 2)

@@ -38,18 +38,6 @@ def test_params_validation():
         TruncationParams(1, 1, 0)
 
 
-def test_params_are_read_only_values():
-    p, q = TruncationParams(2, 3, 4), TruncationParams(m=2, n=3, K=4)
-    assert p == q and hash(p) == hash(q) and p is not q
-    assert p != TruncationParams(2, 3, 5) and p != (2, 3, 4)
-    assert len({p, q, TruncationParams(3, 2, 4)}) == 2
-    assert repr(p) == "TruncationParams(m=2, n=3, K=4)"
-    for name in ("m", "d"):
-        with pytest.raises(AttributeError):
-            setattr(p, name, 1)
-    assert (p.m, p.d) == (2, 24)
-
-
 def test_flat_index_examples():
     p = TruncationParams(2, 2, 3)
     assert flat_index(1, 0, p) == 0
