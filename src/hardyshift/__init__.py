@@ -14,7 +14,6 @@ from .commutant import (
     commutant_basis,
     is_block_lower_toeplitz,
     operator_rank,
-    restrict,
     selfadjoint_commutant_dim,
 )
 from .decomposition import (
@@ -28,7 +27,6 @@ from .decomposition import (
 from .errors import (
     CapError,
     HardyShiftError,
-    InvarianceError,
     RankAmbiguityError,
     ShapeError,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "EquivalenceReport",
     "GaussianRational",
     "HardyShiftError",
-    "InvarianceError",
     "LatticeCounts",
     "LatticeReport",
     "MatrixSymbol",
@@ -87,7 +84,6 @@ __all__ = [
     "monomial_symbol",
     "operator_rank",
     "power_symbol",
-    "restrict",
     "scalar_shift",
     "selfadjoint_commutant_dim",
     "symbol_from_json",

@@ -342,10 +342,14 @@ def execute(cfg: argparse.Namespace) -> dict:
         bad = next((mc for mc in minimal if not mc.is_minimal), None)
         checks["all_channels_minimal"] = bad is None
         if bad is not None:
-            ch = bad.channel
+            ch, dim = bad.channel, bad.restricted_selfadjoint_commutant_dim
+            if dim is None:
+                edge = min(e for e in channel_edges(T, params, cfg.tol) if ch.ordinal in e)
+                why = f"does not reduce the operator, which joins channels {edge}"
+            else:
+                why = f"has a restricted self-adjoint commutant of dimension {dim}, not 1"
             print(f"all_channels_minimal: channel i={ch.i}, j={ch.j} (ordinal {ch.ordinal}) "
-                  "has a restricted self-adjoint commutant of dimension "
-                  f"{bad.restricted_selfadjoint_commutant_dim}, not 1", file=sys.stderr)
+                  + why, file=sys.stderr)
     if full or cfg.command == "lattice":
         # full-report's commutant section has already solved the
         # self-adjoint system of the power operator the lattice is about
@@ -392,8 +396,9 @@ def emit_report(report: dict, fmt: str) -> bytes:
 
 def write_output(data: bytes, out_path: Path | None) -> None:
     """Write atomically: a uniquely named temp file in the target's
-    directory, synced, then renamed over the target.  A failed run leaves
-    no partial report, and concurrent runs never share a temp file.  A
+    directory, given the mode ``open`` would give a new file under the
+    umask, synced, then renamed over the target.  A failed run leaves no
+    partial report, and concurrent runs never share a temp file.  A
     target that exists and is neither a regular file nor a directory (a
     character device, a FIFO) is written in place, since a rename would
     replace it with a regular file."""
@@ -409,6 +414,9 @@ def write_output(data: bytes, out_path: Path | None) -> None:
     )
     try:
         with os.fdopen(fd, "wb") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())

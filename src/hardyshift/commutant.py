@@ -51,7 +51,7 @@ from operator import add
 from typing import Sequence
 
 from . import linalg, scalars
-from .errors import InvarianceError, Record, ShapeError
+from .errors import Record, ShapeError
 from .matrices import SparseMatrix
 from .scalars import Mode, scalar_is_zero, scalars_close, zero
 from .space import TruncationParams
@@ -455,44 +455,3 @@ def basis_head_break(
         return f"basis element {i} holds {counts[i]} heads, not one"
     return None
 
-
-def restrict(
-    A: SparseMatrix,
-    indices: Sequence[int],
-    tol: float | None = None,
-) -> SparseMatrix:
-    """Compression of A to the span of the given flat coordinates, after
-    verifying that A maps that span into itself.
-
-    Raises InvarianceError when a column of A leaks outside the span, since
-    a restriction to a non-invariant coordinate subspace would silently
-    change the operator.  The leak named is the first in ``indices`` order
-    of columns, then the lowest row.  One scan of A's nonzeros decides
-    both: a nonzero at (indices[a], indices[b]) is the result's entry
-    (a, b), and the result stores nothing else.
-    """
-    if len(set(indices)) != len(indices):
-        raise ValueError("restriction indices must be distinct")
-    if not indices:
-        raise ValueError("restriction needs at least one coordinate")
-    for f in indices:
-        if not 0 <= f < A.cols:
-            raise IndexError(f"flat index {f} out of range 0..{A.cols - 1}")
-    position = {f: a for a, f in enumerate(indices)}
-    entries = {}
-    leak = None
-    for u, v, s in A.nonzero_items():
-        b = position.get(v)
-        if b is None:
-            continue
-        a = position.get(u)
-        if a is not None:
-            entries[(a, b)] = s
-        elif not scalar_is_zero(s, tol) and (leak is None or (b, u) < leak):
-            leak = (b, u)
-    if leak is not None:
-        b, u = leak
-        raise InvarianceError(
-            f"column {indices[b]} has a component at row {u} outside the subspace"
-        )
-    return SparseMatrix(entries, len(indices), len(indices), A.mode)

@@ -4,9 +4,10 @@ shared across the package."""
 
 class Record:
     """A read-only value: the fields named in ``_fields``, set once by the
-    constructor.  Assignment is refused; two records are equal when one is
-    an instance of the other's type and their fields are equal; ``repr``
-    lists the fields.  A record does not hash unless its class says how."""
+    constructor.  Assignment and deletion are refused; two records are
+    equal when one is an instance of the other's type and their fields are
+    equal; ``repr`` lists the fields.  A record does not hash unless its
+    class says how."""
 
     _fields: tuple[str, ...] = ()
 
@@ -17,6 +18,9 @@ class Record:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -39,11 +43,6 @@ class ShapeError(HardyShiftError):
 class RankAmbiguityError(HardyShiftError):
     """A floating-point rank decision has a singular value too close to the
     tolerance to call either way.  Exact mode never raises this."""
-
-
-class InvarianceError(HardyShiftError):
-    """A restriction was requested onto a coordinate subspace that the
-    operator does not leave invariant."""
 
 
 class CapError(HardyShiftError):

@@ -10,12 +10,13 @@ bit c for the channel of ordinal c, and its verdict as one byte.  The
 reducing masks form a Boolean lattice exactly when their count is 2^a for
 the a classes of channels that they cannot tell apart.
 
-Single channels are certified minimal by computing the self-adjoint
-commutant of the operator restricted to each: a restricted dimension of 1
-means the only projections commuting there are 0 and 1, so the channel
-admits no proper reducing subspace of its own.  Each channel is solved
-on its own: for T_{z^n} every restriction is a K x K shift, read off its
-chains in O(K), no dearer than hashing it to look up an equal one.
+Single channels are certified minimal through the same relabel: flat
+index f sits at position f // r of channel f % r, so channel c's block of
+T is read off the entries with u % r == v % r == c.  A channel that T
+joins to another does not reduce it, so it is not minimal; any other is
+minimal when its block's self-adjoint commutant has dimension 1, for then
+the only projections commuting there are 0 and 1.  For T_{z^n} every
+block is a K x K shift, read off its chains in O(K).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import random
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .commutant import restrict, selfadjoint_commutant_dim
-from .decomposition import Channel, channel_flats, channels, check_operator_shape
+from .commutant import selfadjoint_commutant_dim
+from .decomposition import Channel, channels, check_operator_shape
 from .errors import CapError
 from .linalg import components
 from .matrices import SparseMatrix
@@ -38,7 +39,7 @@ MAX_EXHAUSTIVE_CHANNELS = 20
 class ChannelMinimality(NamedTuple):
     channel: Channel
     is_minimal: bool
-    restricted_selfadjoint_commutant_dim: int
+    restricted_selfadjoint_commutant_dim: int | None  # None when T joins it to another
 
 
 class LatticeCounts(NamedTuple):
@@ -61,16 +62,23 @@ def check_minimal(
     params: TruncationParams,
     tol: float | None = None,
 ) -> list[ChannelMinimality]:
-    """Certify every channel minimal, in ordinal order: restrict T, the
-    power operator ``power_symbol(params, mode)``, to each channel (which
-    checks that the channel is invariant) and show the restricted
-    self-adjoint commutant is one-dimensional.  A T that is not d x d
-    raises ShapeError."""
-    check_operator_shape(T, params)
+    """Certify every channel minimal, in ordinal order, for T, the power
+    operator ``power_symbol(params, mode)``.  A channel in a pair of
+    ``channel_edges`` does not reduce T and gets dimension None; any other
+    is minimal when the self-adjoint commutant of its block of T, read off
+    one scan of T, is one-dimensional.  A T that is not d x d raises
+    ShapeError."""
+    joined = {c for edge in channel_edges(T, params, tol) for c in edge}
+    r, K = params.r, params.K
+    blocks = [{} for _ in range(r)]
+    for u, v, s in T.nonzero_items():
+        if u % r == v % r:
+            blocks[u % r][(u // r, v // r)] = s
     results = []
     for ch in channels(params):
-        restricted = restrict(T, channel_flats(ch, params), tol)
-        dim = selfadjoint_commutant_dim(restricted, tol)
+        dim = None
+        if ch.ordinal not in joined:
+            dim = selfadjoint_commutant_dim(SparseMatrix(blocks[ch.ordinal], K, K, T.mode), tol)
         results.append(ChannelMinimality(ch, dim == 1, dim))
     return results
 

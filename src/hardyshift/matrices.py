@@ -2,7 +2,7 @@
 
 ``SparseMatrix`` stores only its nonzero entries, and it is the one type
 of every operator the package reads: a truncated Toeplitz operator (see
-``operators``), its compression to a channel (``commutant.restrict``) and
+``operators``), its block on a channel (``lattice.check_minimal``) and
 each commutant basis element.  T = M_{z^n} at (m,n,K)=(2,2,60) has
 d - m*n = 236 nonzeros out of d^2 = 57600 entries, and every scan
 (``nonzero_items``) visits only those.  It has no arithmetic and no

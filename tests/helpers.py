@@ -25,7 +25,6 @@ import numpy as np
 
 from hardyshift import (
     GaussianRational,
-    InvarianceError,
     RankAmbiguityError,
     ShapeError,
     TruncationParams,
@@ -583,10 +582,16 @@ def apply(operator, vec):
     return CoeffVector(operator.matvec(vec.entries), vec.mode)
 
 
+class InvarianceError(Exception):
+    """``restrict_reference`` was asked to compress onto a coordinate
+    subspace that the operator does not leave invariant."""
+
+
 def restrict_reference(A, indices, tol=None):
-    """``commutant.restrict`` as a dense scan of a DenseMatrix: every entry
-    of each column in ``indices`` order, rows ascending, for a leak, then the
-    compressed block read off the grid."""
+    """The compression of a DenseMatrix to the span of the flat coordinates
+    in ``indices``, as a dense scan: every entry of each column in
+    ``indices`` order, rows ascending, for a leak out of the span (which
+    raises InvarianceError), then the compressed block read off the grid."""
     index_set = set(indices)
     for v in indices:
         for u in range(A.rows):

@@ -521,6 +521,37 @@ def test_minimality_names_the_first_channel_that_is_not_minimal(
     )
 
 
+@pytest.mark.parametrize("command", ["minimality", "lattice", "full-report"])
+def test_a_channel_the_operator_joins_to_another_is_not_minimal(
+    tmp_path, monkeypatch, capsys, command
+):
+    # (m, n, K) = (2, 2, 2): an entry at (1, 0) sends channel 0 into channel 1,
+    # so neither of them reduces T, and the run reports both, not a traceback
+    import hardyshift.cli as cli
+    from hardyshift.scalars import GaussianRational
+
+    real = cli.power_symbol
+
+    def planted(params, mode="exact"):
+        T = real(params, mode)
+        return SparseMatrix({**T.entries, (1, 0): GaussianRational(1)}, T.rows, T.cols, mode)
+
+    monkeypatch.setattr(cli, "power_symbol", planted)
+    code, rep = run_cli_json(tmp_path, command, "--m", "2", "--n", "2", "--blocks", "2")
+    assert code == 1
+    sections = [rep[key]["channels"] if key == "minimality" else rep[key]["minimal_channels"]
+                for key in ("minimality", "lattice") if key in rep]
+    assert sections
+    for chans in sections:
+        assert [(c["ordinal"], c["is_minimal"], c["restricted_selfadjoint_commutant_dim"])
+                for c in chans] == [(0, False, None), (1, False, None), (2, True, 1), (3, True, 1)]
+    assert rep["checks"]["all_channels_minimal"] is False
+    assert (
+        "all_channels_minimal: channel i=1, j=0 (ordinal 0) does not reduce the "
+        "operator, which joins channels (1, 0)\n"
+    ) in capsys.readouterr().err
+
+
 def test_full_report_has_all_sections(tmp_path):
     code, rep = run_cli_json(
         tmp_path, "full-report", "--m", "2", "--n", "2", "--blocks", "2"
@@ -630,6 +661,29 @@ def test_full_report_scans_each_operator_once(tmp_path, monkeypatch, K):
     argv = ["full-report", "--m", "2", "--n", "2", "--blocks", str(K)]
     assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
     assert scanned == [(4 * K, 4 * K)] + [(K, K)] * 4
+
+
+@pytest.mark.parametrize("mode", [("--mode", "exact"), ("--mode", "float", "--tol", "1e-9")],
+                         ids=["exact", "float"])
+def test_full_report_scans_the_operator_as_often_at_any_channel_count(
+    tmp_path, monkeypatch, mode
+):
+    # minimality reads every channel's block off one scan of T, so the
+    # number of scans of the d x d operator does not grow with r
+    real, counts = SparseMatrix.nonzero_items, {}
+
+    def counted(A):
+        counts[A.shape] = counts.get(A.shape, 0) + 1
+        return real(A)
+
+    monkeypatch.setattr(SparseMatrix, "nonzero_items", counted)
+    scans = []
+    for m, n, K in ((2, 2, 3), (3, 3, 2)):
+        counts.clear()
+        argv = ["full-report", "--m", str(m), "--n", str(n), "--blocks", str(K), *mode]
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        scans.append(counts[(m * n * K, m * n * K)])
+    assert scans[0] == scans[1]
 
 
 def test_float_mode_flags(tmp_path, capsys):
@@ -889,6 +943,19 @@ def test_fifo_target_is_written_in_place(tmp_path):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     # no temp file was made next to it
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "report.json"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_report_file_takes_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
+    out = tmp_path / "report.json"
+    old = os.umask(umask)
+    try:
+        assert main(["verify-equivalence", "--m", "1", "--n", "1", "--blocks", "2",
+                     "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(out).st_mode) == mode
 
 
 def test_stdout_output(capsys):

@@ -13,14 +13,13 @@ from hardyshift import (
     GaussianRational,
     MatrixSymbol,
     TruncationParams,
-    channel,
     channel_flats,
     channels,
+    check_minimal,
     commutant_basis,
     is_block_lower_toeplitz,
     linalg,
     power_symbol,
-    restrict,
     scalar_shift,
     scalars,
     selfadjoint_commutant_dim,
@@ -32,13 +31,15 @@ from hardyshift.commutant import (
     operator_rank,
     toeplitz_break,
 )
-from hardyshift.errors import InvarianceError, RankAmbiguityError, ShapeError
+from hardyshift.errors import RankAmbiguityError, ShapeError
 from hardyshift.matrices import SparseMatrix
 from hardyshift.operators import symbol_from_json, toeplitz_matrix
+from hardyshift.scalars import scalar_is_zero
 
 from helpers import (
     DenseMatrix,
     build_intertwiner,
+    channel_flats_reference,
     channel_order_reference,
     commutation_rows_reference,
     dense,
@@ -546,31 +547,6 @@ def test_is_projection():
     assert not is_projection(skew)
 
 
-def test_restrict_compresses_invariant_subspace():
-    p = TruncationParams(2, 2, 2)
-    T = power_symbol(p)
-    flats = channel_flats(channel(1, 0, p), p)
-    R = restrict(T, flats)
-    assert R == scalar_shift(p.K)
-    # any sequence of flat indices, not only a range
-    assert restrict(T, list(flats)) == scalar_shift(p.K)
-    assert restrict(T, tuple(flats)) == scalar_shift(p.K)
-    # the identity compresses to the identity on any channel
-    compressed = restrict(sparse(DenseMatrix.identity(p.d)), flats)
-    assert dense(compressed) == DenseMatrix.identity(p.K)
-
-
-def test_restrict_rejects_non_invariant_subspace():
-    p = TruncationParams(1, 2, 2)
-    T = power_symbol(p)
-    with pytest.raises(InvarianceError):
-        restrict(T, (0, 1))  # crosses channels, z^2 leaks out of the span
-    with pytest.raises(ValueError):
-        restrict(T, (0, 0))
-    with pytest.raises(IndexError):
-        restrict(T, (0, 99))
-
-
 def test_commutant_soundness_on_random_matrices():
     rng = random.Random(33)
     for _ in range(5):
@@ -602,53 +578,67 @@ def test_commutant_kernel_property(rows):
         assert (A @ b - b @ A).is_zero()
 
 
-RESTRICT_TOL = 1e-6
-# float entries at zero, just inside and just outside RESTRICT_TOL
-NEAR_TOL = (0j, complex(-0.0, 0.0), 0.9 * RESTRICT_TOL, -0.9j * RESTRICT_TOL,
-            1.1 * RESTRICT_TOL, -1.1j * RESTRICT_TOL)
+MINIMALITY_TOL = 1e-6
+# float entries at zero, just inside and just outside MINIMALITY_TOL
+NEAR_TOL = (0j, complex(-0.0, 0.0), 0.9 * MINIMALITY_TOL, -0.9j * MINIMALITY_TOL,
+            1.1 * MINIMALITY_TOL, -1.1j * MINIMALITY_TOL)
 
 
 @st.composite
-def restriction_cases(draw):
-    """(A, indices, tol): a random exact or float matrix, stored in full
-    (zeros included) or as its nonzeros, and distinct indices in a random order.  Half the draws clear
-    every leak (to entries within tol in float mode), so that both the
-    compression and the InvarianceError get exercised."""
+def minimality_cases(draw):
+    """(T, params, tol): a random exact or float d x d matrix, stored in
+    full (zeros included) or as its nonzeros, with entries inside and
+    across channels alike.  Every entry that joins a random set of channels
+    to another channel is then cleared (to within tol in float mode), so
+    that both a joined channel and a channel's own block get exercised."""
     mode = draw(st.sampled_from(["exact", "float"]))
-    d = draw(st.integers(min_value=1, max_value=6))
+    params = TruncationParams(*(draw(st.integers(1, top)) for top in (2, 2, 3)))
+    d, r = params.d, params.r
     if mode == "exact":
         tol, small = None, st.just(GaussianRational(0))
         values = st.one_of(small, small, small_scalars)
     else:
-        tol, small = RESTRICT_TOL, st.sampled_from(NEAR_TOL[:4])
+        tol, small = MINIMALITY_TOL, st.sampled_from(NEAR_TOL[:4])
         values = st.one_of(
             st.sampled_from(NEAR_TOL),
             st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
         )
     grid = [[draw(values) for _ in range(d)] for _ in range(d)]
-    indices = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
-    if draw(st.booleans()):
-        for u in set(range(d)) - set(indices):
-            for v in indices:
+    cleared = draw(st.sets(st.integers(0, r - 1)))
+    for u in range(d):
+        for v in range(d):
+            if u % r != v % r and {u % r, v % r} & cleared:
                 grid[u][v] = draw(small)
-    return sparse(grid, mode, full=draw(st.booleans())), indices, tol
+    return sparse(grid, mode, full=draw(st.booleans())), params, tol
 
 
-@settings(max_examples=300, deadline=None)
-@given(restriction_cases())
-def test_restrict_matches_the_dense_scan(case):
-    A, indices, tol = case
+@settings(max_examples=200, deadline=None)
+@given(minimality_cases())
+def test_check_minimal_matches_the_dense_restriction(case):
+    # a channel with an entry beyond tol in its rows or columns outside it
+    # does not reduce T; any other is solved on its dense restriction
+    T, p, tol = case
+    A = dense(T)
+    want = []
     try:
-        want = restrict_reference(dense(A), indices, tol)
-    except InvarianceError as exc:
-        with pytest.raises(InvarianceError) as got:
-            restrict(A, indices, tol)
-        assert str(got.value) == str(exc)
-    else:
-        got = restrict(A, indices, tol)
-        assert isinstance(got, SparseMatrix)
-        assert dense(got) == want
-        assert list(got.nonzero_items()) == list(want.nonzero_items())
+        for c in range(p.r):
+            flats = channel_flats_reference(c, p)
+            crossing = [A.entries[a][b] for u in flats for v in range(p.d) if v not in flats
+                        for a, b in ((u, v), (v, u))]
+            if not all(scalar_is_zero(s, tol) for s in crossing):
+                want.append((False, None))
+                continue
+            dim = selfadjoint_commutant_dim(sparse(restrict_reference(A, flats, tol)), tol)
+            want.append((dim == 1, dim))
+    except RankAmbiguityError:
+        # the same solve on the same block decides no rank in check_minimal
+        with pytest.raises(RankAmbiguityError):
+            check_minimal(T, p, tol)
+        return
+    certs = check_minimal(T, p, tol)
+    assert [cert.channel.ordinal for cert in certs] == list(range(p.r))
+    assert [(cert.is_minimal, cert.restricted_selfadjoint_commutant_dim)
+            for cert in certs] == want
 
 
 def realified_nullity(A, tol=None):
@@ -993,7 +983,8 @@ def test_range_audit_refuses_a_run_from_a_negative_key(m, n, K):
 def test_power_and_channel_bases_hold_ranges(m, n, K):
     p = TruncationParams(m, n, K)
     T = power_symbol(p)
-    for A in (T, *(restrict(T, channel_flats(ch, p)) for ch in channels(p))):
+    for A in (T, *(sparse(restrict_reference(dense(T), channel_flats(ch, p)))
+                   for ch in channels(p))):
         cb = commutant_basis(A)
         assert cb.dim and all(type(P) is range for P in cb.members)
         assert [P.step for P in cb.members] == [cb.members[0].step] * cb.dim

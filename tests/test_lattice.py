@@ -33,6 +33,7 @@ from helpers import (
     is_projection,
     mask_projection,
     matrices_close,
+    restrict_reference,
     sparse,
 )
 
@@ -362,7 +363,8 @@ def test_cli_names_the_channel_edge_a_mask_splits(tmp_path, monkeypatch, capsys)
     import hardyshift.lattice as lattice
 
     # a planted edge between channels 0 and 2 of four: the verdicts follow
-    # it, so the family stays closed and only the mask check fails
+    # it, so the family stays closed and the mask check fails, and so does
+    # the minimality of the two channels it joins, which no longer reduce T
     def planted(T, params, tol=None):
         return frozenset({(2, 0)})
 
@@ -374,10 +376,16 @@ def test_cli_names_the_channel_edge_a_mask_splits(tmp_path, monkeypatch, capsys)
     report = json.loads(out.read_text())
     assert report["lattice"]["counts"]["reducing_count"] == 8
     assert report["lattice"]["closure_ok"] is True
+    assert [(c["is_minimal"], c["restricted_selfadjoint_commutant_dim"])
+            for c in report["lattice"]["minimal_channels"]] == [
+        (False, None), (True, 1), (False, None), (True, 1)
+    ]
     assert capsys.readouterr().err == (
+        "all_channels_minimal: channel i=1, j=0 (ordinal 0) does not reduce the "
+        "operator, which joins channels (2, 0)\n"
         "all_checked_masks_reducing: mask 1000 is not reducing; it splits the "
         "channel edge (2, 0)\n"
-        "failed checks: all_checked_masks_reducing\n"
+        "failed checks: all_channels_minimal, all_checked_masks_reducing\n"
     )
 
 
@@ -479,10 +487,8 @@ def test_minimality_fails_for_doubled_block():
     # self-adjoint commutant has dimension 4, and the lattice keeps both
     # facts separate
     p = TruncationParams(2, 1, 2)
-    from hardyshift import restrict, selfadjoint_commutant_dim
-
     union = tuple(sorted(channel_flats_reference(0, p) + channel_flats_reference(1, p)))
-    R = restrict(power_symbol(p), union)
+    R = sparse(restrict_reference(dense(power_symbol(p)), union))
     assert selfadjoint_commutant_dim(R) == 4
 
 

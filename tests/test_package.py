@@ -54,6 +54,17 @@ def test_the_record_layer_has_no_rank_and_imports_no_solver():
     assert "operator_rank" in hardyshift.__all__
 
 
+def test_minimality_needs_no_restriction_of_its_own():
+    # check_minimal reads each channel's block off one scan of T, and a
+    # channel that T joins to another is reported, not raised
+    import hardyshift.commutant as commutant
+    import hardyshift.errors as errors
+
+    for module in (hardyshift, commutant, errors):
+        assert not {"restrict", "InvarianceError"} & set(vars(module))
+    assert not {"restrict", "InvarianceError"} & set(hardyshift.__all__)
+
+
 def test_float_solves_keep_no_array_machinery_of_their_own():
     # a float system is the rows of an exact one, split by
     # linalg.components and solved one SVD per block; floatsolve builds no
@@ -182,6 +193,8 @@ def test_records_are_read_only_values(make):
     for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
     assert value == twin and not hasattr(value, "extra")
     if isinstance(value, TruncationParams):
         assert hash(value) == hash(twin) and len({value, twin, *others}) == 1 + len(others)
@@ -205,14 +218,16 @@ def class_bindings(source: Path):
 
 
 def test_only_the_record_base_writes_the_value_policy():
-    # errors.Record is the one class that refuses assignment, GaussianRational
-    # included, and the five records leave equality and a field repr to it
-    owners = [name for source in sorted((ROOT / "src" / "hardyshift").rglob("*.py"))
-              for name, names in class_bindings(source) if "__setattr__" in names]
-    assert owners == ["Record"]
+    # errors.Record is the one class that refuses assignment and deletion,
+    # GaussianRational included, and the five records leave equality and a
+    # field repr to it
+    bindings = [(name, names) for source in sorted((ROOT / "src" / "hardyshift").rglob("*.py"))
+                for name, names in class_bindings(source)]
+    for hook in ("__setattr__", "__delattr__"):
+        assert [name for name, names in bindings if hook in names] == ["Record"]
     for cls in RECORDS:
         own = set(vars(getattr(hardyshift, cls)))
-        assert not {"__eq__", "__setattr__", "__slots__"} & own
+        assert not {"__eq__", "__setattr__", "__delattr__", "__slots__"} & own
     assert "__repr__" not in {*vars(TruncationParams), *vars(MatrixSymbol)}
     with pytest.raises(TypeError, match="takes the fields entries, rows, cols, mode"):
         SparseMatrix({}, 2, 2)
