@@ -1,21 +1,22 @@
 """Commutants of truncated operators, computed as honest kernels.
 
-The commutant of A is the kernel of P -> AP - PA.  When A is a 0/1
-partial permutation, A e_v = e_succ(v) or 0 with every entry exactly the
-mode's one, as T = M_{z^n} and each of its channel restrictions are in
-either mode, no system is built.  One scan of A, made once per operator,
-gives succ and pred; equation (a, b) reads P[pred a][b] = P[a][succ b],
-so the unknowns fall into chains (u, v) -> (succ u, succ v), and
-``_chains`` reads the kernel off their ends as flat integer keys, the
-vectors ``linalg.kernel_basis`` returns.  As the paper counts, for z^n
-the surviving chains are the diagonals of the channel pairs, r^2 K of
-them, each a ``range`` of keys that the Lemma-3 audit decides from its
-two ends, and the self-adjoint commutant has dimension r^2.  That is a
-fact about the pattern of ones, not about the scalar type, so float mode
-makes no numerical rank decision for these operators; it still refuses a
-missing tol, or one outside (0, 1), first.  ``basis_head_break``
-certifies such a basis whole: its elements hold the identity at column
-offset 0, where Lemma 3 says a commutant element is determined.
+The commutant of A is the kernel of P -> AP - PA.  When A is a 0/1 shift
+along one subdiagonal, every nonzero exactly the mode's one at (v + s, v)
+for one s, as T = M_{z^n} (s = r) and each of its channel restrictions
+(s = 1) are in either mode, no system is built.  One scan of A, made once
+per operator, gives s and the height of each walk v -> v + s -> ...;
+equation (a, b) reads P[a - s][b] = P[a][b + s], so the unknowns fall
+into chains (u, v) -> (u + s, v + s), and ``_chains`` reads the kernel off
+their ends as ranges of flat integer keys, the vectors
+``linalg.kernel_basis`` returns.  As the paper counts, for z^n the
+surviving chains are the diagonals of the channel pairs, r^2 K of them,
+each decided by the Lemma-3 audit from its two ends, and the self-adjoint
+commutant has dimension r^2.  That is a fact about the pattern of ones,
+not about the scalar type, so float mode makes no numerical rank decision
+for these operators; it still refuses a missing tol, or one outside
+(0, 1), first.  ``basis_head_break`` certifies such a basis whole: its
+elements hold the identity at column offset 0, where Lemma 3 says a
+commutant element is determined.
 
 Every other operator goes through a sparse homogeneous system with one
 equation per matrix position, unknowns P vectorized row-major, which
@@ -39,15 +40,13 @@ are the real and imaginary parts of P[u][v] - conj(P[v][u]) = 0 in the
 element (``selfadjoint_commutant_dim``), where a system in P's entries
 would be d^2 wide.  Both modes add the terms up into rows of real parts,
 Fractions or floats, and ``linalg.nullity`` counts the solutions.  A
-partial permutation needs no system at all.
+0/1 shift along one subdiagonal needs no system at all.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
-from itertools import islice, repeat
-from operator import add
+from itertools import repeat
 from typing import Sequence
 
 from . import linalg, scalars
@@ -60,10 +59,10 @@ from .space import TruncationParams
 class CommutantBasis(Record):
     """``CommutantBasis(d, mode, members)``: an echelon-normalized basis of
     {P : AP = PA} for a d x d matrix A.  The chain path keeps each element
-    as its chain (``_chains``), the ascending flat keys u*d + v where it
-    holds the one: a ``range`` for a diagonal of z^n or of a channel
-    restriction, an ``array('q')`` for any other chain, read as a matrix
-    through ``chain_view``.  Every other path keeps a ``SparseMatrix``.
+    as its chain (``_chains``), the ``range`` of ascending flat keys
+    u*d + v where it holds the one, one diagonal of z^n or of a channel
+    restriction, read as a matrix through ``chain_view``.  Every other
+    path keeps a ``SparseMatrix``.
     ``mode`` is the operator's, and a chain's view holds that mode's one.
     A read-only value (``errors.Record``)."""
 
@@ -122,51 +121,45 @@ def _commutation_rows(A: SparseMatrix) -> list[dict]:
     return [row for row in rows if row]
 
 
-def _partial_permutation(A: SparseMatrix):
-    """``(succ, pred, height)`` when A is a square 0/1 partial permutation,
-    A e_v = e_succ[v] or 0 with each entry exactly ``scalars.one(A.mode)``,
-    and None for any other A.
-
-    ``succ[v]`` and ``pred[u]`` are -1 where A has no entry in column v or
-    row u.  ``height[v]`` counts the steps v -> succ[v] -> ... before the
-    walk stops, and is d on a cycle of succ, where it never stops.  One
-    scan of A's nonzeros decides: any entry other than 1, or a second
-    entry in a row or a column, declines.
-    """
+def _stride(A: SparseMatrix):
+    """``(s, height)`` when A is a square 0/1 shift along its s-th
+    subdiagonal, every nonzero exactly ``scalars.one(A.mode)`` at (v + s, v)
+    for one s >= 1 (s = 1 when A has no nonzeros), and None for any other A.
+    One offset rules out a second entry in a row or a column, and a cycle.
+    ``height[v]`` counts the steps v -> v + s -> ... before the walk stops,
+    filled by one descending pass."""
     d = A.rows
     if A.cols != d:
         return None
     one = scalars.one(A.mode)
-    succ, pred = [-1] * d, [-1] * d
-    for u, v, s in A.nonzero_items():
-        if (s is not one and s != one) or succ[v] >= 0 or pred[u] >= 0:
+    s, columns = 0, []
+    for u, v, x in A.nonzero_items():
+        if (x is not one and x != one) or u <= v or (s and u - v != s):
             return None
-        succ[v], pred[u] = u, v
-    height = [d] * d
-    for v in range(d):
-        if succ[v] < 0:
-            h, u = 0, v
-            while u >= 0:
-                height[u] = h
-                h, u = h + 1, pred[u]
-    return succ, pred, height
+        s = u - v
+        columns.append(v)
+    height = [0] * d
+    for v in reversed(columns):  # row-major order is ascending v
+        height[v] = height[v + s] + 1
+    return s or 1, height
 
 
 def _shape(A: SparseMatrix):
-    """``_partial_permutation(A)``, scanned once per operator: kept on A,
-    which is never changed, for its next commutant."""
+    """``_stride(A)``, scanned once per operator: kept on A, which is never
+    changed, for its next commutant."""
     cache = A.__dict__
     if "_shape" not in cache:
-        cache["_shape"] = _partial_permutation(A)
+        cache["_shape"] = _stride(A)
     return cache["_shape"]
 
 
 def operator_rank(A: SparseMatrix, tol: float | None = None) -> int:
-    """Rank of A; float mode requires a tol in (0, 1) first.  A 0/1
-    partial permutation, as z^n is in either mode, has one nonzero in each
-    of its nonzero rows and columns, so its rank is its count of nonzeros,
-    read off the scan of ``_shape`` with no elimination and no SVD.  Any
-    other A's rank is from the nullity of its rows (``linalg.nullity``)."""
+    """Rank of A; float mode requires a tol in (0, 1) first.  A 0/1 shift
+    along one subdiagonal, as z^n is in either mode, has one nonzero in
+    each of its nonzero rows and columns, so its rank is its count of
+    nonzeros, read off the scan of ``_shape`` with no elimination and no
+    SVD.  Any other A's rank is from the nullity of its rows
+    (``linalg.nullity``)."""
     linalg.require_tol(A.mode, tol)
     if _shape(A) is not None:
         return A.nnz()
@@ -176,76 +169,42 @@ def operator_rank(A: SparseMatrix, tol: float | None = None) -> int:
     return A.cols - linalg.nullity(system, A.cols, A.mode, tol)
 
 
-def _chains(succ: list[int], pred: list[int], height: list[int]):
-    """The chains of a 0/1 partial permutation's commutation system that
-    carry a kernel vector, each as its ascending flat keys u*d + v.
+def _heads(s: int, height: list[int]) -> list[int]:
+    """The indices where a walk of the stride-s shift starts: no one sits
+    in their row, so v < s or column v - s holds none."""
+    return [v for v in range(len(height)) if v < s or not height[v - s]]
 
-    Equation (a, b) of AP = PA reads P[pred a][b] = P[a][succ b], a term
-    with index -1 dropped, so the unknowns fall into chains
-    (u, v) -> (succ u, succ v), and each chain's kernel is spanned by its
-    indicator unless a one-term equation zeroes it.  A chain that starts
-    at (u0, v0) escapes the one-term equation at its start exactly when
-    pred[v0] is -1, and the one at its end exactly when its last row index
-    has no successor, that is when height[u0] <= height[v0]: it zips the
-    rest of u0's walk with the start of v0's, which is no shorter.
 
-    When both walks step up by one s, as every walk of z^n does with
-    s = r and every walk of a channel restriction with s = 1, the chain's
-    keys step by s*d + s and it is a ``range``, one diagonal of one block
-    (the paper's Lemma 3).  Any other chain is an ``array('q')``.
+def _chains(s: int, height: list[int]):
+    """The chains of a 0/1 stride-s shift's commutation system that carry
+    a kernel vector, each a ``range`` of its ascending flat keys u*d + v.
+
+    Equation (a, b) of AP = PA reads P[a - s][b] = P[a][b + s], a side
+    dropped where column a - s or column b holds no one, so the unknowns
+    fall into chains (u, v) -> (u + s, v + s), and each chain's kernel is
+    spanned by its indicator unless a one-term equation zeroes it.  A
+    chain that starts at (u0, v0) escapes the one-term equation at its
+    start exactly when v0 is a head (``_heads``), and the one at its end
+    exactly when height[u0] <= height[v0]: it zips the rest of u0's walk
+    with the start of v0's, which is no shorter.  Its height[u0] + 1 keys
+    step by s*d + s, one diagonal of one block (the paper's Lemma 3): for
+    z^n s = r, and for a channel restriction s = 1.
     """
-    d = len(succ)
-    walks, rows = {}, [None] * d
-    for head in range(d):
-        if pred[head] < 0:
-            walk, u = [], head
-            while u >= 0:
-                walk.append(u)
-                u = succ[u]
-            # the walk's step if it is an ascending run, else 0
-            s = walk[1] - head if len(walk) > 1 else 1
-            if s < 1 or walk != list(range(head, head + s * len(walk), s)):
-                s = 0
-            walks[head], scaled = (walk, s), [u * d for u in walk]
-            for i, u in enumerate(walk):
-                rows[u] = scaled, i, s  # u*d along u's path: walk from i on
-    for v0, (walk, s) in walks.items():
+    d, step = len(height), s * len(height) + s
+    for v0 in _heads(s, height):
         for u0 in range(d):
             if height[u0] <= height[v0]:
-                scaled, i, t = rows[u0]
-                if s and s == t:
-                    key, step = u0 * d + v0, s * d + s
-                    yield range(key, key + (len(scaled) - i) * step, step)
-                else:
-                    yield array("q", sorted(map(add, islice(scaled, i, None), walk)))
-    yield from _closed_orbits(succ, height)
-
-
-def _closed_orbits(succ: list[int], height: list[int]):
-    """The orbits of (u, v) -> (succ u, succ v) with u and v on cycles of
-    succ, each as an array of its ascending flat keys.  No equation of such an
-    orbit has a dropped term, so every one carries a kernel vector."""
-    d = len(succ)
-    cyclic = [v for v in range(d) if height[v] == d]
-    seen: set[int] = set()
-    for u0 in cyclic:
-        for v0 in cyclic:
-            if u0 * d + v0 not in seen:
-                keys, u, v = [], u0, v0
-                while u * d + v not in seen:
-                    seen.add(u * d + v)
-                    keys.append(u * d + v)
-                    u, v = succ[u], succ[v]
-                yield array("q", sorted(keys))
+                key = u0 * d + v0
+                yield range(key, key + (height[u0] + 1) * step, step)
 
 
 def commutant_basis(A: SparseMatrix, tol: float | None = None) -> CommutantBasis:
     """Basis of the commutant of A, canonical up to the elimination order.
 
     Exact mode needs no tol; float mode requires one in (0, 1), even for a
-    partial permutation, and may raise RankAmbiguityError when the kernel
-    boundary is too close to call.  An A that is not a 0/1 partial
-    permutation returns the same basis on every call with the same tol
+    0/1 shift along one subdiagonal, and may raise RankAmbiguityError when
+    the kernel boundary is too close to call.  An A that is not such a
+    shift returns the same basis on every call with the same tol
     (``_eliminated_basis``).
     """
     if A.rows != A.cols:
@@ -291,26 +250,24 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
     with s = +1 above and -1 below, and im on a and re on b in e + 1.  On
     the diagonal s = 0, and e + 1, twice Im P[u][u], is written halved.
 
-    A 0/1 partial permutation needs no system: by ``_chains``, P is
-    a combination of the indicators 1_C of the surviving chains, and P* of
-    the indicators of their transposes, so the self-adjoint commutant is
-    spanned by 1_C where C = C^T and by 1_C + 1_C^T and i(1_C - 1_C^T) for
-    each pair with C != C^T that both survive.  Its real dimension counts
-    the surviving C whose transpose survives too.  The transpose of the
-    open chain from (u0, v0) starts at (v0, u0), so both survive exactly
-    when u0 and v0 have no predecessor and equal heights; a closed orbit's
-    transpose is closed.  That is sum over h of (heads of height h)^2,
-    plus the number of closed orbits.
+    A 0/1 shift along one subdiagonal needs no system: by ``_chains``, P
+    is a combination of the indicators 1_C of the surviving chains, and P*
+    of the indicators of their transposes, so the self-adjoint commutant
+    is spanned by 1_C where C = C^T and by 1_C + 1_C^T and i(1_C - 1_C^T)
+    for each pair with C != C^T that both survive.  Its real dimension
+    counts the surviving C whose transpose survives too.  The transpose of
+    the chain from (u0, v0) starts at (v0, u0), so both survive exactly
+    when u0 and v0 are heads (``_heads``) of equal height.  That is sum
+    over h of (heads of height h)^2.
     """
     if A.rows != A.cols:
         raise ShapeError("commutant needs a square matrix")
     linalg.require_tol(A.mode, tol)
     shape = _shape(A)
     if shape is not None:
-        succ, pred, height = shape
-        heads = Counter(height[v] for v in range(A.rows) if pred[v] < 0)
-        closed = sum(1 for _ in _closed_orbits(succ, height))
-        return sum(count * count for count in heads.values()) + closed
+        s, height = shape
+        heads = Counter(height[v] for v in _heads(s, height))
+        return sum(count * count for count in heads.values())
     cb = _eliminated_basis(A, tol)
     exact = A.mode == "exact"
     # rows of real parts, Fractions solved over the rationals or floats,

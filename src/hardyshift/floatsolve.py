@@ -4,8 +4,9 @@
 branch only, so a run that solves no float system never loads numpy.  The
 commutants of T_{z^n} and of its channel restrictions never get here in
 either mode: ``commutant`` reads them off their chains.  What does is the
-commutant of a float symbol, or of any float operator with an entry other
-than exactly 1, and such an operator's float ``operator_rank``.
+commutant of a float symbol, or of any float operator that is not a 0/1
+shift along one subdiagonal, and such an operator's float
+``operator_rank``.
 
 A float system is the same list of ``{column: value}`` rows as an exact
 one.  ``linalg.components`` splits it into connected blocks: two unknowns

@@ -63,17 +63,22 @@ def check_minimal(
     tol: float | None = None,
 ) -> list[ChannelMinimality]:
     """Certify every channel minimal, in ordinal order, for T, the power
-    operator ``power_symbol(params, mode)``.  A channel in a pair of
-    ``channel_edges`` does not reduce T and gets dimension None; any other
-    is minimal when the self-adjoint commutant of its block of T, read off
-    one scan of T, is one-dimensional.  A T that is not d x d raises
-    ShapeError."""
-    joined = {c for edge in channel_edges(T, params, tol) for c in edge}
+    operator ``power_symbol(params, mode)``.  One scan of T cuts every
+    channel's block and marks both channels of each entry between two
+    channels that is nonzero beyond tol, as ``channel_edges`` pairs them.
+    A marked channel does not reduce T and gets dimension None; any other
+    is minimal when the self-adjoint commutant of its block is
+    one-dimensional.  A T that is not d x d raises ShapeError."""
+    check_operator_shape(T, params)
     r, K = params.r, params.K
     blocks = [{} for _ in range(r)]
+    joined = set()
     for u, v, s in T.nonzero_items():
-        if u % r == v % r:
-            blocks[u % r][(u // r, v // r)] = s
+        a, b = u % r, v % r
+        if a == b:
+            blocks[a][(u // r, v // r)] = s
+        elif not scalar_is_zero(s, tol):
+            joined.update((a, b))
     results = []
     for ch in channels(params):
         dim = None

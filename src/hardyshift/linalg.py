@@ -8,8 +8,8 @@ each: a list of sparse ``{column: coefficient}`` rows.
   qualify).  Elimination never spreads fill between unknowns that share
   no chain of equations, and the reduced echelon form is unique, so
   splitting the system first would change neither the fill nor the
-  basis.  T_{z^n} never gets here: ``commutant`` solves 0/1 partial
-  permutations by walking their chains, without building rows.
+  basis.  T_{z^n} never gets here: ``commutant`` solves a 0/1 shift
+  along one subdiagonal by its chains, without building rows.
 - float mode: the rows are split into connected blocks (``components``)
   and each block is solved with one SVD behind a rank-ambiguity gate.
   That code, and every other use of numpy, lives in ``floatsolve``, which

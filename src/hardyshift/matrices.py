@@ -53,8 +53,9 @@ class SparseMatrix(Record):
     """``SparseMatrix(entries, rows, cols, mode)``: a matrix kept as its
     nonzero entries ``{(u, v): scalar}``; an absent entry is the mode's
     zero.  A read-only value whose ``__dict__`` also keeps, outside its
-    fields, what ``commutant`` learns of it once: its partial-permutation
-    scan, and its commutant basis per tol when the scan declines."""
+    fields, what ``commutant`` learns of it once: its scan for a 0/1 shift
+    along one subdiagonal, and its commutant basis per tol when the scan
+    declines."""
 
     _fields = ("entries", "rows", "cols", "mode")
 

@@ -365,6 +365,37 @@ def test_commutant_command_with_symbol_has_no_structure_claim(tmp_path):
     assert rep["checks"] == {}
 
 
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("mode", [(), ("--mode", "float", "--tol", "1e-9")], ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "coeffs, dims",
+    [('{"t": 1, "matrix": [[0, 1], [1, 0]]}', lambda d: (2 * d, 4)),
+     ('{"t": 0, "matrix": [[1, 0], [0, 1]]}', lambda d: (d * d, d * d))],
+    ids=["z-swap", "identity"],
+)
+def test_permutation_symbols_are_solved_by_elimination(tmp_path, monkeypatch, coeffs, dims,
+                                                        mode, K):
+    # z [[0, 1], [1, 0]] is z (x) I_2 relabelled by a permutation: 4K and 4;
+    # the constant I_2 commutes with every P.  Neither is a 0/1 shift along
+    # one subdiagonal, so both are solved from their commutation rows
+    real, solved = commutant._commutation_rows, []
+
+    def counted(A):
+        solved.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(commutant, "_commutation_rows", counted)
+    path = tmp_path / "symbol.json"
+    path.write_text('{"m": 2, "coeffs": [%s]}' % coeffs)
+    code, rep = run_cli_json(
+        tmp_path, "commutant", "--m", "2", "--n", "1", "--blocks", str(K),
+        "--symbol", str(path), *mode,
+    )
+    assert code == 0
+    assert (rep["commutant"]["dim"], rep["commutant"]["selfadjoint_dim"]) == dims(2 * K)
+    assert solved == [(2 * K, 2 * K)]
+
+
 def test_lattice_command_counts(tmp_path):
     code, rep = run_cli_json(
         tmp_path, "lattice", "--m", "1", "--n", "1", "--blocks", "3"
@@ -594,8 +625,9 @@ def test_power_full_report_needs_no_elimination(tmp_path, monkeypatch, m, n, K):
 
 @pytest.mark.parametrize("m,n,K", [(2, 2, 3), (3, 2, 2)])
 def test_power_full_report_builds_no_commutation_rows(tmp_path, monkeypatch, m, n, K):
-    # z^n and its channel restrictions are 0/1 partial permutations, whose
-    # commutants are read off their chains without a linear system
+    # z^n and its channel restrictions are 0/1 shifts along one
+    # subdiagonal, whose commutants are read off their chains without a
+    # linear system
     def refuse(A):
         raise AssertionError("commutation rows built on the z^n path")
 
@@ -637,12 +669,12 @@ def test_power_report_builds_no_dense_commutant_grid(tmp_path, command):
 )
 def test_chain_reports_match_elimination(tmp_path, monkeypatch, argv):
     # the shipped run takes the chain walk wherever the operator is a 0/1
-    # partial permutation; its report must be the one elimination gives
+    # shift along one subdiagonal; its report must be the one elimination gives
     shipped = tmp_path / "shipped.json"
     eliminated = tmp_path / "eliminated.json"
     assert main([*argv, "--out", str(shipped)]) == 0
     # the eliminated run solves the commutation rows by rref alone
-    monkeypatch.setattr(commutant, "_partial_permutation", lambda A: None)
+    monkeypatch.setattr(commutant, "_stride", lambda A: None)
     assert main([*argv, "--out", str(eliminated)]) == 0
     assert shipped.read_bytes() == eliminated.read_bytes()
 
@@ -651,13 +683,13 @@ def test_chain_reports_match_elimination(tmp_path, monkeypatch, argv):
 def test_full_report_scans_each_operator_once(tmp_path, monkeypatch, K):
     # the basis and the self-adjoint dimension of T share one scan of T,
     # and each of the r channel restrictions is scanned once
-    real, scanned = commutant._partial_permutation, []
+    real, scanned = commutant._stride, []
 
     def counted(A):
         scanned.append(A.shape)
         return real(A)
 
-    monkeypatch.setattr(commutant, "_partial_permutation", counted)
+    monkeypatch.setattr(commutant, "_stride", counted)
     argv = ["full-report", "--m", "2", "--n", "2", "--blocks", str(K)]
     assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
     assert scanned == [(4 * K, 4 * K)] + [(K, K)] * 4
@@ -668,8 +700,9 @@ def test_full_report_scans_each_operator_once(tmp_path, monkeypatch, K):
 def test_full_report_scans_the_operator_as_often_at_any_channel_count(
     tmp_path, monkeypatch, mode
 ):
-    # minimality reads every channel's block off one scan of T, so the
-    # number of scans of the d x d operator does not grow with r
+    # minimality reads every channel's block, and the channels T joins,
+    # off one scan of T, so the number of scans of the d x d operator does
+    # not grow with r
     real, counts = SparseMatrix.nonzero_items, {}
 
     def counted(A):
@@ -683,7 +716,7 @@ def test_full_report_scans_the_operator_as_often_at_any_channel_count(
         argv = ["full-report", "--m", str(m), "--n", str(n), "--blocks", str(K), *mode]
         assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
         scans.append(counts[(m * n * K, m * n * K)])
-    assert scans[0] == scans[1]
+    assert scans == [4, 4]
 
 
 def test_float_mode_flags(tmp_path, capsys):

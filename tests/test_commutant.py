@@ -26,7 +26,7 @@ from hardyshift import (
 )
 from hardyshift.commutant import (
     _commutation_rows,
-    _partial_permutation,
+    _stride,
     chain_view,
     operator_rank,
     toeplitz_break,
@@ -709,7 +709,7 @@ def test_selfadjoint_dim_off_the_chain_path(diagonal, params, dims, mode):
     A = toeplitz_matrix(
         MatrixSymbol(2, ((params.n, DenseMatrix.diagonal(diagonal, mode)),)), params)
     tol = 1e-9 if mode == "float" else None
-    assert _partial_permutation(A) is None
+    assert _stride(A) is None
     sdim = selfadjoint_commutant_dim(A, tol)
     assert (commutant_basis(A, tol).dim, sdim) == dims
     assert sdim == realified_nullity(A, tol)
@@ -763,6 +763,20 @@ def partial_permutations(draw):
     return sparse(grid)
 
 
+@st.composite
+def stride_shifts(draw):
+    """An exact 0/1 shift along one subdiagonal: d <= 9, a stride s in
+    1..d, and a one at (v + s, v) for a random set of columns v < d - s
+    (none when s = d), so its walks have mixed lengths."""
+    d = draw(st.integers(1, 9))
+    s = draw(st.integers(1, d))
+    columns = draw(st.sets(st.integers(0, d - s - 1))) if s < d else set()
+    grid = [[0] * d for _ in range(d)]
+    for v in columns:
+        grid[v + s][v] = 1
+    return sparse(grid)
+
+
 def assert_matches_the_commutation_system(A, tol=None):
     """The commutant basis and the self-adjoint dimension against the
     kernel and the nullity of the commutation systems, in value, repr and
@@ -784,24 +798,35 @@ def assert_matches_the_commutation_system(A, tol=None):
 
 
 @settings(max_examples=150, deadline=None)
-@given(partial_permutations())
+@given(stride_shifts())
 def test_chain_path_matches_the_commutation_system(A):
-    assert _partial_permutation(A) is not None
+    assert _stride(A) is not None
     assert_matches_the_commutation_system(A)
     # every chain view holds the one exact one, as the eliminated basis did
     cb = commutant_basis(A)
     assert all(
         s is scalars.one("exact") for i in range(cb.dim) for s in cb.element(i).entries.values()
     )
-    # a run of one step is a range, any other chain an array, both ascending
-    assert all(type(P) in (range, array) and list(P) == sorted(P)
+    # every chain is an ascending range
+    assert all(type(P) is range and list(P) == sorted(P)
                for P in commutant_basis(A).members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(partial_permutations())
+def test_partial_permutations_take_the_chain_path_on_one_subdiagonal(A):
+    # a partial permutation whose nonzeros do not share one offset
+    # u - v >= 1 (a cycle, a fixed point, a step back or two strides)
+    # declines to elimination, which gives the same kernel
+    offsets = {u - v for u, v, _ in A.nonzero_items()}
+    assert (_stride(A) is None) == (len(offsets) > 1 or min(offsets, default=1) < 1)
+    assert_matches_the_commutation_system(A)
 
 
 @pytest.mark.parametrize("m,n,K", [(1, 1, 1), (2, 2, 3), (3, 2, 2), (2, 3, 4)])
 def test_chain_path_matches_the_commutation_system_for_powers(m, n, K):
     T = power_symbol(TruncationParams(m, n, K))
-    assert _partial_permutation(T) is not None
+    assert _stride(T) is not None
     assert_matches_the_commutation_system(T)
 
 
@@ -824,7 +849,7 @@ def test_other_operators_decline_the_chain_path(change):
         rows = [list(r) for r in dense(power_symbol(params)).entries]
         rows[u][v] = GaussianRational(value)
         A, tol = sparse(rows), None
-    assert _partial_permutation(A) is None
+    assert _stride(A) is None
     assert_matches_the_commutation_system(A, tol)
 
 
@@ -834,7 +859,7 @@ def test_float_powers_take_the_chain_path(m, n, K):
     # scalar type: float mode reads the same ranges, with float views
     p = TruncationParams(m, n, K)
     T = power_symbol(p, "float")
-    assert _partial_permutation(T) is not None
+    assert _stride(T) is not None
     cb = commutant_basis(T, 1e-9)
     assert cb.mode == "float" and cb.members == commutant_basis(power_symbol(p)).members
     assert all(P.mode == "float" and set(P.entries.values()) == {1 + 0j}
@@ -852,13 +877,13 @@ def test_float_chain_path_still_refuses_a_bad_tol(tol):
 
 
 @settings(max_examples=150, deadline=None)
-@given(partial_permutations())
+@given(stride_shifts())
 def test_float_chain_path_matches_the_svd_kernel(A):
     # the numeric cross-check that float mode made on every run while it
     # solved partial permutations by SVD
     d, tol = A.rows, 1e-9
     F = SparseMatrix({k: complex(s) for k, s in A.entries.items()}, d, d, "float")
-    assert _partial_permutation(F) is not None
+    assert _stride(F) is not None
     system = commutation_rows_reference(F)
     svd = linalg.kernel_basis(system, d * d, "float", tol)
     # the SVD's echelon basis lists each vector by its pivot, its chain's
@@ -893,7 +918,7 @@ def assert_chain_audit_matches_the_view(keys, params):
 
 
 @settings(max_examples=150, deadline=None)
-@given(partial_permutations(), st.data())
+@given(stride_shifts(), st.data())
 def test_chain_audit_matches_the_view_on_partial_permutation_chains(A, data):
     d = A.rows
     r = data.draw(st.sampled_from([r for r in range(1, d + 1) if d % r == 0]))
@@ -997,13 +1022,14 @@ def test_power_and_channel_bases_hold_ranges(m, n, K):
     [(3, {0: 2, 2: 1}), (3, {2: 1, 1: 0}), (5, {0: 2, 2: 1, 3: 4, 4: 3})],
     ids=["zigzag-walk", "descending-walk", "walk-and-cycle"],
 )
-def test_other_partial_permutations_keep_array_chains(d, succ):
+def test_other_partial_permutations_decline_the_chain_path(d, succ):
     grid = [[0] * d for _ in range(d)]
     for v, u in succ.items():
         grid[u][v] = 1
     A = sparse(grid)
+    assert _stride(A) is None
     cb = commutant_basis(A)
-    assert cb.dim and all(type(P) is array and P.typecode == "q" for P in cb.members)
+    assert cb.dim and all(type(P) is SparseMatrix for P in cb.members)
     assert operator_rank(A) == rank_reference(A) == len(succ)
     assert_matches_the_commutation_system(A)
 

@@ -360,16 +360,18 @@ def test_cli_closure_fails_on_flipped_verdicts_of_a_closed_family(tmp_path, monk
 
 def test_cli_names_the_channel_edge_a_mask_splits(tmp_path, monkeypatch, capsys):
     import hardyshift.cli as cli
-    import hardyshift.lattice as lattice
 
-    # a planted edge between channels 0 and 2 of four: the verdicts follow
-    # it, so the family stays closed and the mask check fails, and so does
-    # the minimality of the two channels it joins, which no longer reduce T
-    def planted(T, params, tol=None):
-        return frozenset({(2, 0)})
+    # a planted entry (2, 0) of T joins channels 0 and 2 of four: the
+    # verdicts follow it, so the family stays closed and the mask check
+    # fails, and so does the minimality of the two channels it joins, which
+    # no longer reduce T
+    real = cli.power_symbol
 
-    monkeypatch.setattr(lattice, "channel_edges", planted)
-    monkeypatch.setattr(cli, "channel_edges", planted)
+    def planted(params, mode):
+        T = real(params, mode)
+        return SparseMatrix({**T.entries, (2, 0): one(mode)}, T.rows, T.cols, mode)
+
+    monkeypatch.setattr(cli, "power_symbol", planted)
     out = tmp_path / "report.json"
     code = cli.main(["lattice", "--m", "2", "--n", "2", "--blocks", "2", "--out", str(out)])
     assert code == 1

@@ -87,6 +87,14 @@ def test_commutant_states_each_equation_in_its_one_loop():
     assert {"_commutation_terms", "_hermitian_terms"} & set(vars(commutant)) == set()
 
 
+def test_commutant_walks_one_subdiagonal_only():
+    # the chain path serves 0/1 shifts along one subdiagonal; a general
+    # partial permutation, cycles included, is solved by elimination
+    import hardyshift.commutant as commutant
+
+    assert {"_closed_orbits", "_partial_permutation"} & set(vars(commutant)) == set()
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
@@ -122,11 +130,11 @@ def test_numpy_is_loaded_only_by_float_solves(tmp_path, argv, loaded):
 
 def test_cli_import_loads_no_record_machinery_csv_or_numpy():
     # start-up pays only for what every run uses: the records are plain
-    # classes and named tuples, csv waits for a CSV table, and a float
-    # scalar is checked finite by math
+    # classes and named tuples, csv waits for a CSV table, a float scalar
+    # is checked finite by math, and every chain is a range, not an array
     script = ("import sys; bare = set(sys.modules); import hardyshift.cli; "
               "added = set(sys.modules) - bare; "
-              "print(sorted(added & {'dataclasses', 'inspect', 'csv', 'numpy', 'cmath'}))")
+              "print(sorted(added & {'dataclasses', 'inspect', 'csv', 'numpy', 'cmath', 'array'}))")
     proc = subprocess.run(
         [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
@@ -146,7 +154,7 @@ def params_record():
 
 def sparse_record():
     value = SparseMatrix({(1, 0): GaussianRational(1)}, 2, 2, "exact")
-    # the partial-permutation scan that commutant keeps on it is no field
+    # the subdiagonal scan that commutant keeps on it is no field
     assert operator_rank(value) == 1 and "_shape" in vars(value)
     others = [SparseMatrix({(1, 0): GaussianRational(2)}, 2, 2, "exact"),
               SparseMatrix({(1, 0): GaussianRational(1)}, 2, 3, "exact"),
