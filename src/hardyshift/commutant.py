@@ -39,8 +39,9 @@ are the real and imaginary parts of P[u][v] - conj(P[v][u]) = 0 in the
 2D real unknowns Re c_k and Im c_k, four terms per entry of a basis
 element (``selfadjoint_commutant_dim``), where a system in P's entries
 would be d^2 wide.  Both modes add the terms up into rows of real parts,
-Fractions or floats, and ``linalg.nullity`` counts the solutions.  A
-0/1 shift along one subdiagonal needs no system at all.
+Fractions or floats, and count the vectors of their
+``linalg.kernel_basis``, refusing a float count outside 1..D.  A 0/1
+shift along one subdiagonal needs no system at all.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from itertools import repeat
 from typing import Sequence
 
 from . import linalg, scalars
-from .errors import Record, ShapeError
+from .errors import RankAmbiguityError, Record, ShapeError
 from .matrices import SparseMatrix
 from .scalars import Mode, scalar_is_zero, scalars_close, zero
 from .space import TruncationParams
@@ -158,15 +159,15 @@ def operator_rank(A: SparseMatrix, tol: float | None = None) -> int:
     along one subdiagonal, as z^n is in either mode, has one nonzero in
     each of its nonzero rows and columns, so its rank is its count of
     nonzeros, read off the scan of ``_shape`` with no elimination and no
-    SVD.  Any other A's rank is from the nullity of its rows
-    (``linalg.nullity``)."""
+    SVD.  Any other A's rank is its width minus the length of the kernel
+    basis of its rows (``linalg.kernel_basis``)."""
     linalg.require_tol(A.mode, tol)
     if _shape(A) is not None:
         return A.nnz()
     system = [{} for _ in range(A.rows)]
     for u, v, s in A.nonzero_items():
         system[u][v] = s
-    return A.cols - linalg.nullity(system, A.cols, A.mode, tol)
+    return A.cols - len(linalg.kernel_basis(system, A.cols, A.mode, tol))
 
 
 def _heads(s: int, height: list[int]) -> list[int]:
@@ -249,6 +250,10 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
     below: s re on a and -s im on b in e = 2 (lo*d + hi), the real part,
     with s = +1 above and -1 below, and im on a and re on b in e + 1.  On
     the diagonal s = 0, and e + 1, twice Im P[u][u], is written halved.
+    The identity is self-adjoint, and no nonzero P is both self-adjoint and
+    i times a self-adjoint element, so the count lies in 1..D.  A float
+    count outside, which a basis with huge entries gets from the relative
+    cut-off far from its ambiguity band, raises RankAmbiguityError.
 
     A 0/1 shift along one subdiagonal needs no system: by ``_chains``, P
     is a combination of the indicators 1_C of the surviving chains, and P*
@@ -287,7 +292,13 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
                 if c:
                     _add(rows.setdefault(eq, {}), unknown, c)
     system = [rows[eq] for eq in sorted(rows) if rows[eq]]
-    return linalg.nullity(system, 2 * cb.dim, A.mode, tol)
+    dim = len(linalg.kernel_basis(system, 2 * cb.dim, A.mode, tol))
+    if not exact and not 1 <= dim <= cb.dim:
+        raise RankAmbiguityError(
+            f"self-adjoint commutant dimension {dim} lies outside 1..{cb.dim} (tol={tol:.6e}); "
+            "the rank decision is not trustworthy (adjust tol or use exact mode)"
+        )
+    return dim
 
 
 def is_block_lower_toeplitz(

@@ -1,12 +1,11 @@
 """Float-mode solves with numpy: the only module that imports numpy.
 
-``linalg.kernel_basis`` and ``linalg.nullity`` import it in their float
-branch only, so a run that solves no float system never loads numpy.  The
-commutants of T_{z^n} and of its channel restrictions never get here in
-either mode: ``commutant`` reads them off their chains.  What does is the
-commutant of a float symbol, or of any float operator that is not a 0/1
-shift along one subdiagonal, and such an operator's float
-``operator_rank``.
+``linalg.kernel_basis`` imports it in its float branch only, so a run
+that solves no float system never loads numpy.  The commutants of
+T_{z^n} and of its channel restrictions never get here in either mode:
+``commutant`` reads them off their chains.  What does is the commutant
+of a float symbol, or of any float operator that is not a 0/1 shift
+along one subdiagonal, and such an operator's float ``operator_rank``.
 
 A float system is the same list of ``{column: value}`` rows as an exact
 one.  ``linalg.components`` splits it into connected blocks: two unknowns
@@ -25,7 +24,6 @@ block's roundoff floor, its largest singular value times its larger side
 times the machine epsilon, which roundoff alone can reach: a tol far below
 the floor would count noise as rank (``RankAmbiguityError``, naming the
 first such block in block order).
-``nullity`` skips the singular vectors.
 """
 
 from __future__ import annotations
@@ -41,10 +39,10 @@ _GAP = math.sqrt(10.0)
 _EPS = float(np.finfo(float).eps)
 
 
-def _solve_block(rows: list[dict], width: int, tol: float, vectors: bool):
+def _solve_block(rows: list[dict], width: int, tol: float):
     """The rank of one block with rows, its columns renumbered to
-    range(width), and the conjugated right singular vectors, ``vh``, when
-    ``vectors`` is set (else None), from one SVD of the dense block.
+    range(width), and its conjugated right singular vectors, ``vh``, from
+    one SVD of the dense block.
 
     Raises RankAmbiguityError when a singular value lies within a factor
     ``_GAP`` of the cut-off tol * max(1, the largest), naming the largest
@@ -54,10 +52,7 @@ def _solve_block(rows: list[dict], width: int, tol: float, vectors: bool):
     for i, row in enumerate(rows):
         for c, v in row.items():
             dense[i, c] = v
-    if vectors:
-        _, svals, vh = np.linalg.svd(dense)
-    else:
-        svals, vh = np.linalg.svd(dense, compute_uv=False), None
+    _, svals, vh = np.linalg.svd(dense)
     svals = svals.tolist()
     cut = tol * max(1.0, svals[0])
     rank = sum(1 for s in svals if s > cut)
@@ -80,15 +75,6 @@ def _solve_block(rows: list[dict], width: int, tol: float, vectors: bool):
     return rank, vh
 
 
-def nullity(rows: list[dict], ncols: int, tol: float) -> int:
-    """Dimension of the kernel of a float system, width minus rank per
-    block, without the singular vectors."""
-    return ncols - sum(
-        _solve_block(block, len(cols), tol, False)[0]
-        for cols, block in linalg.components(rows, ncols) if block
-    )
-
-
 def kernel_basis(rows: list[dict], ncols: int, tol: float) -> list[dict]:
     """Basis of the kernel of a float system: each block's SVD kernel,
     echelonized in the block's columns, in pivot-column order (an unknown
@@ -100,7 +86,7 @@ def kernel_basis(rows: list[dict], ncols: int, tol: float) -> list[dict]:
         if not block:
             found.append((cols[0], {cols[0]: one}))
             continue
-        rank, vh = _solve_block(block, len(cols), tol, True)
+        rank, vh = _solve_block(block, len(cols), tol)
         if rank == len(cols):
             continue
         vecs, pivots = echelonize_float(np.conj(vh[rank:]), tol)

@@ -1,7 +1,8 @@
-"""Sparse homogeneous systems: ``kernel_basis`` and ``nullity``.
+"""Sparse homogeneous systems: ``kernel_basis``.
 
-Both entry points serve both modes, and take a system the same way in
-each: a list of sparse ``{column: coefficient}`` rows.
+It serves both modes, and takes a system the same way in each: a list of
+sparse ``{column: coefficient}`` rows.  A rank or a kernel dimension is
+counted off the basis it returns: one solve per system.
 
 - exact mode: the rows are eliminated whole by one sparse Gauss-Jordan
   (``rref``) over any exact field (Fraction and GaussianRational both
@@ -13,10 +14,10 @@ each: a list of sparse ``{column: coefficient}`` rows.
 - float mode: the rows are split into connected blocks (``components``)
   and each block is solved with one SVD behind a rank-ambiguity gate.
   That code, and every other use of numpy, lives in ``floatsolve``, which
-  these entry points import only in their float branch: a run that
-  solves no float system, exact z^n and float z^n alike, never loads
-  numpy.  A tol outside (0, 1) is refused (``require_tol``): at 1 or more
-  the rank cut-off would count no singular value.
+  ``kernel_basis`` imports only in its float branch: a run that solves
+  no float system, exact z^n and float z^n alike, never loads numpy.  A
+  tol outside (0, 1) is refused (``require_tol``): at 1 or more the rank
+  cut-off would count no singular value.
 """
 
 from __future__ import annotations
@@ -129,19 +130,6 @@ def components(rows: list[dict], ncols: int) -> list[tuple[list[int], list[dict]
         if row:
             block_rows[root[next(iter(row))]].append({pos[c]: v for c, v in row.items()})
     return [(cols, block_rows[rc]) for rc, cols in members.items()]
-
-
-def nullity(system, ncols: int, mode: Mode, tol: float | None = None) -> int:
-    """Dimension of the kernel of a sparse homogeneous system of
-    ``{column: scalar}`` rows: in exact mode the free columns of one
-    ``rref``, in float mode width minus rank per block, without the
-    singular vectors."""
-    if mode == "float":
-        require_tol(mode, tol)
-        from . import floatsolve
-
-        return floatsolve.nullity(system, ncols, tol)
-    return ncols - len(rref(system, ncols)[1])
 
 
 def kernel_basis(

@@ -53,10 +53,6 @@ class MatrixSymbol(Record):
     def mode(self) -> Mode:
         return self.coeffs[0][1].mode if self.coeffs else "exact"
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs[-1][0] if self.coeffs else 0
-
 
 def monomial_symbol(m: int, t: int, mode: Mode = "exact") -> MatrixSymbol:
     """The symbol z^t I_m."""

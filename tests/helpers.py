@@ -639,13 +639,13 @@ def commutation_rows_reference(A):
 
 
 def rank_reference(A, tol=None):
-    """Rank of a ``SparseMatrix`` from the nullity of its own rows, by
-    elimination or by the float SVDs, with no partial-permutation
-    shortcut: what ``operator_rank`` must agree with."""
+    """Rank of a ``SparseMatrix``, its width minus the length of the
+    kernel basis of its own rows, by elimination or by the float SVDs,
+    with no chain-path shortcut: what ``operator_rank`` must agree with."""
     rows = [{} for _ in range(A.rows)]
     for u, v, s in A.nonzero_items():
         rows[u][v] = s
-    return A.cols - linalg.nullity(rows, A.cols, A.mode, tol)
+    return A.cols - len(linalg.kernel_basis(rows, A.cols, A.mode, tol))
 
 
 def sym_var_ids_reference(d):
@@ -689,12 +689,12 @@ def selfadjoint_rows_reference(A):
     return rows
 
 
-def float_block_solve_reference(rows, ncols, tol, vectors=True):
+def float_block_solve_reference(rows, ncols, tol):
     """``floatsolve``'s solve one block at a time: a dense array filled
     entry by entry and one SVD per block, its rank and both of its gates,
     the cut-off's band and the roundoff floor, decided by loops over the
-    singular values.  Returns the kernel's dimension and, when
-    ``vectors`` is set, its basis in ``kernel_basis`` order."""
+    singular values.  Returns the kernel's dimension and its basis in
+    ``kernel_basis`` order."""
     found, dim = [], 0
     for cols, block in linalg.components(rows, ncols):
         width = len(cols)
@@ -706,10 +706,7 @@ def float_block_solve_reference(rows, ncols, tol, vectors=True):
         for i, row in enumerate(block):
             for c, v in row.items():
                 dense[i, c] = complex(v)
-        if vectors:
-            _, svals, vh = np.linalg.svd(dense)
-        else:
-            svals = np.linalg.svd(dense, compute_uv=False)
+        _, svals, vh = np.linalg.svd(dense)
         cut = tol * max(1.0, float(svals[0]))
         for s in svals:
             if cut / floatsolve._GAP <= s <= cut * floatsolve._GAP:
@@ -729,8 +726,6 @@ def float_block_solve_reference(rows, ncols, tol, vectors=True):
                     "trustworthy (raise tol or use exact mode)"
                 )
         dim += width - rank
-        if not vectors:
-            continue
         vecs, pivots = floatsolve.echelonize_float(
             [np.conj(vh[i]) for i in range(rank, width)], tol
         )

@@ -315,7 +315,7 @@ PINNED_REPORTS = {
          "--symbol", str(SYMBOL_F)],
         "bf3cdf6f56eaa2b1c322b84dc51b762b487ec922af53c05d8106222be903c9b1",
     ),
-    # its rank 8 is counted by the exact nullity
+    # its rank 8 is counted off the exact kernel basis of its rows
     "build (2,1,5) symbol F": (
         ["build", "--m", "2", "--n", "1", "--blocks", "5",
          "--symbol", str(SYMBOL_F)],

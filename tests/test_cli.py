@@ -819,6 +819,22 @@ def test_float_cut_off_below_the_roundoff_floor_is_refused(tmp_path, capsys, tol
     assert code == 0 and rep["build"]["rank"] == 14
 
 
+def test_float_selfadjoint_dim_above_the_commutant_dim_exits_three(tmp_path, capsys):
+    # symbol F at (2,1,14): its float commutant has dimension 56, and the
+    # self-adjoint count of 106 that the relative cut-off gives on that
+    # basis is refused, not reported (exact mode gives 56 and 1)
+    out = tmp_path / "report.json"
+    assert main(["commutant", "--m", "2", "--n", "1", "--blocks", "14", "--symbol",
+                 str(SYMBOL_F), "--mode", "float", "--tol", "1e-9", "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: self-adjoint commutant dimension 106 lies outside 1..56 (tol=1.000000e-09); "
+        "the rank decision is not trustworthy (adjust tol or use exact mode)\n"
+    )
+
+
 @pytest.mark.parametrize("tol", ["0.1", "0.5"])
 def test_float_powers_exit_zero_at_any_tol(tmp_path, tol):
     # z^n's commutant is read off its chains in float mode too, so a tol

@@ -642,10 +642,11 @@ def test_check_minimal_matches_the_dense_restriction(case):
 
 
 def realified_nullity(A, tol=None):
-    """The self-adjoint dimension of the reference: the nullity of the
-    Hermitian system over P's d^2 real unknowns, written out term by term
-    from the commutation rows (``selfadjoint_rows_reference``)."""
-    return linalg.nullity(selfadjoint_rows_reference(A), A.rows * A.rows, A.mode, tol)
+    """The self-adjoint dimension of the reference: the kernel dimension of
+    the Hermitian system over P's d^2 real unknowns, written out term by
+    term from the commutation rows (``selfadjoint_rows_reference``)."""
+    rows = selfadjoint_rows_reference(A)
+    return len(linalg.kernel_basis(rows, A.rows * A.rows, A.mode, tol))
 
 
 # denominators 1 and 2 keep every float sum exact, so both modes compare
@@ -679,13 +680,46 @@ def test_selfadjoint_dim_matches_the_realified_reference(rows, mode):
         want = realified_nullity(A, 1e-9)
     except RankAmbiguityError:
         return  # the reference decides no rank to compare with
-    assert selfadjoint_commutant_dim(A, 1e-9) == want
+    # a count outside 1..D is refused, never reported
+    if 1 <= want <= commutant_basis(A, 1e-9).dim:
+        assert selfadjoint_commutant_dim(A, 1e-9) == want
+    else:
+        with pytest.raises(RankAmbiguityError, match=f"dimension {want} lies outside"):
+            selfadjoint_commutant_dim(A, 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.lists(st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k)))
+def test_selfadjoint_dim_lies_between_one_and_the_commutant_dim(rows):
+    # the identity is self-adjoint, and the self-adjoint part S of the
+    # commutant meets iS only in 0, so 1 <= dim S <= D
+    A = sparse(rows)
+    assert 1 <= selfadjoint_commutant_dim(A) <= commutant_basis(A).dim
 
 
 def benchmark_symbol_operator(mode, K):
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "symbol_F.json"
     symbol = symbol_from_json(json.loads(path.read_text()), mode)
     return toeplitz_matrix(symbol, TruncationParams(2, 1, K))
+
+
+@pytest.mark.parametrize(
+    "K, tol, found, dim",
+    [(14, 1e-9, 106, 56), (12, 1e-10, 92, 48), (10, 1e-11, 76, 40), (9, 1e-12, 68, 36)],
+)
+def test_float_selfadjoint_dim_outside_one_to_the_commutant_dim_is_refused(K, tol, found, dim):
+    # symbol F's echelonized float basis holds entries near 1e15, so the
+    # relative cut-off of its self-adjoint system zeroes most singular
+    # values, none of them in the ambiguity band; exact mode counts 1
+    A = benchmark_symbol_operator("float", K)
+    assert commutant_basis(A, tol).dim == dim
+    with pytest.raises(RankAmbiguityError) as caught:
+        selfadjoint_commutant_dim(A, tol)
+    assert str(caught.value) == (
+        f"self-adjoint commutant dimension {found} lies outside 1..{dim} (tol={tol:.6e}); "
+        "the rank decision is not trustworthy (adjust tol or use exact mode)"
+    )
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

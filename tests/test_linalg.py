@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hardyshift import GaussianRational, TruncationParams, floatsolve, linalg, power_symbol
+from hardyshift import GaussianRational, TruncationParams, linalg, power_symbol
 from hardyshift.errors import RankAmbiguityError
 from hardyshift.commutant import _commutation_rows
 from hardyshift.floatsolve import echelonize_float
-from hardyshift.linalg import components, kernel_basis, nullity, rref
+from hardyshift.linalg import components, kernel_basis, rref
 
 from helpers import (
     commutation_rows_reference,
@@ -95,7 +95,7 @@ def test_exact_kernel_matches_rref_and_components_keep_planted_groups(system):
     rows, ncols, groups = system
     reference = whole_system_kernel_exact(lifted(rows), ncols, ONE)
     assert kernel_basis(lifted(rows), ncols, "exact") == reference
-    rank = ncols - nullity(rows, ncols, "exact")
+    rank = ncols - len(kernel_basis(rows, ncols, "exact"))
     assert rank == len(rref(rows, ncols)[1])
     assert rank + len(reference) == ncols
     group_of = {c: g for g, group in enumerate(groups) for c in group}
@@ -173,7 +173,7 @@ def test_exact_kernel_is_certified(system):
         assert type(vec[f]) is field and vec[f] == 1
         assert all(not other.get(f) for other in basis if other is not vec)
     dense = [[row.get(c, zero) for c in range(ncols)] for row in rows]
-    assert len(basis) == nullity(rows, ncols, "exact") == ncols - dense_rank(dense)
+    assert len(basis) == len(kernel_basis(rows, ncols, "exact")) == ncols - dense_rank(dense)
     assert len(basis) == ncols - len(rref(rows, ncols)[1])
 
 
@@ -186,7 +186,7 @@ def _check_against_rref(rows, ncols):
     assert kernel == reference
     # same scalar types and entry order, so reports built from it match
     assert repr(kernel) == repr(reference)
-    assert ncols - nullity(rows, ncols, "exact") == len(rref(rows, ncols)[1])
+    assert ncols - len(kernel_basis(rows, ncols, "exact")) == len(rref(rows, ncols)[1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,7 +213,7 @@ def test_single_entry_row_zeroes_the_unknowns_joined_to_it():
     f = Fraction
     rows = [{0: f(1), 1: f(-1)}, {1: f(2)}]
     assert kernel_basis(lifted(rows), 2, "exact") == []
-    assert nullity(rows, 2, "exact") == 0
+    assert len(kernel_basis(rows, 2, "exact")) == 0
 
 
 def test_closing_edge_parity_decides_the_cycle():
@@ -223,10 +223,10 @@ def test_closing_edge_parity_decides_the_cycle():
     path = [{0: f(1), 1: f(1)}, {1: f(1), 2: f(-1)}]
     consistent = path + [{0: f(1), 2: f(1)}]
     assert kernel_basis(lifted(consistent), 3, "exact") == [{2: 1, 0: -1, 1: 1}]
-    assert nullity(consistent, 3, "exact") == 1
+    assert len(kernel_basis(consistent, 3, "exact")) == 1
     contradicting = path + [{0: f(1), 2: f(-1)}]
     assert kernel_basis(lifted(contradicting), 3, "exact") == []
-    assert nullity(contradicting, 3, "exact") == 0
+    assert len(kernel_basis(contradicting, 3, "exact")) == 0
 
 
 @pytest.mark.parametrize(
@@ -250,64 +250,13 @@ def test_kernel_basis_and_nullity_each_make_one_rref_call(rows, monkeypatch):
     assert calls == [(2, 3), (2, 3)]
 
 
-# what each solver is called with and decides, for comparing the solver
-# choices of two calls; an exact system with no rows logs an empty summary,
-# and a float system with no rows logs nothing, as it reaches no SVD
-SPIES = {
-    (linalg, "rref"): lambda args, out: (len(args[0]), args[1]) if args[0] else (),
-    # each float block's shape and rank, one call per block with rows
-    (floatsolve, "_solve_block"): lambda args, out: (len(args[0]), args[1], out[0]),
-}
-
-
-def solver_log(call, *args):
-    """Run ``call(*args)`` and list, in order, the block solvers it used."""
-    log = []
-    with pytest.MonkeyPatch.context() as mp:
-        for (module, name), summary in SPIES.items():
-            def spy(*a, _real=getattr(module, name), _name=name, _summary=summary):
-                out = _real(*a)
-                log.append((_name, _summary(a, out)))
-                return out
-
-            mp.setattr(module, name, spy)
-        result = call(*args)
-    return result, log
-
-
-@pytest.mark.parametrize("mode", ["exact", "float"])
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_nullity_counts_the_kernel_basis_with_the_same_solvers(mode, data):
-    if mode == "exact":
-        rows, ncols = data.draw(
-            st.one_of(planted_systems().map(lambda s: s[:2]), signed_systems("fraction"))
-        )
-        tol = None
-    else:
-        # small integers keep every nonzero singular value far above the
-        # cut-off, so the ambiguity gate never fires
-        rows, ncols, _ = data.draw(
-            planted_systems(st.integers(-3, 3).filter(bool).map(float))
-        )
-        tol = TOL
-    count, counted_by = solver_log(nullity, rows, ncols, mode, tol)
-    basis, built_by = solver_log(kernel_basis, rows, ncols, mode, tol)
-    assert count == len(basis)
-    assert counted_by == built_by
-    # a system with rows reaches a spied solver, so the logs can differ
-    assert any(summary for _, summary in counted_by) == bool(rows)
-
-
 def test_ambiguous_one_by_one_block_in_well_conditioned_system():
     rng = np.random.default_rng(7)
     n = 40
     well = np.eye(n) + 0.1 * rng.standard_normal((n, n))
     rows = [{c: complex(v) for c, v in enumerate(r)} for r in well]
-    assert nullity(rows, n + 1, "float", TOL) == 1
+    assert len(kernel_basis(rows, n + 1, "float", TOL)) == 1
     rows.append({n: 1e-9})
-    with pytest.raises(RankAmbiguityError):
-        nullity(rows, n + 1, "float", TOL)
     with pytest.raises(RankAmbiguityError):
         kernel_basis(rows, n + 1, "float", TOL)
 
@@ -335,13 +284,11 @@ def test_float_solve_matches_the_per_block_reference(system):
     rows, ncols, _ = system
     reference = solve_or_message(float_block_solve_reference, rows, ncols, TOL)
     basis = solve_or_message(kernel_basis, rows, ncols, "float", TOL)
-    count = solve_or_message(nullity, rows, ncols, "float", TOL)
     if isinstance(reference, str):
-        assert basis == count == reference
+        assert basis == reference
         return
     dim, ref_basis = reference
-    assert count == dim == len(ref_basis) == len(basis)
-    assert count == float_block_solve_reference(rows, ncols, TOL, False)[0]
+    assert dim == len(ref_basis) == len(basis)
     for vec, ref in zip(basis, ref_basis):
         # same support, listed in the same order
         assert list(vec) == list(ref)
@@ -356,7 +303,6 @@ def test_first_ambiguous_block_in_component_order_is_named():
     expected = solve_or_message(float_block_solve_reference, rows, 4, TOL)
     assert expected.startswith("singular value 3.000000e-09 ")
     assert solve_or_message(kernel_basis, rows, 4, "float", TOL) == expected
-    assert solve_or_message(nullity, rows, 4, "float", TOL) == expected
 
 
 def near(v, how):
@@ -395,18 +341,16 @@ def systems_with_copies(draw):
 
 
 def solve_each_block_alone(rows, ncols):
-    """``kernel_basis`` and ``nullity`` of each block of ``components`` in
-    a call of its own, vectors in global columns; or the message of the
-    first block, in block order, that raises ``RankAmbiguityError``."""
+    """``kernel_basis`` of each block of ``components`` in a call of its
+    own, vectors in global columns; or the message of the first block, in
+    block order, that raises ``RankAmbiguityError``."""
     bases, dim = [], 0
     for cols, block in components(rows, ncols):
         basis = solve_or_message(kernel_basis, block, len(cols), "float", TOL)
-        count = solve_or_message(nullity, block, len(cols), "float", TOL)
         if isinstance(basis, str):
-            assert count == basis
             return basis
         bases.append([{cols[c]: x for c, x in vec.items()} for vec in basis])
-        dim += count
+        dim += len(basis)
     return dim, bases
 
 
@@ -416,12 +360,11 @@ def test_float_copies_give_bitwise_the_solve_of_each_block_alone(system):
     rows, ncols = system
     expected = solve_each_block_alone(rows, ncols)
     basis = solve_or_message(kernel_basis, rows, ncols, "float", TOL)
-    count = solve_or_message(nullity, rows, ncols, "float", TOL)
     if isinstance(expected, str):
-        assert basis == count == expected
+        assert basis == expected
         return
     dim, bases = expected
-    assert count == dim == len(basis)
+    assert dim == len(basis)
     # each block's vectors, in the order of the whole system's basis; repr
     # tells -0.0 from 0.0 and prints every float exactly
     block_of = {c: b for b, (cols, _) in enumerate(components(rows, ncols)) for c in cols}
@@ -449,7 +392,7 @@ def test_float_copies_of_a_block_each_take_their_own_svd(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    assert nullity(rows, 12, "float", TOL) == 2
+    assert len(kernel_basis(rows, 12, "float", TOL)) == 2
     first, second = kernel_basis(rows, 12, "float", TOL)
     assert shapes == [(2, 2)] * 12
     # the two singular blocks get bitwise the same vector, on their own columns
@@ -473,7 +416,6 @@ def test_first_ambiguous_block_is_named_when_blocks_repeat(order):
     first = next(name for name in order if name != "fine")
     assert expected.startswith(f"singular value {value[first]:.6e} ")
     assert solve_or_message(kernel_basis, rows, len(rows), "float", TOL) == expected
-    assert solve_or_message(nullity, rows, len(rows), "float", TOL) == expected
 
 
 def test_unknowns_in_no_equation_give_unit_vectors():
@@ -517,11 +459,11 @@ def test_float_solves_repeat_and_match_the_whole_system_echelon_basis():
 
 def test_float_rank_requires_tol():
     with pytest.raises(ValueError):
-        nullity([{0: 1.0}], 1, "float", None)
+        kernel_basis([{0: 1.0}], 1, "float", None)
     with pytest.raises(ValueError):
         kernel_basis([{0: 1.0}], 1, "float", 0.0)
     # with tol >= 1 the cut-off tol * max(1, top) leaves no singular value
     for tol in (1.0, 5.0):
         with pytest.raises(ValueError):
-            nullity([{0: 1.0}], 1, "float", tol)
+            kernel_basis([{0: 1.0}], 1, "float", tol)
 

@@ -189,7 +189,6 @@ def test_symbol_coeffs_sorted():
         1, ((2, DenseMatrix([[1]])), (0, DenseMatrix([[3]])))
     )
     assert [t for t, _ in sym.coeffs] == [0, 2]
-    assert sym.degree == 2
 
 
 def test_symbol_json_round_trip():

@@ -95,6 +95,19 @@ def test_commutant_walks_one_subdiagonal_only():
     assert {"_closed_orbits", "_partial_permutation"} & set(vars(commutant)) == set()
 
 
+def test_one_solve_per_system():
+    # off the chain path, a rank or a self-adjoint count is the length of
+    # a kernel_basis, whose float blocks each take one full SVD
+    import inspect
+
+    import hardyshift.floatsolve as floatsolve
+    import hardyshift.linalg as linalg
+
+    assert not hasattr(linalg, "nullity") and not hasattr(floatsolve, "nullity")
+    assert "vectors" not in inspect.signature(floatsolve._solve_block).parameters
+    assert not hasattr(MatrixSymbol, "degree")
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
