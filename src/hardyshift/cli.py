@@ -1,16 +1,18 @@
 """Command-line verification pipeline.
 
-Each command builds the requested model, runs its checks, and emits a
-deterministic report (JSON by default, CSV for lattice tables).  Flags are
-checked once, by argparse and ``config_from_args``; the namespace they pass
-is the run's config, and the stages after them trust it.  Exit codes: 0 all
-checks passed, 1 a verification check failed, 2 invalid configuration, 3 a
-floating rank decision was ambiguous, 4 the report could not be written.
+A run has three stages: ``config_from_args`` refuses every run that cannot
+finish, ``execute`` builds the model and runs its checks, and
+``emit_report`` and ``write_output`` write a deterministic report (JSON by
+default, CSV for lattice tables).  ``main`` alone maps outcomes to exit
+codes: 0 all checks passed, 1 a verification check failed, 2 invalid
+configuration, 3 a floating rank decision was ambiguous, 4 the report could
+not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import math
@@ -114,8 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(cfg: argparse.Namespace) -> argparse.Namespace:
-    """Refuse the flag combinations that argparse cannot express, and return
-    the namespace as the run's config."""
+    """Refuse the flag combinations that argparse cannot express, a bad
+    --symbol file, an over-cap lattice and a directory --out, and return
+    the namespace, with the parsed ``symbol`` or None, as the run's config."""
     if cfg.mode == "float":
         if cfg.tol is None or not math.isfinite(cfg.tol) or cfg.tol <= 0:
             raise ConfigError("float mode requires a finite --tol > 0")
@@ -137,14 +140,17 @@ def config_from_args(cfg: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError("--sample must be nonnegative")
     if cfg.out_path is not None and not cfg.out_path.parent.is_dir():
         raise ConfigError(f"--out directory {str(cfg.out_path.parent)!r} does not exist")
+    if cfg.command in ("lattice", "full-report"):
+        check_enumeration_cap(cfg.m * cfg.n, cfg.sample)
+    cfg.symbol = None if cfg.symbol_path is None else _read_symbol(cfg)
+    # is_dir follows a link, so a link to a directory is refused too
+    if cfg.out_path is not None and cfg.out_path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "--out names a directory", str(cfg.out_path))
     return cfg
 
 
-def _operator(cfg: argparse.Namespace, params: TruncationParams):
-    """The run's operator, z^n or the Toeplitz matrix of --symbol, and
-    whether it is z^n."""
-    if cfg.symbol_path is None:
-        return power_symbol(params, cfg.mode), True
+def _read_symbol(cfg: argparse.Namespace):
+    """The --symbol file's symbol, in the run's mode and of size --m."""
     try:
         obj = json.loads(cfg.symbol_path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -165,7 +171,7 @@ def _operator(cfg: argparse.Namespace, params: TruncationParams):
         raise ConfigError(f"bad symbol file: {exc}") from exc
     if symbol.m != cfg.m:
         raise ConfigError(f"symbol is {symbol.m} x {symbol.m} but --m is {cfg.m}")
-    return toeplitz_matrix(symbol, params, cfg.mode), False
+    return symbol
 
 
 def _equivalence_section(cfg: argparse.Namespace, params: TruncationParams, T):
@@ -301,10 +307,10 @@ def _lattice_section(
 def execute(cfg: argparse.Namespace) -> dict:
     """Run the configured command and return its report."""
     params = TruncationParams(m=cfg.m, n=cfg.n, K=cfg.K)
-    if cfg.command in ("lattice", "full-report"):
-        check_enumeration_cap(params.r, cfg.sample)
     # every section reads the one operator built here
-    T, is_power = _operator(cfg, params)
+    is_power = cfg.symbol is None
+    T = (power_symbol(params, cfg.mode) if is_power
+         else toeplitz_matrix(cfg.symbol, params, cfg.mode))
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": cfg.command,
@@ -399,13 +405,13 @@ def write_output(data: bytes, out_path: Path | None) -> None:
     directory, given the mode ``open`` would give a new file under the
     umask, synced, then renamed over the target.  A failed run leaves no
     partial report, and concurrent runs never share a temp file.  A
-    target that exists and is neither a regular file nor a directory (a
-    character device, a FIFO) is written in place, since a rename would
-    replace it with a regular file."""
+    target that exists and is not a regular file (a character device, a
+    FIFO; ``config_from_args`` refuses a directory) is written in place,
+    since a rename would replace it with a regular file."""
     if out_path is None:
         sys.stdout.write(data.decode())
         return
-    if out_path.exists() and not (out_path.is_file() or out_path.is_dir()):
+    if out_path.exists() and not out_path.is_file():
         with open(out_path, "wb") as fh:
             fh.write(data)
         return
@@ -429,19 +435,24 @@ def write_output(data: bytes, out_path: Path | None) -> None:
         raise
 
 
-def run(cfg: argparse.Namespace) -> int:
+def main(argv=None) -> int:
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        cfg = config_from_args(args)
         report = execute(cfg)
+        write_output(emit_report(report, cfg.format), cfg.out_path)
     except (ConfigError, CapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RankAmbiguityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANK_AMBIGUITY
-    data = emit_report(report, cfg.format)
-    try:
-        write_output(data, cfg.out_path)
     except OSError as exc:
+        # a symbol file that cannot be read is a ConfigError, so an
+        # OSError here is about --out
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO
     failed = [k for k, ok in report["checks"].items() if not ok]
@@ -449,20 +460,6 @@ def run(cfg: argparse.Namespace) -> int:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfg = config_from_args(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return run(cfg)
 
 
 if __name__ == "__main__":

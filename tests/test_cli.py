@@ -835,6 +835,25 @@ def test_float_selfadjoint_dim_above_the_commutant_dim_exits_three(tmp_path, cap
     )
 
 
+def test_float_commutant_dim_past_the_exact_one_is_caught_by_the_selfadjoint_stage(
+    tmp_path, capsys
+):
+    # symbol F at (2,1,14) with tol 1e-6: the float commutant basis has
+    # dimension 62, against exact mode's 56, and no block's rank decision
+    # is refused; the run exits 3 only because the self-adjoint stage trips
+    out = tmp_path / "report.json"
+    assert main(["commutant", "--m", "2", "--n", "1", "--blocks", "14", "--symbol",
+                 str(SYMBOL_F), "--mode", "float", "--tol", "1e-6", "--out", str(out)]) == 3
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: singular value 5.214405e+03 is within an order of magnitude of the "
+        "cut-off 3.179732e+03 (tol=1.000000e-06); the rank decision is not trustworthy "
+        "(adjust tol or use exact mode)\n"
+    )
+
+
 @pytest.mark.parametrize("tol", ["0.1", "0.5"])
 def test_float_powers_exit_zero_at_any_tol(tmp_path, tol):
     # z^n's commutant is read off its chains in float mode too, so a tol
@@ -953,15 +972,113 @@ def test_out_write_failure_is_io_error(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def no_execute(cfg):
+    raise AssertionError("execute ran")
+
+
+def test_report_that_cannot_be_renamed_into_place_is_io_error(tmp_path, monkeypatch, capsys):
+    # the run finishes and the write fails at its last step: no report and
+    # no temp file are left behind
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(dst))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "report.json"
+    assert main(["verify-equivalence", "--m", "1", "--n", "1", "--blocks", "2",
+                 "--out", str(out)]) == 4
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write report: ")
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["directory", "link-to-directory"])
+def test_out_naming_a_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                           link):
+    import hardyshift.cli as cli
+
+    monkeypatch.setattr(cli, "execute", no_execute)
+    target = tmp_path / "adir"
+    target.mkdir()
+    if link:
+        target = tmp_path / "link"
+        target.symlink_to(tmp_path / "adir")
+    assert main(["verify-equivalence", "--m", "1", "--n", "1", "--blocks", "2",
+                 "--out", str(target)]) == 4
+    # the link is still a link to the directory, which is still empty
+    assert target.is_symlink() == link and target.is_dir()
+    assert list((tmp_path / "adir").iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["adir", "link"] if link else ["adir"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write report: [Errno {errno.EISDIR}] "
+                            f"--out names a directory: '{target}'\n")
+
+
+def symbol_file(tmp_path, case):
+    path = tmp_path / "symbol.json"
+    if case == "not-json":
+        path.write_text("nope")
+    elif case == "not-utf8":
+        path.write_bytes(b"\xff\xfe{")
+    elif case == "directory":
+        path.mkdir()
+    elif case == "m-mismatch":
+        path.write_text(json.dumps({"m": 2, "coeffs": []}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "case, argv, message",
+    [
+        ("not-json", ("commutant", "--m", "1", "--n", "1", "--blocks", "2"),
+         "symbol file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("not-utf8", ("build", "--m", "1", "--n", "1", "--blocks", "2"),
+         "symbol file is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
+        ("missing", ("build", "--m", "1", "--n", "1", "--blocks", "2"),
+         f"cannot read symbol file: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+         "'{path}'"),
+        ("directory", ("build", "--m", "1", "--n", "1", "--blocks", "2"),
+         f"cannot read symbol file: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+         "'{path}'"),
+        ("m-mismatch", ("build", "--m", "1", "--n", "1", "--blocks", "2"),
+         "symbol is 2 x 2 but --m is 1"),
+        (None, ("lattice", "--m", "5", "--n", "5", "--blocks", "2"),
+         "enumerating all 2^25 masks exceeds the limit of 2^20; "
+         "pass a sample of fewer than 2^25 masks"),
+        (None, ("full-report", "--m", "11", "--n", "2", "--blocks", "1",
+                "--sample", "5000000"),
+         "enumerating all 2^22 masks exceeds the limit of 2^20; "
+         "pass a sample of fewer than 2^22 masks"),
+    ],
+    ids=["not-json", "not-utf8", "missing", "directory", "m-mismatch", "lattice-cap",
+         "sample-cap"],
+)
+def test_every_exit_two_refusal_comes_before_execute(tmp_path, monkeypatch, capsys, case,
+                                                     argv, message):
+    import hardyshift.cli as cli
+
+    monkeypatch.setattr(cli, "execute", no_execute)
+    out = tmp_path / "out"
+    out.mkdir()
+    if case is not None:
+        path = symbol_file(tmp_path, case)
+        argv = (*argv, "--symbol", str(path))
+        message = message.replace("{path}", str(path))
+    assert main([*argv, "--out", str(out / "report.json")]) == 2
+    assert list(out.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_out_in_a_missing_directory_is_refused_before_any_work(
     tmp_path, monkeypatch, capsys
 ):
     import hardyshift.cli as cli
 
-    def no_work(cfg):
-        raise AssertionError("execute ran")
-
-    monkeypatch.setattr(cli, "execute", no_work)
+    monkeypatch.setattr(cli, "execute", no_execute)
     missing = tmp_path / "missing"
     code = main([
         "full-report", "--m", "2", "--n", "2", "--blocks", "3",

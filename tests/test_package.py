@@ -108,6 +108,18 @@ def test_one_solve_per_system():
     assert not hasattr(MatrixSymbol, "degree")
 
 
+def test_config_is_the_one_refusal_stage_and_main_the_one_exit_map():
+    # config_from_args reads the symbol file and checks the channel cap, and
+    # main maps every outcome to its exit code
+    import inspect
+
+    import hardyshift.cli as cli
+
+    assert not hasattr(cli, "run") and not hasattr(cli, "_operator")
+    source = inspect.getsource(cli.execute)
+    assert "ConfigError" not in source and "check_enumeration_cap" not in source
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
