@@ -407,10 +407,13 @@ def write_output(data: bytes, out_path: Path | None) -> None:
     partial report, and concurrent runs never share a temp file.  A
     target that exists and is not a regular file (a character device, a
     FIFO; ``config_from_args`` refuses a directory) is written in place,
-    since a rename would replace it with a regular file."""
+    since a rename would replace it with a regular file.  A symbolic link
+    is resolved first, so the file it names is written and the link is
+    kept."""
     if out_path is None:
         sys.stdout.write(data.decode())
         return
+    out_path = Path(os.path.realpath(out_path))
     if out_path.exists() and not out_path.is_file():
         with open(out_path, "wb") as fh:
             fh.write(data)

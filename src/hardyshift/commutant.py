@@ -39,7 +39,7 @@ are the real and imaginary parts of P[u][v] - conj(P[v][u]) = 0 in the
 2D real unknowns Re c_k and Im c_k, four terms per entry of a basis
 element (``selfadjoint_commutant_dim``), where a system in P's entries
 would be d^2 wide.  Both modes add the terms up into rows of real parts,
-Fractions or floats, and count the vectors of their
+real Gaussian rationals or floats, and count the vectors of their
 ``linalg.kernel_basis``, refusing a float count outside 1..D.  A 0/1
 shift along one subdiagonal needs no system at all.
 """
@@ -275,7 +275,7 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
         return sum(count * count for count in heads.values())
     cb = _eliminated_basis(A, tol)
     exact = A.mode == "exact"
-    # rows of real parts, Fractions solved over the rationals or floats,
+    # rows of real parts, real Gaussian rationals or floats,
     # in ascending equation id: a fixed order, so a float block's SVD input
     # is bitwise reproducible
     rows: dict[int, dict] = {}
@@ -283,10 +283,11 @@ def selfadjoint_commutant_dim(A: SparseMatrix, tol: float | None = None) -> int:
     for k, P in enumerate(cb.members):
         a, b = 2 * k, 2 * k + 1
         for (u, v), x in P.entries.items():
-            re, im = (x.re, x.im) if exact else (x.real, x.imag)
+            re, im = x.real, x.imag
             e = 2 * (min(u, v) * d + max(u, v))
             s = 0 if u == v else 1 if u < v else -1
-            # coefficient first: a Fraction times an int takes its fast path
+            # coefficient first: a Gaussian rational times an int takes its
+            # fast path
             for eq, unknown, c in ((e, a, re * s), (e, b, im * -s),
                                    (e + 1, a, im), (e + 1, b, re)):
                 if c:

@@ -5,11 +5,12 @@ sparse ``{column: coefficient}`` rows.  A rank or a kernel dimension is
 counted off the basis it returns: one solve per system.
 
 - exact mode: the rows are eliminated whole by one sparse Gauss-Jordan
-  (``rref``) over any exact field (Fraction and GaussianRational both
-  qualify).  Elimination never spreads fill between unknowns that share
-  no chain of equations, and the reduced echelon form is unique, so
-  splitting the system first would change neither the fill nor the
-  basis.  T_{z^n} never gets here: ``commutant`` solves a 0/1 shift
+  (``rref``) over the field of the rows' values: the package's
+  GaussianRational, whose every operation reduces one triple of ints by
+  one gcd, or any other exact field, such as Fraction.  Elimination
+  never spreads fill between unknowns that share no chain of equations,
+  and the reduced echelon form is unique, so splitting the system first
+  would change neither the fill nor the basis.  T_{z^n} never gets here: ``commutant`` solves a 0/1 shift
   along one subdiagonal by its chains, without building rows.
 - float mode: the rows are split into connected blocks (``components``)
   and each block is solved with one SVD behind a rank-ambiguity gate.

@@ -3,8 +3,8 @@
 Two scalar kinds are supported, selected by a mode string passed to the
 constructors that need one:
 
-* ``"exact"``: Gaussian rationals, complex numbers whose real and imaginary
-  parts are :class:`fractions.Fraction`.  Every identity checked downstream
+* ``"exact"``: Gaussian rationals, complex numbers (a + b i) / q held as
+  one reduced triple of Python ints.  Every identity checked downstream
   is then decided with zero tolerance.
 * ``"float"``: plain Python ``complex``.  Comparisons carry an explicit
   tolerance, and rank decisions can refuse to answer (RankAmbiguityError)
@@ -12,7 +12,9 @@ constructors that need one:
 
 Exact mode never silently absorbs a float: constructing a Gaussian rational
 from a float raises TypeError rather than laundering binary roundoff into a
-"rational" value.
+"rational" value.  ``fractions`` is imported only where a ``Fraction`` is
+asked for or a rational literal is parsed, so a run that computes with
+none never loads it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from fractions import Fraction
+from math import gcd
 from typing import Literal, Union
 
 Mode = Literal["exact", "float"]
@@ -28,123 +30,220 @@ Mode = Literal["exact", "float"]
 Scalar = Union["GaussianRational", complex]
 
 
-def _as_fraction(value) -> Fraction:
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an exact real part: any value that has
+    them (int, bool, Fraction), or a rational literal (``_rational``)."""
     if isinstance(value, float):
         raise TypeError("float is not exact; use mode='float' instead")
-    return Fraction(value)
+    if isinstance(value, str):
+        value = _rational(value)
+    try:
+        return int(value.numerator), int(value.denominator)
+    except AttributeError:
+        raise TypeError(f"{type(value).__name__} is not an exact rational") from None
+
+
+def _part(n: int, q: int) -> str:
+    """``str(Fraction(n, q))``, q > 0, without forming the Fraction."""
+    if q == 1:
+        return str(n)
+    g = gcd(n, q)
+    return str(n // g) if q == g else f"{n // g}/{q // g}"
+
+
+def _fraction_hash(n: int, q: int) -> int:
+    """``hash(Fraction(n, q))``, q > 0, by the algorithm ``Fraction`` uses:
+    equal to ``hash(n // q)`` when q divides n."""
+    g = gcd(n, q)
+    n, q = n // g, q // g
+    try:
+        h = hash(hash(abs(n)) * pow(q, -1, sys.hash_info.modulus))
+    except ValueError:
+        h = sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+_new = object.__new__
+
+
+def _gr(a: int, b: int, q: int) -> "GaussianRational":
+    """(a + b i) / q, q > 0, reduced by one gcd."""
+    g = gcd(a, b, q)
+    if g != 1:
+        a, b, q = a // g, b // g, q // g
+    x = _new(GaussianRational)
+    x._a, x._b, x._q = a, b, q
+    return x
+
+
+def _coerce(value):
+    """``value`` as a Gaussian rational, or None when it has no exact
+    rational value (a float, a complex)."""
+    if isinstance(value, GaussianRational):
+        return value
+    try:
+        n, q = value.numerator, value.denominator
+    except AttributeError:
+        return None
+    return _gr(int(n), 0, int(q))
 
 
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    It is held as (a + b i) / q with Python ints, q > 0 and
+    gcd(a, b, q) = 1, so each value has one triple: equality compares
+    triples, and each of + - * / forms its integer products and divides
+    out one ``math.gcd``.  ``re``, ``im`` and ``abs2`` give ``Fraction``s;
+    ``real`` and ``imag`` give the parts as real Gaussian rationals.
+    """
+
+    __slots__ = ("_a", "_b", "_q")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._q = re, im, 1
+            return
+        (rn, rq), (im_n, im_q) = _ratio(re), _ratio(im)
+        a, b, q = rn * im_q, im_n * rq, rq * im_q
+        g = gcd(a, b, q)
+        self._a, self._b, self._q = a // g, b // g, q // g
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        return None
+    @property
+    def re(self):
+        """The real part, a ``Fraction``."""
+        from fractions import Fraction
+
+        return Fraction(self._a, self._q)
+
+    @property
+    def im(self):
+        """The imaginary part, a ``Fraction``."""
+        from fractions import Fraction
+
+        return Fraction(self._b, self._q)
+
+    @property
+    def real(self) -> "GaussianRational":
+        return _gr(self._a, 0, self._q)
+
+    @property
+    def imag(self) -> "GaussianRational":
+        return _gr(self._b, 0, self._q)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if not isinstance(other, GaussianRational):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        q, r = self._q, other._q
+        if q == r:
+            return _gr(self._a + other._a, self._b + other._b, q)
+        return _gr(self._a * r + other._a * q, self._b * r + other._b * q, q * r)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if not isinstance(other, GaussianRational):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        q, r = self._q, other._q
+        if q == r:
+            return _gr(self._a - other._a, self._b - other._b, q)
+        return _gr(self._a * r - other._a * q, self._b * r - other._b * q, q * r)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is int:
+            return _gr(self._a * other, self._b * other, self._q)
+        if not isinstance(other, GaussianRational):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _gr(a * c - b * e, a * e + b * c, self._q * other._q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        den = other.abs2()
-        if not den:
+        if not isinstance(other, GaussianRational):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        # (a + b i)/q / ((c + e i)/r) = (a + b i)(c - e i) r / (q (c^2 + e^2))
+        r = other._q
+        return _gr((a * c + b * e) * r, (b * c - a * e) * r, self._q * n)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return other / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self._a, -self._b, self._q)
 
     def __pos__(self):
         return self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self._a, -self._b, self._q)
 
-    def abs2(self) -> Fraction:
-        """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
+    def abs2(self):
+        """Exact squared modulus, a ``Fraction``."""
+        from fractions import Fraction
+
+        return Fraction(self._a * self._a + self._b * self._b, self._q * self._q)
 
     def __abs__(self) -> float:
-        return math.sqrt(float(self.abs2()))
+        # int true division rounds once, as float(self.abs2()) does
+        return math.sqrt((self._a * self._a + self._b * self._b) / (self._q * self._q))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._q == other._q
+        try:
+            n, q = other.numerator, other.denominator
+        except AttributeError:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._b == 0 and self._a == n and self._q == q
 
     def __hash__(self):
-        # Fraction hashes agree with int hashes, so a real Gaussian rational
-        # hashes like its underlying rational.
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # a real Gaussian rational hashes like its rational, as an int or a
+        # Fraction does; any other like the pair of its parts
+        re = _fraction_hash(self._a, self._q)
+        if not self._b:
+            return re
+        return hash((re, _fraction_hash(self._b, self._q)))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._q, self._b / self._q)
 
     def __repr__(self):
-        return f"GaussianRational({str(self.re)!r}, {str(self.im)!r})"
+        return f"GaussianRational({_part(self._a, self._q)!r}, {_part(self._b, self._q)!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        a, b, q = self._a, self._b, self._q
+        if not b:
+            return _part(a, q)
+        if not a:
+            return f"{_part(b, q)}i"
+        sign = "+" if b > 0 else "-"
+        return f"{_part(a, q)}{sign}{_part(abs(b), q)}i"
 
 
 GR_ZERO = GaussianRational(0)
@@ -162,10 +261,9 @@ def one(mode: Mode) -> Scalar:
 def as_scalar(value, mode: Mode) -> Scalar:
     """Coerce a number into the scalar type of the given mode."""
     if mode == "exact":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
+        exact = _coerce(value)
+        if exact is not None:
+            return exact
         raise TypeError(
             f"cannot use {type(value).__name__} in exact mode; "
             "pass int, Fraction or GaussianRational"
@@ -187,7 +285,7 @@ def scalars_close(a: Scalar, b: Scalar, tol: float | None = None) -> bool:
     return abs(a - b) <= tol
 
 
-def _rational(x: int | str) -> Fraction:
+def _rational(x: int | str):
     """``Fraction(x)``, refusing a numerator or denominator with more digits
     than ``str`` prints (``sys.get_int_max_str_digits()``).  ``int`` refuses
     a longer run of digits, so a nonzero literal whose exponent is beyond
@@ -199,6 +297,8 @@ def _rational(x: int | str) -> Fraction:
     e = match[1].replace("_", "").lstrip("0") if match else ""
     if len(e) > len(str(2 * limit)) or int(e or 0) > 2 * limit:
         raise ValueError(f"rational literal {x!r} has an exponent beyond {2 * limit}")
+    from fractions import Fraction
+
     try:
         q = Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
@@ -258,6 +358,6 @@ def scalar_from_json(obj, mode: Mode) -> Scalar:
 def scalar_to_json(s: Scalar):
     """Emit a scalar as ``{"re": ..., "im": ...}``, rational strings in exact mode."""
     if isinstance(s, GaussianRational):
-        return {"re": str(s.re), "im": str(s.im)}
+        return {"re": _part(s._a, s._q), "im": _part(s._b, s._q)}
     s = complex(s)
     return {"re": s.real, "im": s.imag}

@@ -174,6 +174,118 @@ def poly_multiply_truncate(symbol_coeffs, vec, params, zero_scalar):
     return vector_of(flat, vec.mode)
 
 
+class FractionGaussianRational:
+    """Reference Gaussian rational: a pair of ``Fraction`` parts, each
+    operation spelled out on the parts.  The package's ``GaussianRational``
+    holds one reduced triple of ints instead; ``test_scalars`` compares the
+    two on every operation.  It prints as the class it stands for."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        if isinstance(re, float) or isinstance(im, float):
+            raise TypeError("float is not exact; use mode='float' instead")
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, FractionGaussianRational):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return FractionGaussianRational(value)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return FractionGaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return FractionGaussianRational(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return FractionGaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        den = other.abs2()
+        if not den:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return FractionGaussianRational(
+            (self.re * other.re + self.im * other.im) / den,
+            (self.im * other.re - self.re * other.im) / den,
+        )
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def __neg__(self):
+        return FractionGaussianRational(-self.re, -self.im)
+
+    def conjugate(self):
+        return FractionGaussianRational(self.re, -self.im)
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+    def __abs__(self):
+        return math.sqrt(float(self.abs2()))
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        return f"GaussianRational({str(self.re)!r}, {str(self.im)!r})"
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return f"{self.im}i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+
 def rand_gaussian_rational(rng, span=4, den=3):
     return GaussianRational(
         Fraction(rng.randint(-span, span), rng.randint(1, den)),

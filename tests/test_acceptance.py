@@ -315,6 +315,12 @@ PINNED_REPORTS = {
          "--symbol", str(SYMBOL_F)],
         "bf3cdf6f56eaa2b1c322b84dc51b762b487ec922af53c05d8106222be903c9b1",
     ),
+    # the symbol-commutant workload: one exact rref on d^2 = 256 unknowns
+    "commutant (2,1,8) symbol F": (
+        ["commutant", "--m", "2", "--n", "1", "--blocks", "8",
+         "--symbol", str(SYMBOL_F)],
+        "7fe9a55368002f9fa73f73646b1a4d3fbafd588b9227d6139b564ec1a0704ca2",
+    ),
     # its rank 8 is counted off the exact kernel basis of its rows
     "build (2,1,5) symbol F": (
         ["build", "--m", "2", "--n", "1", "--blocks", "5",

@@ -1015,6 +1015,25 @@ def test_out_naming_a_directory_is_refused_before_any_work(tmp_path, monkeypatch
                             f"--out names a directory: '{target}'\n")
 
 
+def test_out_through_a_link_writes_the_file_it_names(tmp_path):
+    # the report replaces the link's target in the target's directory, and
+    # the link stays a link
+    argv = ["verify-equivalence", "--m", "1", "--n", "1", "--blocks", "2"]
+    direct = tmp_path / "direct.json"
+    assert main([*argv, "--out", str(direct)]) == 0
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    target = elsewhere / "target.json"
+    target.write_text("old")
+    link = tmp_path / "ln.json"
+    link.symlink_to(target)
+    assert main([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == direct.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.json", "elsewhere", "ln.json"]
+    assert [p.name for p in elsewhere.iterdir()] == ["target.json"]
+
+
 def symbol_file(tmp_path, case):
     path = tmp_path / "symbol.json"
     if case == "not-json":

@@ -153,13 +153,41 @@ def test_numpy_is_loaded_only_by_float_solves(tmp_path, argv, loaded):
     assert proc.stdout == f"{loaded}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["full-report", "--m", "2", "--n", "2", "--blocks", "3"], False),
+        (["full-report", "--m", "2", "--n", "2", "--blocks", "3", "--mode", "float",
+          "--tol", "1e-9"], False),
+        (["build", "--m", "2", "--n", "2", "--blocks", "3"], False),
+        (["commutant", "--m", "2", "--n", "1", "--blocks", "3",
+          "--symbol", str(ROOT / "benchmarks" / "symbol_F.json")], True),
+    ],
+    ids=["exact-report", "float-report", "exact-build", "exact-symbol"],
+)
+def test_fractions_is_loaded_only_to_parse_rational_literals(tmp_path, argv, loaded):
+    # a z^n run computes and prints its Gaussian rationals as ints; only a
+    # symbol file's literals are read with Fraction's grammar
+    script = ("import sys, hardyshift.cli as cli; rc = cli.main(sys.argv[1:]); "
+              "print('fractions' in sys.modules); sys.exit(rc)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "report.json")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loaded}\n"
+
+
 def test_cli_import_loads_no_record_machinery_csv_or_numpy():
     # start-up pays only for what every run uses: the records are plain
     # classes and named tuples, csv waits for a CSV table, a float scalar
-    # is checked finite by math, and every chain is a range, not an array
+    # is checked finite by math, every chain is a range, not an array, and
+    # a Gaussian rational is a triple of ints, not Fractions
     script = ("import sys; bare = set(sys.modules); import hardyshift.cli; "
               "added = set(sys.modules) - bare; "
-              "print(sorted(added & {'dataclasses', 'inspect', 'csv', 'numpy', 'cmath', 'array'}))")
+              "print(sorted(added & {'dataclasses', 'inspect', 'csv', 'numpy', 'cmath', 'array', "
+              "'fractions', 'decimal', 'numbers'}))")
     proc = subprocess.run(
         [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),

@@ -1,12 +1,18 @@
+import json
 import math
+import operator
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from helpers import FractionGaussianRational
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hardyshift import GaussianRational
+from hardyshift import GaussianRational, TruncationParams, linalg
+from hardyshift.commutant import _commutation_rows
+from hardyshift.operators import symbol_from_json, toeplitz_matrix
 from hardyshift.scalars import (
     as_scalar,
     one,
@@ -194,3 +200,99 @@ def test_matches_complex_arithmetic(a):
     c = complex(a)
     assert math.isclose(abs(a), abs(c), abs_tol=1e-9)
     assert complex(a.conjugate()) == c.conjugate()
+
+
+# The package's reduced int triples against the Fraction-pair reference
+# (``helpers.FractionGaussianRational``): every operation on the same
+# values must give the same value, hash and text, and every result must be
+# in canonical form.
+wide_parts = st.fractions(max_denominator=10**6) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=4)
+pairs = st.tuples(wide_parts, wide_parts)
+# a Gaussian rational (a pair of parts), or an int or a Fraction operand
+operands = pairs | st.integers(-10**6, 10**6) | wide_parts
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def both(value):
+    """The package's and the reference's form of one operand."""
+    if isinstance(value, tuple):
+        return GaussianRational(*value), FractionGaussianRational(*value)
+    return value, value
+
+
+def assert_canonical(g):
+    assert type(g) is GaussianRational
+    a, b, q = g._a, g._b, g._q
+    assert type(a) is type(b) is type(q) is int
+    assert q > 0 and math.gcd(a, b, q) == 1
+
+
+def assert_same(g, ref):
+    """g is the reference's value, with its hash and its text."""
+    assert_canonical(g)
+    assert (g.re, g.im) == (ref.re, ref.im)
+    assert type(g.re) is type(g.im) is Fraction
+    assert hash(g) == hash(ref)
+    assert (str(g), repr(g)) == (str(ref), repr(ref))
+    assert complex(g) == complex(ref)
+    assert bool(g) == bool(ref)
+
+
+def outcome(op, x, y):
+    try:
+        return op(x, y)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@given(pairs, operands, st.sampled_from(sorted(BINARY)))
+@example((Fraction(1, 2), 3), (0, 0), "/")
+@example((0, 0), (Fraction(1, 2), 3), "/")
+@example((1, 0), 0, "/")
+def test_arithmetic_matches_the_fraction_pair_reference(x, y, name):
+    op = BINARY[name]
+    (gx, rx), (gy, ry) = both(x), both(y)
+    for g, ref in ((outcome(op, gx, gy), outcome(op, rx, ry)),
+                   (outcome(op, gy, gx), outcome(op, ry, rx))):
+        if ref is ZeroDivisionError:
+            assert g is ZeroDivisionError
+        else:
+            assert_same(g, ref)
+
+
+@given(pairs, operands)
+@example((1, 0), 1)
+@example((Fraction(1, 2), 0), Fraction(1, 2))
+@example((0, 0), 0)
+def test_unary_and_comparison_match_the_fraction_pair_reference(x, y):
+    (gx, rx), (gy, ry) = both(x), both(y)
+    assert_same(gx, rx)
+    assert_same(-gx, -rx)
+    assert_same(gx.conjugate(), rx.conjugate())
+    assert_same(gx.real, FractionGaussianRational(rx.re))
+    assert_same(gx.imag, FractionGaussianRational(rx.im))
+    assert gx.abs2() == rx.abs2() and type(gx.abs2()) is Fraction
+    assert abs(gx) == abs(rx)
+    assert eval(repr(gx), {"GaussianRational": GaussianRational}) == gx
+    for other in (gy, 0.5, 1.0, 1j, "1"):
+        assert (gx == other) == (rx == (ry if other is gy else other))
+        assert (other == gx) == ((ry if other is gy else other) == rx)
+    if gx == gy:
+        assert hash(gx) == hash(gy)
+
+
+def test_kernel_basis_of_a_symbol_matches_under_the_fraction_pair_reference():
+    # the commutation rows of symbol_F at (2,1,4), eliminated once over each
+    # class: the same kernel vectors, entry for entry
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "symbol_F.json"
+    A = toeplitz_matrix(symbol_from_json(json.loads(path.read_text())), TruncationParams(2, 1, 4))
+    rows = _commutation_rows(A)
+    ref_rows = [{c: FractionGaussianRational(v.re, v.im) for c, v in row.items()} for row in rows]
+    ncols = A.rows * A.cols
+    kernel = linalg.kernel_basis(rows, ncols, "exact")
+    ref_kernel = linalg.kernel_basis(ref_rows, ncols, "exact")
+    assert len(kernel) == 16
+    assert all(type(v) is FractionGaussianRational for vec in ref_kernel for v in vec.values())
+    assert [{c: (v.re, v.im) for c, v in vec.items()} for vec in kernel] == \
+        [{c: (v.re, v.im) for c, v in vec.items()} for vec in ref_kernel]
